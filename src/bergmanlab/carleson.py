@@ -19,40 +19,42 @@ so the sup is taken on nested grids with max |a| = 1 - 2^(-j) and a log-log
 slope against (1 - |a|) decides between "bounded" and "divergent" instead of
 silently truncating.
 
-Numerical strategy for Psi: atoms and grid densities are exact finite sums;
-radial densities reduce to a one-dimensional integral through the closed-form
-angular average
+Numerical strategy for Psi: each measure type evaluates its own transform
+(``Measure.psi``), and a type without one raises instead of falling back to
+quadrature of the peaked kernel. Radial densities scale*(1-|z|^2)^gamma dA,
+dA_alpha among them, use the closed form
 
-    (1/2pi) int |1 - q e^{i th}|^{-2t} dth = 2F1(t, t; 1; q^2),
+    Psi_a = scale/(gamma+1) * (1-|a|^2)^A * 2F1(A, A; gamma+2; |a|^2),   A = gamma+2-t,
 
-which stays accurate arbitrarily close to the boundary; general polynomial
-densities are pulled back through the Mobius map phi_a, which absorbs the
-kernel peak analytically and leaves a bounded integrand.
+from the angular average 2F1(t, t; 1; |a|^2 rho^2), Euler's integral and
+Euler's transformation (DLMF 15.8.1; Zhu, Operator Theory in Function Spaces,
+section 1.4). Where t < A the untransformed pair (t, t) replaces (A, A), which
+keeps 2F1 well conditioned as |a| -> 1. The form is exact at every depth,
+equals 1 for dA_alpha, and shows the divergence exponent A = gamma - alpha of
+the default t = 2 + alpha directly. Polynomial weights |u|^p dA_beta are
+pulled back through the Mobius map phi_a, which absorbs the kernel peak
+analytically and leaves a bounded integrand; atoms and grid densities are
+exact finite sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .condexp import AnalyticSelfMap, Identity, Monomial, cond_expect_values
 from .errors import ConfigurationError
-from .geometry import SpaceParams, kernel_power_modulus, test_function
+from .geometry import SpaceParams, test_function
 from .lattice import HyperbolicLattice, build_lattice
 from .measures import (
     DEFAULT_QUAD,
-    Atomic,
-    GridDensity,
     Measure,
-    PolyWeighted,
     Polynomial,
     QuadConfig,
-    SumMeasure,
     WeightedArea,
     bergman_norm,
-    build_quadrature,
     measure_of_disk,
 )
 
@@ -63,61 +65,14 @@ DIVERGENCE_SLOPE = -0.1
 # Psi transform
 
 
-def _psi_radial(gamma, scale, a_abs, t, quad):
-    """Psi for the density scale*(1-|z|^2)^gamma dA via the angular closed form."""
-    rule = build_quadrature(gamma, quad.n_radial, quad.n_angular)
-    a_abs = np.asarray(a_abs, dtype=float)
-    arg = a_abs[..., None] ** 2 * rule.radial_sq
-    f = hyp2f1(t, t, 1.0, arg)
-    radial = np.sum(rule.radial_weights * f, axis=-1)
-    out = scale * (1.0 - a_abs**2) ** t * radial
-    return float(out) if out.ndim == 0 else out
-
-
-def _psi_pullback(mu: PolyWeighted, a, t, quad):
-    """Psi for |u|^p dA_beta by substituting z = phi_a(w).
-
-    The kernel factor becomes (|1 - conj(a) w|^2/(1-|a|^2))^t and combines
-    with the Jacobian and the pulled-back weight into
-
-      (1-|a|^2)^(beta+2-t) * |1 - conj(a) w|^(2(t-2-beta)) * |u(phi_a(w))|^p
-
-    integrated against dA_beta(w): no peaked factor remains.
-    """
-    a = complex(a)
-    rule = build_quadrature(mu.beta, quad.n_radial, quad.n_angular)
-    w = rule.nodes
-    one_minus = 1.0 - np.conj(a) * w
-    phi_w = (a - w) / one_minus
-    vals = np.abs(mu.u(phi_w)) ** mu.p
-    expo = 2.0 * (t - 2.0 - mu.beta)
-    if expo != 0.0:
-        vals = vals * np.abs(one_minus) ** expo
-    return float((1.0 - abs(a) ** 2) ** (mu.beta + 2.0 - t) * np.sum(rule.weights * vals))
-
-
 def psi_transform(mu: Measure, a, alpha, t=None, quad: QuadConfig = DEFAULT_QUAD):
-    """Psi_a(mu) with exponent t (default 2 + alpha)."""
+    """Psi_a(mu) with exponent t (default 2 + alpha), evaluated by ``mu.psi``."""
     if not alpha > -1:
         raise ConfigurationError(f"alpha must exceed -1, got {alpha}")
     t = 2.0 + alpha if t is None else float(t)
     if not t > 0:
         raise ConfigurationError(f"kernel exponent t must be positive, got {t}")
-    a = complex(a)
-    if isinstance(mu, Atomic):
-        return float(np.sum(mu.masses * kernel_power_modulus(a, mu.points, t)))
-    if isinstance(mu, GridDensity):
-        return float(np.sum(mu.node_masses * kernel_power_modulus(a, mu.rule.nodes, t)))
-    if isinstance(mu, SumMeasure):
-        return sum(psi_transform(part, a, alpha, t, quad) for part in mu.parts)
-    profile = mu.radial_profile()
-    if profile is not None:
-        gamma, scale = profile
-        return float(_psi_radial(gamma, scale, abs(a), t, quad))
-    if isinstance(mu, PolyWeighted):
-        return _psi_pullback(mu, a, t, quad)
-    # generic fallback: direct quadrature (accurate for moderate |a| only)
-    return float(mu.integrate(lambda z: kernel_power_modulus(a, z, t), quad))
+    return float(mu.psi(complex(a), t, quad))
 
 
 # ---------------------------------------------------------------------------
@@ -483,23 +438,17 @@ class CarlesonReport:
         return out
 
 
-_lattice_cache = {}
-_ref_c2_cache = {}
-
-
+# Both caches are keyed by the handful of (r, epsilon) lattices and weights a
+# session uses; the bounds only cap what a long-lived process can pin.
+@lru_cache(maxsize=16)
 def cached_lattice(r, epsilon) -> HyperbolicLattice:
-    key = (float(r), float(epsilon))
-    if key not in _lattice_cache:
-        _lattice_cache[key] = build_lattice(r, epsilon)
-    return _lattice_cache[key]
+    return build_lattice(r, epsilon)
 
 
+@lru_cache(maxsize=64)
 def reference_disk_constant(alpha, r, lat: HyperbolicLattice, quad: QuadConfig):
     """Disk constant of the reference measure dA_alpha, used to normalize C2."""
-    key = (float(alpha), float(r), lat.epsilon, quad)
-    if key not in _ref_c2_cache:
-        _ref_c2_cache[key] = disk_constant(WeightedArea(alpha), alpha, r, lat, quad).c2
-    return _ref_c2_cache[key]
+    return disk_constant(WeightedArea(alpha), alpha, r, lat, quad).c2
 
 
 def _pairwise_ratios(c1, c2n, c3):

@@ -365,7 +365,6 @@ def _cmd_suite(args):
         "psi_j_max": config.psi_grid.j_max,
         "mode": config.mode,
         "quad": {"n_radial": config.quad.n_radial, "n_angular": config.quad.n_angular},
-        "threads": args.threads,
     }
     envelope = _report_envelope("suite", echo, report)
     _emit(envelope, args.out, "suite_report.json")
@@ -389,8 +388,6 @@ def build_parser():
         if config:
             p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory for reports (default: stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint recorded in the report (numerics are vectorized)")
         p.add_argument("--seed", type=int, default=None, help="override the family seed")
         p.add_argument("--grid-levels", type=int, default=None, dest="grid_levels",
                        help="override the deepest boundary grid level J")

@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleson import (
-    FamilySpec,
-    PsiGridSpec,
-    SupResult,
-    _expectation_callable,
-    build_family,
-    member_norm,
-    psi_sup,
-)
+from .carleson import FamilySpec, PsiGridSpec, SupResult, psi_sup, test_constant
 from .condexp import AnalyticSelfMap, BlaschkeProduct, cond_expect, cond_expect_values
 from .errors import ConfigurationError
 from .geometry import SpaceParams, weighted_kernel
@@ -96,26 +88,17 @@ class OpNormResult:
 
 def opnorm_estimate(op: WeightedCondExpOperator, family: FamilySpec = FamilySpec(),
                     quad: QuadConfig = DEFAULT_QUAD) -> OpNormResult:
-    """Certified lower bound sup_family ||u E(f)||_{p,beta} / ||f||_{p,alpha}."""
+    """Certified lower bound sup_family ||u E(f)||_{p,beta} / ||f||_{p,alpha}.
+
+    ||u E(f)||_{p,beta}^p is the integral of |E(f)|^p against |u|^p dA_beta, so
+    this is the p-th root of the test constant of the symbol measure.
+    """
     if op.u.is_zero:
         return OpNormResult(lower_bound=0.0, worst_label="", ratios={})
-    members = build_family(family, op.source)
-    target_rule = build_quadrature(op.beta, quad.n_radial, quad.n_angular)
-    best = -np.inf
-    worst = members[0].label
-    ratios = {}
-    for member in members:
-        ef = _expectation_callable(op.phi, member)
-        vals = np.abs(op.u(target_rule.nodes) * ef(target_rule.nodes)) ** op.p
-        num = float(np.sum(target_rule.weights * vals)) ** (1.0 / op.p)
-        den = member_norm(member, op.source, quad)
-        if den == 0:
-            raise ConfigurationError(f"family member {member.label} has zero norm")
-        ratios[member.label] = num / den
-        if ratios[member.label] > best:
-            best = ratios[member.label]
-            worst = member.label
-    return OpNormResult(lower_bound=float(best), worst_label=worst, ratios=ratios)
+    tc = test_constant(op.symbol_measure(), op.source, op.phi, family, quad)
+    root = 1.0 / op.p
+    return OpNormResult(lower_bound=tc.c1**root, worst_label=tc.worst_label,
+                        ratios={label: ratio**root for label, ratio in tc.ratios.items()})
 
 
 def boundedness_criterion(op: WeightedCondExpOperator,

@@ -1,5 +1,6 @@
 """Transform identities, sup diagnostics, and the three-constant certification."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from bergmanlab.carleson import (
     psi_heatmap,
     psi_sup,
     psi_transform,
+    reference_disk_constant,
 )
 from bergmanlab.carleson import test_constant as family_constant
 from bergmanlab.condexp import Identity, Monomial
@@ -23,12 +25,14 @@ from bergmanlab.geometry import SpaceParams
 from bergmanlab.geometry import test_function as kernel_power
 from bergmanlab.measures import (
     Atomic,
+    Measure,
     Polynomial,
     PolyWeighted,
     QuadConfig,
     RadialDensity,
     SumMeasure,
     WeightedArea,
+    build_quadrature,
     integrate,
 )
 
@@ -53,8 +57,9 @@ class TestPsiTransform:
 
     @pytest.mark.parametrize("alpha", (-0.5, 0.0, 1.0))
     def test_reference_measure_is_flat(self, alpha, rng):
-        for a in sample_disk(rng, 12, rmax=0.97):
-            assert abs(psi_transform(WeightedArea(alpha), a, alpha) - 1.0) < 1e-8
+        deep = [rho * u for rho in 1.0 - 2.0 ** -np.arange(1, 31) for u in (1, -1j)]
+        for a in list(sample_disk(rng, 12, rmax=0.97)) + deep:
+            assert abs(psi_transform(WeightedArea(alpha), a, alpha) - 1.0) < 1e-12
 
     def test_atomic_closed_form(self):
         mu = Atomic.from_atoms([(0.9, 1.0)])
@@ -94,6 +99,31 @@ class TestPsiTransform:
         with pytest.raises(ConfigurationError):
             psi_transform(WeightedArea(0.0), 0.1, 0.0, t=-1.0)
 
+    @pytest.mark.parametrize("gamma, t", [
+        (0.0, 2.0), (-0.5, 2.0), (1.0, 2.5), (0.3, 1.2), (-0.5, 3.0),
+        (1.0, 1.0), (0.0, 0.5), (-0.75, 0.3), (0.0, 1.0),
+    ])
+    def test_radial_matches_hypergeometric_oracle(self, gamma, t):
+        # Euler's integral of the angular average 2F1(t, t; 1; x rho^2) against
+        # (1 - rho^2)^gamma, evaluated by mpmath at 40 digits
+        scale = 1.3
+        mu = RadialDensity(gamma, scale)
+        with mpmath.workdps(40):
+            for k in range(1, 41):
+                r = 1.0 - 2.0**-k
+                x = mpmath.mpf(r) ** 2
+                want = scale / (gamma + 1) * (1 - x) ** t * mpmath.hyp2f1(t, t, gamma + 2, x)
+                got = psi_transform(mu, r, 0.0, t=t)
+                assert abs(got / want - 1) < 1e-9, (k, got, want)
+
+    def test_measure_without_psi_raises(self):
+        class DirectOnly(Measure):
+            def integrate(self, g, quad=None):
+                return WeightedArea(0.0).integrate(g)
+
+        with pytest.raises(NotImplementedError):
+            psi_transform(DirectOnly(), 0.5, 0.0)
+
 
 class TestPsiSup:
     def test_flat_reference(self):
@@ -120,6 +150,14 @@ class TestPsiSup:
         vals = [v for _, v in res.level_maxima]
         assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("gamma, alpha", [(-0.5, 0.0), (-0.2, 0.0), (0.8, 1.0), (-0.7, -0.5)])
+    def test_more_levels_keep_divergence(self, gamma, alpha):
+        # gamma - alpha <= -0.2: deeper grids must never move the verdict to bounded
+        for j_max in range(10, 31):
+            res = psi_sup(RadialDensity(gamma), alpha, grid=PsiGridSpec(4, j_max, 4))
+            assert res.verdict == "divergent", j_max
+            assert res.slope < -0.15, j_max
+
     def test_zero_measure(self):
         res = psi_sup(RadialDensity(0.0, scale=0.0), 0.0, grid=PsiGridSpec(4, 6, 4))
         assert res.sup == 0.0
@@ -130,6 +168,12 @@ class TestPsiSup:
                            quad=small_quad)
         assert len(rows) == 1 + 4 * 8
         assert all(abs(psi - 1.0) < 1e-8 for _, _, psi in rows)
+
+
+class TestCaches:
+    def test_bounded(self):
+        for cached in (build_quadrature, cached_lattice, reference_disk_constant):
+            assert cached.cache_info().maxsize is not None
 
 
 class TestDiskConstant:

@@ -133,6 +133,18 @@ class TestCarlesonCheck:
         cfg.write_text(json.dumps(cfg_data))
         assert run_cli(["carleson", "check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_deep_grid_keeps_not_carleson(self, tmp_path):
+        cfg_data = self.base_config()
+        cfg_data["measure"] = {"type": "radial", "gamma": -0.5}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        code = run_cli(["carleson", "check", "--config", str(cfg), "--out", str(tmp_path),
+                        "--grid-levels", "18"])
+        rep = read_report(tmp_path / "carleson_report.json")["report"]
+        assert rep["config"]["psi_grid"]["j_max"] == 18
+        assert rep["verdict"] == "not-carleson"
+        assert code == 2
+
     def test_unknown_field_pointer(self, tmp_path, capsys):
         cfg_data = self.base_config()
         cfg_data["measur"] = {}

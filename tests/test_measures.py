@@ -148,6 +148,22 @@ class TestIntegrate:
         assert "resampling" in caplog.text
         assert abs(re.total_mass() - 1.0) < 1e-12
 
+    def test_grid_density_is_atomic_on_rule_nodes(self):
+        from bergmanlab.carleson import psi_transform
+
+        rule = build_quadrature(0.5, 16, 32)
+        gd = GridDensity.from_function(rule, lambda z: 1.0 + np.abs(z) ** 2)
+        again = measure_from_config(gd.spec())
+        assert again.spec() == gd.spec()
+        assert np.array_equal(again.values, gd.values)
+        masses = rule.weights * gd.values
+        atoms = Atomic.from_atoms(list(zip(rule.nodes.ravel(), masses.ravel())))
+        g = lambda z: np.abs(1.0 + z) ** 3
+        assert abs(gd.integrate(g) - atoms.integrate(g)) < 1e-14
+        for a, r in [(0.0, 0.5), (0.6j, 1.0), (-0.7 + 0.2j, 0.8)]:
+            assert abs(gd.disk_measure(a, r) - atoms.disk_measure(a, r)) < 1e-14
+            assert abs(psi_transform(gd, a, 0.5) - psi_transform(atoms, a, 0.5)) < 1e-13
+
     def test_grid_density_rejects_negative(self):
         rule = build_quadrature(0.0, 16, 32)
         with pytest.raises(ConfigurationError):
