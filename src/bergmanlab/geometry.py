@@ -221,8 +221,16 @@ def test_function(a, z, params: SpaceParams):
     t = params.kernel_exponent
     a = np.asarray(a, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    log_k = np.log1p(-np.abs(a) ** 2) - 2.0 * np.log(1.0 - np.conj(a) * z)
-    out = np.exp(t * log_k)
+    w = 1.0 - np.conj(a) * z
+    re, im = w.real, w.imag
+    # k_a^t = exp(t log k_a) split into modulus and phase in real arithmetic,
+    # a few times faster than the complex log and exp. arctan2 is the
+    # principal argument, the branch np.log takes.
+    modulus = np.exp(t * (np.log1p(-np.abs(a) ** 2) - np.log(re * re + im * im)))
+    phase = (-2.0 * t) * np.arctan2(im, re)
+    out = np.empty(np.broadcast(modulus, phase).shape, dtype=complex)
+    np.multiply(modulus, np.cos(phase), out=out.real)
+    np.multiply(modulus, np.sin(phase), out=out.imag)
     return complex(out) if out.ndim == 0 else out
 
 
