@@ -35,6 +35,18 @@ the default t = 2 + alpha directly. Polynomial weights |u|^p dA_beta are
 pulled back through the Mobius map phi_a, which absorbs the kernel peak
 analytically and leaves a bounded integrand; atoms and grid densities are
 exact finite sums.
+
+The C1 sweep uses the rotation symmetry of the family. A kernel centre
+a = rho w with |w| = 1 gives f_a(z) = f_rho(conj(w) z), and the disk rule is a
+trapezoid in angle whose angles are 2 pi j / N, so rotating by a multiple of
+2 pi / N only permutes its nodes (Trefethen & Weideman, SIAM Review 2014).
+When the map commutes with rotations (identity, z^n) and the ring's n_dirs
+divides N, each ring of n_dirs kernel members is one evaluation of |E f_rho|^p
+on the measure's nodes, rolled along the angular axis onto every direction
+(``measures.ring_shifts``). Blaschke maps, atoms and rules whose angle count
+n_dirs does not divide evaluate each member directly. Polynomial members take
+E(f) in closed form under z^n, and their norms depend only on the family, p,
+alpha and the rule, so they are computed once per such key.
 """
 
 from __future__ import annotations
@@ -44,9 +56,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .condexp import AnalyticSelfMap, Identity, Monomial, cond_expect_values
+from . import condexp, geometry, measures
+from .condexp import AnalyticSelfMap, Identity, Monomial, cond_expect_poly
 from .errors import ConfigurationError
-from .geometry import SpaceParams, test_function
+from .geometry import SpaceParams
 from .lattice import HyperbolicLattice, build_lattice
 from .measures import (
     DEFAULT_QUAD,
@@ -54,7 +67,6 @@ from .measures import (
     Polynomial,
     QuadConfig,
     WeightedArea,
-    bergman_norm,
     measure_of_disk,
 )
 
@@ -255,13 +267,27 @@ def _ring_growth(ring_maxima):
 # test-function constant
 
 
+# The config schema's bound on kernel radii (definitions/family).
+MAX_KERNEL_RADIUS = 0.97
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """Test family: unit kernel powers on an a-grid plus seeded random polynomials.
+    """Test family: unit kernel powers on rings of an a-grid plus seeded random polynomials.
 
-    The kernel grid is capped at |a| = 0.9375 so that direct quadrature of the
-    peaked integrands stays far below the quoted tolerances at default grid
-    sizes. The random polynomial seed is fixed and echoed into reports.
+    Each nonzero kernel radius rho is a ring of n_dirs centres rho * w_k with
+    w_k = exp(2 pi i k / n_dirs). Since f_{rho w}(z) = f_rho(conj(w) z), the
+    sweep evaluates a ring once and rolls the angular axis of the rule onto its
+    other directions. That is exact when the map commutes with rotations
+    (identity, z^n) and n_dirs divides the rule's angle count; Blaschke maps,
+    atoms and other rule sizes evaluate each member directly.
+
+    Fields are checked against the config schema's bounds: radii in
+    [0, 0.97], n_dirs >= 1, random_count and random_degree >= 0,
+    monomial_degree >= -1. The default grid stops at |a| = 0.9375, inside the
+    |a| <= 0.95 where quadrature of the peaked integrands is spectrally
+    accurate at the default angular size. The random polynomial seed is fixed
+    and echoed into reports.
     """
 
     kernel_radii: tuple = (0.0, 0.5, 0.75, 0.875, 0.9375)
@@ -270,6 +296,17 @@ class FamilySpec:
     random_degree: int = 6
     seed: int = 1729
     monomial_degree: int = -1   # include z^m for 0 <= m <= this; -1 disables
+
+    def __post_init__(self):
+        object.__setattr__(self, "kernel_radii", tuple(self.kernel_radii))
+        if not all(0.0 <= rho <= MAX_KERNEL_RADIUS for rho in self.kernel_radii):
+            raise ConfigurationError(
+                f"kernel radii must lie in [0, {MAX_KERNEL_RADIUS}], got {self.kernel_radii}"
+            )
+        for name, low in (("n_dirs", 1), ("random_count", 0), ("random_degree", 0),
+                          ("monomial_degree", -1)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     def doubled(self):
         return replace(self, n_dirs=2 * self.n_dirs)
@@ -283,10 +320,10 @@ class FamilyMember:
     kernel_center: complex | None = None  # set for kernel members (norm is 1 exactly)
 
 
-def build_family(spec: FamilySpec, params: SpaceParams, mode="unconditional"):
-    """Materialize the family deterministically."""
-    members = []
+def _kernel_rings(spec: FamilySpec, mode):
+    """Centres rho * exp(2 pi i k / n_dirs) of each kernel ring; the origin is a ring of one."""
     radii = spec.kernel_radii if mode != "symmetrized" else (0.0,)
+    rings = []
     seen_origin = False
     for rho in radii:
         if rho == 0.0:
@@ -296,23 +333,36 @@ def build_family(spec: FamilySpec, params: SpaceParams, mode="unconditional"):
             centers = [0j]
         else:
             centers = rho * np.exp(2j * np.pi * np.arange(spec.n_dirs) / spec.n_dirs)
-        for a in centers:
-            a = complex(a)
-            members.append(FamilyMember(
-                label=f"kernel:a={a.real:+.6f}{a.imag:+.6f}j",
-                func=(lambda z, _a=a: test_function(_a, z, params)),
-                poly=None,
-                kernel_center=a,
-            ))
+        rings.append([complex(a) for a in centers])
+    return rings
+
+
+def _family_polys(spec: FamilySpec):
+    """(label, polynomial) of the seeded random members, then of the monomials."""
+    polys = []
     rng = np.random.default_rng(spec.seed)
     for i in range(spec.random_count):
         coeffs = rng.standard_normal(spec.random_degree + 1) \
             + 1j * rng.standard_normal(spec.random_degree + 1)
-        poly = Polynomial.from_coeffs(coeffs)
-        members.append(FamilyMember(label=f"poly:seed{spec.seed}#{i}", func=poly, poly=poly))
+        polys.append((f"poly:seed{spec.seed}#{i}", Polynomial.from_coeffs(coeffs)))
     for m in range(0, spec.monomial_degree + 1):
-        poly = Polynomial.from_coeffs([0] * m + [1])
-        members.append(FamilyMember(label=f"monomial:z^{m}", func=poly, poly=poly))
+        polys.append((f"monomial:z^{m}", Polynomial.from_coeffs([0] * m + [1])))
+    return polys
+
+
+def build_family(spec: FamilySpec, params: SpaceParams, mode="unconditional"):
+    """Materialize the family deterministically: kernel rings first, then polynomials."""
+    members = []
+    for centers in _kernel_rings(spec, mode):
+        for a in centers:
+            members.append(FamilyMember(
+                label=f"kernel:a={a.real:+.6f}{a.imag:+.6f}j",
+                func=(lambda z, _a=a: geometry.test_function(_a, z, params)),
+                poly=None,
+                kernel_center=a,
+            ))
+    for label, poly in _family_polys(spec):
+        members.append(FamilyMember(label=label, func=poly, poly=poly))
     if not members:
         raise ConfigurationError("test family is empty")
     return members
@@ -325,35 +375,77 @@ class TestConstantResult:
     ratios: dict
 
 
-def _expectation_callable(phi: AnalyticSelfMap, member: FamilyMember):
+# One entry is a tuple of a few dozen floats; the bound only caps what a
+# long-lived process can pin.
+@lru_cache(maxsize=128)
+def _poly_norms(family: FamilySpec, p, alpha, quad: QuadConfig):
+    """Norms of the polynomial members in the (p, alpha) space, in family order."""
+    params = SpaceParams(p=p, alpha=alpha)
+    return tuple(measures.bergman_norm(poly, params, quad) for _, poly in _family_polys(family))
+
+
+def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers):
+    """z -> stack of |E(f_a)(z)|^p over the ring's centres a, one row per centre.
+
+    Under the identity |f_a|^p is the real kernel power of exponent 2 + alpha.
+    When phi commutes with rotations and z is a rule grid that the ring's
+    directions divide, the first centre is evaluated and rolled onto the rest.
+    """
     if isinstance(phi, Identity):
-        return member.func
-    return lambda z: cond_expect_values(phi, member.func, z)
+        t = 2.0 + params.alpha
+
+        def power(a, z):
+            return geometry.kernel_power_modulus(a, z, t)
+    else:
+        def power(a, z):
+            ef = condexp.cond_expect_values(
+                phi, lambda w: geometry.test_function(a, w, params), z)
+            return np.abs(ef) ** params.p
+    rotates = isinstance(phi, (Identity, Monomial))
+
+    def integrand(z):
+        shifts = measures.ring_shifts(z, len(centers)) if rotates else None
+        if shifts is None:
+            return np.stack([power(a, z) for a in centers])
+        return measures.rotations(power(centers[0], z), shifts)
+    return integrand
 
 
-def member_norm(member: FamilyMember, params: SpaceParams, quad: QuadConfig):
-    """Family member's norm in the (p, alpha) space; kernel members are exactly 1."""
-    if member.kernel_center is not None:
-        return 1.0
-    return bergman_norm(member.func, params, quad)
+def _poly_expectation(phi: AnalyticSelfMap, poly: Polynomial):
+    """E(poly) as a callable: a polynomial again under the identity and z^n."""
+    if isinstance(phi, Identity):
+        return poly
+    if isinstance(phi, Monomial):
+        return cond_expect_poly(phi.n, poly)
+    return lambda z: condexp.cond_expect_values(phi, poly, z)
 
 
 def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Identity(),
                   family: FamilySpec = FamilySpec(), quad: QuadConfig = DEFAULT_QUAD,
                   mode="unconditional") -> TestConstantResult:
-    """C1: max over the family of int |E(f)|^p dmu / ||f||^p."""
+    """C1: max over the family of int |E(f)|^p dmu / ||f||^p, in one sweep.
+
+    A kernel ring is one integral of a stacked integrand (``_ring_integrand``),
+    and kernel members have norm 1. Polynomial members take E(f) in closed
+    form under z^n, and their norms once per (family, p, alpha, quad).
+    """
     members = build_family(family, params, mode)
+    p = params.p
+    nums = []
+    for centers in _kernel_rings(family, mode):
+        nums.extend(mu.integrate(_ring_integrand(phi, params, centers), quad))
+    norms = [1.0] * len(nums) + list(_poly_norms(family, p, params.alpha, quad))
+    for member in members[len(nums):]:
+        ef = _poly_expectation(phi, member.poly)
+        nums.append(mu.integrate(lambda z, _ef=ef: np.abs(_ef(z)) ** p, quad))
     best = -np.inf
     worst = members[0].label
     ratios = {}
-    p = params.p
-    for member in members:
-        ef = _expectation_callable(phi, member)
-        num = float(mu.integrate(lambda z: np.abs(ef(z)) ** p, quad))
-        den = member_norm(member, params, quad) ** p
+    for member, num, norm in zip(members, nums, norms):
+        den = norm ** p
         if den == 0:
             raise ConfigurationError(f"family member {member.label} has zero norm")
-        ratio = num / den
+        ratio = float(num) / den
         ratios[member.label] = ratio
         if ratio > best:
             best = ratio

@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import CriticalPointError, RootFindingError
 from .geometry import SpaceParams
-from .measures import DEFAULT_QUAD, Polynomial, bergman_norm
+from .measures import DEFAULT_QUAD, Polynomial, bergman_norm, ring_shifts, rotations
 
 RESIDUAL_TOL = 1e-10
 CRITICAL_TOL = 1e-12
@@ -255,11 +255,20 @@ def cond_expect_poly(n, f: Polynomial) -> Polynomial:
 
 
 def cond_expect_values(phi: AnalyticSelfMap, f, zs):
-    """Vectorized E(f) on an array of points (critical points excluded by caller)."""
+    """Vectorized E(f) on an array of points (critical points excluded by caller).
+
+    Under z^n on quadrature-rule nodes whose angle count n divides, f is
+    evaluated on the nodes only and the orbit values are rolls of it.
+    """
     zs = np.asarray(zs, dtype=complex)
     if isinstance(phi, Identity):
         return np.asarray(f(zs), dtype=complex)
     if isinstance(phi, Monomial):
+        shifts = ring_shifts(zs, phi.n)
+        if shifts is not None:
+            # On rule nodes the orbit of z is n nodes of its own ring, so the
+            # orbit average is a mean of rolls of f on the nodes.
+            return np.mean(rotations(np.asarray(f(zs), dtype=complex), shifts), axis=0)
         rot = np.exp(2j * np.pi * np.arange(phi.n) / phi.n)
         vals = f(zs[..., None] * rot)
         return np.mean(np.asarray(vals, dtype=complex), axis=-1)

@@ -13,6 +13,9 @@ angle. The radial substitution t = rho^2 gives
 
 so a Jacobi rule with weight (1-x)^alpha on [-1, 1] integrates the radial
 factor exactly for polynomial data regardless of how close alpha is to -1.
+The angles are 2 pi j / N from 0, so rotating by 2 pi k / n for n | N permutes
+the nodes of each ring; ``ring_shifts`` and ``rotations`` turn that into rolls
+of the angular axis.
 
 Measure variants:
 
@@ -99,18 +102,33 @@ class QuadratureRule:
     def integrate(self, g):
         """Integrate a callable (or constant) against dA_alpha."""
         vals = g(self.nodes) if callable(g) else g * np.ones_like(self.weights)
-        vals = np.asarray(vals)
-        _check_finite(vals, self.nodes)
-        total = np.sum(self.weights * vals)
-        return _as_scalar(total)
+        return _weighted_sum(self.weights, vals, self.nodes)
+
+
+def _weighted_sum(weights, vals, nodes):
+    """Sum of weights * vals over the node axes.
+
+    ``vals`` holds the integrand at ``nodes``, or a stack of integrands with a
+    leading member axis; the result is a scalar or one value per member.
+    """
+    vals = np.asarray(vals)
+    _check_finite(vals, nodes)
+    if vals.ndim == np.ndim(weights):
+        return _as_scalar(np.sum(weights * vals))
+    members = vals.shape[: vals.ndim - np.ndim(weights)]
+    totals = np.sum((weights * vals).reshape(members + (-1,)), axis=-1)
+    if np.iscomplexobj(totals) and np.all(
+            np.abs(totals.imag) <= 1e-15 * np.maximum(1.0, np.abs(totals.real))):
+        return totals.real
+    return totals
 
 
 def _check_finite(vals, nodes):
     finite = np.isfinite(vals)
     if not np.all(finite):
         idx = np.argwhere(~np.atleast_1d(finite))
-        first = tuple(idx[0])
-        node = np.atleast_1d(nodes)[first] if np.ndim(nodes) else nodes
+        first = tuple(int(i) for i in idx[0])
+        node = np.atleast_1d(nodes)[first[-np.ndim(nodes):]] if np.ndim(nodes) else nodes
         raise EvaluationError(
             f"integrand is not finite at quadrature node z = {node} (index {first})"
         )
@@ -139,8 +157,7 @@ def build_quadrature(alpha, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGUL
     x, w = roots_jacobi(n_radial, alpha, 0.0)
     t = (x + 1.0) / 2.0
     v = w * 2.0 ** (-(1.0 + alpha))
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    nodes = np.outer(np.sqrt(t), np.exp(1j * theta))
+    nodes = _polar_nodes(np.sqrt(t), n_angular)
     weights = (alpha + 1.0) * np.outer(v, np.ones(n_angular)) / n_angular
     rule = QuadratureRule(
         alpha=float(alpha),
@@ -152,6 +169,42 @@ def build_quadrature(alpha, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGUL
     for arr in (rule.nodes, rule.weights, rule.radial_sq, rule.radial_weights):
         arr.setflags(write=False)
     return rule
+
+
+def _polar_nodes(radii, n_angular):
+    """Rule layout: node [i, j] is radii[i] * exp(2 pi i j / n_angular), angles from 0."""
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    return np.outer(radii, np.exp(1j * theta))
+
+
+def ring_shifts(z, n_dirs):
+    """Angular index shifts that rotate rule nodes by the angles 2 pi k / n_dirs.
+
+    On the rule layout, exp(-2 pi i k / n_dirs) z[i, j] = z[i, j - s_k] with
+    s_k = k * n_angular / n_dirs: the trapezoid in angle is invariant under
+    these rotations, which only permute its nodes. So g(exp(-2 pi i k / n_dirs) z)
+    is ``np.roll(g(z), s_k, axis=-1)`` for any g, and ``rotations`` stacks those
+    rolls. Returns the n_dirs shifts, or None unless ``z`` is laid out exactly
+    as ``build_quadrature`` lays out its nodes and n_dirs divides its angle
+    count: atoms, and rules of other angle counts, need direct evaluation.
+    """
+    z = np.asarray(z)
+    if z.ndim != 2 or z.shape[1] % n_dirs:
+        return None
+    if not np.array_equal(z, _polar_nodes(z[:, 0].real, z.shape[1])):
+        return None
+    step = z.shape[1] // n_dirs
+    return [k * step for k in range(n_dirs)]
+
+
+def rotations(values, shifts):
+    """Stack of ``np.roll(values, s, axis=-1)`` for each shift s of ``ring_shifts``."""
+    n = values.shape[-1]
+    out = np.empty((len(shifts),) + values.shape, dtype=values.dtype)
+    for k, s in enumerate(shifts):
+        out[k, ..., s:] = values[..., : n - s]
+        out[k, ..., :s] = values[..., n - s:]
+    return out
 
 
 def _rule(alpha, quad: QuadConfig):
@@ -199,7 +252,14 @@ class Polynomial:
         return cls.from_coeffs([complex(re, im) for re, im in pairs])
 
     def __call__(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), np.asarray(self.coeffs))
+        # Horner's rule in place: on arrays, the operations of numpy's polyval
+        # in its order, without a temporary array per coefficient.
+        z = np.asarray(z, dtype=complex)
+        out = np.full(z.shape, self.coeffs[-1], dtype=complex)
+        for c in self.coeffs[-2::-1]:
+            out *= z
+            out += c
+        return out[()]
 
     def __mul__(self, c):
         return Polynomial.from_coeffs([c * x for x in self.coeffs])
@@ -230,6 +290,11 @@ class Measure:
     """Base class; subclasses are immutable after construction."""
 
     def integrate(self, g, quad: QuadConfig = DEFAULT_QUAD):
+        """Integral of g, a constant or a callable on the measure's nodes.
+
+        A callable may return a stack of integrands with a leading member
+        axis; the sum then runs over the node axes only, one value per member.
+        """
         raise NotImplementedError
 
     def disk_measure(self, a, r, quad: QuadConfig = DEFAULT_QUAD):
@@ -349,8 +414,7 @@ class PolyWeighted(Measure):
             vals = uvals * np.asarray(g(rule.nodes))
         else:
             vals = uvals * g
-        _check_finite(vals, rule.nodes)
-        return _as_scalar(np.sum(rule.weights * vals))
+        return _weighted_sum(rule.weights, vals, rule.nodes)
 
     def density(self, z):
         return np.abs(self.u(z)) ** self.p * (self.beta + 1.0) * (1.0 - np.abs(z) ** 2) ** self.beta
@@ -409,8 +473,7 @@ class Atomic(Measure):
 
     def integrate(self, g, quad=DEFAULT_QUAD):
         vals = g(self.points) if callable(g) else g * np.ones_like(self.masses)
-        _check_finite(vals, self.points)
-        return _as_scalar(np.sum(self.masses * np.asarray(vals)))
+        return _weighted_sum(self.masses, vals, self.points)
 
     def disk_measure(self, a, r, quad=DEFAULT_QUAD):
         inside = pseudo_distance(a, self.points) < np.tanh(r)

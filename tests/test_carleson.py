@@ -1,5 +1,8 @@
 """Transform identities, sup diagnostics, and the three-constant certification."""
 
+import json
+from importlib import resources
+
 import mpmath
 import numpy as np
 import pytest
@@ -18,13 +21,15 @@ from bergmanlab.carleson import (
     psi_transform,
     reference_disk_constant,
 )
+from bergmanlab import carleson, geometry, measures
 from bergmanlab.carleson import test_constant as family_constant
-from bergmanlab.condexp import Identity, Monomial
+from bergmanlab.condexp import BlaschkeProduct, Identity, Monomial, cond_expect_values
 from bergmanlab.errors import ConfigurationError
 from bergmanlab.geometry import SpaceParams
 from bergmanlab.geometry import test_function as kernel_power
 from bergmanlab.measures import (
     Atomic,
+    GridDensity,
     Measure,
     Polynomial,
     PolyWeighted,
@@ -32,6 +37,7 @@ from bergmanlab.measures import (
     RadialDensity,
     SumMeasure,
     WeightedArea,
+    bergman_norm,
     build_quadrature,
     integrate,
 )
@@ -172,7 +178,8 @@ class TestPsiSup:
 
 class TestCaches:
     def test_bounded(self):
-        for cached in (build_quadrature, cached_lattice, reference_disk_constant):
+        for cached in (build_quadrature, cached_lattice, reference_disk_constant,
+                       carleson._poly_norms):
             assert cached.cache_info().maxsize is not None
 
 
@@ -247,6 +254,139 @@ class TestTestConstant:
         centers = [m.kernel_center for m in build_family(fam, params)]
         sup_psi = max(psi_transform(mu, a, params.alpha, quad=small_quad) for a in centers)
         assert abs(res.c1 - sup_psi) < 1e-6
+
+
+def reference_test_constant(mu, params, phi, family, quad):
+    """The per-member loop the sweep replaced: one integral and one norm per member."""
+    ratios = {}
+    for member in build_family(family, params):
+        if isinstance(phi, Identity):
+            ef = member.func
+        elif isinstance(phi, Monomial):
+            orbit = np.exp(2j * np.pi * np.arange(phi.n) / phi.n)
+            ef = lambda z, f=member.func: np.mean([f(z * w) for w in orbit], axis=0)
+        else:
+            ef = lambda z, f=member.func: cond_expect_values(phi, f, z)
+        num = float(mu.integrate(lambda z: np.abs(ef(z)) ** params.p, quad))
+        norm = 1.0 if member.kernel_center is not None else bergman_norm(member.func, params, quad)
+        ratios[member.label] = num / norm ** params.p
+    return ratios
+
+
+SWEEP_FAMILY = FamilySpec(kernel_radii=(0.0, 0.5, 0.875), n_dirs=8, random_count=4,
+                          random_degree=4)
+
+
+def sweep_measures(quad):
+    rule = build_quadrature(0.0, quad.n_radial, quad.n_angular)
+    return {
+        "radial": RadialDensity(0.5),
+        # Neither radial nor symmetric under z -> conj(z), which maps direction
+        # k onto n_dirs - k, so a roll in the wrong direction changes the ratios.
+        "polyweighted": PolyWeighted(Polynomial.from_coeffs([1, 0.5j]), 2.0, 0.0),
+        "grid": GridDensity.from_function(rule, lambda z: np.abs(1.0 + 0.5j * z) ** 2),
+        "radial+atoms": SumMeasure((RadialDensity(1.0),
+                                    Atomic.from_atoms([(0.3 + 0.2j, 0.5), (-0.6j, 0.25)]))),
+    }
+
+
+class TestFamilySweep:
+    # 8 directions divide 128 angles but not 100; z^2 divides both, z^3 neither
+    @pytest.mark.parametrize("quad", (QuadConfig(64, 128), QuadConfig(64, 100)),
+                             ids=("divides", "does-not-divide"))
+    @pytest.mark.parametrize("phi", (Identity(), Monomial(2), Monomial(3),
+                                     BlaschkeProduct((0.3 + 0.1j, -0.2))),
+                             ids=("identity", "z^2", "z^3", "blaschke"))
+    def test_matches_per_member_reference(self, phi, quad):
+        params = SpaceParams(2.0, 0.5)
+        for name, mu in sweep_measures(quad).items():
+            got = family_constant(mu, params, phi, SWEEP_FAMILY, quad).ratios
+            want = reference_test_constant(mu, params, phi, SWEEP_FAMILY, quad)
+            assert list(got) == list(want)
+            for label, value in want.items():
+                assert abs(got[label] - value) <= 1e-12 * abs(value), (name, label)
+
+    def test_one_kernel_evaluation_per_ring(self, monkeypatch, small_quad):
+        calls = {"kernel_power_modulus": 0, "test_function": 0}
+
+        def counted(name):
+            original = getattr(geometry, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(geometry, name, counted(name))
+        res = family_constant(RadialDensity(0.5), SpaceParams(2.0, 0.0), Identity(),
+                              FamilySpec(), small_quad)
+        assert len([label for label in res.ratios if label.startswith("kernel")]) == 33
+        assert calls == {"kernel_power_modulus": 5, "test_function": 0}
+
+    def test_member_norms_computed_once_per_key(self, monkeypatch, small_quad):
+        params = SpaceParams(2.0, 0.25)
+        first = family_constant(RadialDensity(0.5), params, Identity(), SWEEP_FAMILY, small_quad)
+        calls = []
+        original = measures.bergman_norm
+        monkeypatch.setattr(measures, "bergman_norm",
+                            lambda *args: calls.append(args) or original(*args))
+        again = family_constant(RadialDensity(0.5), params, Identity(), SWEEP_FAMILY, small_quad)
+        assert calls == []
+        assert again.ratios == first.ratios
+
+
+class TestFamilySpec:
+    def test_defaults_valid(self):
+        FamilySpec()
+        FamilySpec().doubled()
+
+    def test_n_dirs_at_least_one(self):
+        FamilySpec(n_dirs=1)
+        with pytest.raises(ConfigurationError, match="n_dirs"):
+            FamilySpec(n_dirs=0)
+
+    @pytest.mark.parametrize("radius", (-0.1, 0.971, 1.5, float("nan")))
+    def test_kernel_radii_in_range(self, radius):
+        FamilySpec(kernel_radii=(0.0, 0.97))
+        with pytest.raises(ConfigurationError, match="kernel radii"):
+            FamilySpec(kernel_radii=(0.5, radius))
+
+    def test_random_count_nonnegative(self):
+        FamilySpec(random_count=0)
+        with pytest.raises(ConfigurationError, match="random_count"):
+            FamilySpec(random_count=-3)
+
+    def test_random_degree_nonnegative(self):
+        FamilySpec(random_degree=0)
+        with pytest.raises(ConfigurationError, match="random_degree"):
+            FamilySpec(random_degree=-1)
+
+    def test_monomial_degree_at_least_minus_one(self):
+        FamilySpec(monomial_degree=-1)
+        with pytest.raises(ConfigurationError, match="monomial_degree"):
+            FamilySpec(monomial_degree=-2)
+
+    def test_bounds_equal_the_schema(self):
+        path = resources.files("bergmanlab").joinpath("data", "config.schema.json")
+        schema = json.loads(path.read_text())["definitions"]["family"]["properties"]
+        radii = schema["kernel_radii"]["items"]
+        FamilySpec(kernel_radii=(radii["minimum"], radii["maximum"]))
+        for bad in (np.nextafter(radii["minimum"], -1.0), np.nextafter(radii["maximum"], 2.0)):
+            with pytest.raises(ConfigurationError):
+                FamilySpec(kernel_radii=(bad,))
+        bounded = {name: spec["minimum"] for name, spec in schema.items()
+                   if spec.get("type") == "integer" and "minimum" in spec}
+        assert set(bounded) == {"n_dirs", "random_count", "random_degree", "monomial_degree"}
+        for name, low in bounded.items():
+            FamilySpec(**{name: low})
+            with pytest.raises(ConfigurationError):
+                FamilySpec(**{name: low - 1})
+
+    def test_list_radii_are_hashable(self):
+        spec = FamilySpec(kernel_radii=[0.0, 0.5])
+        assert spec.kernel_radii == (0.0, 0.5)
+        assert hash(spec) == hash(FamilySpec(kernel_radii=(0.0, 0.5)))
 
 
 class TestCertify:

@@ -16,7 +16,7 @@ from bergmanlab.condexp import (
 from bergmanlab.errors import CriticalPointError
 from bergmanlab.geometry import SpaceParams, bergman_distance
 from bergmanlab.geometry import test_function as kernel_power
-from bergmanlab.measures import Polynomial, bergman_norm
+from bergmanlab.measures import Polynomial, bergman_norm, build_quadrature
 
 from conftest import sample_disk
 
@@ -178,6 +178,16 @@ class TestBatchEvaluation:
         batch = cond_expect_values(phi, f, zs)
         scalar = np.array([cond_expect(phi, f, complex(z)) for z in zs])
         assert np.abs(batch - scalar).max() < 1e-13
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_monomial_on_rule_nodes_matches_orbit(self, n):
+        # 2 and 4 divide the 64 angles, so their orbit values are rolls; 3 does not
+        nodes = build_quadrature(0.0, 12, 64).nodes
+        f = lambda z: kernel_power(0.6 - 0.3j, z, SpaceParams(2.0, 0.5))
+        orbit = np.exp(2j * np.pi * np.arange(n) / n)
+        direct = np.mean([f(nodes * w) for w in orbit], axis=0)
+        got = cond_expect_values(Monomial(n), f, nodes)
+        assert np.abs(got - direct).max() < 1e-13 * np.abs(direct).max()
 
     def test_blaschke_matches_scalar(self, rng):
         phi = BlaschkeProduct((0.3, -0.4j))

@@ -24,6 +24,8 @@ from bergmanlab.measures import (
     integrate,
     measure_from_config,
     measure_of_disk,
+    ring_shifts,
+    rotations,
 )
 
 from conftest import sample_disk
@@ -164,10 +166,55 @@ class TestIntegrate:
             assert abs(gd.disk_measure(a, r) - atoms.disk_measure(a, r)) < 1e-14
             assert abs(psi_transform(gd, a, 0.5) - psi_transform(atoms, a, 0.5)) < 1e-13
 
+    def test_stacked_integrand_gives_one_value_per_member(self, small_quad):
+        rule = build_quadrature(0.0, small_quad.n_radial, small_quad.n_angular)
+        measures = (
+            RadialDensity(0.5, 2.0),
+            PolyWeighted(Polynomial.from_coeffs([1, 0.5]), 2.0, 0.0),
+            Atomic.from_atoms([(0.3 + 0.2j, 0.5), (-0.6j, 0.25)]),
+            GridDensity.from_function(rule, lambda z: np.abs(1.0 + z / 2) ** 2),
+            SumMeasure((RadialDensity(1.0), Atomic.from_atoms([(0.5, 0.3)]))),
+        )
+        members = (lambda z: np.abs(1.0 + z) ** 3, lambda z: np.abs(z) ** 2 + z.real,
+                   lambda z: 1.0 + 0.0 * z.real)
+        for mu in measures:
+            got = mu.integrate(lambda z: np.stack([g(z) for g in members]), small_quad)
+            assert got.shape == (len(members),)
+            for value, g in zip(got, members):
+                assert abs(value - mu.integrate(g, small_quad)) <= 1e-14 * abs(value)
+
+    def test_stacked_non_finite_integrand_names_node(self, small_quad):
+        rule = build_quadrature(0.0, small_quad.n_radial, small_quad.n_angular)
+        z0 = rule.nodes[3, 7]
+        bad = lambda z: np.stack([np.ones(z.shape), 1.0 / np.abs(z - z0)])
+        with pytest.raises(EvaluationError) as err:
+            WeightedArea(0.0).integrate(bad, small_quad)
+        assert f"z = {z0}" in str(err.value) and "(1, 3, 7)" in str(err.value)
+
     def test_grid_density_rejects_negative(self):
         rule = build_quadrature(0.0, 16, 32)
         with pytest.raises(ConfigurationError):
             GridDensity.from_values(rule, -np.ones(rule.nodes.shape))
+
+
+class TestRingRotation:
+    def test_rolls_are_rotations_of_the_rule(self):
+        rule = build_quadrature(0.5, 16, 32)
+        g = lambda z: np.abs(1.0 + z / 2) ** 3 + z.imag
+        shifts = ring_shifts(rule.nodes, 8)
+        assert shifts == [4 * k for k in range(8)]
+        stack = rotations(g(rule.nodes), shifts)
+        for k in range(8):
+            w = np.exp(2j * np.pi * k / 8)
+            assert np.abs(stack[k] - g(np.conj(w) * rule.nodes)).max() < 1e-14
+
+    def test_only_rule_layouts_divided_by_the_directions(self):
+        rule = build_quadrature(0.0, 16, 30)
+        assert ring_shifts(rule.nodes, 8) is None
+        assert ring_shifts(rule.nodes, 6) == [5 * k for k in range(6)]
+        assert ring_shifts(rule.nodes[:, ::-1], 6) is None
+        assert ring_shifts(rule.nodes * np.exp(0.1j), 6) is None
+        assert ring_shifts(rule.nodes.ravel(), 6) is None
 
 
 class TestBergmanNorm:
@@ -297,6 +344,18 @@ class TestPolynomial:
         for c in coeffs[::-1]:
             horner = horner * z + c
         assert np.abs(f(z) - horner).max() < 1e-12
+
+    def test_evaluation_equals_numpy_polyval(self, rng):
+        # the in-place Horner loop does numpy's operations in numpy's order
+        for degree in range(8):
+            f = Polynomial.from_coeffs(rng.standard_normal(degree + 1)
+                                       + 1j * rng.standard_normal(degree + 1))
+            z = sample_disk(rng, 60).reshape(6, 10)
+            reference = np.polynomial.polynomial.polyval(z, np.asarray(f.coeffs))
+            assert np.array_equal(f(z), reference)
+            scalar = f(0.3 - 0.2j)
+            assert isinstance(scalar, np.complex128)
+            assert abs(scalar - f(np.array([0.3 - 0.2j]))[0]) <= 1e-15 * abs(scalar)
 
     def test_zero(self):
         assert Polynomial.from_coeffs([0, 0]).is_zero
