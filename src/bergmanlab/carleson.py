@@ -60,6 +60,7 @@ from . import condexp, geometry, measures
 from .condexp import AnalyticSelfMap, Identity, Monomial, cond_expect_poly
 from .errors import ConfigurationError
 from .geometry import SpaceParams
+from .geometry import test_function  # noqa: F401 - re-exported; perfbench's tracer test reads it
 from .lattice import HyperbolicLattice, build_lattice
 from .measures import (
     DEFAULT_QUAD,
