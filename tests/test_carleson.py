@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from bergmanlab import carleson, geometry, measures
 from bergmanlab.carleson import (
     CertifyConfig,
     FamilySpec,
@@ -21,7 +22,6 @@ from bergmanlab.carleson import (
     psi_transform,
     reference_disk_constant,
 )
-from bergmanlab import carleson, geometry, measures
 from bergmanlab.carleson import test_constant as family_constant
 from bergmanlab.condexp import BlaschkeProduct, Identity, Monomial, cond_expect_values
 from bergmanlab.errors import ConfigurationError
@@ -337,10 +337,6 @@ class TestFamilySweep:
 
 
 class TestFamilySpec:
-    def test_defaults_valid(self):
-        FamilySpec()
-        FamilySpec().doubled()
-
     def test_n_dirs_at_least_one(self):
         FamilySpec(n_dirs=1)
         with pytest.raises(ConfigurationError, match="n_dirs"):
