@@ -51,7 +51,7 @@ alpha and the rule, so they are computed once per such key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -85,7 +85,10 @@ def psi_transform(mu: Measure, a, alpha, t=None, quad: QuadConfig = DEFAULT_QUAD
     t = 2.0 + alpha if t is None else float(t)
     if not t > 0:
         raise ConfigurationError(f"kernel exponent t must be positive, got {t}")
-    return float(mu.psi(complex(a), t, quad))
+    a = complex(a)
+    if not abs(a) < 1:
+        raise ConfigurationError(f"a must lie in the open unit disk, got {a}")
+    return float(mu.psi(a, t, quad))
 
 
 # ---------------------------------------------------------------------------
@@ -563,26 +566,8 @@ def certify(mu: Measure, params: SpaceParams, r, phi: AnalyticSelfMap = Identity
     Emits a partial report with a failure record if a stage raises.
     """
     report = CarlesonReport(mode=config.mode)
-    report.config = {
-        "p": params.p,
-        "alpha": params.alpha,
-        "r": r,
-        "phi": phi.spec(),
-        "measure": mu.spec(),
-        "quad": {"n_radial": config.quad.n_radial, "n_angular": config.quad.n_angular},
-        "psi_grid": {"j_min": config.psi_grid.j_min, "j_max": config.psi_grid.j_max,
-                     "n_dirs": config.psi_grid.n_dirs},
-        "family": {
-            "kernel_radii": list(config.family.kernel_radii),
-            "n_dirs": config.family.n_dirs,
-            "random_count": config.family.random_count,
-            "random_degree": config.family.random_degree,
-            "seed": config.family.seed,
-            "monomial_degree": config.family.monomial_degree,
-        },
-        "lattice_epsilon": config.lattice_epsilon,
-        "mode": config.mode,
-    }
+    report.config = {"p": params.p, "alpha": params.alpha, "r": r, "phi": phi.spec(),
+                     "measure": mu.spec(), **asdict(config)}
     stage = "lattice"
     try:
         lat = cached_lattice(r, config.lattice_epsilon)

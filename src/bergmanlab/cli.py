@@ -1,5 +1,13 @@
 """Command-line interface: config ingestion, orchestration, JSON/CSV reports.
 
+Each command's config document is validated once, as a whole, against its
+node of the packaged schema (``properties/<command>``), and the normalised
+copy feeds the library dataclasses and functions, whose defaults fill absent
+fields. The report envelope echoes the document as read. ``--seed`` is
+registered on ``carleson check``, ``opnorm`` and ``suite``, ``--mode`` on
+``carleson check`` and ``suite``, and ``--grid-levels`` on every command with
+a boundary grid; each overrides the document's value.
+
 Exit codes: 0 completed, 2 completed with a divergent or not-carleson
 verdict, 1 error (malformed config, numeric failure, regression mismatch).
 Reports are deterministic for a fixed config and seed: they carry no
@@ -19,7 +27,9 @@ import numpy as np
 
 from . import __version__
 from .carleson import CertifyConfig, FamilySpec, PsiGridSpec, certify, psi_heatmap, psi_sup
-from .condexp import Monomial, cond_expect_poly, cond_expect_values, selfmap_from_config
+from .condexp import Identity, Monomial, cond_expect_poly, cond_expect_values, \
+    selfmap_from_config
+from .config import validate
 from .errors import BergmanLabError, ConfigurationError
 from .geometry import SpaceParams, as_disk_point, bergman_disk, bergman_distance, \
     disk_area, kernel_extrema_on_disk, mobius, mobius_derivative, normalized_kernel, \
@@ -69,84 +79,54 @@ def _emit(report, out_dir, filename):
     return target
 
 
-def _load_config(path):
-    if path is None:
+def _read_config(args, command):
+    """The command's config document as read, and its validated normalised copy."""
+    if args.config is None:
         raise ConfigurationError("this command requires --config PATH")
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(args.config) as fh:
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+    return cfg, validate(cfg, f"properties/{command}")
 
 
-def _check_fields(cfg, known, pointer=""):
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("expected an object", pointer or "/")
-    for key in cfg:
-        if key not in known:
-            raise ConfigurationError(f"unknown field '{key}'", f"{pointer}/{key}")
+def _certify_config(doc, grid="psi_grid"):
+    """The grids, family and mode of a validated document; absent fields keep the defaults.
+
+    A top-level ``seed`` replaces the family's.
+    """
+    family = dict(doc.get("family", {}))
+    if "seed" in doc:
+        family["seed"] = doc["seed"]
+    return CertifyConfig(quad=QuadConfig(**doc.get("quad", {})),
+                         psi_grid=PsiGridSpec(**doc.get(grid, {})),
+                         family=FamilySpec(**family),
+                         **{k: doc[k] for k in ("lattice_epsilon", "mode") if k in doc})
 
 
-def _number(cfg, key, pointer, default=None, required=False):
-    if key not in cfg:
-        if required:
-            raise ConfigurationError(f"missing required field '{key}'", f"{pointer}/{key}")
-        return default
-    val = cfg[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigurationError(f"field '{key}' must be a number", f"{pointer}/{key}")
-    return float(val)
+def _with_flags(config, args):
+    """``config`` with the --grid-levels, --seed and --mode flags the subcommand was given."""
+    flags = vars(args)
+    if "grid_levels" in flags:
+        config = replace(config, psi_grid=replace(config.psi_grid, j_max=flags["grid_levels"]))
+    if "seed" in flags:
+        config = replace(config, family=replace(config.family, seed=flags["seed"]))
+    if "mode" in flags:
+        config = replace(config, mode=flags["mode"])
+    return config
 
 
-def _pair(cfg, key, pointer, required=True):
-    if key not in cfg:
-        if required:
-            raise ConfigurationError(f"missing required field '{key}'", f"{pointer}/{key}")
-        return None
-    val = cfg[key]
-    if (not isinstance(val, (list, tuple))) or len(val) != 2:
-        raise ConfigurationError(f"field '{key}' must be a [re, im] pair", f"{pointer}/{key}")
-    return complex(val[0], val[1])
-
-
-def _quad_from(cfg, pointer):
-    if cfg is None:
-        return QuadConfig()
-    _check_fields(cfg, {"n_radial", "n_angular"}, pointer)
-    return QuadConfig(int(_number(cfg, "n_radial", pointer, 256)),
-                      int(_number(cfg, "n_angular", pointer, 512)))
-
-
-def _grid_from(cfg, pointer, grid_levels=None):
-    grid = PsiGridSpec()
-    if cfg is not None:
-        _check_fields(cfg, {"j_min", "j_max", "n_dirs"}, pointer)
-        grid = PsiGridSpec(int(_number(cfg, "j_min", pointer, 4)),
-                           int(_number(cfg, "j_max", pointer, 10)),
-                           int(_number(cfg, "n_dirs", pointer, 12)))
-    if grid_levels is not None:
-        grid = replace(grid, j_max=int(grid_levels))
-    return grid
-
-
-def _family_from(cfg, pointer, seed=None):
-    fam = FamilySpec()
-    if cfg is not None:
-        _check_fields(cfg, {"kernel_radii", "n_dirs", "random_count",
-                            "random_degree", "seed", "monomial_degree"}, pointer)
-        fam = FamilySpec(
-            kernel_radii=tuple(cfg.get("kernel_radii", fam.kernel_radii)),
-            n_dirs=int(cfg.get("n_dirs", fam.n_dirs)),
-            random_count=int(cfg.get("random_count", fam.random_count)),
-            random_degree=int(cfg.get("random_degree", fam.random_degree)),
-            seed=int(cfg.get("seed", fam.seed)),
-            monomial_degree=int(cfg.get("monomial_degree", fam.monomial_degree)),
-        )
-    if seed is not None:
-        fam = replace(fam, seed=int(seed))
-    return fam
+def _sup_payload(result):
+    return {
+        "sup": result.sup,
+        "argmax": result.argmax,
+        "slope": result.slope,
+        "verdict": result.verdict,
+        "level_maxima": [[j, v] for j, v in result.level_maxima],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +179,14 @@ def _cmd_lattice(args):
 
 
 def _cmd_condexp(args):
-    cfg = _load_config(args.config)
-    _check_fields(cfg, {"map", "f", "points"}, "")
-    phi = selfmap_from_config(cfg.get("map"), "/map")
-    if "f" not in cfg:
-        raise ConfigurationError("missing required field 'f'", "/f")
-    f = Polynomial.from_pairs(cfg["f"])
+    cfg, doc = _read_config(args, "condexp")
+    phi = selfmap_from_config(doc["map"], "/map")
+    f = Polynomial.from_pairs(doc["f"])
     payload = {}
     if isinstance(phi, Monomial):
         payload["polynomial"] = cond_expect_poly(phi.n, f).to_pairs()
-    if "points" in cfg:
-        pts = np.array([complex(re, im) for re, im in cfg["points"]])
+    if "points" in doc:
+        pts = np.array([complex(re, im) for re, im in doc["points"]])
         as_disk_point(pts)
         vals = cond_expect_values(phi, f, pts)
         payload["values"] = [[v.real, v.imag] for v in vals]
@@ -220,70 +197,32 @@ def _cmd_condexp(args):
 
 
 def _cmd_psi(args):
-    cfg = _load_config(args.config)
-    _check_fields(cfg, {"measure", "alpha", "t", "grid", "quad", "heatmap"}, "")
-    mu = measure_from_config(cfg.get("measure"), "/measure")
-    alpha = _number(cfg, "alpha", "", required=True)
-    t = _number(cfg, "t", "")
-    quad = _quad_from(cfg.get("quad"), "/quad")
-    grid = _grid_from(cfg.get("grid"), "/grid", args.grid_levels)
-    result = psi_sup(mu, alpha, t, grid, quad)
-    payload = {
-        "sup": result.sup,
-        "argmax": result.argmax,
-        "slope": result.slope,
-        "verdict": result.verdict,
-        "level_maxima": [[j, v] for j, v in result.level_maxima],
-    }
-    heat_path = None
-    if cfg.get("heatmap") is not None:
-        hm = cfg["heatmap"]
-        _check_fields(hm, {"n_radial", "n_angular", "max_radius"}, "/heatmap")
-        rows = psi_heatmap(mu, alpha, t,
-                           int(_number(hm, "n_radial", "/heatmap", 24)),
-                           int(_number(hm, "n_angular", "/heatmap", 48)),
-                           _number(hm, "max_radius", "/heatmap", 0.96), quad)
+    cfg, doc = _read_config(args, "psi")
+    mu = measure_from_config(doc["measure"], "/measure")
+    config = _with_flags(_certify_config(doc, grid="grid"), args)
+    result = psi_sup(mu, doc["alpha"], doc.get("t"), config.psi_grid, config.quad)
+    payload = _sup_payload(result)
+    if "heatmap" in doc:
+        rows = psi_heatmap(mu, doc["alpha"], doc.get("t"), quad=config.quad, **doc["heatmap"])
+        payload["heatmap_rows"] = len(rows)
         if args.out is not None:
             path = Path(args.out)
             path.mkdir(parents=True, exist_ok=True)
-            heat_path = path / "psi_heatmap.csv"
-            with open(heat_path, "w", newline="") as fh:
+            with open(path / "psi_heatmap.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["re_a", "im_a", "psi"])
                 writer.writerows(rows)
-        payload["heatmap_rows"] = len(rows)
-        if heat_path is not None:
-            payload["heatmap_csv"] = heat_path.name
+            payload["heatmap_csv"] = "psi_heatmap.csv"
     _emit(_report_envelope("psi", cfg, payload), args.out, "psi_report.json")
     return 2 if result.divergent else 0
 
 
-def _certify_config_from(cfg, args):
-    _check_fields(cfg, {"measure", "p", "alpha", "r", "phi", "quad", "psi_grid",
-                        "family", "lattice_epsilon", "mode", "seed"}, "")
-    mu = measure_from_config(cfg.get("measure"), "/measure")
-    params = SpaceParams(p=_number(cfg, "p", "", required=True),
-                         alpha=_number(cfg, "alpha", "", required=True))
-    r = _number(cfg, "r", "", required=True)
-    phi = selfmap_from_config(cfg.get("phi", {"type": "identity"}), "/phi")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    mode = args.mode if args.mode is not None else cfg.get("mode", "unconditional")
-    config = CertifyConfig(
-        quad=_quad_from(cfg.get("quad"), "/quad"),
-        psi_grid=_grid_from(cfg.get("psi_grid"), "/psi_grid", args.grid_levels),
-        family=_family_from(cfg.get("family"), "/family", seed),
-        lattice_epsilon=_number(cfg, "lattice_epsilon", "", 0.01),
-        mode=mode,
-    )
-    return mu, params, r, phi, config
-
-
 def _cmd_carleson(args):
-    if args.action != "check":
-        raise ConfigurationError(f"unknown carleson action '{args.action}'")
-    cfg = _load_config(args.config)
-    mu, params, r, phi, config = _certify_config_from(cfg, args)
-    report = certify(mu, params, r, phi, config)
+    cfg, doc = _read_config(args, "carleson_check")
+    mu = measure_from_config(doc["measure"], "/measure")
+    phi = selfmap_from_config(doc["phi"], "/phi") if "phi" in doc else Identity()
+    config = _with_flags(_certify_config(doc), args)
+    report = certify(mu, SpaceParams(p=doc["p"], alpha=doc["alpha"]), doc["r"], phi, config)
     envelope = _report_envelope("carleson check", cfg, report.to_dict())
     _emit(envelope, args.out, "carleson_report.json")
     if report.verdict == "error":
@@ -294,24 +233,15 @@ def _cmd_carleson(args):
 
 
 def _cmd_opnorm(args):
-    cfg = _load_config(args.config)
-    _check_fields(cfg, {"u", "phi", "p", "alpha", "beta", "family", "grid",
-                        "quad", "seed"}, "")
-    if "u" not in cfg:
-        raise ConfigurationError("missing required field 'u'", "/u")
+    cfg, doc = _read_config(args, "opnorm")
     op = WeightedCondExpOperator(
-        u=Polynomial.from_pairs(cfg["u"]),
-        phi=selfmap_from_config(cfg.get("phi", {"type": "identity"}), "/phi"),
-        p=_number(cfg, "p", "", required=True),
-        alpha=_number(cfg, "alpha", "", required=True),
-        beta=_number(cfg, "beta", "", required=True),
+        u=Polynomial.from_pairs(doc["u"]),
+        phi=selfmap_from_config(doc["phi"], "/phi") if "phi" in doc else Identity(),
+        p=doc["p"], alpha=doc["alpha"], beta=doc["beta"],
     )
-    quad = _quad_from(cfg.get("quad"), "/quad")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    family = _family_from(cfg.get("family"), "/family", seed)
-    grid = _grid_from(cfg.get("grid"), "/grid", args.grid_levels)
-    norm = opnorm_estimate(op, family, quad)
-    crit = boundedness_criterion(op, grid, quad)
+    config = _with_flags(_certify_config(doc, grid="grid"), args)
+    norm = opnorm_estimate(op, config.family, config.quad)
+    crit = boundedness_criterion(op, config.psi_grid, config.quad)
     payload = {
         "opnorm_lower_bound": norm.lower_bound,
         "worst_member": norm.worst_label,
@@ -325,40 +255,17 @@ def _cmd_opnorm(args):
 
 
 def _cmd_mult_criterion(args):
-    cfg = _load_config(args.config)
-    _check_fields(cfg, {"u", "p", "q", "alpha", "beta", "grid", "quad"}, "")
-    if "u" not in cfg:
-        raise ConfigurationError("missing required field 'u'", "/u")
-    u = Polynomial.from_pairs(cfg["u"])
-    result = multiplication_criterion(
-        u,
-        _number(cfg, "p", "", required=True),
-        _number(cfg, "q", "", required=True),
-        _number(cfg, "alpha", "", required=True),
-        _number(cfg, "beta", "", required=True),
-        _grid_from(cfg.get("grid"), "/grid", args.grid_levels),
-        _quad_from(cfg.get("quad"), "/quad"),
-    )
-    payload = {
-        "sup": result.sup,
-        "argmax": result.argmax,
-        "slope": result.slope,
-        "verdict": result.verdict,
-        "level_maxima": [[j, v] for j, v in result.level_maxima],
-    }
-    _emit(_report_envelope("mult-criterion", cfg, payload), args.out,
+    cfg, doc = _read_config(args, "mult_criterion")
+    config = _with_flags(_certify_config(doc, grid="grid"), args)
+    result = multiplication_criterion(Polynomial.from_pairs(doc["u"]), doc["p"], doc["q"],
+                                      doc["alpha"], doc["beta"], config.psi_grid, config.quad)
+    _emit(_report_envelope("mult-criterion", cfg, _sup_payload(result)), args.out,
           "mult_criterion_report.json")
     return 2 if result.divergent else 0
 
 
 def _cmd_suite(args):
-    config = CertifyConfig()
-    if args.grid_levels is not None:
-        config = replace(config, psi_grid=replace(config.psi_grid, j_max=int(args.grid_levels)))
-    if args.seed is not None:
-        config = replace(config, family=replace(config.family, seed=int(args.seed)))
-    if args.mode is not None:
-        config = replace(config, mode=args.mode)
+    config = _with_flags(CertifyConfig(), args)
     report = run_suite(config)
     echo = {
         "seed": config.family.seed,
@@ -384,15 +291,18 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"bergmanlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, mode=False):
+    flags = {
+        "seed": {"type": int, "help": "override the family seed"},
+        "grid-levels": {"type": int, "help": "override the deepest boundary grid level J"},
+        "mode": {"choices": ["unconditional", "symmetrized"]},
+    }
+
+    def common(p, *names, config=True):
         if config:
             p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory for reports (default: stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the family seed")
-        p.add_argument("--grid-levels", type=int, default=None, dest="grid_levels",
-                       help="override the deepest boundary grid level J")
-        if mode:
-            p.add_argument("--mode", choices=["unconditional", "symmetrized"], default=None)
+        for name in names:
+            p.add_argument(f"--{name}", default=argparse.SUPPRESS, **flags[name])
 
     p_geom = sub.add_parser("geom", help="closed-form geometry report for (a, z, r)")
     p_geom.add_argument("--a", required=True, help="point a as 're,im'")
@@ -415,26 +325,26 @@ def build_parser():
     p_ce.set_defaults(func=_cmd_condexp)
 
     p_psi = sub.add_parser("psi", help="kernel-power transform sup and heatmap")
-    common(p_psi)
+    common(p_psi, "grid-levels")
     p_psi.set_defaults(func=_cmd_psi)
 
     p_car = sub.add_parser("carleson", help="three-constant certification")
     p_car.add_argument("action", choices=["check"])
-    common(p_car, mode=True)
+    common(p_car, "seed", "grid-levels", "mode")
     p_car.set_defaults(func=_cmd_carleson)
 
     p_op = sub.add_parser("opnorm", help="operator norm lower bound and criterion")
-    common(p_op)
+    common(p_op, "seed", "grid-levels")
     p_op.set_defaults(func=_cmd_opnorm)
 
     p_mc = sub.add_parser("mult-criterion", help="two-space multiplication criterion")
-    common(p_mc)
+    common(p_mc, "grid-levels")
     p_mc.set_defaults(func=_cmd_mult_criterion)
 
     p_suite = sub.add_parser("suite", help="bundled regression suite")
     p_suite.add_argument("--no-compare", action="store_true",
                          help="skip comparison against committed expectations")
-    common(p_suite, config=False, mode=True)
+    common(p_suite, "seed", "grid-levels", "mode", config=False)
     p_suite.set_defaults(func=_cmd_suite)
 
     return parser

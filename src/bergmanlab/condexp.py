@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import CriticalPointError, RootFindingError
+from .config import validate
+from .errors import ConfigurationError, CriticalPointError, RootFindingError
 from .geometry import SpaceParams
 from .measures import DEFAULT_QUAD, Polynomial, bergman_norm, ring_shifts, rotations
 
@@ -134,26 +135,24 @@ class BlaschkeProduct(AnalyticSelfMap):
         return {"type": "blaschke", "zeros": [[a.real, a.imag] for a in map(complex, self.zeros)]}
 
 
-def selfmap_from_config(cfg, pointer="/phi"):
-    """Parse the self-map wire format: identity | monomial{n} | blaschke{zeros}."""
-    from .errors import ConfigurationError
+# Each self-map type's constructor, called with the fields of its validated spec.
+_SELF_MAPS = {
+    "identity": Identity,
+    "monomial": Monomial,
+    "blaschke": lambda zeros: BlaschkeProduct(tuple(complex(re, im) for re, im in zeros)),
+}
 
-    if not isinstance(cfg, dict) or "type" not in cfg:
-        raise ConfigurationError("self-map spec must be an object with a 'type'", pointer)
-    mtype = cfg["type"]
-    known = {"identity": (), "monomial": ("n",), "blaschke": ("zeros",)}
-    if mtype not in known:
-        raise ConfigurationError(f"unknown self-map type '{mtype}'", f"{pointer}/type")
-    for key in cfg:
-        if key != "type" and key not in known[mtype]:
-            raise ConfigurationError(f"unknown field '{key}'", pointer)
+
+def selfmap_from_config(cfg, pointer="/phi"):
+    """Parse the self-map wire format: identity | monomial{n} | blaschke{zeros}.
+
+    ``cfg`` is checked against ``definitions/selfMap`` of the package schema
+    file; errors carry a JSON pointer to the offending field.
+    """
+    fields = validate(cfg, "definitions/selfMap", pointer)
     try:
-        if mtype == "identity":
-            return Identity()
-        if mtype == "monomial":
-            return Monomial(int(cfg["n"]))
-        return BlaschkeProduct(tuple(complex(re, im) for re, im in cfg["zeros"]))
-    except (TypeError, ValueError, KeyError) as exc:
+        return _SELF_MAPS[fields.pop("type")](**fields)
+    except ValueError as exc:
         raise ConfigurationError(f"invalid self-map spec: {exc}", pointer) from exc
 
 

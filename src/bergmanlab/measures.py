@@ -46,6 +46,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import hyp2f1, roots_jacobi
 
+from .config import validate
 from .errors import ConfigurationError, EvaluationError
 from .geometry import SpaceParams, as_disk_point, bergman_disk, kernel_power_modulus, \
     pseudo_distance
@@ -622,58 +623,35 @@ def holder_embedding_probe(f, mu: Measure, p, q, alpha, quad: QuadConfig = DEFAU
 # wire format
 
 
-def measure_from_config(cfg, pointer="/measure", quad: QuadConfig = DEFAULT_QUAD):
+# Each measure type's constructor, called with the fields of its validated spec.
+_MEASURES = {
+    "area": WeightedArea,
+    "radial": RadialDensity,
+    "polyweighted": lambda u, p, beta: PolyWeighted(Polynomial.from_pairs(u), p, beta),
+    "atomic": lambda atoms: Atomic.from_atoms(
+        [(complex(atom["re"], atom["im"]), atom["mass"]) for atom in atoms]),
+    "sum": lambda parts: SumMeasure(tuple(map(_build_measure, parts))),
+    "grid": lambda alpha, n_radial, n_angular, values: GridDensity.from_values(
+        build_quadrature(alpha, n_radial, n_angular), values),
+}
+
+
+def _build_measure(spec):
+    fields = dict(spec)
+    return _MEASURES[fields.pop("type")](**fields)
+
+
+def measure_from_config(cfg, pointer="/measure"):
     """Parse the measure wire format into a Measure.
 
-    Schema: {"type": "area"|"radial"|"polyweighted"|"atomic"|"sum"|"grid", ...}
-    with the variant fields documented in the package schema file. Unknown
-    fields are rejected; errors carry a JSON pointer to the offending field.
+    ``cfg`` is checked against ``definitions/measure`` of the package schema
+    file, which lists the variants ("area", "radial", "polyweighted",
+    "atomic", "sum", "grid") and their fields and bounds; errors carry a JSON
+    pointer to the offending field. Absent optional fields take the
+    constructor defaults.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("measure spec must be an object", pointer)
-    if "type" not in cfg:
-        raise ConfigurationError("missing required field 'type'", pointer)
-    mtype = cfg["type"]
-
-    def require(fields, optional=()):
-        known = set(fields) | set(optional) | {"type"}
-        for key in cfg:
-            if key not in known:
-                raise ConfigurationError(f"unknown field '{key}'", pointer)
-        for key in fields:
-            if key not in cfg:
-                raise ConfigurationError(f"missing required field '{key}'", f"{pointer}/{key}")
-
+    spec = validate(cfg, "definitions/measure", pointer)
     try:
-        if mtype == "area":
-            require(["alpha"])
-            return WeightedArea(float(cfg["alpha"]))
-        if mtype == "radial":
-            require(["gamma"], optional=["scale"])
-            return RadialDensity(float(cfg["gamma"]), float(cfg.get("scale", 1.0)))
-        if mtype == "polyweighted":
-            require(["u", "p", "beta"])
-            return PolyWeighted(Polynomial.from_pairs(cfg["u"]), float(cfg["p"]), float(cfg["beta"]))
-        if mtype == "atomic":
-            require(["atoms"])
-            atoms = [
-                (complex(atom["re"], atom["im"]), float(atom["mass"]))
-                for atom in cfg["atoms"]
-            ]
-            return Atomic.from_atoms(atoms)
-        if mtype == "sum":
-            require(["parts"])
-            parts = tuple(
-                measure_from_config(part, f"{pointer}/parts/{i}", quad)
-                for i, part in enumerate(cfg["parts"])
-            )
-            return SumMeasure(parts)
-        if mtype == "grid":
-            require(["alpha", "n_radial", "n_angular", "values"])
-            rule = build_quadrature(float(cfg["alpha"]), int(cfg["n_radial"]), int(cfg["n_angular"]))
-            return GridDensity.from_values(rule, cfg["values"])
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
+        return _build_measure(spec)
+    except ValueError as exc:
         raise ConfigurationError(f"invalid measure spec: {exc}", pointer) from exc
-    raise ConfigurationError(f"unknown measure type '{mtype}'", f"{pointer}/type")

@@ -105,6 +105,15 @@ class TestPsiTransform:
         with pytest.raises(ConfigurationError):
             psi_transform(WeightedArea(0.0), 0.1, 0.0, t=-1.0)
 
+    @pytest.mark.parametrize("a", (1.5, 1.0, -1j, complex("nan")))
+    def test_point_outside_disk_rejected(self, a):
+        with pytest.raises(ConfigurationError, match="open unit disk"):
+            psi_transform(WeightedArea(0.0), a, 0.0)
+
+    def test_depth_past_point_margin_accepted(self):
+        # 1 - 2^-50 lies inside the disk but past as_disk_point's 1e-14 margin
+        assert abs(psi_transform(WeightedArea(0.0), 1.0 - 2.0**-50, 0.0) - 1.0) < 1e-12
+
     @pytest.mark.parametrize("gamma, t", [
         (0.0, 2.0), (-0.5, 2.0), (1.0, 2.5), (0.3, 1.2), (-0.5, 3.0),
         (1.0, 1.0), (0.0, 0.5), (-0.75, 0.3), (0.0, 1.0),

@@ -249,7 +249,50 @@ class TestExpectationsComparer:
         assert compare_with_expectations(report, expected) == []
 
 
+PSI = {"measure": {"type": "area", "alpha": 0.0}, "alpha": 0.0,
+       "grid": {"j_min": 4, "j_max": 5, "n_dirs": 2}, "quad": {"n_radial": 8, "n_angular": 8}}
+CHECK = {"measure": {"type": "area", "alpha": 0.0}, "p": 2.0, "alpha": 0.0, "r": 1.0,
+         "quad": {"n_radial": 16, "n_angular": 32}, "psi_grid": {"j_max": 5, "n_dirs": 2},
+         "family": {"kernel_radii": [0.0], "random_count": 1}, "lattice_epsilon": 0.3}
+CONDEXP = {"map": {"type": "identity"}, "f": [[1, 0]]}
+ATOM = {"re": 0.5, "im": 0.0, "mass": 1.0}
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize("command, doc, pointer", [
+        ("condexp", {**CONDEXP, "map": {"type": "monomial", "n": 2.5}}, "/map/n"),
+        ("condexp", {**CONDEXP, "map": {"type": "monomial", "n": True}}, "/map/n"),
+        ("psi", {**PSI, "measure": {"type": "area", "alpha": "0.5"}}, "/measure/alpha"),
+        ("psi", {**PSI, "measure": {"type": "atomic", "atoms": []}}, "/measure/atoms"),
+        ("psi", {**PSI, "measure": {"type": "atomic", "atoms": [{**ATOM, "weight": 2.0}]}},
+         "/measure/atoms/0/weight"),
+        ("psi", {**PSI, "quad": {"n_radial": 16.9, "n_angular": 8}}, "/quad/n_radial"),
+        ("psi", {**PSI, "heatmap": {"max_radius": 1.5}}, "/heatmap/max_radius"),
+        ("carleson", {**CHECK, "family": {"n_dirs": 1.9}}, "/family/n_dirs"),
+        ("carleson", {**CHECK, "seed": 1.9}, "/seed"),
+        ("carleson", {**CHECK, "family": {"kernel_radii": 0.5}}, "/family/kernel_radii"),
+    ])
+    def test_malformed_config_named_by_pointer(self, command, doc, pointer, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [command, "check"] if command == "carleson" else [command]
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"config error: {pointer}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["geom", "--a", "0,0", "--z", "0,0", "--seed", "5"],
+        ["geom", "--a", "0,0", "--z", "0,0", "--grid-levels", "8"],
+        ["lattice", "--seed", "5"],
+        ["condexp", "--grid-levels", "8"],
+        ["psi", "--seed", "5"],
+        ["mult-criterion", "--seed", "5"],
+    ])
+    def test_flag_the_subcommand_ignores_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_config(self, capsys):
         assert run_cli(["psi"]) == 1
         assert "--config" in capsys.readouterr().err
