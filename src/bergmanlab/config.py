@@ -70,7 +70,7 @@ def _check(value, node, pointer):
         _fail(f"must be {node['const']!r}", pointer)
     if "enum" in node and value not in node["enum"]:
         _fail(f"must be one of {', '.join(map(repr, node['enum']))}", pointer)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, CONTAINERS["array"]):
         if len(value) < node.get("minItems", 0):
             _fail(f"must have at least {node['minItems']} item(s)", pointer)
         if len(value) > node.get("maxItems", len(value)):
@@ -81,7 +81,8 @@ def _check(value, node, pointer):
 
 
 def _check_object(value, node, pointer):
-    properties, out = node.get("properties", {}), {}
+    properties = node.get("properties", {})
+    out = {}
     for key, item in value.items():
         if key in properties:
             out[key] = _check(item, properties[key], f"{pointer}/{key}")
