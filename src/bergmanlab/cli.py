@@ -2,11 +2,14 @@
 
 Each command's config document is validated once, as a whole, against its
 node of the packaged schema (``properties/<command>``), and the normalised
-copy feeds the library dataclasses and functions, whose defaults fill absent
-fields. The report envelope echoes the document as read. ``--seed`` is
-registered on ``carleson check``, ``opnorm`` and ``suite``, ``--mode`` on
-``carleson check`` and ``suite``, and ``--grid-levels`` on every command with
-a boundary grid; each overrides the document's value.
+copy feeds ``build_measure``, ``build_selfmap`` and the library dataclasses
+and functions, whose defaults fill absent fields. Conditions across fields
+that the schema cannot state are checked as these are built, and their
+errors carry a pointer too (``/grid``, ``/measure/values``). The report echoes
+the document as read. ``--seed`` is registered on ``carleson check``,
+``opnorm`` and ``suite``, ``--mode`` on ``carleson check`` and ``suite``, and
+``--grid-levels`` on every command with a boundary grid; each overrides the
+document's value.
 
 Exit codes: 0 completed, 2 completed with a divergent or not-carleson
 verdict, 1 error (malformed config, numeric failure, regression mismatch).
@@ -27,15 +30,14 @@ import numpy as np
 
 from . import __version__
 from .carleson import CertifyConfig, FamilySpec, PsiGridSpec, certify, psi_heatmap, psi_sup
-from .condexp import Identity, Monomial, cond_expect_poly, cond_expect_values, \
-    selfmap_from_config
+from .condexp import Identity, Monomial, build_selfmap, cond_expect_poly, cond_expect_values
 from .config import validate
 from .errors import BergmanLabError, ConfigurationError
 from .geometry import SpaceParams, as_disk_point, bergman_disk, bergman_distance, \
     disk_area, kernel_extrema_on_disk, mobius, mobius_derivative, normalized_kernel, \
     pseudo_distance, test_function, weighted_kernel
 from .lattice import build_lattice, verify_cover
-from .measures import Polynomial, QuadConfig, measure_from_config
+from .measures import Polynomial, QuadConfig, build_measure
 from .operators import WeightedCondExpOperator, boundedness_criterion, \
     multiplication_criterion, opnorm_estimate
 from .suite import compare_with_expectations, load_expectations, run_suite
@@ -101,10 +103,19 @@ def _certify_config(doc, grid="psi_grid"):
     family = dict(doc.get("family", {}))
     if "seed" in doc:
         family["seed"] = doc["seed"]
-    return CertifyConfig(quad=QuadConfig(**doc.get("quad", {})),
-                         psi_grid=PsiGridSpec(**doc.get(grid, {})),
-                         family=FamilySpec(**family),
+    return CertifyConfig(quad=_build(QuadConfig, doc.get("quad", {}), "/quad"),
+                         psi_grid=_build(PsiGridSpec, doc.get(grid, {}), f"/{grid}"),
+                         family=_build(FamilySpec, family, "/family"),
                          **{k: doc[k] for k in ("lattice_epsilon", "mode") if k in doc})
+
+
+def _build(cls, fields, pointer):
+    """``cls(**fields)``; a failed check across fields, which the schema cannot
+    state, points at ``pointer``."""
+    try:
+        return cls(**fields)
+    except ConfigurationError as exc:
+        raise ConfigurationError(str(exc), pointer) from exc
 
 
 def _with_flags(config, args):
@@ -180,7 +191,7 @@ def _cmd_lattice(args):
 
 def _cmd_condexp(args):
     cfg, doc = _read_config(args, "condexp")
-    phi = selfmap_from_config(doc["map"], "/map")
+    phi = build_selfmap(doc["map"], "/map")
     f = Polynomial.from_pairs(doc["f"])
     payload = {}
     if isinstance(phi, Monomial):
@@ -198,7 +209,7 @@ def _cmd_condexp(args):
 
 def _cmd_psi(args):
     cfg, doc = _read_config(args, "psi")
-    mu = measure_from_config(doc["measure"], "/measure")
+    mu = build_measure(doc["measure"])
     config = _with_flags(_certify_config(doc, grid="grid"), args)
     result = psi_sup(mu, doc["alpha"], doc.get("t"), config.psi_grid, config.quad)
     payload = _sup_payload(result)
@@ -219,8 +230,8 @@ def _cmd_psi(args):
 
 def _cmd_carleson(args):
     cfg, doc = _read_config(args, "carleson_check")
-    mu = measure_from_config(doc["measure"], "/measure")
-    phi = selfmap_from_config(doc["phi"], "/phi") if "phi" in doc else Identity()
+    mu = build_measure(doc["measure"])
+    phi = build_selfmap(doc["phi"]) if "phi" in doc else Identity()
     config = _with_flags(_certify_config(doc), args)
     report = certify(mu, SpaceParams(p=doc["p"], alpha=doc["alpha"]), doc["r"], phi, config)
     envelope = _report_envelope("carleson check", cfg, report.to_dict())
@@ -236,7 +247,7 @@ def _cmd_opnorm(args):
     cfg, doc = _read_config(args, "opnorm")
     op = WeightedCondExpOperator(
         u=Polynomial.from_pairs(doc["u"]),
-        phi=selfmap_from_config(doc["phi"], "/phi") if "phi" in doc else Identity(),
+        phi=build_selfmap(doc["phi"]) if "phi" in doc else Identity(),
         p=doc["p"], alpha=doc["alpha"], beta=doc["beta"],
     )
     config = _with_flags(_certify_config(doc, grid="grid"), args)

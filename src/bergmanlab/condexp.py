@@ -143,17 +143,23 @@ _SELF_MAPS = {
 }
 
 
-def selfmap_from_config(cfg, pointer="/phi"):
-    """Parse the self-map wire format: identity | monomial{n} | blaschke{zeros}.
-
-    ``cfg`` is checked against ``definitions/selfMap`` of the package schema
-    file; errors carry a JSON pointer to the offending field.
-    """
-    fields = validate(cfg, "definitions/selfMap", pointer)
+def build_selfmap(spec, pointer="/phi"):
+    """The self-map of a spec already validated against ``definitions/selfMap``."""
+    fields = dict(spec)
     try:
         return _SELF_MAPS[fields.pop("type")](**fields)
     except ValueError as exc:
         raise ConfigurationError(f"invalid self-map spec: {exc}", pointer) from exc
+
+
+def selfmap_from_config(cfg, pointer="/phi"):
+    """Parse the self-map wire format: identity | monomial{n} | blaschke{zeros}.
+
+    ``cfg`` is checked against ``definitions/selfMap`` of the package schema
+    file and then built by ``build_selfmap``; errors carry a JSON pointer to
+    the offending field.
+    """
+    return build_selfmap(validate(cfg, "definitions/selfMap", pointer), pointer)
 
 
 @dataclass(frozen=True, eq=False)

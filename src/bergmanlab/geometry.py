@@ -143,6 +143,12 @@ def mobius_derivative(a, z):
     return complex(out) if out.ndim == 0 else out
 
 
+def modulus(z):
+    """|z| elementwise, rounded as Python's abs(complex) rounds it; np.abs can differ by an ulp."""
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
+
+
 def pseudo_distance(a, z):
     """Pseudo-hyperbolic distance rho(a, z) = |phi_a(z)|, valued in [0, 1)."""
     out = np.abs(mobius(a, z))
@@ -165,10 +171,16 @@ def bergman_disk(a, r):
     """
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    a = complex(a)
+    center, radius = disk_realization(complex(a), r)
+    return EuclideanDisk(center=center, radius=radius)
+
+
+def disk_realization(a, r):
+    """Center and radius of ``bergman_disk(a, r)``, elementwise on an array of centers."""
     s = np.tanh(r)
-    d = 1.0 - s**2 * abs(a) ** 2
-    return EuclideanDisk(center=(1.0 - s**2) * a / d, radius=(1.0 - abs(a) ** 2) * s / d)
+    abs_sq = modulus(a) ** 2
+    d = 1.0 - s**2 * abs_sq
+    return (1.0 - s**2) * a / d, (1.0 - abs_sq) * s / d
 
 
 def _warn_outside_validated_range(r, what):

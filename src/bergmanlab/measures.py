@@ -48,8 +48,8 @@ from scipy.special import hyp2f1, roots_jacobi
 
 from .config import validate
 from .errors import ConfigurationError, EvaluationError
-from .geometry import SpaceParams, as_disk_point, bergman_disk, kernel_power_modulus, \
-    pseudo_distance
+from .geometry import SpaceParams, as_disk_point, disk_realization, kernel_power_modulus, \
+    modulus, pseudo_distance
 
 logger = logging.getLogger(__name__)
 
@@ -299,7 +299,22 @@ class Measure:
         raise NotImplementedError
 
     def disk_measure(self, a, r, quad: QuadConfig = DEFAULT_QUAD):
-        """Mass of the metric disk D(a, r)."""
+        """Masses of the metric disks D(a, r), for a scalar or an array of centres.
+
+        The masses come back in the shape of ``a``, and a scalar centre gives a
+        float. Densities integrate each disk with a Euclidean-disk rule,
+        evaluated in batches of at most ``DISK_BATCH_NODES`` nodes; radial
+        densities evaluate that rule once per distinct |a|, on the real axis,
+        since their disk mass depends on |a| alone. Atoms, grid densities
+        included, sum the masses inside each disk, in chunks of centres x atoms
+        of the same budget.
+        """
+        a = np.asarray(a, dtype=complex)
+        masses = self._disk_masses(a.ravel(), r, quad).reshape(a.shape)
+        return float(masses) if masses.ndim == 0 else masses
+
+    def _disk_masses(self, centers, r, quad):
+        """mu(D(a, r)) for each a of the 1-d array ``centers``."""
         raise NotImplementedError
 
     def total_mass(self, quad: QuadConfig = DEFAULT_QUAD):
@@ -317,15 +332,24 @@ class Measure:
         raise NotImplementedError
 
 
-def _density_disk_measure(density, a, r, quad):
-    disk = bergman_disk(a, r)
-    nodes, weights = euclid_disk_rule(
-        disk.center, disk.radius,
-        max(16, quad.n_radial // 4), max(32, quad.n_angular // 4),
-    )
-    vals = density(nodes)
-    _check_finite(vals, nodes)
-    return float(np.sum(weights * vals))
+# Node budget of one batch of disk masses: 2**16 complex nodes are 1 MB. Whole
+# disks go in a batch, so a disk rule larger than the budget goes alone.
+DISK_BATCH_NODES = 2**16
+
+
+def _density_disk_measure(density, centers, r, quad):
+    """Masses of D(a, r), a in the 1-d ``centers``, under a density, by the Euclidean-disk rule."""
+    disk_centers, disk_radii = disk_realization(centers, r)
+    base, weights = _euclid_disk_base(max(16, quad.n_radial // 4), max(32, quad.n_angular // 4))
+    step = max(1, DISK_BATCH_NODES // base.size)
+    masses = np.empty(len(centers))
+    for lo in range(0, len(centers), step):
+        radius = disk_radii[lo:lo + step, None, None]
+        nodes = disk_centers[lo:lo + step, None, None] + radius * base
+        vals = density(nodes)
+        _check_finite(vals, nodes)
+        masses[lo:lo + step] = np.sum(radius**2 * weights * vals, axis=(1, 2))
+    return masses
 
 
 @dataclass(frozen=True)
@@ -348,8 +372,13 @@ class RadialDensity(Measure):
     def density(self, z):
         return self.scale * (1.0 - np.abs(z) ** 2) ** self.gamma
 
-    def disk_measure(self, a, r, quad=DEFAULT_QUAD):
-        return _density_disk_measure(self.density, a, r, quad)
+    def _disk_masses(self, centers, r, quad):
+        # D(a, r) is D(|a|, r) rotated, and the density is radial, so both carry
+        # one mass: one disk rule per distinct |a|, on the real axis. The two
+        # rules differ by a turn of their angular nodes, which the converged
+        # trapezoid does not see.
+        radii, where = np.unique(modulus(centers), return_inverse=True)
+        return _density_disk_measure(self.density, radii.astype(complex), r, quad)[where]
 
     def psi(self, a, t, quad=DEFAULT_QUAD):
         """Exact at every |a| < 1: with x = |a|^2 and c = gamma + 2,
@@ -420,8 +449,8 @@ class PolyWeighted(Measure):
     def density(self, z):
         return np.abs(self.u(z)) ** self.p * (self.beta + 1.0) * (1.0 - np.abs(z) ** 2) ** self.beta
 
-    def disk_measure(self, a, r, quad=DEFAULT_QUAD):
-        return _density_disk_measure(self.density, a, r, quad)
+    def _disk_masses(self, centers, r, quad):
+        return _density_disk_measure(self.density, centers, r, quad)
 
     def psi(self, a, t, quad=DEFAULT_QUAD):
         """Transform by substituting z = phi_a(w); constant u uses the radial closed form.
@@ -476,9 +505,16 @@ class Atomic(Measure):
         vals = g(self.points) if callable(g) else g * np.ones_like(self.masses)
         return _weighted_sum(self.masses, vals, self.points)
 
-    def disk_measure(self, a, r, quad=DEFAULT_QUAD):
-        inside = pseudo_distance(a, self.points) < np.tanh(r)
-        return float(np.sum(self.masses[inside]))
+    def _disk_masses(self, centers, r, quad):
+        points, masses = self.points.ravel(), self.masses.ravel()
+        s = np.tanh(r)
+        step = max(1, DISK_BATCH_NODES // points.size)
+        out = np.empty(len(centers))
+        for lo in range(0, len(centers), step):
+            inside = pseudo_distance(centers[lo:lo + step, None], points) < s
+            out[lo:lo + step] = np.sum(np.broadcast_to(masses, inside.shape), axis=1,
+                                       where=inside)
+        return out
 
     def psi(self, a, t, quad=DEFAULT_QUAD):
         return np.sum(self.masses * kernel_power_modulus(a, self.points, t))
@@ -509,8 +545,8 @@ class SumMeasure(Measure):
     def integrate(self, g, quad=DEFAULT_QUAD):
         return sum(part.integrate(g, quad) for part in self.parts)
 
-    def disk_measure(self, a, r, quad=DEFAULT_QUAD):
-        return sum(part.disk_measure(a, r, quad) for part in self.parts)
+    def _disk_masses(self, centers, r, quad):
+        return sum(part._disk_masses(centers, r, quad) for part in self.parts)
 
     def psi(self, a, t, quad=DEFAULT_QUAD):
         return sum(part.psi(a, t, quad) for part in self.parts)
@@ -589,10 +625,13 @@ def integrate(mu: Measure, g, quad: QuadConfig = DEFAULT_QUAD):
 
 
 def measure_of_disk(mu: Measure, a, r, quad: QuadConfig = DEFAULT_QUAD):
-    """mu(D(a, r)) for the metric disk; monotone in r."""
+    """mu(D(a, r)) for the metric disk; monotone in r.
+
+    ``a`` is a centre or an array of centres; see ``Measure.disk_measure``.
+    """
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    return mu.disk_measure(complex(a), r, quad)
+    return mu.disk_measure(a, r, quad)
 
 
 def bergman_norm(f, params: SpaceParams, quad: QuadConfig = DEFAULT_QUAD):
@@ -623,22 +662,41 @@ def holder_embedding_probe(f, mu: Measure, p, q, alpha, quad: QuadConfig = DEFAU
 # wire format
 
 
-# Each measure type's constructor, called with the fields of its validated spec.
+# Each measure type's constructor, called with the fields of its validated spec;
+# "sum" builds its parts with ``build_measure``.
 _MEASURES = {
     "area": WeightedArea,
     "radial": RadialDensity,
     "polyweighted": lambda u, p, beta: PolyWeighted(Polynomial.from_pairs(u), p, beta),
     "atomic": lambda atoms: Atomic.from_atoms(
         [(complex(atom["re"], atom["im"]), atom["mass"]) for atom in atoms]),
-    "sum": lambda parts: SumMeasure(tuple(map(_build_measure, parts))),
     "grid": lambda alpha, n_radial, n_angular, values: GridDensity.from_values(
         build_quadrature(alpha, n_radial, n_angular), values),
 }
 
 
-def _build_measure(spec):
+def build_measure(spec, pointer="/measure"):
+    """The Measure of a spec already validated against ``definitions/measure``.
+
+    What the schema cannot state is checked here: a grid needs n_radial *
+    n_angular values (the error points at ``<pointer>/values``), and atoms must
+    lie inside the disk. Parts of a sum are pointed at by their index.
+    """
     fields = dict(spec)
-    return _MEASURES[fields.pop("type")](**fields)
+    kind = fields.pop("type")
+    if kind == "sum":
+        return SumMeasure(tuple(build_measure(part, f"{pointer}/parts/{i}")
+                                for i, part in enumerate(fields["parts"])))
+    if kind == "grid":
+        count = fields["n_radial"] * fields["n_angular"]
+        if len(fields["values"]) != count:
+            raise ConfigurationError(
+                f"need n_radial * n_angular = {count} values, got {len(fields['values'])}",
+                f"{pointer}/values")
+    try:
+        return _MEASURES[kind](**fields)
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid measure spec: {exc}", pointer) from exc
 
 
 def measure_from_config(cfg, pointer="/measure"):
@@ -646,12 +704,8 @@ def measure_from_config(cfg, pointer="/measure"):
 
     ``cfg`` is checked against ``definitions/measure`` of the package schema
     file, which lists the variants ("area", "radial", "polyweighted",
-    "atomic", "sum", "grid") and their fields and bounds; errors carry a JSON
-    pointer to the offending field. Absent optional fields take the
-    constructor defaults.
+    "atomic", "sum", "grid") and their fields and bounds, and then built by
+    ``build_measure``; errors carry a JSON pointer to the offending field.
+    Absent optional fields take the constructor defaults.
     """
-    spec = validate(cfg, "definitions/measure", pointer)
-    try:
-        return _build_measure(spec)
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid measure spec: {exc}", pointer) from exc
+    return build_measure(validate(cfg, "definitions/measure", pointer), pointer)

@@ -1,6 +1,7 @@
 """Transform identities, sup diagnostics, and the three-constant certification."""
 
 import json
+import tracemalloc
 from importlib import resources
 
 import mpmath
@@ -343,6 +344,83 @@ class TestFamilySweep:
         again = family_constant(RadialDensity(0.5), params, Identity(), SWEEP_FAMILY, small_quad)
         assert calls == []
         assert again.ratios == first.ratios
+
+
+def per_point_disk_constant(mu, alpha, r, lat, quad, phi):
+    """The per-point loop the batched C2 replaced: one disk rule centred at each orbit point.
+
+    Densities take the Euclidean-disk rule of D(a, r) at a itself, not the
+    real-axis disk of the same |a|; atoms take a sum over the atoms inside.
+    """
+    def mass(mu, a):
+        if isinstance(mu, SumMeasure):
+            return sum(mass(part, a) for part in mu.parts)
+        if isinstance(mu, Atomic):
+            return float(np.sum(mu.masses[geometry.pseudo_distance(a, mu.points) < np.tanh(r)]))
+        disk = geometry.bergman_disk(a, r)
+        nodes, weights = measures.euclid_disk_rule(
+            disk.center, disk.radius, max(16, quad.n_radial // 4), max(32, quad.n_angular // 4))
+        return float(np.sum(weights * mu.density(nodes)))
+
+    n = phi.n if isinstance(phi, Monomial) else 1
+    orbit = np.exp(2j * np.pi * np.arange(n) / n)
+    ratios = np.array([sum(mass(mu, w * a) for w in orbit) / n / disk_bound(a, r, alpha)
+                       for a in lat.points])
+    ring_maxima = [float(ratios[lat.ring_index == m].max()) for m in np.unique(lat.ring_index)]
+    return float(ratios.max()), int(np.argmax(ratios)), ring_maxima
+
+
+class TestBatchedDiskConstant:
+    @pytest.mark.parametrize("phi", (Identity(), Monomial(2), Monomial(3)),
+                             ids=("unconditional", "z^2", "z^3"))
+    def test_matches_per_point_loop(self, phi, small_quad):
+        # At the default sizes the disk rule's angular trapezoid is converged,
+        # so turning a radial density's disk onto the real axis moves no digit
+        # that the tolerance sees (at 32 angles it moves the 12th).
+        quad = QuadConfig()
+        lat = cached_lattice(1.0, 0.03)
+        mode = "unconditional" if isinstance(phi, Identity) else "symmetrized"
+        for name, mu in {"area": WeightedArea(0.5), **sweep_measures(small_quad)}.items():
+            got = disk_constant(mu, 0.5, 1.0, lat, quad, mode=mode, phi=phi)
+            c2, argmax, ring_maxima = per_point_disk_constant(mu, 0.5, 1.0, lat, quad, phi)
+            assert abs(got.c2 - c2) <= 1e-13 * c2, name
+            assert got.argmax_index == argmax, name
+            assert len(got.ring_maxima) == len(ring_maxima)
+            for (_, value), want in zip(got.ring_maxima, ring_maxima):
+                assert abs(value - want) <= 1e-13 * want, name
+
+    def test_radial_density_one_disk_per_radius(self, monkeypatch, small_quad):
+        lat = cached_lattice(1.0, 0.01)
+        calls, disks = [], []
+        original_density = RadialDensity.density
+        original_measure_of_disk = carleson.measure_of_disk
+        monkeypatch.setattr(RadialDensity, "density",
+                            lambda self, z: disks.append(len(z)) or original_density(self, z))
+        monkeypatch.setattr(carleson, "measure_of_disk",
+                            lambda *args: calls.append(args) or original_measure_of_disk(*args))
+        disk_constant(RadialDensity(0.5), 0.0, 1.0, lat, small_quad)
+        assert len(calls) == 1
+        assert 0 < sum(disks) <= len(np.unique(geometry.modulus(lat.points))) < lat.size
+
+    @pytest.mark.parametrize("case", ("grid-256x512", "polyweighted-doubled"))
+    def test_peak_memory_bounded(self, case):
+        # The batches hold about 2**16 nodes; whole-lattice or 64-disk batches
+        # would pin tens to hundreds of MB here.
+        lat = cached_lattice(1.0, 0.01)
+        if case == "grid-256x512":
+            quad = QuadConfig()
+            mu = GridDensity.from_function(build_quadrature(0.0, 256, 512),
+                                           lambda z: np.abs(1.0 + 0.5j * z) ** 2)
+        else:
+            quad = QuadConfig().doubled()
+            mu = PolyWeighted(Polynomial.from_coeffs([1, 0.5j, -0.3]), 2.0, 0.3)
+        tracemalloc.start()
+        try:
+            disk_constant(mu, 0.0, 1.0, lat, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestFamilySpec:

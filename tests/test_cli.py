@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bergmanlab import cli, condexp, config, measures
 from bergmanlab.cli import main
 from bergmanlab.suite import compare_with_expectations
 
@@ -256,6 +257,7 @@ CHECK = {"measure": {"type": "area", "alpha": 0.0}, "p": 2.0, "alpha": 0.0, "r":
          "family": {"kernel_radii": [0.0], "random_count": 1}, "lattice_epsilon": 0.3}
 CONDEXP = {"map": {"type": "identity"}, "f": [[1, 0]]}
 ATOM = {"re": 0.5, "im": 0.0, "mass": 1.0}
+GRID_MEASURE = {"type": "grid", "alpha": 0.0, "n_radial": 4, "n_angular": 8, "values": [1.0] * 32}
 
 
 class TestConfigErrors:
@@ -278,6 +280,42 @@ class TestConfigErrors:
         argv = [command, "check"] if command == "carleson" else [command]
         assert run_cli(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert f"config error: {pointer}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc, pointer, detail", [
+        ("psi", {**PSI, "grid": {"j_min": 12}}, "/grid", "need 1 <= j_min <= j_max, got (12, 10)"),
+        ("carleson", {**CHECK, "psi_grid": {"j_min": 12}}, "/psi_grid", "got (12, 10)"),
+        ("psi", {**PSI, "measure": {**GRID_MEASURE, "values": [1.0] * 3}}, "/measure/values",
+         "need n_radial * n_angular = 32 values, got 3"),
+        ("carleson", {**CHECK, "measure": {"type": "sum", "parts": [
+            {"type": "area", "alpha": 0.0}, {**GRID_MEASURE, "values": [1.0] * 33}]}},
+         "/measure/parts/1/values", "= 32 values, got 33"),
+    ], ids=("psi-grid", "carleson-psi_grid", "grid-values", "sum-part-grid-values"))
+    def test_condition_across_fields_named_by_pointer(self, command, doc, pointer, detail,
+                                                      tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [command, "check"] if command == "carleson" else [command]
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {pointer}: " in err and detail in err
+
+    def test_measure_validated_once(self, monkeypatch, tmp_path):
+        # The whole document is validated at the root; building the measure
+        # and the map from it validates neither subtree again.
+        paths = []
+        original = config.validate
+
+        def counted(doc, path, pointer=""):
+            paths.append(path)
+            return original(doc, path, pointer)
+        for module in (config, cli, measures, condexp):
+            monkeypatch.setattr(module, "validate", counted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CHECK, "measure": GRID_MEASURE, "phi": {"type": "identity"}}))
+        code = run_cli(["carleson", "check", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code in (0, 2)
+        assert paths.count("definitions/measure") == 1
+        assert paths.count("definitions/selfMap") == 1
 
     @pytest.mark.parametrize("argv", [
         ["geom", "--a", "0,0", "--z", "0,0", "--seed", "5"],

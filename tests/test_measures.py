@@ -282,6 +282,54 @@ class TestMeasureOfDisk:
         assert abs(got - (disk_area(0.0, 1.0) + 1.0)) < 1e-6
 
 
+def disk_measures(quad):
+    rule = build_quadrature(0.0, quad.n_radial, quad.n_angular)
+    atoms = Atomic.from_atoms([(0.0, 1.0), (0.3 + 0.2j, 0.5), (-0.6j, 0.25), (0.985, 2.0)])
+    return {
+        "area": WeightedArea(0.5),
+        "radial": RadialDensity(-0.5, 2.0),
+        "polyweighted": PolyWeighted(Polynomial.from_coeffs([1, 0.5j, -0.3]), 3.0, 0.25),
+        "atomic": atoms,
+        "grid": GridDensity.from_function(rule, lambda z: np.abs(1.0 + 0.5j * z) ** 2),
+        "sum": SumMeasure((RadialDensity(1.0), atoms)),
+    }
+
+
+DISK_MEASURES = ("area", "radial", "polyweighted", "atomic", "grid", "sum")
+
+
+class TestBatchedDiskMeasure:
+    @pytest.mark.parametrize("name", DISK_MEASURES)
+    def test_array_matches_scalar_calls(self, name, rng, small_quad):
+        mu = disk_measures(small_quad)[name]
+        # the origin, the deepest |a|, a ring of one radius, and area-uniform points
+        centers = np.concatenate([[0.0, 0.99, -0.99j, 0.99 * np.exp(2.0j)],
+                                  0.7 * np.exp(2j * np.pi * np.arange(12) / 12),
+                                  sample_disk(rng, 300)])
+        for r in (0.5, 1.0):
+            got = mu.disk_measure(centers, r, small_quad)
+            want = np.array([mu.disk_measure(a, r, small_quad) for a in centers])
+            assert got.shape == centers.shape
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), name
+
+    @pytest.mark.parametrize("name", DISK_MEASURES)
+    def test_output_shape_follows_input(self, name, rng, small_quad):
+        mu = disk_measures(small_quad)[name]
+        centers = sample_disk(rng, 12).reshape(3, 4)
+        got = measure_of_disk(mu, centers, 1.0, small_quad)
+        assert got.shape == (3, 4)
+        assert got[1, 2] == pytest.approx(measure_of_disk(mu, centers[1, 2], 1.0, small_quad),
+                                          rel=1e-13)
+        assert measure_of_disk(mu, np.empty(0, dtype=complex), 1.0, small_quad).shape == (0,)
+
+    @pytest.mark.parametrize("name", DISK_MEASURES)
+    def test_scalar_centre_gives_float(self, name, small_quad):
+        mu = disk_measures(small_quad)[name]
+        for a in (0.3 - 0.2j, 0.5, np.complex128(0.1j), np.array(0.2)):
+            assert type(measure_of_disk(mu, a, 1.0, small_quad)) is float
+            assert type(mu.disk_measure(a, 1.0, small_quad)) is float
+
+
 class TestHolderProbe:
     def test_equal_exponents_bound_holds(self, small_quad):
         f = Polynomial.from_coeffs([1.0, 0.5])
