@@ -31,10 +31,18 @@ Euler's transformation (DLMF 15.8.1; Zhu, Operator Theory in Function Spaces,
 section 1.4). Where t < A the untransformed pair (t, t) replaces (A, A), which
 keeps 2F1 well conditioned as |a| -> 1. The form is exact at every depth,
 equals 1 for dA_alpha, and shows the divergence exponent A = gamma - alpha of
-the default t = 2 + alpha directly. Polynomial weights |u|^p dA_beta are
-pulled back through the Mobius map phi_a, which absorbs the kernel peak
-analytically and leaves a bounded integrand; atoms and grid densities are
-exact finite sums.
+the default t = 2 + alpha directly. Polynomial weights |u|^p dA_beta at even
+p are exact too: with |u|^p = |u^(p/2)|^2 expanded into monomials z^j conj(z)^k,
+each pair gives a 3F2(t, t+d, j+1; d+1, j+beta+2; |a|^2), d = j - k, which is
+a finite positive sum of 2F1, each Euler-transformed where that bounds it at
+|a| = 1. At other p they are pulled back through the Mobius map phi_a, which
+absorbs the kernel peak analytically and leaves a bounded integrand on the
+quadrature rule. Atoms and grid densities are exact finite sums. Both closed
+forms take 1 - |a|^2 from ``geometry.one_minus_modulus_sq``, exact to an ulp,
+since 1 - fl(|a|^2) keeps only the rounding of |a|^2 near the circle.
+
+``psi_sup`` and ``psi_heatmap`` evaluate their whole grid in one ``mu.psi``
+call, and each measure type evaluates its transform on the array of centres.
 
 C2 takes every lattice disk mass in one ``measure_of_disk`` call on the
 array of lattice points; symmetrized mode stacks the n rotated copies of the
@@ -87,17 +95,30 @@ DIVERGENCE_SLOPE = -0.1
 # Psi transform
 
 
-def psi_transform(mu: Measure, a, alpha, t=None, quad: QuadConfig = DEFAULT_QUAD):
-    """Psi_a(mu) with exponent t (default 2 + alpha), evaluated by ``mu.psi``."""
+def _kernel_exponent(alpha, t):
+    """t, by default 2 + alpha, after checking alpha and t."""
     if not alpha > -1:
         raise ConfigurationError(f"alpha must exceed -1, got {alpha}")
     t = 2.0 + alpha if t is None else float(t)
     if not t > 0:
         raise ConfigurationError(f"kernel exponent t must be positive, got {t}")
+    return t
+
+
+def psi_transform(mu: Measure, a, alpha, t=None, quad: QuadConfig = DEFAULT_QUAD):
+    """Psi_a(mu) with exponent t (default 2 + alpha), evaluated by ``mu.psi``."""
+    t = _kernel_exponent(alpha, t)
     a = complex(a)
-    if not abs(a) < 1:
-        raise ConfigurationError(f"a must lie in the open unit disk, got {a}")
+    _check_in_disk(a)
     return float(mu.psi(a, t, quad))
+
+
+def _check_in_disk(a):
+    """Reject centres on or outside the unit circle (and NaN ones)."""
+    outside = ~(np.abs(a) < 1)
+    if np.any(outside):
+        raise ConfigurationError(
+            f"a must lie in the open unit disk, got {complex(np.asarray(a)[outside].flat[0])}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +181,28 @@ def _fit_slope(level_maxima):
 
 def psi_sup(mu: Measure, alpha, t=None, grid: PsiGridSpec = PsiGridSpec(),
             quad: QuadConfig = DEFAULT_QUAD) -> SupResult:
-    """Sup of Psi over the nested boundary grids with a divergence verdict."""
-    radii = grid.radii()
+    """Sup of Psi over the nested boundary grids with a divergence verdict.
+
+    The whole grid is one ``mu.psi`` call.
+    """
+    t = _kernel_exponent(alpha, t)
+    circles = [grid.points_at_radius(rho) for rho in grid.radii()]
+    centers = np.concatenate(circles)
+    _check_in_disk(centers)
+    values = np.split(mu.psi(centers, t, quad),
+                      np.cumsum([len(pts) for pts in circles[:-1]]))
     best = -np.inf
     argmax = 0j
     max_at_radius = []
-    for rho in radii:
-        pts = grid.points_at_radius(rho)
-        vals = [psi_transform(mu, a, alpha, t, quad) for a in pts]
+    for pts, vals in zip(circles, values):
         k = int(np.argmax(vals))
-        max_at_radius.append((float(vals[k]), complex(pts[k])))
+        max_at_radius.append(float(vals[k]))
         if vals[k] > best:
             best = float(vals[k])
             argmax = complex(pts[k])
     level_maxima = []
     for j in range(grid.j_min, grid.j_max + 1):
-        level_vals = [m for m, _ in max_at_radius[: j + 1]]
-        level_maxima.append((j, max(level_vals)))
+        level_maxima.append((j, max(max_at_radius[: j + 1])))
     slope = _fit_slope(level_maxima)
     verdict = "divergent" if slope <= DIVERGENCE_SLOPE else "bounded"
     return SupResult(sup=best, argmax=argmax, level_maxima=level_maxima,
@@ -185,14 +211,16 @@ def psi_sup(mu: Measure, alpha, t=None, grid: PsiGridSpec = PsiGridSpec(),
 
 def psi_heatmap(mu: Measure, alpha, t=None, n_radial=24, n_angular=48,
                 max_radius=0.96, quad: QuadConfig = DEFAULT_QUAD):
-    """Polar grid of (Re a, Im a, Psi) rows for CSV export."""
-    rows = []
+    """Polar grid of (Re a, Im a, Psi) rows for CSV export, in one ``mu.psi`` call."""
+    t = _kernel_exponent(alpha, t)
+    centers = []
     for rho in np.linspace(0.0, max_radius, n_radial):
         angles = [0.0] if rho == 0.0 else 2.0 * np.pi * np.arange(n_angular) / n_angular
-        for th in np.atleast_1d(angles):
-            a = rho * np.exp(1j * th)
-            rows.append((a.real, a.imag, psi_transform(mu, a, alpha, t, quad)))
-    return rows
+        centers.extend(rho * np.exp(1j * np.atleast_1d(angles)))
+    centers = np.array(centers, dtype=complex)
+    _check_in_disk(centers)
+    values = mu.psi(centers, t, quad)
+    return [(float(a.real), float(a.imag), float(v)) for a, v in zip(centers, values)]
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,20 @@ def _build(cls, fields, pointer):
         raise ConfigurationError(str(exc), pointer) from exc
 
 
-def _with_flags(config, args):
-    """``config`` with the --grid-levels, --seed and --mode flags the subcommand was given."""
+def _with_flags(config, args, grid=None):
+    """``config`` with the --grid-levels, --seed and --mode flags the subcommand was given.
+
+    A --grid-levels value that the document's grid rejects fails naming the
+    flag, and the grid's field ``grid`` when the command reads a document.
+    """
     flags = vars(args)
     if "grid_levels" in flags:
-        config = replace(config, psi_grid=replace(config.psi_grid, j_max=flags["grid_levels"]))
+        levels = flags["grid_levels"]
+        try:
+            config = replace(config, psi_grid=replace(config.psi_grid, j_max=levels))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"--grid-levels {levels}: {exc}",
+                                     None if grid is None else f"/{grid}") from exc
     if "seed" in flags:
         config = replace(config, family=replace(config.family, seed=flags["seed"]))
     if "mode" in flags:
@@ -210,7 +219,7 @@ def _cmd_condexp(args):
 def _cmd_psi(args):
     cfg, doc = _read_config(args, "psi")
     mu = build_measure(doc["measure"])
-    config = _with_flags(_certify_config(doc, grid="grid"), args)
+    config = _with_flags(_certify_config(doc, grid="grid"), args, "grid")
     result = psi_sup(mu, doc["alpha"], doc.get("t"), config.psi_grid, config.quad)
     payload = _sup_payload(result)
     if "heatmap" in doc:
@@ -232,7 +241,7 @@ def _cmd_carleson(args):
     cfg, doc = _read_config(args, "carleson_check")
     mu = build_measure(doc["measure"])
     phi = build_selfmap(doc["phi"]) if "phi" in doc else Identity()
-    config = _with_flags(_certify_config(doc), args)
+    config = _with_flags(_certify_config(doc), args, "psi_grid")
     report = certify(mu, SpaceParams(p=doc["p"], alpha=doc["alpha"]), doc["r"], phi, config)
     envelope = _report_envelope("carleson check", cfg, report.to_dict())
     _emit(envelope, args.out, "carleson_report.json")
@@ -250,7 +259,7 @@ def _cmd_opnorm(args):
         phi=build_selfmap(doc["phi"]) if "phi" in doc else Identity(),
         p=doc["p"], alpha=doc["alpha"], beta=doc["beta"],
     )
-    config = _with_flags(_certify_config(doc, grid="grid"), args)
+    config = _with_flags(_certify_config(doc, grid="grid"), args, "grid")
     norm = opnorm_estimate(op, config.family, config.quad)
     crit = boundedness_criterion(op, config.psi_grid, config.quad)
     payload = {
@@ -267,7 +276,7 @@ def _cmd_opnorm(args):
 
 def _cmd_mult_criterion(args):
     cfg, doc = _read_config(args, "mult_criterion")
-    config = _with_flags(_certify_config(doc, grid="grid"), args)
+    config = _with_flags(_certify_config(doc, grid="grid"), args, "grid")
     result = multiplication_criterion(Polynomial.from_pairs(doc["u"]), doc["p"], doc["q"],
                                       doc["alpha"], doc["beta"], config.psi_grid, config.quad)
     _emit(_report_envelope("mult-criterion", cfg, _sup_payload(result)), args.out,

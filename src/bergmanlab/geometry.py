@@ -149,6 +149,45 @@ def modulus(z):
     return np.hypot(z.real, z.imag)
 
 
+_DEKKER_SPLIT = 2.0**27 + 1.0
+
+
+def _exact_square(x):
+    """(s, e) with s + e = x * x exactly: Dekker's product of the split halves of x."""
+    c = _DEKKER_SPLIT * x
+    hi = c - (c - x)
+    lo = x - hi
+    s = x * x
+    return s, ((hi * hi - s) + 2.0 * hi * lo) + lo * lo
+
+
+def _two_sum(x, y):
+    """(s, e) with s + e = x + y exactly and s = fl(x + y) (Knuth's TwoSum)."""
+    s = x + y
+    y_part = s - x
+    return s, (x - (s - y_part)) + (y - y_part)
+
+
+def one_minus_modulus_sq(a):
+    """1 - |a|^2 elementwise, correct to about an ulp of the result at every depth.
+
+    Near the circle 1 - fl(|a|^2) keeps only the rounding of |a|^2, an absolute
+    error of about 1e-16, so at 1 - |a| = 2^-40 it is off by 6e-5 relative. Here
+    each of re^2 and im^2 is split exactly into two doubles, and 1 - re^2 - im^2
+    is summed with a TwoSum cascade that carries the rounding errors (Ogita,
+    Rump and Oishi's Sum2), which is as if the sum were done in twice the
+    working precision.
+    """
+    a = np.asarray(a, dtype=complex)
+    re_sq, re_err = _exact_square(a.real)
+    im_sq, im_err = _exact_square(a.imag)
+    total, carried = np.ones(a.shape), np.zeros(a.shape)
+    for term in (re_sq, im_sq, re_err, im_err):
+        total, err = _two_sum(total, -term)
+        carried += err
+    return total + carried
+
+
 def pseudo_distance(a, z):
     """Pseudo-hyperbolic distance rho(a, z) = |phi_a(z)|, valued in [0, 1)."""
     out = np.abs(mobius(a, z))

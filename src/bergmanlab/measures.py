@@ -31,10 +31,12 @@ them is a finite sum and is evaluated exactly for the measure they represent.
 
 Each measure evaluates its own kernel-power transform
 
-    psi(a, t) = int_D ((1 - |a|^2) / |1 - conj(a) z|^2)^t dmu(z):
+    psi(a, t) = int_D ((1 - |a|^2) / |1 - conj(a) z|^2)^t dmu(z)
 
-in closed form for radial densities, by a Mobius pullback for polynomial
-weights, and as a finite sum for atoms.
+at a centre or an array of centres: in closed form for radial densities, as
+a finite sum of Gauss functions 2F1 for polynomial weights at even p, by a
+Mobius pullback for polynomial weights at other p, and as a finite sum over
+the atoms for atoms.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import hyp2f1, roots_jacobi
+from scipy.special import binom, hyp2f1, poch, roots_jacobi
+from scipy.special import beta as beta_function
 
 from .config import validate
 from .errors import ConfigurationError, EvaluationError
 from .geometry import SpaceParams, as_disk_point, disk_realization, kernel_power_modulus, \
-    modulus, pseudo_distance
+    modulus, one_minus_modulus_sq, pseudo_distance
 
 logger = logging.getLogger(__name__)
 
@@ -321,7 +324,17 @@ class Measure:
         return float(self.integrate(1.0, quad))
 
     def psi(self, a, t, quad: QuadConfig = DEFAULT_QUAD):
-        """Kernel-power transform int ((1-|a|^2)/|1-conj(a) z|^2)^t dmu(z) at complex a."""
+        """Kernel-power transform int ((1-|a|^2)/|1-conj(a) z|^2)^t dmu(z).
+
+        ``a`` is a centre or an array of centres in the open disk; the values
+        come back in the shape of ``a``, and a scalar centre gives a float.
+        """
+        a = np.asarray(a, dtype=complex)
+        values = self._psi(a.ravel(), t, quad).reshape(a.shape)
+        return float(values) if values.ndim == 0 else values
+
+    def _psi(self, centers, t, quad):
+        """The transform at each a of the 1-d array ``centers``."""
         raise NotImplementedError
 
     def scaled(self, c):
@@ -332,8 +345,9 @@ class Measure:
         raise NotImplementedError
 
 
-# Node budget of one batch of disk masses: 2**16 complex nodes are 1 MB. Whole
-# disks go in a batch, so a disk rule larger than the budget goes alone.
+# Node budget of one batch of disk masses, or of centres x atoms in an atomic
+# transform: 2**16 complex nodes are 1 MB. Whole disks (and whole atom sets) go
+# in a batch, so one larger than the budget goes alone.
 DISK_BATCH_NODES = 2**16
 
 
@@ -350,6 +364,21 @@ def _density_disk_measure(density, centers, r, quad):
         _check_finite(vals, nodes)
         masses[lo:lo + step] = np.sum(radius**2 * weights * vals, axis=(1, 2))
     return masses
+
+
+def _hyp2f1_near_one(a, b, c, x, y):
+    """2F1(a, b; c; 1 - y) for the exact y = 1 - |a|^2, given x, the rounded |a|^2.
+
+    x is off 1 - y by about eps, which 1 - x = y magnifies wherever 2F1 has an
+    unbounded derivative at 1, that is where c - a - b < 1: by 1.5e-6 relative
+    in the logarithmic case c = a + b at 1 - |a| = 2^-40. There the first-order
+    term (ab/c) 2F1(a+1, b+1; c+1; x) ((1 - x) - y) removes it; 1 - x is exact
+    for x >= 1/2, and where x < 1/2 the correction is below the rounding.
+    """
+    f = hyp2f1(a, b, c, x)
+    if c - a - b < 1:
+        f = f + a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, x) * ((1.0 - x) - y)
+    return f
 
 
 @dataclass(frozen=True)
@@ -380,7 +409,7 @@ class RadialDensity(Measure):
         radii, where = np.unique(modulus(centers), return_inverse=True)
         return _density_disk_measure(self.density, radii.astype(complex), r, quad)[where]
 
-    def psi(self, a, t, quad=DEFAULT_QUAD):
+    def _psi(self, centers, t, quad):
         """Exact at every |a| < 1: with x = |a|^2 and c = gamma + 2,
 
             psi = scale/(gamma+1) * (1-x)^m * 2F1(m, m; c; x),   m = min(t, c - t).
@@ -389,16 +418,18 @@ class RadialDensity(Measure):
         integral against (1 - rho^2)^gamma in rho^2 is 2F1(t, t; c; x)/(gamma+1),
         and Euler's transformation (DLMF 15.8.1) trades t for c - t. Taking the
         smaller of the two keeps c - 2m >= 0, so 2F1 has at most a logarithmic
-        singularity at x = 1 and is insensitive to the rounding of x; 1 - x is
-        formed as (1-|a|)(1+|a|). Both keep the value within 1e-9 relative of
-        a 40-digit oracle out to 1 - |a| = 2^-40. The divergence exponent is
-        gamma + 2 - t.
+        singularity at x = 1. 1 - x comes from ``one_minus_modulus_sq``, and
+        where c - 2m < 1 ``_hyp2f1_near_one`` corrects 2F1 for the rounding of
+        x. Together they keep the value within 2e-13 relative of a 40-digit
+        oracle out to 1 - |a| = 2^-40, on and off the real axis, and within
+        1e-10 where c - 2m < 1 (3e-11 in the logarithmic case c = 2m; without
+        the correction it is 1.5e-6). The divergence exponent is gamma + 2 - t.
         """
-        r = abs(a)
         c = self.gamma + 2.0
         m = min(t, c - t)
-        return (self.scale / (self.gamma + 1.0) * ((1.0 - r) * (1.0 + r)) ** m
-                * hyp2f1(m, m, c, r * r))
+        y = one_minus_modulus_sq(centers)
+        return (self.scale / (self.gamma + 1.0) * y**m
+                * _hyp2f1_near_one(m, m, c, modulus(centers) ** 2, y))
 
     def scaled(self, c):
         return RadialDensity(self.gamma, c * self.scale)
@@ -423,6 +454,18 @@ class WeightedArea(RadialDensity):
         return {"type": "area", "alpha": self.alpha}
 
 
+# |u|^p on the rule of one polynomial weight: 1 MB at the default 256 x 512
+# nodes and 4 MB doubled, so the cache pins at most 4 MB at default sizes and
+# 16 MB at doubled ones. Four entries hold the weights one operator runs.
+@lru_cache(maxsize=4)
+def _weight_on_rule(mu, quad):
+    """|u|^p at the nodes of the dA_beta rule of the polynomial weight ``mu``."""
+    rule = _rule(mu.beta, quad)
+    values = np.abs(mu.u(rule.nodes)) ** mu.p
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class PolyWeighted(Measure):
     """|u(z)|^p dA_beta for a polynomial symbol u."""
@@ -439,7 +482,7 @@ class PolyWeighted(Measure):
 
     def integrate(self, g, quad=DEFAULT_QUAD):
         rule = _rule(self.beta, quad)
-        uvals = np.abs(self.u(rule.nodes)) ** self.p
+        uvals = _weight_on_rule(self, quad)
         if callable(g):
             vals = uvals * np.asarray(g(rule.nodes))
         else:
@@ -452,8 +495,75 @@ class PolyWeighted(Measure):
     def _disk_masses(self, centers, r, quad):
         return _density_disk_measure(self.density, centers, r, quad)
 
-    def psi(self, a, t, quad=DEFAULT_QUAD):
-        """Transform by substituting z = phi_a(w); constant u uses the radial closed form.
+    def _psi(self, centers, t, quad):
+        """Finite sum of 2F1 at even p; otherwise radial for constant u, else the pullback."""
+        if self.p % 2 == 0:
+            return self._psi_even(centers, t)
+        if self.u.is_constant:
+            mass = abs(self.u.coeffs[0]) ** self.p
+            return RadialDensity(self.beta, mass * (self.beta + 1.0))._psi(centers, t, quad)
+        return np.array([self._psi_pullback(a, t, quad) for a in centers])
+
+    def _psi_even(self, centers, t):
+        """Exact at even p: a finite sum of Gauss functions 2F1 in x = |a|^2.
+
+        Write |u|^p = |v|^2 with v = u^(p/2) = sum_j c_j z^j and expand
+        |v|^2 = sum c_j conj(c_k) z^j conj(z)^k. For d = j - k >= 0 the angular
+        average of the kernel power against e^(i d theta) is
+        a^d rho^d (t)_d/d! 2F1(t, t+d; d+1; x rho^2), and Euler's integral
+        against rho^(j+k) dA_beta turns the pair into
+
+            (1-x)^t e Re[c_j conj(c_k) a^d] (t)_d/d! (beta+1) B(j+1, beta+1)
+                * 3F2(t, t+d, j+1; d+1, c; x),      c = j + beta + 2,
+
+        with e = 1 on the diagonal and 2 off it, for the pair and its
+        conjugate. Since j + 1 = d + 1 + k, (j+1)_m/(d+1)_m is a polynomial
+        of degree k in m, and its Newton expansion
+        sum_i binom(k, i) m(m-1)...(m-i+1)/(d+1)_i makes the 3F2 the finite
+        positive sum
+
+            sum_{i<=k} binom(k, i)/(d+1)_i (t)_i (t+d)_i/(c)_i x^i 2F1(t+i, t+d+i; c+i; x).
+
+        Where c - 2t - d - i < 0, Euler's transformation (DLMF 15.8.1) writes
+        (1-x)^t 2F1 as (1-x)^(c-t-d-i) 2F1(c-t, c-t-d; c+i; x), which is
+        bounded at x = 1. 1 - x comes from ``one_minus_modulus_sq``, and each
+        2F1 goes through ``_hyp2f1_near_one``. For u in {z, z^2, 1+z/2, 1-z},
+        p in {2, 4} and beta in {alpha, alpha+1} this matches a 40-digit 3F2
+        oracle within 3e-13 relative from 1 - |a| = 2^-1 to 2^-40. The terms
+        cancel where v is small near a/|a|, so the error is about eps times
+        the sum of their moduli; by Cauchy-Schwarz that sum is at most
+        deg(v) + 1 times the mean of Psi over the circle of radius |a|, so the
+        sup over a circle keeps its accuracy.
+        """
+        coeffs = np.ones(1, dtype=complex)
+        for _ in range(int(self.p) // 2):
+            coeffs = np.convolve(coeffs, self.u.coeffs)
+        y = one_minus_modulus_sq(centers)
+        x = modulus(centers) ** 2
+        total = np.zeros(len(centers))
+        for j, cj in enumerate(coeffs):
+            c = j + self.beta + 2.0
+            radial = (self.beta + 1.0) * beta_function(j + 1.0, self.beta + 1.0)
+            for k in range(j + 1):
+                pair = cj * np.conj(coeffs[k])
+                if pair == 0:
+                    continue
+                d = j - k
+                series = np.zeros(len(centers))
+                for i in range(k + 1):
+                    coef = binom(k, i) / poch(d + 1.0, i) * poch(t, i) * poch(t + d, i) / poch(c, i)
+                    if c - 2.0 * t - d - i < 0:
+                        term = (y ** (c - t - d - i)
+                                * _hyp2f1_near_one(c - t, c - t - d, c + i, x, y))
+                    else:
+                        term = y**t * _hyp2f1_near_one(t + i, t + d + i, c + i, x, y)
+                    series += coef * x**i * term
+                weight = (1.0 if d == 0 else 2.0) * poch(t, d) / poch(1.0, d) * radial
+                total += weight * np.real(pair * centers**d) * series
+        return total
+
+    def _psi_pullback(self, a, t, quad):
+        """Transform at one centre by substituting z = phi_a(w).
 
         The kernel factor becomes (|1 - conj(a) w|^2/(1-|a|^2))^t and combines
         with the Jacobian and the pulled-back weight into
@@ -462,9 +572,6 @@ class PolyWeighted(Measure):
 
         integrated against dA_beta(w): no peaked factor remains.
         """
-        if self.u.is_constant:
-            mass = abs(self.u.coeffs[0]) ** self.p
-            return RadialDensity(self.beta, mass * (self.beta + 1.0)).psi(a, t, quad)
         rule = _rule(self.beta, quad)
         one_minus = 1.0 - np.conj(a) * rule.nodes
         vals = np.abs(self.u((a - rule.nodes) / one_minus)) ** self.p
@@ -516,8 +623,14 @@ class Atomic(Measure):
                                        where=inside)
         return out
 
-    def psi(self, a, t, quad=DEFAULT_QUAD):
-        return np.sum(self.masses * kernel_power_modulus(a, self.points, t))
+    def _psi(self, centers, t, quad):
+        points, masses = self.points.ravel(), self.masses.ravel()
+        step = max(1, DISK_BATCH_NODES // points.size)
+        out = np.empty(len(centers))
+        for lo in range(0, len(centers), step):
+            powers = kernel_power_modulus(centers[lo:lo + step, None], points, t)
+            out[lo:lo + step] = np.sum(masses * powers, axis=1)
+        return out
 
     def scaled(self, c):
         return Atomic(points=self.points, masses=c * self.masses)
@@ -548,8 +661,8 @@ class SumMeasure(Measure):
     def _disk_masses(self, centers, r, quad):
         return sum(part._disk_masses(centers, r, quad) for part in self.parts)
 
-    def psi(self, a, t, quad=DEFAULT_QUAD):
-        return sum(part.psi(a, t, quad) for part in self.parts)
+    def _psi(self, centers, t, quad):
+        return sum(part._psi(centers, t, quad) for part in self.parts)
 
     def scaled(self, c):
         return SumMeasure(tuple(part.scaled(c) for part in self.parts))

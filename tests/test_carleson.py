@@ -1,5 +1,6 @@
 """Transform identities, sup diagnostics, and the three-constant certification."""
 
+import functools
 import json
 import tracemalloc
 from importlib import resources
@@ -47,6 +48,9 @@ from conftest import sample_disk
 
 # reduced sizes for unit tests: the kernel grid is capped to what the reduced
 # angular resolution integrates to full accuracy
+# |u|^p at the default 256 x 512 rule nodes, in MB
+DEFAULT_RULE_MB = 256 * 512 * 8 / 2**20
+
 CHEAP = CertifyConfig(
     quad=QuadConfig(96, 192),
     psi_grid=PsiGridSpec(4, 9, 8),
@@ -81,6 +85,8 @@ class TestPsiTransform:
             WeightedArea(0.5),
             RadialDensity(0.25, 1.3),
             PolyWeighted(Polynomial.from_coeffs([1.0, 0.5]), 2.0, 0.0),
+            PolyWeighted(Polynomial.from_coeffs([1.0, -1.0]), 4.0, 0.5),
+            PolyWeighted(Polynomial.from_coeffs([1.0, 0.5j, -0.3]), 3.0, 0.25),
             Atomic.from_atoms([(0.4, 1.0), (-0.2j, 0.5)]),
             SumMeasure((WeightedArea(0.0), Atomic.from_atoms([(0.1, 1.0)]))),
         ]
@@ -121,16 +127,23 @@ class TestPsiTransform:
     ])
     def test_radial_matches_hypergeometric_oracle(self, gamma, t):
         # Euler's integral of the angular average 2F1(t, t; 1; x rho^2) against
-        # (1 - rho^2)^gamma, evaluated by mpmath at 40 digits
+        # (1 - rho^2)^gamma, evaluated by mpmath at 40 digits. Off the real axis
+        # |a|^2 is not a double, and its rounding is what 1 - |a|^2 must not see.
         scale = 1.3
         mu = RadialDensity(gamma, scale)
+        c = gamma + 2
+        # c - 2 min(t, c - t) < 1: 2F1 has an unbounded derivative at 1, and the
+        # second-order remainder of the rounding of x is left
+        tol = 1e-12 if c - 2 * min(t, c - t) >= 1 else 1e-10
         with mpmath.workdps(40):
             for k in range(1, 41):
                 r = 1.0 - 2.0**-k
-                x = mpmath.mpf(r) ** 2
-                want = scale / (gamma + 1) * (1 - x) ** t * mpmath.hyp2f1(t, t, gamma + 2, x)
-                got = psi_transform(mu, r, 0.0, t=t)
-                assert abs(got / want - 1) < 1e-9, (k, got, want)
+                for a in (r, r * np.exp(0.3j), r * np.exp(2.1j)):
+                    a = complex(a)
+                    x = mpmath.mpf(a.real) ** 2 + mpmath.mpf(a.imag) ** 2
+                    want = scale / (gamma + 1) * (1 - x) ** t * mpmath.hyp2f1(t, t, c, x)
+                    got = psi_transform(mu, a, 0.0, t=t)
+                    assert abs(got / want - 1) < tol, (k, a, got, want)
 
     def test_measure_without_psi_raises(self):
         class DirectOnly(Measure):
@@ -139,6 +152,141 @@ class TestPsiTransform:
 
         with pytest.raises(NotImplementedError):
             psi_transform(DirectOnly(), 0.5, 0.0)
+
+
+@functools.cache
+def _hyp3f2_term(t, d, j, beta, re, im):
+    """3F2(t, t+d, j+1; d+1, j+beta+2; |a|^2) at 40 digits, |a|^2 exact for a = re + i im."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(re) ** 2 + mpmath.mpf(im) ** 2
+        return mpmath.hyp3f2(t, t + d, j + 1, d + 1, j + beta + 2, x)
+
+
+def hyp3f2_psi(u_coeffs, p, beta, t, a):
+    """Psi_a(|u|^p dA_beta) at even p from the 3F2 of each pair of monomials of u^(p/2).
+
+    |u^(p/2)|^2 = sum c_j conj(c_k) z^j conj(z)^k, and for d = j - k >= 0 the pair
+    contributes (1-x)^t w Re[c_j conj(c_k) a^d] (t)_d/d! (beta+1) B(j+1, beta+1)
+    3F2(t, t+d, j+1; d+1, j+beta+2; x) with w = 1 on the diagonal and 2 off it.
+    """
+    coeffs = np.ones(1, dtype=complex)
+    for _ in range(p // 2):
+        coeffs = np.convolve(coeffs, u_coeffs)
+    with mpmath.workdps(40):
+        centre = mpmath.mpc(a.real, a.imag)
+        x = mpmath.mpf(a.real) ** 2 + mpmath.mpf(a.imag) ** 2
+        total = mpmath.mpf(0)
+        for j, cj in enumerate(coeffs):
+            for k in range(j + 1):
+                pair = mpmath.mpc(cj) * mpmath.conj(mpmath.mpc(coeffs[k]))
+                if pair == 0:
+                    continue
+                d = j - k
+                total += ((1 if d == 0 else 2) * mpmath.re(pair * centre**d)
+                          * mpmath.rf(t, d) / mpmath.factorial(d)
+                          * (beta + 1) * mpmath.beta(j + 1, beta + 1)
+                          * _hyp3f2_term(t, d, j, beta, a.real, a.imag))
+        return (1 - x) ** t * total
+
+
+ORACLE_SYMBOLS = {"z": [0, 1], "z^2": [0, 0, 1], "1+z/2": [1, 0.5], "1-z": [1, -1]}
+
+
+class TestPolyWeightedClosedForm:
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0)])
+    def test_matches_hyp3f2_oracle(self, alpha, beta):
+        t = 2.0 + alpha
+        for name, coeffs in ORACLE_SYMBOLS.items():
+            for p in (2, 4):
+                mu = PolyWeighted(Polynomial.from_coeffs(coeffs), float(p), beta)
+                for k in (1, 3, 7, 40):
+                    a = complex((1.0 - 2.0**-k) * np.exp(0.3j))
+                    want = hyp3f2_psi(np.array(coeffs, dtype=complex), p, beta, t, a)
+                    got = psi_transform(mu, a, alpha)
+                    assert abs(got / want - 1) < 1e-12, (name, p, k, got, want)
+
+    @pytest.mark.parametrize("alpha", (0.0, 1.0))
+    def test_radial_identity(self, alpha):
+        # |z|^2 dA_1 = 2 (1-|z|^2) dA - 2 (1-|z|^2)^2 dA
+        mu = PolyWeighted(Polynomial.from_coeffs([0, 1]), 2.0, 1.0)
+        for k in range(1, 41):
+            for a in ((1.0 - 2.0**-k) * np.exp(0.3j), 1.0 - 2.0**-k):
+                want = (psi_transform(RadialDensity(1.0, 2.0), a, alpha)
+                        - psi_transform(RadialDensity(2.0, 2.0), a, alpha))
+                assert psi_transform(mu, a, alpha) == pytest.approx(want, rel=1e-12), k
+
+    @pytest.mark.parametrize("p", (2.0, 4.0, 3.0))
+    def test_constant_symbol_is_radial(self, p, rng):
+        c = 0.7 - 0.2j
+        mu = PolyWeighted(Polynomial.from_coeffs([c]), p, 0.5)
+        radial = RadialDensity(0.5, abs(c) ** p * 1.5)
+        deep = (1.0 - 2.0 ** -np.arange(1, 41)) * np.exp(0.3j)
+        centers = np.concatenate([sample_disk(rng, 20), deep])
+        for t in (2.5, 1.0):
+            got, want = mu.psi(centers, t), radial.psi(centers, t)
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def array_psi_measures(quad):
+    rule = build_quadrature(0.0, quad.n_radial, quad.n_angular)
+    atoms = Atomic.from_atoms([(0.0, 1.0), (0.3 + 0.2j, 0.5), (-0.6j, 0.25), (0.985, 2.0)])
+    return {
+        "area": WeightedArea(0.5),
+        "radial": RadialDensity(-0.5, 2.0),
+        "polyweighted": PolyWeighted(Polynomial.from_coeffs([1, 0.5j, -0.3]), 2.0, 0.25),
+        "pullback": PolyWeighted(Polynomial.from_coeffs([1, 0.5j, -0.3]), 3.0, 0.25),
+        "atomic": atoms,
+        "grid": GridDensity.from_function(rule, lambda z: np.abs(1.0 + 0.5j * z) ** 2),
+        "sum": SumMeasure((RadialDensity(1.0), atoms,
+                           PolyWeighted(Polynomial.from_coeffs([0, 1]), 4.0, 0.0))),
+    }
+
+
+ARRAY_PSI_MEASURES = ("area", "radial", "polyweighted", "pullback", "atomic", "grid", "sum")
+
+
+class TestArrayPsi:
+    @pytest.mark.parametrize("name", ARRAY_PSI_MEASURES)
+    def test_array_matches_scalar_calls(self, name, rng, small_quad):
+        mu = array_psi_measures(small_quad)[name]
+        centers = np.concatenate([[0.0, 1.0 - 2.0**-30, -0.99j, 0.99 * np.exp(2.0j)],
+                                  0.7 * np.exp(2j * np.pi * np.arange(12) / 12),
+                                  sample_disk(rng, 40)])
+        for t in (2.0, 2.5):
+            got = mu.psi(centers, t, small_quad)
+            want = np.array([psi_transform(mu, a, t - 2.0, quad=small_quad) for a in centers])
+            assert got.shape == centers.shape
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), name
+
+    @pytest.mark.parametrize("name", ARRAY_PSI_MEASURES)
+    def test_shape_follows_input(self, name, rng, small_quad):
+        mu = array_psi_measures(small_quad)[name]
+        centers = sample_disk(rng, 6).reshape(2, 3)
+        got = mu.psi(centers, 2.0, small_quad)
+        assert got.shape == (2, 3)
+        assert got[1, 2] == pytest.approx(mu.psi(centers[1, 2], 2.0, small_quad), rel=1e-13)
+        assert type(mu.psi(0.3 - 0.2j, 2.0, small_quad)) is float
+        assert mu.psi(np.empty(0, dtype=complex), 2.0, small_quad).shape == (0,)
+
+    def test_one_call_per_sup_and_heatmap(self, monkeypatch, small_quad):
+        mu = array_psi_measures(small_quad)["pullback"]
+        calls = []
+        original = PolyWeighted.psi
+
+        def counting(self, a, t, quad=None):
+            calls.append(np.size(a))
+            return original(self, a, t, quad)
+        monkeypatch.setattr(PolyWeighted, "psi", counting)
+        psi_sup(mu, 0.0, grid=PsiGridSpec(4, 6, 4), quad=small_quad)
+        assert calls == [1 + 6 * 4]
+        rows = psi_heatmap(mu, 0.0, n_radial=3, n_angular=5, quad=small_quad)
+        assert calls == [1 + 6 * 4, 1 + 2 * 5]
+        assert [psi for _, _, psi in rows] == pytest.approx(
+            [original(mu, complex(x, y), 2.0, small_quad) for x, y, _ in rows], rel=1e-13)
+
+    def test_sup_rejects_grid_on_the_circle(self):
+        with pytest.raises(ConfigurationError, match="open unit disk"):
+            psi_sup(WeightedArea(0.0), 0.0, grid=PsiGridSpec(4, 54, 4))
 
 
 class TestPsiSup:
@@ -191,6 +339,24 @@ class TestCaches:
         for cached in (build_quadrature, cached_lattice, reference_disk_constant,
                        carleson._poly_norms):
             assert cached.cache_info().maxsize is not None
+
+    def test_polyweighted_weights_once_per_key_and_bounded(self, monkeypatch, small_quad):
+        # |u|^p on the rule is 1 MB at the default sizes: the cache holds a few
+        cache = measures._weight_on_rule
+        assert cache.cache_info().maxsize * DEFAULT_RULE_MB <= 4
+        cache.cache_clear()
+        u = Polynomial.from_coeffs([1.0, 0.25 - 0.5j])
+        evaluations = []
+        monkeypatch.setattr(Polynomial, "__call__", lambda self, z: evaluations.append(1)
+                            or np.polyval(self.coeffs[::-1], z))
+        mu = PolyWeighted(u, 3.0, 0.5)
+        first = mu.integrate(lambda z: np.abs(z) ** 2, small_quad)
+        for _ in range(3):
+            assert mu.integrate(lambda z: np.abs(z) ** 2, small_quad) == first
+        assert len(evaluations) == 1
+        for key in range(2 * cache.cache_info().maxsize):
+            PolyWeighted(u, 2.0 + key, 0.5).integrate(1.0, small_quad)
+        assert cache.cache_info().currsize == cache.cache_info().maxsize
 
 
 class TestDiskConstant:

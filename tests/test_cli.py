@@ -299,6 +299,30 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"config error: {pointer}: " in err and detail in err
 
+    @pytest.mark.parametrize("command, doc, pointer", [
+        ("psi", {**PSI, "grid": {"j_min": 6}}, "/grid"),
+        ("carleson", {**CHECK, "psi_grid": {"j_min": 6}}, "/psi_grid"),
+        ("opnorm", {"u": [[1, 0]], "p": 2.0, "alpha": 0.0, "beta": 0.0, "grid": {"j_min": 6}},
+         "/grid"),
+        ("mult-criterion", {"u": [[1, 0]], "p": 2.0, "q": 2.0, "alpha": 0.0, "beta": 0.0,
+                            "grid": {"j_min": 6}}, "/grid"),
+    ])
+    def test_grid_levels_below_j_min_named(self, command, doc, pointer, tmp_path, capsys):
+        # --grid-levels replaces j_max after the document is built; the error
+        # names the flag and the grid it conflicts with
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [command, "check"] if command == "carleson" else [command]
+        assert run_cli(argv + ["--config", str(cfg), "--grid-levels", "4"]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {pointer}: --grid-levels 4: " in err
+        assert "need 1 <= j_min <= j_max, got (6, 4)" in err
+
+    def test_grid_levels_below_suite_j_min_named(self, capsys):
+        assert run_cli(["suite", "--grid-levels", "2"]) == 1
+        assert "config error: --grid-levels 2: need 1 <= j_min <= j_max, got (4, 2)" \
+            in capsys.readouterr().err
+
     def test_measure_validated_once(self, monkeypatch, tmp_path):
         # The whole document is validated at the root; building the measure
         # and the map from it validates neither subtree again.
