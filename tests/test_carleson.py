@@ -48,9 +48,6 @@ from conftest import sample_disk
 
 # reduced sizes for unit tests: the kernel grid is capped to what the reduced
 # angular resolution integrates to full accuracy
-# |u|^p at the default 256 x 512 rule nodes, in MB
-DEFAULT_RULE_MB = 256 * 512 * 8 / 2**20
-
 CHEAP = CertifyConfig(
     quad=QuadConfig(96, 192),
     psi_grid=PsiGridSpec(4, 9, 8),
@@ -341,14 +338,18 @@ class TestCaches:
             assert cached.cache_info().maxsize is not None
 
     def test_polyweighted_weights_once_per_key_and_bounded(self, monkeypatch, small_quad):
-        # |u|^p on the rule is 1 MB at the default sizes: the cache holds a few
+        # |u|^p on the default 256 x 512 rule is 1 MB: the cache holds a few
         cache = measures._weight_on_rule
-        assert cache.cache_info().maxsize * DEFAULT_RULE_MB <= 4
+        assert cache.cache_info().maxsize * 256 * 512 * 8 <= 4 * 2**20
         cache.cache_clear()
         u = Polynomial.from_coeffs([1.0, 0.25 - 0.5j])
         evaluations = []
-        monkeypatch.setattr(Polynomial, "__call__", lambda self, z: evaluations.append(1)
-                            or np.polyval(self.coeffs[::-1], z))
+        original = Polynomial.__call__
+
+        def counting(self, z):
+            evaluations.append(np.size(z))
+            return original(self, z)
+        monkeypatch.setattr(Polynomial, "__call__", counting)
         mu = PolyWeighted(u, 3.0, 0.5)
         first = mu.integrate(lambda z: np.abs(z) ** 2, small_quad)
         for _ in range(3):
