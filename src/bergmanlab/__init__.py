@@ -28,7 +28,6 @@ from .condexp import (
     cond_expect,
     cond_expect_poly,
     cond_expect_values,
-    evaluation_bound_probe,
     level_set,
 )
 from .errors import (
@@ -74,7 +73,6 @@ from .measures import (
     WeightedArea,
     bergman_norm,
     build_quadrature,
-    holder_embedding_probe,
     integrate,
     measure_from_config,
     measure_of_disk,
@@ -82,9 +80,7 @@ from .measures import (
 from .operators import (
     WeightedCondExpOperator,
     apply,
-    bergman_projection,
     boundedness_criterion,
     multiplication_criterion,
     opnorm_estimate,
-    projection_commutator_probe,
 )

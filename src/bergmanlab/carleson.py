@@ -267,11 +267,8 @@ def disk_constant(mu: Measure, alpha, r, lat: HyperbolicLattice,
     masses = measure_of_disk(mu, centers, r, quad).mean(axis=0)
     ratios = masses / disk_bound(lat.points, r, alpha)
     best_k = int(np.argmax(ratios))
-    ring_maxima = []
-    for m in np.unique(lat.ring_index):
-        sel = lat.ring_index == m
-        rho = float(np.abs(lat.points[sel]).max()) if m else 0.0
-        ring_maxima.append((1.0 - rho, float(ratios[sel].max())))
+    ring_maxima = [(1.0 - float(rho), float(ratios[lat.ring_index == m].max()))
+                   for m, rho in zip(np.unique(lat.ring_index), lat.ring_radii)]
     ring_slope, verdict = _ring_growth(ring_maxima)
     return DiskConstantResult(c2=float(ratios[best_k]), argmax_index=best_k,
                               ring_maxima=ring_maxima, ring_slope=ring_slope,

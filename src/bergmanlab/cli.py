@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .carleson import CertifyConfig, FamilySpec, PsiGridSpec, certify, psi_heatmap, psi_sup
-from .condexp import Identity, Monomial, build_selfmap, cond_expect_poly, cond_expect_values
+from .condexp import Identity, Monomial, build_selfmap, cond_expect_poly, cond_expect_values, \
+    is_critical
 from .config import validate
 from .errors import BergmanLabError, ConfigurationError
 from .geometry import SpaceParams, as_disk_point, bergman_disk, bergman_distance, \
@@ -208,6 +209,12 @@ def _cmd_condexp(args):
     if "points" in doc:
         pts = np.array([complex(re, im) for re, im in doc["points"]])
         as_disk_point(pts)
+        critical = np.flatnonzero(is_critical(phi, pts))
+        if critical.size:
+            i = critical[0]
+            raise ConfigurationError(
+                f"z = {pts[i]} is a critical point of the self-map; the expectation "
+                "is defined off the critical set only", f"/points/{i}")
         vals = cond_expect_values(phi, f, pts)
         payload["values"] = [[v.real, v.imag] for v in vals]
     if not payload:

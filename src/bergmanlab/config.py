@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import numbers
+import math
 import operator
-import sys
 from functools import lru_cache
 from importlib import resources
 
@@ -106,6 +106,12 @@ def _scalar(value, kind, pointer):
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if kind == "integer" and isinstance(value, numbers.Integral):
             return int(value)
-        if abs(value) <= sys.float_info.max and (kind == "number" or float(value).is_integer()):
-            return float(value) if kind == "number" else int(value)
+        # Tested as a float: a float32 or float16 compared with sys.float_info.max
+        # casts the bound to its own type, where it overflows to inf.
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number) and (kind == "number" or number.is_integer()):
+            return number if kind == "number" else int(value)
     _fail("must be a finite number" if kind == "number" else "must be an integer", pointer)

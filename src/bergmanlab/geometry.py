@@ -29,11 +29,6 @@ import numpy as np
 # powers of (1 - |z|^2) cannot overflow downstream.
 BOUNDARY_MARGIN = 1e-14
 
-# Closed-form identities are asserted to this tolerance; quadrature-backed
-# identities use QUADRATURE_TOL.
-GEOMETRY_TOL = 1e-12
-QUADRATURE_TOL = 1e-6
-
 # tanh is essentially 1 beyond this, so metric-disk formulas for larger radii
 # sit outside the numerically validated range.
 VALIDATED_MAX_RADIUS = 1.0

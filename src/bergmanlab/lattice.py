@@ -26,6 +26,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import ConfigurationError
+from .geometry import pseudo_distance
 
 DEFAULT_OVERLAP_SAMPLES = 20000
 
@@ -94,9 +95,7 @@ class HyperbolicLattice:
                          for m in rings])
 
     def pairwise_pseudo(self):
-        a = self.points[:, None]
-        z = self.points[None, :]
-        return np.abs((a - z) / (1.0 - np.conj(a) * z))
+        return pseudo_distance(self.points[:, None], self.points[None, :])
 
     def min_separation(self):
         """Minimum pairwise hyperbolic distance."""
@@ -164,8 +163,7 @@ def _min_distances(points, zs, chunk=4096):
     """Min hyperbolic distance from each sample to the point set, plus counts helper."""
     out = np.empty(len(zs))
     for lo in range(0, len(zs), chunk):
-        z = zs[lo:lo + chunk, None]
-        p = np.abs((z - points[None, :]) / (1.0 - z * np.conj(points[None, :])))
+        p = pseudo_distance(points[None, :], zs[lo:lo + chunk, None])
         out[lo:lo + chunk] = np.arctanh(np.minimum(p.min(axis=1), 1.0 - 1e-15))
     return out
 
@@ -185,8 +183,7 @@ def overlap_count(lat: HyperbolicLattice, z, factor=2.0) -> int:
     """Number of lattice disks D(a_k, factor*r) containing z."""
     if factor not in (1, 2, 1.0, 2.0):
         raise ConfigurationError(f"overlap factor must be 1 or 2, got {factor}")
-    z = complex(z)
-    p = np.abs((z - lat.points) / (1.0 - z * np.conj(lat.points)))
+    p = pseudo_distance(lat.points, complex(z))
     return int(np.sum(p < np.tanh(factor * lat.r)))
 
 
@@ -206,7 +203,6 @@ def overlap_bound(lat: HyperbolicLattice, samples=DEFAULT_OVERLAP_SAMPLES,
     thr = np.tanh(factor * lat.r)
     best = 0
     for lo in range(0, len(zs), chunk):
-        z = zs[lo:lo + chunk, None]
-        p = np.abs((z - lat.points[None, :]) / (1.0 - z * np.conj(lat.points[None, :])))
+        p = pseudo_distance(lat.points[None, :], zs[lo:lo + chunk, None])
         best = max(best, int((p < thr).sum(axis=1).max()))
     return best

@@ -41,7 +41,6 @@ the atoms for atoms.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,8 +52,6 @@ from .config import validate
 from .errors import ConfigurationError, EvaluationError
 from .geometry import SpaceParams, as_disk_point, disk_realization, kernel_power_modulus, \
     modulus, one_minus_modulus_sq, pseudo_distance
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_N_RADIAL = 256
 DEFAULT_N_ANGULAR = 512
@@ -700,24 +697,6 @@ class GridDensity(Atomic):
     def scaled(self, c):
         return GridDensity.from_values(self.rule, c * self.values)
 
-    def resample(self, new_rule):
-        """Move the samples to another rule's nodes by nearest polar neighbor.
-
-        Explicit and logged: values are known only at the original nodes, so
-        resampling is a lossy operation the caller must opt into.
-        """
-        logger.info(
-            "resampling grid density from %dx%d to %dx%d nodes (nearest neighbor)",
-            self.rule.n_radial, self.rule.n_angular,
-            new_rule.n_radial, new_rule.n_angular,
-        )
-        old_t = self.rule.radial_sq
-        new_t = new_rule.radial_sq
-        ri = np.abs(new_t[:, None] - old_t[None, :]).argmin(axis=1)
-        n_old, n_new = self.rule.n_angular, new_rule.n_angular
-        ai = np.rint(np.arange(n_new) * n_old / n_new).astype(int) % n_old
-        return GridDensity.from_values(new_rule, self.values[np.ix_(ri, ai)])
-
     def spec(self):
         return {
             "type": "grid",
@@ -753,22 +732,6 @@ def bergman_norm(f, params: SpaceParams, quad: QuadConfig = DEFAULT_QUAD):
     vals = np.abs(f(rule.nodes)) ** params.p
     _check_finite(vals, rule.nodes)
     return float(np.sum(rule.weights * vals) ** (1.0 / params.p))
-
-
-def holder_embedding_probe(f, mu: Measure, p, q, alpha, quad: QuadConfig = DEFAULT_QUAD):
-    """Diagnostic for the Holder-type embedding inequality
-
-        int |f|^q dmu <= ||f||_{p,alpha}^q * mu(D)^((p-q)/p),   0 < p <= q.
-
-    The exponent bookkeeping of the underlying estimate is not airtight, so
-    this records the two sides and a pass flag rather than asserting.
-    """
-    lhs = float(mu.integrate(lambda z: np.abs(f(z)) ** q, quad))
-    norm = bergman_norm(f, SpaceParams(p=p, alpha=alpha), quad)
-    mass = mu.total_mass(quad)
-    rhs = norm**q * mass ** ((p - q) / p) if mass > 0 else np.inf
-    return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else np.inf,
-            "satisfied": bool(lhs <= rhs * (1 + 1e-9))}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Weighted conditional-expectation operators and the Bergman projection.
+"""Weighted conditional-expectation operators.
 
 The operator T = M_u E multiplies the conditional expectation of f by an
 analytic symbol u: T(f)(z) = u(z) E(f)(z). Its boundedness from the (p, alpha)
@@ -18,19 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .carleson import FamilySpec, PsiGridSpec, SupResult, psi_sup, test_constant
-from .condexp import AnalyticSelfMap, BlaschkeProduct, cond_expect, cond_expect_values
+from .condexp import AnalyticSelfMap, BlaschkeProduct, cond_expect
 from .errors import ConfigurationError
-from .geometry import SpaceParams, weighted_kernel
-from .measures import (
-    DEFAULT_QUAD,
-    Polynomial,
-    PolyWeighted,
-    QuadConfig,
-    build_quadrature,
-)
+from .geometry import SpaceParams
+from .measures import DEFAULT_QUAD, Polynomial, PolyWeighted, QuadConfig
 
 
 @dataclass(frozen=True)
@@ -124,46 +116,3 @@ def multiplication_criterion(u: Polynomial, p, q, alpha, beta,
         return SupResult(sup=0.0, argmax=0j, level_maxima=[], slope=0.0, verdict="bounded")
     t = (2.0 + alpha) * q / p
     return psi_sup(PolyWeighted(u, q, beta), alpha, t, grid, quad)
-
-
-def bergman_projection(f, alpha, w, quad: QuadConfig = DEFAULT_QUAD):
-    """Weighted projection P_alpha(f)(w) = int f(z) (1 - w conj(z))^-(2+alpha) dA_alpha(z).
-
-    Fixes analytic polynomials. ``f`` is any callable finite at the
-    quadrature nodes; ``w`` may be a scalar or an array of interior points.
-    """
-    rule = build_quadrature(alpha, quad.n_radial, quad.n_angular)
-    fw = rule.weights * np.asarray(f(rule.nodes), dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    scalar = w.ndim == 0
-    wflat = np.atleast_1d(w).ravel()
-    out = np.empty(wflat.shape, dtype=complex)
-    for i, wi in enumerate(wflat):
-        out[i] = np.sum(fw * weighted_kernel(wi, rule.nodes, alpha))
-    out = out.reshape(np.atleast_1d(w).shape)
-    return complex(out[0]) if scalar else out
-
-
-def projection_commutator_probe(phi: AnalyticSelfMap, f, alpha, points,
-                                quad: QuadConfig = DEFAULT_QUAD):
-    """Compare E(P_alpha f) with P_alpha(E f) at sample points.
-
-    The commutation of the expectation with the projection is a structural
-    hypothesis, not a consequence of anything computed here, so the deviation
-    is reported and never assumed.
-    """
-    points = np.asarray(points, dtype=complex)
-    proj_f = bergman_projection(f, alpha, points, quad)
-    e_then_p = bergman_projection(lambda z: cond_expect_values(phi, f, z), alpha, points, quad)
-
-    def pf_callable(z):
-        return bergman_projection(f, alpha, z, quad)
-
-    p_then_e = cond_expect_values(phi, pf_callable, points)
-    dev = float(np.max(np.abs(e_then_p - p_then_e)))
-    return {
-        "max_deviation": dev,
-        "projection_values": proj_f,
-        "e_after_p": p_then_e,
-        "p_after_e": e_then_p,
-    }

@@ -69,6 +69,19 @@ class TestCondexp:
         assert rep["polynomial"] == [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
         assert abs(rep["values"][0][0] - 1.25) < 1e-12
 
+    @pytest.mark.parametrize("phi, points", [
+        ({"type": "monomial", "n": 2}, [[0.5, 0.0], [0.0, 0.0]]),
+        ({"type": "blaschke", "zeros": [[0.3, 0.0], [-0.3, 0.0]]}, [[0.2, 0.1], [0.0, 0.0]]),
+    ], ids=["monomial", "blaschke"])
+    def test_critical_point_rejected(self, phi, points, tmp_path, capsys):
+        # 0 is a critical point of both maps; the expectation is undefined there
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map": phi, "f": [[1, 0], [1, 0], [1, 0]],
+                                   "points": points}))
+        assert run_cli(["condexp", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "/points/1" in capsys.readouterr().err
+        assert not (tmp_path / "condexp_report.json").exists()
+
     def test_unknown_map(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"map": {"type": "rational"}, "f": [[1, 0]]}))

@@ -10,11 +10,10 @@ from bergmanlab.condexp import (
     cond_expect,
     cond_expect_poly,
     cond_expect_values,
-    evaluation_bound_probe,
     level_set,
 )
 from bergmanlab.errors import CriticalPointError
-from bergmanlab.geometry import SpaceParams, bergman_distance
+from bergmanlab.geometry import SpaceParams
 from bergmanlab.geometry import test_function as kernel_power
 from bergmanlab.measures import Polynomial, bergman_norm, build_quadrature
 
@@ -201,53 +200,3 @@ class TestBatchEvaluation:
         f = Polynomial.from_coeffs([1, 1])
         zs = sample_disk(rng, 10)
         assert np.abs(cond_expect_values(Identity(), f, zs) - f(zs)).max() < 1e-15
-
-
-class TestEvaluationBoundProbe:
-    def test_trivial_value(self, small_quad):
-        f = Polynomial.from_coeffs([1.0])
-        got = evaluation_bound_probe(Identity(), f, 0.0, SpaceParams(2.0, 0.0), small_quad)
-        assert abs(got - 1.0) < 1e-12
-
-    def test_square_map_bounded_and_stable(self, small_quad):
-        params = SpaceParams(p=2.0, alpha=0.0)
-        phi = Monomial(2)
-
-        def sweep(seed, count):
-            gen = np.random.default_rng(seed)
-            best = 0.0
-            for _ in range(count):
-                f = Polynomial.from_coeffs(gen.standard_normal(4) + 1j * gen.standard_normal(4))
-                z = complex(sample_disk(gen, 1, rmax=0.9)[0])
-                if abs(z) < 0.05:
-                    continue
-                best = max(best, evaluation_bound_probe(phi, f, z, params, small_quad))
-            return best
-
-        c_small = sweep(5, 60)
-        c_large = sweep(5, 120)
-        assert np.isfinite(c_large)
-        # enlarging the sweep can only move the empirical sup up, and not by much
-        assert c_small <= c_large < 2.0 * c_small + 1e-9
-
-    def test_kernel_member_bounded(self, small_quad):
-        params = SpaceParams(p=2.0, alpha=0.0)
-        phi = Monomial(2)
-        vals = []
-        for aa in (0.2, 0.5, 0.8):
-            f = lambda z, _a=aa: kernel_power(_a, z, params)
-            vals.append(evaluation_bound_probe(phi, f, 0.45, params, small_quad))
-        assert max(vals) < 10.0
-
-    def test_level_sets_within_disk_condition(self, rng):
-        # the probe's premise: monomial level sets stay inside D(z, r) only for
-        # moderate n at interior z; record the geometry it relies on
-        z = 0.5
-        ls = level_set(Monomial(2), z)
-        assert ls.max_distance_to_base() == pytest.approx(
-            float(bergman_distance(0.5, -0.5)), abs=1e-12)
-
-    def test_zero_norm_rejected(self, small_quad):
-        with pytest.raises(ValueError):
-            evaluation_bound_probe(Identity(), Polynomial.from_coeffs([0.0]), 0.1,
-                                   SpaceParams(2.0, 0.0), small_quad)

@@ -78,6 +78,18 @@ def test_numbers_normalised_to_float():
     assert type(got["gamma"]) is float and type(got["scale"]) is float
 
 
+@pytest.mark.parametrize("narrow", [np.float32, np.float16])
+def test_narrow_float_types(narrow):
+    got = config.validate({"type": "radial", "gamma": narrow(1.5), "scale": narrow(2.0)},
+                          "definitions/measure")
+    assert got == {"type": "radial", "gamma": 1.5, "scale": 2.0}
+    for value in (narrow("inf"), narrow("-inf"), narrow("nan")):
+        with pytest.raises(ConfigurationError) as err:
+            config.validate({"type": "radial", "gamma": 1, "scale": value},
+                            "definitions/measure", "/measure")
+        assert err.value.pointer == "/measure/scale"
+
+
 @pytest.mark.parametrize("doc, pointer", [
     ({"n_radial": True}, "/quad/n_radial"),
     ({"n_radial": 8.5}, "/quad/n_radial"),

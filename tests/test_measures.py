@@ -1,7 +1,5 @@
 """Quadrature rules, measure variants, norms, and the wire format."""
 
-import logging
-
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -20,7 +18,6 @@ from bergmanlab.measures import (
     WeightedArea,
     bergman_norm,
     build_quadrature,
-    holder_embedding_probe,
     integrate,
     measure_from_config,
     measure_of_disk,
@@ -129,7 +126,11 @@ class TestIntegrate:
     def test_non_finite_integrand_names_node(self, small_quad):
         rule = build_quadrature(0.0, small_quad.n_radial, small_quad.n_angular)
         z0 = rule.nodes[3, 7]
-        bad = lambda z: 1.0 / np.abs(z - z0)
+
+        def bad(z):
+            with np.errstate(divide="ignore"):
+                return 1.0 / np.abs(z - z0)
+
         with pytest.raises(EvaluationError) as err:
             WeightedArea(0.0).integrate(bad, small_quad)
         assert "node" in str(err.value)
@@ -140,15 +141,6 @@ class TestIntegrate:
         assert abs(gd.total_mass() - 1.0) < 1e-12
         gd2 = GridDensity.from_function(rule, lambda z: np.abs(z) ** 2)
         assert abs(gd2.total_mass() - 0.5) < 1e-12
-
-    def test_grid_density_resample_logged(self, caplog):
-        rule = build_quadrature(0.0, 16, 32)
-        fine = build_quadrature(0.0, 32, 64)
-        gd = GridDensity.from_function(rule, lambda z: 1.0 + 0.0 * z.real)
-        with caplog.at_level(logging.INFO, logger="bergmanlab.measures"):
-            re = gd.resample(fine)
-        assert "resampling" in caplog.text
-        assert abs(re.total_mass() - 1.0) < 1e-12
 
     def test_grid_density_is_atomic_on_rule_nodes(self):
         from bergmanlab.carleson import psi_transform
@@ -328,21 +320,6 @@ class TestBatchedDiskMeasure:
         for a in (0.3 - 0.2j, 0.5, np.complex128(0.1j), np.array(0.2)):
             assert type(measure_of_disk(mu, a, 1.0, small_quad)) is float
             assert type(mu.disk_measure(a, 1.0, small_quad)) is float
-
-
-class TestHolderProbe:
-    def test_equal_exponents_bound_holds(self, small_quad):
-        f = Polynomial.from_coeffs([1.0, 0.5])
-        out = holder_embedding_probe(f, WeightedArea(0.0), 2.0, 2.0, 0.0, small_quad)
-        assert out["satisfied"]
-        assert abs(out["lhs"] - out["rhs"]) < 1e-10  # mu(D) = 1 makes it an identity
-
-    def test_recorded_not_asserted(self, small_quad, rng):
-        # the inequality's exponent bookkeeping is shaky for p < q; record only
-        f = Polynomial.from_coeffs(rng.standard_normal(4))
-        out = holder_embedding_probe(f, RadialDensity(0.5), 1.0, 3.0, 0.0, small_quad)
-        assert set(out) == {"lhs", "rhs", "ratio", "satisfied"}
-        assert np.isfinite(out["ratio"])
 
 
 class TestSubMeanValue:

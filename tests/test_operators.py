@@ -1,21 +1,19 @@
-"""Weighted expectation operators, norm bounds, criteria, and the projection."""
+"""Weighted expectation operators, norm bounds and criteria."""
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from bergmanlab.carleson import FamilySpec, PsiGridSpec
-from bergmanlab.condexp import BlaschkeProduct, Identity, Monomial
+from bergmanlab.condexp import BlaschkeProduct, Identity, Monomial, cond_expect_values
 from bergmanlab.errors import ConfigurationError
 from bergmanlab.measures import Polynomial, QuadConfig
 from bergmanlab.operators import (
     WeightedCondExpOperator,
     apply,
-    bergman_projection,
     boundedness_criterion,
     multiplication_criterion,
     opnorm_estimate,
-    projection_commutator_probe,
 )
 
 from conftest import sample_disk
@@ -55,6 +53,18 @@ class TestApply:
                                      zip(f.coeffs, g.coeffs)])
         z = 0.3 + 0.2j
         assert abs(apply(op, fg, z) - (apply(op, f, z) + 2 * apply(op, g, z))) < 1e-13
+
+    @pytest.mark.parametrize("phi", [Identity(), Monomial(3),
+                                     BlaschkeProduct((0.3 + 0.2j, -0.5j, 0.6))],
+                             ids=["identity", "z^3", "blaschke3"])
+    def test_matches_vectorised_expectation(self, phi, rng):
+        # the scalar level set and the array sweep are two reads of one helper
+        op = _op(rng.standard_normal(3) + 1j * rng.standard_normal(3), phi)
+        f = Polynomial.from_coeffs(rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        zs = sample_disk(rng, 40, rmax=0.9)
+        want = op.u(zs) * cond_expect_values(phi, f, zs)
+        got = np.array([apply(op, f, complex(z)) for z in zs])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestOpNorm:
@@ -138,73 +148,6 @@ class TestMultiplicationCriterion:
         with pytest.raises(ConfigurationError):
             multiplication_criterion(Polynomial.from_coeffs([1.0]), 4.0, 2.0,
                                      0.0, 0.0, PsiGridSpec(4, 6, 4), SMALL)
-
-
-class TestBergmanProjection:
-    def test_constant(self):
-        assert abs(bergman_projection(lambda z: np.ones_like(z), 0.5, 0.3j, SMALL) - 1.0) < 1e-10
-
-    def test_reproduces_polynomials(self, rng):
-        f = Polynomial.from_coeffs([0, 0, 1.0])
-        got = bergman_projection(f, 0.0, 0.5, SMALL)
-        assert abs(got - 0.25) < 1e-10
-        for alpha in (-0.5, 0.0, 1.0):
-            for m in (0, 1, 3, 6):
-                poly = Polynomial.from_coeffs([0] * m + [1.0])
-                w = complex(sample_disk(rng, 1, rmax=0.8)[0])
-                assert abs(bergman_projection(poly, alpha, w, SMALL) - w**m) < 1e-8
-
-    def test_annihilates_antianalytic(self, rng):
-        for w in sample_disk(rng, 5, rmax=0.8):
-            got = bergman_projection(lambda z: np.conj(z), 0.0, complex(w), SMALL)
-            assert abs(got) < 1e-10
-
-    def test_idempotent_via_analytic_part(self, rng):
-        # Evaluating P at points near the unit circle needs unbounded angular
-        # resolution, so the composition is checked through the closed form:
-        # P(z^m conj(z)^k) = c_{m-k} mu_m w^(m-k) with the kernel coefficient
-        # c_j = Gamma(j+2+alpha)/(j! Gamma(2+alpha)) and radial moment mu_m,
-        # and a second application must fix that analytic part.
-        alpha = 0.5
-        for m, k in [(2, 1), (3, 0), (2, 2), (1, 3)]:
-            def g(z, m=m, k=k):
-                return z**m * np.conj(z) ** k
-
-            if m >= k:
-                c = np.exp(gammaln(m - k + 2 + alpha) - gammaln(m - k + 1)
-                           - gammaln(2 + alpha))
-                mu_m = np.exp(gammaln(m + 1) + gammaln(alpha + 2) - gammaln(m + alpha + 2))
-                h = Polynomial.from_coeffs([0.0] * (m - k) + [c * mu_m])
-            else:
-                h = Polynomial.from_coeffs([0.0])
-            for w in sample_disk(rng, 4, rmax=0.8):
-                w = complex(w)
-                once = bergman_projection(g, alpha, w, SMALL)
-                assert abs(once - h(w)) < 1e-8
-                again = bergman_projection(h, alpha, w, SMALL)
-                assert abs(again - once) < 1e-8
-
-    def test_array_points(self, rng):
-        f = Polynomial.from_coeffs([0, 1.0])
-        ws = sample_disk(rng, 7, rmax=0.7)
-        got = bergman_projection(f, 0.0, ws, SMALL)
-        assert np.abs(got - ws).max() < 1e-9
-
-
-class TestCommutatorProbe:
-    def test_rotation_symmetric_map_commutes(self):
-        # rotational averaging commutes with the projection; the probe should
-        # measure zero here (it stays a probe: reported, not assumed elsewhere)
-        phi = Monomial(2)
-        f = lambda z: z + np.conj(z)
-        points = np.array([0.3, -0.2 + 0.4j, 0.5j])
-        out = projection_commutator_probe(phi, f, 0.0, points, QuadConfig(32, 64))
-        assert out["max_deviation"] < 1e-8
-
-    def test_probe_reports_fields(self):
-        out = projection_commutator_probe(Monomial(3), lambda z: np.abs(z) ** 2, 0.0,
-                                          np.array([0.25, 0.4j]), QuadConfig(16, 32))
-        assert {"max_deviation", "projection_values", "e_after_p", "p_after_e"} <= set(out)
 
 
 class TestNormCriterionComparability:
