@@ -61,9 +61,11 @@ When the map commutes with rotations (identity, z^n) and the ring's n_dirs
 divides N, each ring of n_dirs kernel members is one evaluation of |E f_rho|^p
 on the measure's nodes, rolled along the angular axis onto every direction
 (``measures.ring_shifts``). Blaschke maps, atoms and rules whose angle count
-n_dirs does not divide evaluate each member directly. Polynomial members take
-E(f) in closed form under z^n, and their norms depend only on the family, p,
-alpha and the rule, so they are computed once per such key.
+n_dirs does not divide evaluate each member directly; under a Blaschke map
+they average over level sets solved once per node array of the sweep.
+Polynomial members take E(f) in closed form under z^n, and their norms depend
+only on the family, p, alpha and the rule, so they are computed once per such
+key.
 """
 
 from __future__ import annotations
@@ -312,10 +314,11 @@ class FamilySpec:
     sweep evaluates a ring once and rolls the angular axis of the rule onto its
     other directions. That is exact when the map commutes with rotations
     (identity, z^n) and n_dirs divides the rule's angle count; Blaschke maps,
-    atoms and other rule sizes evaluate each member directly.
+    atoms and other rule sizes evaluate each member directly. Under a Blaschke
+    map, members average over level sets solved once per sweep.
 
     Fields are checked against the config schema's bounds: radii in
-    [0, 0.97], n_dirs >= 1, random_count and random_degree >= 0,
+    [0, 0.97], n_dirs >= 1, random_count, random_degree and seed >= 0,
     monomial_degree >= -1. The default grid stops at |a| = 0.9375, inside the
     |a| <= 0.95 where quadrature of the peaked integrands is spectrally
     accurate at the default angular size. The random polynomial seed is fixed
@@ -336,7 +339,7 @@ class FamilySpec:
                 f"kernel radii must lie in [0, {MAX_KERNEL_RADIUS}], got {self.kernel_radii}"
             )
         for name, low in (("n_dirs", 1), ("random_count", 0), ("random_degree", 0),
-                          ("monomial_degree", -1)):
+                          ("seed", 0), ("monomial_degree", -1)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
@@ -416,12 +419,33 @@ def _poly_norms(family: FamilySpec, p, alpha, quad: QuadConfig):
     return tuple(measures.bergman_norm(poly, params, quad) for _, poly in _family_polys(family))
 
 
-def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers):
+def _sweep_expectation(phi: AnalyticSelfMap):
+    """(f, z) -> E(f)(z) for the members of one sweep.
+
+    Under a map other than the identity and z^n, the level sets of each node
+    array z are solved once, and every member averages over that solve. The
+    memo holds z itself, so no other array can take its id while the sweep
+    runs, and it goes when the sweep does.
+    """
+    if isinstance(phi, (Identity, Monomial)):
+        return lambda f, z: condexp.cond_expect_values(phi, f, z)
+    solved = {}
+
+    def expect(f, z):
+        if id(z) not in solved:
+            solved[id(z)] = (z, condexp._level_sets(phi, z))
+        points, weights = solved[id(z)][1]
+        return condexp._level_average(np.asarray(f(points), dtype=complex), weights)
+    return expect
+
+
+def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers, expect):
     """z -> stack of |E(f_a)(z)|^p over the ring's centres a, one row per centre.
 
-    Under the identity |f_a|^p is the real kernel power of exponent 2 + alpha.
-    When phi commutes with rotations and z is a rule grid that the ring's
-    directions divide, the first centre is evaluated and rolled onto the rest.
+    Under the identity |f_a|^p is the real kernel power of exponent 2 + alpha;
+    otherwise E is the sweep's ``expect``. When phi commutes with rotations and
+    z is a rule grid that the ring's directions divide, the first centre is
+    evaluated and rolled onto the rest.
     """
     if isinstance(phi, Identity):
         t = 2.0 + params.alpha
@@ -430,8 +454,7 @@ def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers):
             return geometry.kernel_power_modulus(a, z, t)
     else:
         def power(a, z):
-            ef = condexp.cond_expect_values(
-                phi, lambda w: geometry.test_function(a, w, params), z)
+            ef = expect(lambda w: geometry.test_function(a, w, params), z)
             return np.abs(ef) ** params.p
     rotates = isinstance(phi, (Identity, Monomial))
 
@@ -443,13 +466,13 @@ def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers):
     return integrand
 
 
-def _poly_expectation(phi: AnalyticSelfMap, poly: Polynomial):
+def _poly_expectation(phi: AnalyticSelfMap, poly: Polynomial, expect):
     """E(poly) as a callable: a polynomial again under the identity and z^n."""
     if isinstance(phi, Identity):
         return poly
     if isinstance(phi, Monomial):
         return cond_expect_poly(phi.n, poly)
-    return lambda z: condexp.cond_expect_values(phi, poly, z)
+    return lambda z: expect(poly, z)
 
 
 def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Identity(),
@@ -459,16 +482,19 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
 
     A kernel ring is one integral of a stacked integrand (``_ring_integrand``),
     and kernel members have norm 1. Polynomial members take E(f) in closed
-    form under z^n, and their norms once per (family, p, alpha, quad).
+    form under z^n, and their norms once per (family, p, alpha, quad). Under
+    a Blaschke map every member averages over level sets solved once per node
+    array of the sweep (``_sweep_expectation``).
     """
     members = build_family(family, params, mode)
     p = params.p
+    expect = _sweep_expectation(phi)
     nums = []
     for centers in _kernel_rings(family, mode):
-        nums.extend(mu.integrate(_ring_integrand(phi, params, centers), quad))
+        nums.extend(mu.integrate(_ring_integrand(phi, params, centers, expect), quad))
     norms = [1.0] * len(nums) + list(_poly_norms(family, p, params.alpha, quad))
     for member in members[len(nums):]:
-        ef = _poly_expectation(phi, member.poly)
+        ef = _poly_expectation(phi, member.poly, expect)
         nums.append(mu.integrate(lambda z, _ef=ef: np.abs(_ef(z)) ** p, quad))
     best = -np.inf
     worst = members[0].label

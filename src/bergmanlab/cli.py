@@ -123,7 +123,8 @@ def _with_flags(config, args, grid=None):
     """``config`` with the --grid-levels, --seed and --mode flags the subcommand was given.
 
     A --grid-levels value that the document's grid rejects fails naming the
-    flag, and the grid's field ``grid`` when the command reads a document.
+    flag, and the grid's field ``grid`` when the command reads a document; a
+    rejected --seed fails naming the flag.
     """
     flags = vars(args)
     if "grid_levels" in flags:
@@ -134,7 +135,11 @@ def _with_flags(config, args, grid=None):
             raise ConfigurationError(f"--grid-levels {levels}: {exc}",
                                      None if grid is None else f"/{grid}") from exc
     if "seed" in flags:
-        config = replace(config, family=replace(config.family, seed=flags["seed"]))
+        seed = flags["seed"]
+        try:
+            config = replace(config, family=replace(config.family, seed=seed))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"--seed {seed}: {exc}") from exc
     if "mode" in flags:
         config = replace(config, mode=flags["mode"])
     return config

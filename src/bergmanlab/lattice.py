@@ -15,12 +15,14 @@ which every exported point satisfies.
 Verification is sampled: cover and overlap statistics are measured on a
 deterministic low-discrepancy (Halton) stream of disk points, filtered to
 the requested truncation so that sample sets for coarser truncations are
-subsets of finer ones.
+subsets of finer ones. The overlap bound N of a lattice is measured on first
+read, not at build: certification reads the points and rings only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import qmc
@@ -61,6 +63,8 @@ def halton_disk_samples(count, epsilon=0.0, batch=None):
     filtered, so the sample set for a larger epsilon is a subset of the one
     for a smaller epsilon.
     """
+    if count < 1:
+        raise ConfigurationError(f"need at least one sample, got {count}")
     sampler = qmc.Halton(d=2, scramble=False)
     kept = []
     total = 0
@@ -81,7 +85,11 @@ class HyperbolicLattice:
     epsilon: float
     points: np.ndarray          # complex, origin first, then rings outward
     ring_index: np.ndarray      # int ring number per point (0 = origin)
-    N: int                      # measured overlap bound for the doubled disks
+
+    @cached_property
+    def N(self):
+        """Measured overlap bound for the doubled disks, sampled on first read."""
+        return overlap_bound(self, DEFAULT_OVERLAP_SAMPLES)
 
     @property
     def size(self):
@@ -141,11 +149,8 @@ def build_lattice(r, epsilon) -> HyperbolicLattice:
     ring_index = np.array(ring, dtype=int)
     points.setflags(write=False)
     ring_index.setflags(write=False)
-    lat = HyperbolicLattice(r=float(r), epsilon=float(epsilon), points=points,
-                            ring_index=ring_index, N=0)
-    n_meas = overlap_bound(lat, DEFAULT_OVERLAP_SAMPLES)
-    object.__setattr__(lat, "N", n_meas)
-    return lat
+    return HyperbolicLattice(r=float(r), epsilon=float(epsilon), points=points,
+                             ring_index=ring_index)
 
 
 @dataclass
@@ -170,8 +175,6 @@ def _min_distances(points, zs, chunk=4096):
 
 def verify_cover(lat: HyperbolicLattice, samples) -> CoverReport:
     """Check that every sampled z with 1 - |z| >= epsilon lies in some D(a_k, r)."""
-    if samples < 1:
-        raise ConfigurationError(f"need at least one sample, got {samples}")
     zs = halton_disk_samples(samples, lat.epsilon)
     dmin = _min_distances(lat.points, zs)
     uncovered = zs[dmin >= lat.r]

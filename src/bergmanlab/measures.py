@@ -102,36 +102,45 @@ class QuadratureRule:
 
     def integrate(self, g):
         """Integrate a callable (or constant) against dA_alpha."""
-        vals = g(self.nodes) if callable(g) else g * np.ones_like(self.weights)
-        return _weighted_sum(self.weights, vals, self.nodes)
+        return _weighted_sum(self.weights, g(self.nodes) if callable(g) else g, self.nodes)
 
 
-def _weighted_sum(weights, vals, nodes):
-    """Sum of weights * vals over the node axes.
+def _weighted_sum(weights, vals, nodes, density=None):
+    """Sum of weights * vals over the node axes, with vals times ``density`` if given.
 
     ``vals`` holds the integrand at ``nodes``, or a stack of integrands with a
-    leading member axis; the result is a scalar or one value per member.
+    leading member axis; the result is a scalar or one value per member. A
+    stack is weighted and summed one member row at a time, so no temporary
+    is the size of the stack, and each row's sum is the one it has alone.
     """
     vals = np.asarray(vals)
-    _check_finite(vals, nodes)
-    if vals.ndim == np.ndim(weights):
-        return _as_scalar(np.sum(weights * vals))
+    vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, np.shape(weights)))
     members = vals.shape[: vals.ndim - np.ndim(weights)]
-    totals = np.sum((weights * vals).reshape(members + (-1,)), axis=-1)
+    totals = []
+    for k, row in enumerate(vals.reshape((-1,) + np.shape(weights))):
+        if density is not None:
+            row = density * row
+        _check_finite(row, nodes, np.unravel_index(k, members))
+        totals.append(np.sum(weights * row))
+    if not members:
+        return _as_scalar(totals[0])
+    totals = np.array(totals).reshape(members)
     if np.iscomplexobj(totals) and np.all(
             np.abs(totals.imag) <= 1e-15 * np.maximum(1.0, np.abs(totals.real))):
         return totals.real
     return totals
 
 
-def _check_finite(vals, nodes):
+def _check_finite(vals, nodes, member=()):
+    """Raise naming the first node where ``vals`` is not finite; ``member`` prefixes its index."""
     finite = np.isfinite(vals)
     if not np.all(finite):
         idx = np.argwhere(~np.atleast_1d(finite))
         first = tuple(int(i) for i in idx[0])
         node = np.atleast_1d(nodes)[first[-np.ndim(nodes):]] if np.ndim(nodes) else nodes
         raise EvaluationError(
-            f"integrand is not finite at quadrature node z = {node} (index {first})"
+            f"integrand is not finite at quadrature node z = {node} "
+            f"(index {tuple(int(i) for i in member) + first})"
         )
 
 
@@ -479,12 +488,8 @@ class PolyWeighted(Measure):
 
     def integrate(self, g, quad=DEFAULT_QUAD):
         rule = _rule(self.beta, quad)
-        uvals = _weight_on_rule(self, quad)
-        if callable(g):
-            vals = uvals * np.asarray(g(rule.nodes))
-        else:
-            vals = uvals * g
-        return _weighted_sum(rule.weights, vals, rule.nodes)
+        vals = g(rule.nodes) if callable(g) else g
+        return _weighted_sum(rule.weights, vals, rule.nodes, _weight_on_rule(self, quad))
 
     def density(self, z):
         return np.abs(self.u(z)) ** self.p * (self.beta + 1.0) * (1.0 - np.abs(z) ** 2) ** self.beta
@@ -606,8 +611,7 @@ class Atomic(Measure):
         return cls(points=pts, masses=ms)
 
     def integrate(self, g, quad=DEFAULT_QUAD):
-        vals = g(self.points) if callable(g) else g * np.ones_like(self.masses)
-        return _weighted_sum(self.masses, vals, self.points)
+        return _weighted_sum(self.masses, g(self.points) if callable(g) else g, self.points)
 
     def _disk_masses(self, centers, r, quad):
         points, masses = self.points.ravel(), self.masses.ravel()

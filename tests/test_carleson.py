@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bergmanlab import carleson, geometry, measures
+from bergmanlab import carleson, condexp, geometry, lattice, measures
 from bergmanlab.carleson import (
     CertifyConfig,
     FamilySpec,
@@ -483,6 +483,25 @@ class TestFamilySweep:
             for label, value in want.items():
                 assert abs(got[label] - value) <= 1e-12 * abs(value), (name, label)
 
+    @pytest.mark.parametrize("name, solves", (("polyweighted", 1), ("atomic", 1), ("grid", 1),
+                                              ("radial+atoms", 2)))
+    def test_blaschke_level_sets_solved_once_per_node_array(self, name, solves, monkeypatch):
+        # Every member averages over one solve per node array: the rule's
+        # nodes, the atoms, or each part's of a sum.
+        quad = QuadConfig(64, 128)
+        atomic = Atomic.from_atoms([(0.3 + 0.2j, 0.5), (-0.6j, 0.25), (0.8, 1.0)])
+        mu = {**sweep_measures(quad), "atomic": atomic}[name]
+        phi = BlaschkeProduct((0.3 + 0.1j, -0.2))
+        params = SpaceParams(2.0, 0.5)
+        want = reference_test_constant(mu, params, phi, SWEEP_FAMILY, quad)
+        calls = []
+        original = condexp._level_sets
+        monkeypatch.setattr(condexp, "_level_sets",
+                            lambda phi, zs: calls.append(zs) or original(phi, zs))
+        got = family_constant(mu, params, phi, SWEEP_FAMILY, quad).ratios
+        assert len(calls) == solves
+        assert got == want
+
     def test_one_kernel_evaluation_per_ring(self, monkeypatch, small_quad):
         calls = {"kernel_power_modulus": 0, "test_function": 0}
 
@@ -627,7 +646,8 @@ class TestFamilySpec:
                 FamilySpec(kernel_radii=(bad,))
         bounded = {name: spec["minimum"] for name, spec in schema.items()
                    if spec.get("type") == "integer" and "minimum" in spec}
-        assert set(bounded) == {"n_dirs", "random_count", "random_degree", "monomial_degree"}
+        assert set(bounded) == {"n_dirs", "random_count", "random_degree", "seed",
+                                "monomial_degree"}
         for name, low in bounded.items():
             FamilySpec(**{name: low})
             with pytest.raises(ConfigurationError):
@@ -689,6 +709,17 @@ class TestCertify:
         assert rep.mode == "symmetrized"
         assert rep.verdict == "carleson"
         assert rep.config["mode"] == "symmetrized"
+
+    def test_overlap_bound_not_sampled(self, monkeypatch):
+        from dataclasses import replace
+
+        # C2 reads the lattice's points and rings, never its overlap bound N.
+        calls = []
+        monkeypatch.setattr(lattice, "overlap_bound", lambda *args: calls.append(args))
+        config = replace(CHEAP, lattice_epsilon=0.0371)
+        rep = certify(WeightedArea(0.0), SpaceParams(2.0, 0.0), 0.93, Identity(), config)
+        assert rep.failure is None
+        assert calls == []
 
     def test_partial_report_on_failure(self):
         from dataclasses import replace

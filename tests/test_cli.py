@@ -268,6 +268,7 @@ PSI = {"measure": {"type": "area", "alpha": 0.0}, "alpha": 0.0,
 CHECK = {"measure": {"type": "area", "alpha": 0.0}, "p": 2.0, "alpha": 0.0, "r": 1.0,
          "quad": {"n_radial": 16, "n_angular": 32}, "psi_grid": {"j_max": 5, "n_dirs": 2},
          "family": {"kernel_radii": [0.0], "random_count": 1}, "lattice_epsilon": 0.3}
+OPNORM = {"u": [[1, 0]], "p": 2.0, "alpha": 0.0, "beta": 0.0}
 CONDEXP = {"map": {"type": "identity"}, "f": [[1, 0]]}
 ATOM = {"re": 0.5, "im": 0.0, "mass": 1.0}
 GRID_MEASURE = {"type": "grid", "alpha": 0.0, "n_radial": 4, "n_angular": 8, "values": [1.0] * 32}
@@ -286,6 +287,9 @@ class TestConfigErrors:
         ("carleson", {**CHECK, "family": {"n_dirs": 1.9}}, "/family/n_dirs"),
         ("carleson", {**CHECK, "seed": 1.9}, "/seed"),
         ("carleson", {**CHECK, "family": {"kernel_radii": 0.5}}, "/family/kernel_radii"),
+        ("carleson", {**CHECK, "seed": -5}, "/seed"),
+        ("carleson", {**CHECK, "family": {"seed": -5}}, "/family/seed"),
+        ("opnorm", {**OPNORM, "seed": -5}, "/seed"),
     ])
     def test_malformed_config_named_by_pointer(self, command, doc, pointer, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -330,6 +334,19 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"config error: {pointer}: --grid-levels 4: " in err
         assert "need 1 <= j_min <= j_max, got (6, 4)" in err
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["carleson", "check"], CHECK),
+        (["opnorm"], OPNORM),
+        (["suite"], None),
+    ], ids=("carleson", "opnorm", "suite"))
+    def test_negative_seed_flag_named(self, argv, doc, tmp_path, capsys):
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv = argv + ["--config", str(cfg)]
+        assert run_cli(argv + ["--seed", "-3"]) == 1
+        assert "config error: --seed -3: seed must be >= 0, got -3" in capsys.readouterr().err
 
     def test_grid_levels_below_suite_j_min_named(self, capsys):
         assert run_cli(["suite", "--grid-levels", "2"]) == 1

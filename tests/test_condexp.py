@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bergmanlab import condexp
 from bergmanlab.condexp import (
     BlaschkeProduct,
     Identity,
@@ -195,6 +196,19 @@ class TestBatchEvaluation:
         batch = cond_expect_values(phi, f, zs)
         scalar = np.array([cond_expect(phi, f, complex(z)) for z in zs])
         assert np.abs(batch - scalar).max() < 1e-9
+
+    @pytest.mark.parametrize("phi", (Monomial(3), BlaschkeProduct((0.3, -0.4j, 0.5 + 0.1j))),
+                             ids=("z^3", "blaschke3"))
+    def test_values_do_not_depend_on_the_batch(self, phi, monkeypatch):
+        # A 12 x 64 rule's nodes in batches of 7 points, against one batch:
+        # batches end mid-row, and the last one is short.
+        nodes = build_quadrature(0.0, 12, 64).nodes
+        f = lambda z: kernel_power(0.6 - 0.3j, z, SpaceParams(2.0, 0.5))
+        whole = cond_expect_values(phi, f, nodes)
+        monkeypatch.setattr(condexp, "LEVEL_SET_BATCH", 7 * phi.multiplicity)
+        batched = cond_expect_values(phi, f, nodes)
+        assert batched.shape == nodes.shape
+        assert np.array_equal(batched, whole)
 
     def test_identity_passthrough(self, rng):
         f = Polynomial.from_coeffs([1, 1])

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from bergmanlab import lattice
 from bergmanlab.errors import ConfigurationError
 from bergmanlab.geometry import bergman_disk, bergman_distance
 from bergmanlab.lattice import (
+    DEFAULT_OVERLAP_SAMPLES,
     HyperbolicLattice,
     build_lattice,
     halton_disk_samples,
@@ -86,7 +88,6 @@ class TestCover:
         holed = HyperbolicLattice(
             r=lat_mid.r, epsilon=lat_mid.epsilon,
             points=lat_mid.points[keep], ring_index=lat_mid.ring_index[keep],
-            N=lat_mid.N,
         )
         report = verify_cover(holed, 20000)
         assert not report.covered
@@ -97,7 +98,6 @@ class TestCover:
         reduced = HyperbolicLattice(
             r=lat_mid.r, epsilon=lat_mid.epsilon,
             points=lat_mid.points[1:], ring_index=lat_mid.ring_index[1:],
-            N=lat_mid.N,
         )
         full = verify_cover(lat_mid, 10000)
         less = verify_cover(reduced, 10000)
@@ -111,6 +111,13 @@ class TestCover:
     def test_sample_count_validation(self, lat_coarse):
         with pytest.raises(ConfigurationError):
             verify_cover(lat_coarse, 0)
+
+    @pytest.mark.parametrize("count", (0, -1))
+    def test_sampling_needs_one_sample(self, lat_coarse, count):
+        with pytest.raises(ConfigurationError, match="at least one sample"):
+            overlap_bound(lat_coarse, count)
+        with pytest.raises(ConfigurationError, match="at least one sample"):
+            halton_disk_samples(count)
 
 
 class TestOverlap:
@@ -129,6 +136,19 @@ class TestOverlap:
     def test_bound_measured_at_build(self, lat_coarse):
         assert lat_coarse.N >= 1
         assert lat_coarse.N <= lat_coarse.size
+
+    def test_bound_measured_once_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return overlap_bound(*args, **kwargs)
+        monkeypatch.setattr(lattice, "overlap_bound", counted)
+        lat = build_lattice(1.0, 0.15)
+        assert calls == []
+        first = lat.N
+        assert lat.N == first == overlap_bound(lat, DEFAULT_OVERLAP_SAMPLES)
+        assert calls == [(lat, DEFAULT_OVERLAP_SAMPLES)]
 
     def test_bound_stable_under_sampling_truncation(self, lat_mid):
         # nested sample streams: the measured bound is the same once the

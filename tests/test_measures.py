@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from bergmanlab import measures as measures_module
 from bergmanlab.errors import ConfigurationError, EvaluationError
 from bergmanlab.geometry import SpaceParams
 from bergmanlab.geometry import test_function as kernel_power
@@ -174,6 +175,34 @@ class TestIntegrate:
             assert got.shape == (len(members),)
             for value, g in zip(got, members):
                 assert abs(value - mu.integrate(g, small_quad)) <= 1e-14 * abs(value)
+
+    def test_row_sums_equal_whole_stack_sums(self, monkeypatch, small_quad):
+        # A stack is summed one member row at a time; each sum must be bitwise
+        # the one of the whole weighted stack, for every measure type's weights
+        # (and the polynomial weight's density).
+        rule = build_quadrature(0.0, small_quad.n_radial, small_quad.n_angular)
+        original = measures_module._weighted_sum
+        kinds = []
+
+        def compared(weights, vals, nodes, density=None):
+            got = original(weights, vals, nodes, density)
+            if density is not None:
+                vals = density * vals
+            members = np.shape(vals)[: np.ndim(vals) - np.ndim(weights)]
+            whole = np.sum((weights * vals).reshape(members + (-1,)), axis=-1)
+            np.testing.assert_array_equal(got, whole if np.iscomplexobj(got) else whole.real)
+            kinds.append(np.ndim(weights))
+            return got
+        monkeypatch.setattr(measures_module, "_weighted_sum", compared)
+        for mu in (WeightedArea(0.5), RadialDensity(0.5, 2.0),
+                   PolyWeighted(Polynomial.from_coeffs([1, 0.5j]), 3.0, 1.0),
+                   Atomic.from_atoms([(0.3 + 0.2j, 0.5), (-0.6j, 0.25), (0.9, 1.0)]),
+                   GridDensity.from_function(rule, lambda z: np.abs(1.0 + z / 2) ** 2),
+                   SumMeasure((RadialDensity(1.0), Atomic.from_atoms([(0.5, 0.3)])))):
+            mu.integrate(lambda z: np.stack([np.abs(1.0 + z) ** 3, np.abs(z) ** 2]), small_quad)
+            mu.integrate(lambda z: np.stack([[z**k for k in range(3)]] * 2), small_quad)
+            mu.integrate(2.5, small_quad)
+        assert sorted(set(kinds)) == [1, 2]
 
     def test_stacked_non_finite_integrand_names_node(self, small_quad):
         rule = build_quadrature(0.0, small_quad.n_radial, small_quad.n_angular)
