@@ -61,11 +61,13 @@ When the map commutes with rotations (identity, z^n) and the ring's n_dirs
 divides N, each ring of n_dirs kernel members is one evaluation of |E f_rho|^p
 on the measure's nodes, rolled along the angular axis onto every direction
 (``measures.ring_shifts``). Blaschke maps, atoms and rules whose angle count
-n_dirs does not divide evaluate each member directly; under a Blaschke map
-they average over level sets solved once per node array of the sweep.
-Polynomial members take E(f) in closed form under z^n, and their norms depend
-only on the family, p, alpha and the rule, so they are computed once per such
-key.
+n_dirs does not divide evaluate each member directly. Every E of the sweep
+goes through the public ``condexp`` API: polynomial members take
+``condexp.expect_polynomial`` where it has a closed form, and everything else
+calls ``condexp.cond_expect_values`` with one dict per sweep, in which it
+keeps the Blaschke level sets of each node array, so they are solved once per
+sweep. Polynomial norms depend only on the family, p, alpha and the rule, so
+they are computed once per such key.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import condexp, geometry, measures
-from .condexp import AnalyticSelfMap, Identity, Monomial, cond_expect_poly
+from .condexp import AnalyticSelfMap, Identity, Monomial
 from .errors import ConfigurationError
 from .geometry import SpaceParams
 from .geometry import test_function  # noqa: F401 - re-exported; perfbench's tracer test reads it
@@ -419,33 +421,14 @@ def _poly_norms(family: FamilySpec, p, alpha, quad: QuadConfig):
     return tuple(measures.bergman_norm(poly, params, quad) for _, poly in _family_polys(family))
 
 
-def _sweep_expectation(phi: AnalyticSelfMap):
-    """(f, z) -> E(f)(z) for the members of one sweep.
-
-    Under a map other than the identity and z^n, the level sets of each node
-    array z are solved once, and every member averages over that solve. The
-    memo holds z itself, so no other array can take its id while the sweep
-    runs, and it goes when the sweep does.
-    """
-    if isinstance(phi, (Identity, Monomial)):
-        return lambda f, z: condexp.cond_expect_values(phi, f, z)
-    solved = {}
-
-    def expect(f, z):
-        if id(z) not in solved:
-            solved[id(z)] = (z, condexp._level_sets(phi, z))
-        points, weights = solved[id(z)][1]
-        return condexp._level_average(np.asarray(f(points), dtype=complex), weights)
-    return expect
-
-
-def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers, expect):
+def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers, solved):
     """z -> stack of |E(f_a)(z)|^p over the ring's centres a, one row per centre.
 
     Under the identity |f_a|^p is the real kernel power of exponent 2 + alpha;
-    otherwise E is the sweep's ``expect``. When phi commutes with rotations and
-    z is a rule grid that the ring's directions divide, the first centre is
-    evaluated and rolled onto the rest.
+    otherwise E is ``cond_expect_values`` with the sweep's ``solved`` level
+    sets. When phi commutes with rotations and z is a rule grid that the
+    ring's directions divide, the first centre is evaluated and rolled onto
+    the rest.
     """
     if isinstance(phi, Identity):
         t = 2.0 + params.alpha
@@ -454,7 +437,8 @@ def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers, expect):
             return geometry.kernel_power_modulus(a, z, t)
     else:
         def power(a, z):
-            ef = expect(lambda w: geometry.test_function(a, w, params), z)
+            ef = condexp.cond_expect_values(
+                phi, lambda w: geometry.test_function(a, w, params), z, solved)
             return np.abs(ef) ** params.p
     rotates = isinstance(phi, (Identity, Monomial))
 
@@ -466,15 +450,6 @@ def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers, expect):
     return integrand
 
 
-def _poly_expectation(phi: AnalyticSelfMap, poly: Polynomial, expect):
-    """E(poly) as a callable: a polynomial again under the identity and z^n."""
-    if isinstance(phi, Identity):
-        return poly
-    if isinstance(phi, Monomial):
-        return cond_expect_poly(phi.n, poly)
-    return lambda z: expect(poly, z)
-
-
 def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Identity(),
                   family: FamilySpec = FamilySpec(), quad: QuadConfig = DEFAULT_QUAD,
                   mode="unconditional") -> TestConstantResult:
@@ -482,19 +457,22 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
 
     A kernel ring is one integral of a stacked integrand (``_ring_integrand``),
     and kernel members have norm 1. Polynomial members take E(f) in closed
-    form under z^n, and their norms once per (family, p, alpha, quad). Under
-    a Blaschke map every member averages over level sets solved once per node
-    array of the sweep (``_sweep_expectation``).
+    form under the identity and z^n (``condexp.expect_polynomial``), and
+    their norms once per (family, p, alpha, quad). Every other E is a
+    ``cond_expect_values`` call with the sweep's dict ``solved``, so under a
+    Blaschke map the level sets of each node array are solved once per sweep.
     """
     members = build_family(family, params, mode)
     p = params.p
-    expect = _sweep_expectation(phi)
+    solved = {}
     nums = []
     for centers in _kernel_rings(family, mode):
-        nums.extend(mu.integrate(_ring_integrand(phi, params, centers, expect), quad))
+        nums.extend(mu.integrate(_ring_integrand(phi, params, centers, solved), quad))
     norms = [1.0] * len(nums) + list(_poly_norms(family, p, params.alpha, quad))
     for member in members[len(nums):]:
-        ef = _poly_expectation(phi, member.poly, expect)
+        ef = condexp.expect_polynomial(phi, member.poly)
+        if ef is None:
+            ef = lambda z, _f=member.poly: condexp.cond_expect_values(phi, _f, z, solved)
         nums.append(mu.integrate(lambda z, _ef=ef: np.abs(_ef(z)) ** p, quad))
     best = -np.inf
     worst = members[0].label

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .carleson import CertifyConfig, FamilySpec, PsiGridSpec, certify, psi_heatmap, psi_sup
-from .condexp import Identity, Monomial, build_selfmap, cond_expect_poly, cond_expect_values, \
+from .condexp import Identity, build_selfmap, cond_expect_values, expect_polynomial, \
     is_critical
 from .config import validate
 from .errors import BergmanLabError, ConfigurationError
@@ -208,9 +208,8 @@ def _cmd_condexp(args):
     cfg, doc = _read_config(args, "condexp")
     phi = build_selfmap(doc["map"], "/map")
     f = Polynomial.from_pairs(doc["f"])
-    payload = {}
-    if isinstance(phi, Monomial):
-        payload["polynomial"] = cond_expect_poly(phi.n, f).to_pairs()
+    poly = expect_polynomial(phi, f)
+    payload = {"polynomial": None if poly is None else poly.to_pairs()}
     if "points" in doc:
         pts = np.array([complex(re, im) for re, im in doc["points"]])
         as_disk_point(pts)
@@ -222,8 +221,6 @@ def _cmd_condexp(args):
                 "is defined off the critical set only", f"/points/{i}")
         vals = cond_expect_values(phi, f, pts)
         payload["values"] = [[v.real, v.imag] for v in vals]
-    if not payload:
-        payload["polynomial"] = f.to_pairs() if phi.spec()["type"] == "identity" else None
     _emit(_report_envelope("condexp", cfg, payload), args.out, "condexp_report.json")
     return 0
 

@@ -10,13 +10,16 @@ critical points, with weights inversely proportional to |phi'|^2:
 Supported map families: the identity, monomials z^n (level sets are exact
 root-of-unity orbits with uniform weights), and finite Blaschke products
 (level sets solved as polynomial root-finding with residual verification).
+Only this module tells the families apart: ``expect_polynomial`` gives E of
+a polynomial in closed form (None under a Blaschke product), and
+``cond_expect_values`` evaluates E on an array of points.
 Level sets and their weights are formed in one place, ``_level_sets``, over
 an array of points; ``level_set`` reads it at one point, and
 ``cond_expect_values`` reads it everywhere except where the identity passes
 f through and where z^n on quadrature-rule nodes rolls f along its ring.
 ``_level_average`` reduces f's values on a level set to E(f). A test-family
-sweep under a Blaschke map (``carleson.test_constant``) solves the level sets
-of each node array once and averages every member over them with it, so
+sweep (``carleson.test_constant``) passes one dict to all its calls, in
+which the Blaschke level sets of each node array are kept once solved, so
 members cost one evaluation of f each and no further root-finding.
 
 The point z = 0 is a critical point of every monomial z^n with n >= 2; the
@@ -117,8 +120,10 @@ class BlaschkeProduct(AnalyticSelfMap):
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.ones_like(z)
+        # Temporaries go on the left: numpy reuses a large right-hand one in place
+        # with the operands swapped, which can round complex products differently.
         for a in self.zeros:
-            out = out * (a - z) / (1.0 - np.conj(a) * z)
+            out = (a - z) * out / (1.0 - np.conj(a) * z)
         return out
 
     def derivative(self, z):
@@ -128,7 +133,7 @@ class BlaschkeProduct(AnalyticSelfMap):
             term = (abs(ai) ** 2 - 1.0) / (1.0 - np.conj(ai) * z) ** 2
             for j, aj in enumerate(self.zeros):
                 if j != i:
-                    term = term * (aj - z) / (1.0 - np.conj(aj) * z)
+                    term = (aj - z) * term / (1.0 - np.conj(aj) * z)
             total = total + term
         return total
 
@@ -273,7 +278,16 @@ def cond_expect_poly(n, f: Polynomial) -> Polynomial:
     return Polynomial.from_coeffs(kept)
 
 
-def cond_expect_values(phi: AnalyticSelfMap, f, zs):
+def expect_polynomial(phi: AnalyticSelfMap, f: Polynomial) -> Polynomial | None:
+    """E(f) in closed form: f under the identity, ``cond_expect_poly`` under z^n, else None."""
+    if isinstance(phi, Identity):
+        return f
+    if isinstance(phi, Monomial):
+        return cond_expect_poly(phi.n, f)
+    return None
+
+
+def cond_expect_values(phi: AnalyticSelfMap, f, zs, solved=None):
     """Vectorized E(f) on an array of points (critical points excluded by caller).
 
     The identity passes f through. Under z^n on quadrature-rule nodes whose
@@ -282,8 +296,14 @@ def cond_expect_values(phi: AnalyticSelfMap, f, zs):
     taken in batches of at most LEVEL_SET_BATCH level-set points, so the
     temporaries of f stay small at any rule size; every value is computed
     pointwise, so it does not depend on the batch.
+
+    Calls that pass the same dict ``solved`` share level sets: those solved
+    for an array are kept in it batch by batch under the array's id, with the
+    array, so the id stays its own, and are not solved again. Uniform orbits
+    need no solve and are not kept.
     """
-    zs = np.asarray(zs, dtype=complex)
+    kept = solved.get(id(zs)) if solved is not None else None
+    given, zs = zs, np.asarray(zs, dtype=complex)
     if isinstance(phi, Identity):
         return np.asarray(f(zs), dtype=complex)
     shifts = ring_shifts(zs, phi.n) if isinstance(phi, Monomial) else None
@@ -294,9 +314,11 @@ def cond_expect_values(phi: AnalyticSelfMap, f, zs):
     flat = zs.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
     step = max(1, LEVEL_SET_BATCH // phi.multiplicity)
-    for lo in range(0, flat.size, step):
-        points, weights = _level_sets(phi, flat[lo:lo + step])
+    for i, lo in enumerate(range(0, flat.size, step)):
+        points, weights = kept[1][i] if kept else _level_sets(phi, flat[lo:lo + step])
         out[lo:lo + step] = _level_average(np.asarray(f(points), dtype=complex), weights)
+        if solved is not None and weights is not None and not kept:
+            solved.setdefault(id(given), (given, []))[1].append((points, weights))
     return out.reshape(zs.shape)
 
 

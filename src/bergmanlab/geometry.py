@@ -55,26 +55,16 @@ def as_disk_point(z):
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Exponent pair (p, alpha) of a weighted Bergman space.
-
-    ``q`` and ``beta`` are optional second-space exponents for two-space
-    settings (embeddings, operators between different weights).
-    """
+    """Exponent pair (p, alpha) of a weighted Bergman space."""
 
     p: float
     alpha: float
-    q: float | None = None
-    beta: float | None = None
 
     def __post_init__(self):
         if not self.p > 0:
             raise ValueError(f"p must be positive, got {self.p}")
         if not self.alpha > -1:
             raise ValueError(f"alpha must exceed -1, got {self.alpha}")
-        if self.q is not None and not self.q > 0:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if self.beta is not None and not self.beta > -1:
-            raise ValueError(f"beta must exceed -1, got {self.beta}")
 
     @property
     def kernel_exponent(self):

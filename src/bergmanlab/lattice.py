@@ -31,6 +31,8 @@ from .errors import ConfigurationError
 from .geometry import pseudo_distance
 
 DEFAULT_OVERLAP_SAMPLES = 20000
+# Samples per block of the sample-to-lattice distance matrix.
+SAMPLE_CHUNK = 4096
 
 
 def _chord(rho, n):
@@ -56,7 +58,7 @@ def _ring_count(rho, target):
     return lo
 
 
-def halton_disk_samples(count, epsilon=0.0, batch=None):
+def halton_disk_samples(count, epsilon=0.0):
     """First ``count`` Halton points, area-uniform over {z : 1 - |z| >= epsilon}.
 
     Points are drawn from a fixed unscrambled stream over the whole disk and
@@ -68,10 +70,8 @@ def halton_disk_samples(count, epsilon=0.0, batch=None):
     sampler = qmc.Halton(d=2, scramble=False)
     kept = []
     total = 0
-    if batch is None:
-        batch = max(1024, count)
     while total < count:
-        u = sampler.random(batch)
+        u = sampler.random(max(1024, count))
         z = np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
         z = z[1.0 - np.abs(z) >= epsilon]
         kept.append(z)
@@ -164,12 +164,12 @@ class CoverReport:
         return len(self.uncovered) == 0
 
 
-def _min_distances(points, zs, chunk=4096):
-    """Min hyperbolic distance from each sample to the point set, plus counts helper."""
+def _min_distances(points, zs):
+    """Min hyperbolic distance from each sample to the point set."""
     out = np.empty(len(zs))
-    for lo in range(0, len(zs), chunk):
-        p = pseudo_distance(points[None, :], zs[lo:lo + chunk, None])
-        out[lo:lo + chunk] = np.arctanh(np.minimum(p.min(axis=1), 1.0 - 1e-15))
+    for lo in range(0, len(zs), SAMPLE_CHUNK):
+        p = pseudo_distance(points[None, :], zs[lo:lo + SAMPLE_CHUNK, None])
+        out[lo:lo + SAMPLE_CHUNK] = np.arctanh(np.minimum(p.min(axis=1), 1.0 - 1e-15))
     return out
 
 
@@ -191,7 +191,7 @@ def overlap_count(lat: HyperbolicLattice, z, factor=2.0) -> int:
 
 
 def overlap_bound(lat: HyperbolicLattice, samples=DEFAULT_OVERLAP_SAMPLES,
-                  factor=2.0, sample_epsilon=None, chunk=4096) -> int:
+                  factor=2.0, sample_epsilon=None) -> int:
     """Measured overlap bound: max over sampled z of overlap_count.
 
     ``sample_epsilon`` restricts the sampled region to 1 - |z| >= sample_epsilon
@@ -205,7 +205,7 @@ def overlap_bound(lat: HyperbolicLattice, samples=DEFAULT_OVERLAP_SAMPLES,
     zs = halton_disk_samples(samples, eps)
     thr = np.tanh(factor * lat.r)
     best = 0
-    for lo in range(0, len(zs), chunk):
-        p = pseudo_distance(lat.points[None, :], zs[lo:lo + chunk, None])
+    for lo in range(0, len(zs), SAMPLE_CHUNK):
+        p = pseudo_distance(lat.points[None, :], zs[lo:lo + SAMPLE_CHUNK, None])
         best = max(best, int((p < thr).sum(axis=1).max()))
     return best

@@ -55,6 +55,9 @@ from .geometry import SpaceParams, as_disk_point, disk_realization, kernel_power
 
 DEFAULT_N_RADIAL = 256
 DEFAULT_N_ANGULAR = 512
+# The config schema's maxima, four times the defaults: 48 MiB of nodes and weights.
+MAX_N_RADIAL = 1024
+MAX_N_ANGULAR = 2048
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,10 @@ class QuadConfig:
     n_angular: int = DEFAULT_N_ANGULAR
 
     def __post_init__(self):
-        if self.n_radial < 4 or self.n_angular < 4:
+        if not (4 <= self.n_radial <= MAX_N_RADIAL and 4 <= self.n_angular <= MAX_N_ANGULAR):
             raise ConfigurationError(
-                f"node counts must be at least 4, got ({self.n_radial}, {self.n_angular})"
+                f"node counts must lie in [4, {MAX_N_RADIAL}] x [4, {MAX_N_ANGULAR}], "
+                f"got ({self.n_radial}, {self.n_angular})"
             )
 
     def doubled(self):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .carleson import FamilySpec, PsiGridSpec, SupResult, psi_sup, test_constant
-from .condexp import AnalyticSelfMap, BlaschkeProduct, cond_expect
+from .condexp import AnalyticSelfMap, cond_expect, expect_polynomial
 from .errors import ConfigurationError
 from .geometry import SpaceParams
 from .measures import DEFAULT_QUAD, Polynomial, PolyWeighted, QuadConfig
@@ -51,10 +51,10 @@ class WeightedCondExpOperator:
     def expectation_analytic(self):
         """Whether E maps the polynomial test family to analytic functions.
 
-        True for the identity and monomial families; for Blaschke maps the
-        pointwise expectation need not be analytic and output carries a flag.
+        True where ``expect_polynomial`` has a closed form (identity, z^n); for
+        Blaschke maps the expectation need not be analytic and output carries a flag.
         """
-        return not isinstance(self.phi, BlaschkeProduct)
+        return expect_polynomial(self.phi, self.u) is not None
 
     def symbol_measure(self):
         """The measure |u|^p dA_beta whose transform controls boundedness."""

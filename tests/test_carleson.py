@@ -502,6 +502,21 @@ class TestFamilySweep:
         assert len(calls) == solves
         assert got == want
 
+    def test_blaschke_members_go_through_cond_expect_values(self, monkeypatch):
+        # One call per member, kernel or polynomial, all with the sweep's one dict.
+        quad = QuadConfig(64, 128)
+        calls = []
+        original = condexp.cond_expect_values
+
+        def counted(phi, f, zs, solved=None):
+            calls.append(solved)
+            return original(phi, f, zs, solved)
+        monkeypatch.setattr(condexp, "cond_expect_values", counted)
+        res = family_constant(RadialDensity(0.5), SpaceParams(2.0, 0.5),
+                              BlaschkeProduct((0.3 + 0.1j, -0.2)), SWEEP_FAMILY, quad)
+        assert len(calls) == len(res.ratios) == 21
+        assert isinstance(calls[0], dict) and all(s is calls[0] for s in calls)
+
     def test_one_kernel_evaluation_per_ring(self, monkeypatch, small_quad):
         calls = {"kernel_power_modulus": 0, "test_function": 0}
 

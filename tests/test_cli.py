@@ -82,6 +82,20 @@ class TestCondexp:
         assert "/points/1" in capsys.readouterr().err
         assert not (tmp_path / "condexp_report.json").exists()
 
+    @pytest.mark.parametrize("phi, polynomial", [
+        ({"type": "identity"}, [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]),
+        ({"type": "blaschke", "zeros": [[0.3, 0.0], [-0.3, 0.0]]}, None),
+    ], ids=["identity", "blaschke"])
+    def test_polynomial_reported_with_points(self, phi, polynomial, tmp_path):
+        # The key does not depend on whether points were asked for.
+        for extra in ({}, {"points": [[0.5, 0.0]]}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"map": phi, "f": [[1, 0], [1, 0], [1, 0]], **extra}))
+            assert run_cli(["condexp", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            rep = read_report(tmp_path / "condexp_report.json")["report"]
+            assert rep["polynomial"] == polynomial
+            assert ("values" in rep) == bool(extra)
+
     def test_unknown_map(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"map": {"type": "rational"}, "f": [[1, 0]]}))
@@ -290,6 +304,9 @@ class TestConfigErrors:
         ("carleson", {**CHECK, "seed": -5}, "/seed"),
         ("carleson", {**CHECK, "family": {"seed": -5}}, "/family/seed"),
         ("opnorm", {**OPNORM, "seed": -5}, "/seed"),
+        ("psi", {**PSI, "quad": {"n_radial": 10**400, "n_angular": 8}}, "/quad/n_radial"),
+        ("psi", {**PSI, "heatmap": {"n_angular": 2049}}, "/heatmap/n_angular"),
+        ("psi", {**PSI, "measure": {**GRID_MEASURE, "n_radial": 1025}}, "/measure/n_radial"),
     ])
     def test_malformed_config_named_by_pointer(self, command, doc, pointer, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

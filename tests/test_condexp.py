@@ -11,6 +11,7 @@ from bergmanlab.condexp import (
     cond_expect,
     cond_expect_poly,
     cond_expect_values,
+    expect_polynomial,
     level_set,
 )
 from bergmanlab.errors import CriticalPointError
@@ -170,6 +171,17 @@ class TestAveragingProperties:
             assert abs(lhs - rhs) < 1e-10
 
 
+class TestExpectPolynomial:
+    def test_each_map_family(self, rng):
+        f = Polynomial.from_coeffs([1, 2, 3j, 4, 5])
+        assert expect_polynomial(Identity(), f) == f
+        ef = expect_polynomial(Monomial(2), f)
+        assert ef == Polynomial.from_coeffs([1, 0, 3j, 0, 5])
+        zs = sample_disk(rng, 20, rmax=0.9)
+        assert np.abs(ef(zs) - cond_expect_values(Monomial(2), f, zs)).max() < 1e-13
+        assert expect_polynomial(BlaschkeProduct((0.2, -0.4j)), f) is None
+
+
 class TestBatchEvaluation:
     def test_monomial_matches_scalar(self, rng):
         phi = Monomial(3)
@@ -209,6 +221,17 @@ class TestBatchEvaluation:
         batched = cond_expect_values(phi, f, nodes)
         assert batched.shape == nodes.shape
         assert np.array_equal(batched, whole)
+
+    def test_blaschke_values_do_not_depend_on_the_array_size(self, monkeypatch):
+        # 32768 nodes: the default batches, one batch and batches of 7 points
+        # straddle the size above which numpy reuses temporaries in place.
+        phi = BlaschkeProduct((0.1, 0.4j, -0.5 + 0.1j))
+        nodes = build_quadrature(0.7, 128, 256).nodes
+        f = lambda z: kernel_power(0.6 - 0.3j, z, SpaceParams(2.0, 0.5))
+        default = cond_expect_values(phi, f, nodes)
+        for batch in (nodes.size * phi.multiplicity, 7 * phi.multiplicity):
+            monkeypatch.setattr(condexp, "LEVEL_SET_BATCH", batch)
+            assert np.array_equal(cond_expect_values(phi, f, nodes), default), batch
 
     def test_identity_passthrough(self, rng):
         f = Polynomial.from_coeffs([1, 1])

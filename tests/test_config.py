@@ -10,7 +10,7 @@ import pytest
 from bergmanlab import config
 from bergmanlab.carleson import CertifyConfig, FamilySpec, PsiGridSpec, psi_heatmap
 from bergmanlab.errors import ConfigurationError
-from bergmanlab.measures import QuadConfig, RadialDensity
+from bergmanlab.measures import MAX_N_ANGULAR, MAX_N_RADIAL, QuadConfig, RadialDensity
 
 # The code object whose defaults each schema node's "default" keywords document.
 CODE_DEFAULTS = {
@@ -98,11 +98,25 @@ def test_narrow_float_types(narrow):
     ({"n_angular": float("inf")}, "/quad/n_angular"),
     ({"n_radial": 8, "n_ang": 8}, "/quad/n_ang"),
     ([8, 8], "/quad"),
+    ({"n_radial": 10**400}, "/quad/n_radial"),
+    ({"n_angular": 2049}, "/quad/n_angular"),
 ])
 def test_rejections_carry_the_pointer(doc, pointer):
     with pytest.raises(ConfigurationError) as err:
         config.validate(doc, "definitions/quad", "/quad")
     assert err.value.pointer == pointer
+
+
+def test_every_rule_size_is_bounded_as_quad_config_bounds_it():
+    sizes = {path: node for path, node in schema_nodes(config.schema())
+             if path.endswith(("/n_radial", "/n_angular"))}
+    assert len(sizes) == 6
+    for path, node in sizes.items():
+        assert node["maximum"] == (MAX_N_RADIAL if path.endswith("/n_radial") else MAX_N_ANGULAR)
+    QuadConfig(MAX_N_RADIAL, MAX_N_ANGULAR)
+    for bad in ((MAX_N_RADIAL + 1, 8), (8, MAX_N_ANGULAR + 1), (10**400, 8)):
+        with pytest.raises(ConfigurationError):
+            QuadConfig(*bad)
 
 
 def test_uninterpreted_keyword_raises(monkeypatch):

@@ -282,8 +282,6 @@ class TestValidation:
             SpaceParams(p=0.0, alpha=0.0)
         with pytest.raises(ValueError):
             SpaceParams(p=2.0, alpha=-1.0)
-        with pytest.raises(ValueError):
-            SpaceParams(p=2.0, alpha=0.0, q=-1.0)
 
     def test_euclidean_disk_containment(self):
         with pytest.raises(ValueError):
