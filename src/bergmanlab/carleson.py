@@ -53,21 +53,21 @@ distinct |a| (15 for the default 699-point lattice), other densities go in
 batches of disks, and atoms in chunks of centres x atoms, all within a fixed
 budget of nodes.
 
-The C1 sweep uses the rotation symmetry of the family. A kernel centre
-a = rho w with |w| = 1 gives f_a(z) = f_rho(conj(w) z), and the disk rule is a
-trapezoid in angle whose angles are 2 pi j / N, so rotating by a multiple of
-2 pi / N only permutes its nodes (Trefethen & Weideman, SIAM Review 2014).
-When the map commutes with rotations (identity, z^n) and the ring's n_dirs
-divides N, each ring of n_dirs kernel members is one evaluation of |E f_rho|^p
-on the measure's nodes, rolled along the angular axis onto every direction
-(``measures.ring_shifts``). Blaschke maps, atoms and rules whose angle count
-n_dirs does not divide evaluate each member directly. Every E of the sweep
-goes through the public ``condexp`` API: polynomial members take
-``condexp.expect_polynomial`` where it has a closed form, and everything else
-calls ``condexp.cond_expect_values`` with one dict per sweep, in which it
-keeps the Blaschke level sets of each node array, so they are solved once per
-sweep. Polynomial norms depend only on the family, p, alpha and the rule, so
-they are computed once per such key.
+C1's kernel members are exact under a map of multiplicity 1 (the identity, z,
+one-zero Blaschke products): E is then the identity and int |f_a|^p dmu is
+Psi_a(mu) at t = 2 + alpha, so all of them are one ``mu.psi`` call. Under
+other maps the sweep integrates |E f_a|^p on the measure's nodes. A centre
+a = rho w with |w| = 1 gives f_a(z) = f_rho(conj(w) z), and rotations through
+multiples of 2 pi / N only permute the disk rule's nodes, whose angles are
+2 pi j / N (Trefethen & Weideman, SIAM Review 2014). So when E commutes
+with rotations (the map type's ``commutes_with_rotations``) and n_dirs
+divides N, a ring is one evaluation of |E f_rho|^p rolled onto every
+direction (``measures.ring_shifts``); Blaschke maps, atoms and other rule
+sizes evaluate each member directly. Polynomial members take
+``condexp.expect_polynomial`` where it has a closed form, and every other E
+is a ``condexp.cond_expect_values`` call with one dict per sweep, which keeps
+the Blaschke level sets of each node array, so they are solved once per
+sweep. Polynomial norms are computed once per (family, p, alpha, rule).
 """
 
 from __future__ import annotations
@@ -312,19 +312,16 @@ class FamilySpec:
     """Test family: unit kernel powers on rings of an a-grid plus seeded random polynomials.
 
     Each nonzero kernel radius rho is a ring of n_dirs centres rho * w_k with
-    w_k = exp(2 pi i k / n_dirs). Since f_{rho w}(z) = f_rho(conj(w) z), the
-    sweep evaluates a ring once and rolls the angular axis of the rule onto its
-    other directions. That is exact when the map commutes with rotations
-    (identity, z^n) and n_dirs divides the rule's angle count; Blaschke maps,
-    atoms and other rule sizes evaluate each member directly. Under a Blaschke
-    map, members average over level sets solved once per sweep.
+    w_k = exp(2 pi i k / n_dirs). Under a map of multiplicity 1 the kernel
+    members are exact Psi values; under other maps they are integrated on the
+    rule (see ``test_constant``).
 
     Fields are checked against the config schema's bounds: radii in
     [0, 0.97], n_dirs >= 1, random_count, random_degree and seed >= 0,
     monomial_degree >= -1. The default grid stops at |a| = 0.9375, inside the
-    |a| <= 0.95 where quadrature of the peaked integrands is spectrally
-    accurate at the default angular size. The random polynomial seed is fixed
-    and echoed into reports.
+    |a| <= 0.95 where quadrature of the peaked integrands of z^n and Blaschke
+    members is spectrally accurate at the default angular size. The random
+    polynomial seed is fixed and echoed into reports.
     """
 
     kernel_radii: tuple = (0.0, 0.5, 0.75, 0.875, 0.9375)
@@ -424,26 +421,17 @@ def _poly_norms(family: FamilySpec, p, alpha, quad: QuadConfig):
 def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers, solved):
     """z -> stack of |E(f_a)(z)|^p over the ring's centres a, one row per centre.
 
-    Under the identity |f_a|^p is the real kernel power of exponent 2 + alpha;
-    otherwise E is ``cond_expect_values`` with the sweep's ``solved`` level
-    sets. When phi commutes with rotations and z is a rule grid that the
-    ring's directions divide, the first centre is evaluated and rolled onto
-    the rest.
+    E is ``cond_expect_values`` with the sweep's ``solved`` level sets. When
+    E commutes with rotations and z is a rule grid that the ring's directions
+    divide, the first centre is evaluated and rolled onto the rest.
     """
-    if isinstance(phi, Identity):
-        t = 2.0 + params.alpha
-
-        def power(a, z):
-            return geometry.kernel_power_modulus(a, z, t)
-    else:
-        def power(a, z):
-            ef = condexp.cond_expect_values(
-                phi, lambda w: geometry.test_function(a, w, params), z, solved)
-            return np.abs(ef) ** params.p
-    rotates = isinstance(phi, (Identity, Monomial))
+    def power(a, z):
+        ef = condexp.cond_expect_values(
+            phi, lambda w: geometry.test_function(a, w, params), z, solved)
+        return np.abs(ef) ** params.p
 
     def integrand(z):
-        shifts = measures.ring_shifts(z, len(centers)) if rotates else None
+        shifts = measures.ring_shifts(z, len(centers)) if phi.commutes_with_rotations else None
         if shifts is None:
             return np.stack([power(a, z) for a in centers])
         return measures.rotations(power(centers[0], z), shifts)
@@ -455,19 +443,27 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
                   mode="unconditional") -> TestConstantResult:
     """C1: max over the family of int |E(f)|^p dmu / ||f||^p, in one sweep.
 
-    A kernel ring is one integral of a stacked integrand (``_ring_integrand``),
-    and kernel members have norm 1. Polynomial members take E(f) in closed
-    form under the identity and z^n (``condexp.expect_polynomial``), and
-    their norms once per (family, p, alpha, quad). Every other E is a
-    ``cond_expect_values`` call with the sweep's dict ``solved``, so under a
-    Blaschke map the level sets of each node array are solved once per sweep.
+    Kernel members have norm 1. Under a map of multiplicity 1 each level set
+    is one point, so E is the identity and the kernel members are one
+    ``mu.psi`` call at t = 2 + alpha; under other maps a kernel ring is one
+    integral of a stacked integrand (``_ring_integrand``). Polynomial members
+    take E(f) in closed form under the identity and z^n
+    (``condexp.expect_polynomial``), and their norms once per (family, p,
+    alpha, quad). Every other E is a ``cond_expect_values`` call with the
+    sweep's dict ``solved``, so under a Blaschke map the level sets of each
+    node array are solved once per sweep.
     """
     members = build_family(family, params, mode)
     p = params.p
     solved = {}
-    nums = []
-    for centers in _kernel_rings(family, mode):
-        nums.extend(mu.integrate(_ring_integrand(phi, params, centers, solved), quad))
+    rings = _kernel_rings(family, mode)
+    if phi.multiplicity == 1:
+        centers = np.array([a for ring in rings for a in ring], dtype=complex)
+        nums = list(mu.psi(centers, 2.0 + params.alpha, quad))
+    else:
+        nums = []
+        for centers in rings:
+            nums.extend(mu.integrate(_ring_integrand(phi, params, centers, solved), quad))
     norms = [1.0] * len(nums) + list(_poly_norms(family, p, params.alpha, quad))
     for member in members[len(nums):]:
         ef = condexp.expect_polynomial(phi, member.poly)

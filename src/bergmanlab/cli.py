@@ -7,7 +7,7 @@ and functions, whose defaults fill absent fields. Conditions across fields
 that the schema cannot state are checked as these are built, and their
 errors carry a pointer too (``/grid``, ``/measure/values``). The report echoes
 the document as read. ``--seed`` is registered on ``carleson check``,
-``opnorm`` and ``suite``, ``--mode`` on ``carleson check`` and ``suite``, and
+``opnorm`` and ``suite``, ``--mode`` on ``carleson check``, and
 ``--grid-levels`` on every command with a boundary grid; each overrides the
 document's value.
 
@@ -299,7 +299,6 @@ def _cmd_suite(args):
     echo = {
         "seed": config.family.seed,
         "psi_j_max": config.psi_grid.j_max,
-        "mode": config.mode,
         "quad": {"n_radial": config.quad.n_radial, "n_angular": config.quad.n_angular},
     }
     envelope = _report_envelope("suite", echo, report)
@@ -373,7 +372,7 @@ def build_parser():
     p_suite = sub.add_parser("suite", help="bundled regression suite")
     p_suite.add_argument("--no-compare", action="store_true",
                          help="skip comparison against committed expectations")
-    common(p_suite, "seed", "grid-levels", "mode", config=False)
+    common(p_suite, "seed", "grid-levels", config=False)
     p_suite.set_defaults(func=_cmd_suite)
 
     return parser

@@ -17,10 +17,11 @@ Level sets and their weights are formed in one place, ``_level_sets``, over
 an array of points; ``level_set`` reads it at one point, and
 ``cond_expect_values`` reads it everywhere except where the identity passes
 f through and where z^n on quadrature-rule nodes rolls f along its ring.
-``_level_average`` reduces f's values on a level set to E(f). A test-family
-sweep (``carleson.test_constant``) passes one dict to all its calls, in
-which the Blaschke level sets of each node array are kept once solved, so
-members cost one evaluation of f each and no further root-finding.
+``_level_average`` reduces f's values on a level set to E(f). Each map type
+says whether E commutes with rotations (``commutes_with_rotations``). A
+test-family sweep (``carleson.test_constant``) passes one dict to all its
+calls, in which the Blaschke level sets of each node array are kept once
+solved, so members cost one evaluation of f each and no further root-finding.
 
 The point z = 0 is a critical point of every monomial z^n with n >= 2; the
 expectation is defined off the critical set only, and callers evaluating on
@@ -49,6 +50,7 @@ class AnalyticSelfMap:
     """Base class for the supported self-map families."""
 
     multiplicity: int
+    commutes_with_rotations = False     # whether E(f(w .)) = E(f)(w .) for all |w| = 1
 
     def __call__(self, z):
         raise NotImplementedError
@@ -62,6 +64,8 @@ class AnalyticSelfMap:
 
 @dataclass(frozen=True)
 class Identity(AnalyticSelfMap):
+    commutes_with_rotations = True
+
     @property
     def multiplicity(self):
         return 1
@@ -81,6 +85,7 @@ class Monomial(AnalyticSelfMap):
     """phi(z) = z^n."""
 
     n: int
+    commutes_with_rotations = True
 
     def __post_init__(self):
         if self.n < 1:

@@ -236,7 +236,8 @@ def weighted_kernel(w, z, alpha):
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     w = np.asarray(w, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    out = (1.0 - w * np.conj(z)) ** (-(2.0 + alpha))
+    # Temporary on the left: numpy reuses a large right-hand one with the operands swapped.
+    out = (1.0 - np.conj(z) * w) ** (-(2.0 + alpha))
     return complex(out) if out.ndim == 0 else out
 
 

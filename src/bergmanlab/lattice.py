@@ -191,19 +191,17 @@ def overlap_count(lat: HyperbolicLattice, z, factor=2.0) -> int:
 
 
 def overlap_bound(lat: HyperbolicLattice, samples=DEFAULT_OVERLAP_SAMPLES,
-                  factor=2.0, sample_epsilon=None) -> int:
-    """Measured overlap bound: max over sampled z of overlap_count.
+                  sample_epsilon=None) -> int:
+    """Measured overlap bound of the doubled disks: max over sampled z of overlap_count.
 
     ``sample_epsilon`` restricts the sampled region to 1 - |z| >= sample_epsilon
     (default: the lattice's own truncation). Because sample streams are nested
     across truncations, the measured bound is stable under refining the
     sampled region once the maximizer is interior.
     """
-    if factor not in (1, 2, 1.0, 2.0):
-        raise ConfigurationError(f"overlap factor must be 1 or 2, got {factor}")
     eps = lat.epsilon if sample_epsilon is None else sample_epsilon
     zs = halton_disk_samples(samples, eps)
-    thr = np.tanh(factor * lat.r)
+    thr = np.tanh(2.0 * lat.r)
     best = 0
     for lo in range(0, len(zs), SAMPLE_CHUNK):
         p = pseudo_distance(lat.points[None, :], zs[lo:lo + SAMPLE_CHUNK, None])

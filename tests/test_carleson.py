@@ -434,9 +434,17 @@ class TestTestConstant:
 
 
 def reference_test_constant(mu, params, phi, family, quad):
-    """The per-member loop the sweep replaced: one integral and one norm per member."""
+    """The per-member loop the sweep replaced: one integral and one norm per member.
+
+    Under a map of multiplicity 1, E is the identity and a kernel member's
+    ratio is the exact Psi_a(mu) at t = 2 + alpha, one ``psi_transform`` call
+    per centre.
+    """
     ratios = {}
     for member in build_family(family, params):
+        if member.kernel_center is not None and phi.multiplicity == 1:
+            ratios[member.label] = psi_transform(mu, member.kernel_center, params.alpha, quad=quad)
+            continue
         if isinstance(phi, Identity):
             ef = member.func
         elif isinstance(phi, Monomial):
@@ -518,7 +526,10 @@ class TestFamilySweep:
         assert isinstance(calls[0], dict) and all(s is calls[0] for s in calls)
 
     def test_one_kernel_evaluation_per_ring(self, monkeypatch, small_quad):
-        calls = {"kernel_power_modulus": 0, "test_function": 0}
+        # Under the identity the kernel members are Psi values and no kernel
+        # is evaluated on the rule; under z^2 each of the 5 rings is one
+        # evaluation, rolled onto its directions.
+        calls = {}
 
         def counted(name):
             original = getattr(geometry, name)
@@ -528,12 +539,36 @@ class TestFamilySweep:
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in calls:
+        for name in ("kernel_power_modulus", "test_function"):
             monkeypatch.setattr(geometry, name, counted(name))
-        res = family_constant(RadialDensity(0.5), SpaceParams(2.0, 0.0), Identity(),
-                              FamilySpec(), small_quad)
-        assert len([label for label in res.ratios if label.startswith("kernel")]) == 33
-        assert calls == {"kernel_power_modulus": 5, "test_function": 0}
+        for phi, evaluations in ((Identity(), 0), (Monomial(2), 5)):
+            calls.update(kernel_power_modulus=0, test_function=0)
+            res = family_constant(RadialDensity(0.5), SpaceParams(2.0, 0.0), phi,
+                                  FamilySpec(), small_quad)
+            assert len([label for label in res.ratios if label.startswith("kernel")]) == 33
+            assert calls == {"kernel_power_modulus": 0, "test_function": evaluations}, phi
+
+    def test_kernel_quadrature_matches_psi_at_the_default_radii(self):
+        # z^n and Blaschke kernel members rest on this quadrature of |f_a|^p.
+        params = SpaceParams(2.0, 0.5)
+        centers = np.array([m.kernel_center for m in build_family(FamilySpec(), params)
+                            if m.kernel_center is not None])
+        for name, mu in sweep_measures(measures.DEFAULT_QUAD).items():
+            want = mu.psi(centers, 2.0 + params.alpha)
+            for a, value in zip(centers, want):
+                got = mu.integrate(lambda z: np.abs(kernel_power(a, z, params)) ** params.p)
+                assert abs(got - value) <= 1e-10 * value, (name, a)
+
+    @pytest.mark.parametrize("phi", (Monomial(1), BlaschkeProduct((0.3 + 0.1j,))),
+                             ids=("z", "blaschke1"))
+    def test_multiplicity_one_maps_give_the_identity_ratios(self, phi, small_quad):
+        mu = SumMeasure((RadialDensity(0.5), Atomic.from_atoms([(0.3 + 0.2j, 0.5)])))
+        params = SpaceParams(2.0, 0.5)
+        want = family_constant(mu, params, Identity(), SWEEP_FAMILY, small_quad).ratios
+        got = family_constant(mu, params, phi, SWEEP_FAMILY, small_quad).ratios
+        assert list(got) == list(want)
+        for label, value in want.items():
+            assert abs(got[label] - value) <= 1e-14 * value, label
 
     def test_member_norms_computed_once_per_key(self, monkeypatch, small_quad):
         params = SpaceParams(2.0, 0.25)

@@ -395,6 +395,7 @@ class TestConfigErrors:
         ["condexp", "--grid-levels", "8"],
         ["psi", "--seed", "5"],
         ["mult-criterion", "--seed", "5"],
+        ["suite", "--mode", "symmetrized"],
     ])
     def test_flag_the_subcommand_ignores_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

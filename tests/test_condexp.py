@@ -15,7 +15,7 @@ from bergmanlab.condexp import (
     level_set,
 )
 from bergmanlab.errors import CriticalPointError
-from bergmanlab.geometry import SpaceParams
+from bergmanlab.geometry import SpaceParams, weighted_kernel
 from bergmanlab.geometry import test_function as kernel_power
 from bergmanlab.measures import Polynomial, bergman_norm, build_quadrature
 
@@ -232,6 +232,14 @@ class TestBatchEvaluation:
         for batch in (nodes.size * phi.multiplicity, 7 * phi.multiplicity):
             monkeypatch.setattr(condexp, "LEVEL_SET_BATCH", batch)
             assert np.array_equal(cond_expect_values(phi, f, nodes), default), batch
+
+    def test_weighted_kernel_does_not_depend_on_the_array_size(self):
+        # The same 32768 nodes in one call and in 1000-point slices.
+        nodes = build_quadrature(0.7, 128, 256).nodes.ravel()
+        whole = weighted_kernel(0.3 + 0.4j, nodes, 0.5)
+        sliced = np.concatenate([weighted_kernel(0.3 + 0.4j, nodes[lo:lo + 1000], 0.5)
+                                 for lo in range(0, nodes.size, 1000)])
+        assert np.array_equal(whole, sliced)
 
     def test_identity_passthrough(self, rng):
         f = Polynomial.from_coeffs([1, 1])
