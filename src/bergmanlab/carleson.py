@@ -63,11 +63,18 @@ multiples of 2 pi / N only permute the disk rule's nodes, whose angles are
 with rotations (the map type's ``commutes_with_rotations``) and n_dirs
 divides N, a ring is one evaluation of |E f_rho|^p rolled onto every
 direction (``measures.ring_shifts``); Blaschke maps, atoms and other rule
-sizes evaluate each member directly. Polynomial members take
-``condexp.expect_polynomial`` where it has a closed form, and every other E
-is a ``condexp.cond_expect_values`` call with one dict per sweep, which keeps
-the Blaschke level sets of each node array, so they are solved once per
-sweep. Polynomial norms are computed once per (family, p, alpha, rule).
+sizes evaluate each member directly.
+
+C1's polynomial members are exact at even p wherever
+``condexp.expect_polynomial`` gives E f (every map but Blaschke products with
+two or more zeros): |E f|^p = |(E f)^(p/2)|^2 is the squared modulus of a
+polynomial, so all numerators are one ``mu.square_integrals`` call, a finite
+sum of moments for each measure type, and the norms are the same sums against
+dA_alpha. Quadrature on the rule remains only for Blaschke maps with two or
+more zeros, where every E is a ``condexp.cond_expect_values`` call with one
+dict per sweep, which keeps the level sets of each node array, so they are
+solved once per sweep; and for odd or non-integer p, where polynomial norms
+are ``bergman_norm`` values computed once per (family, p, alpha, rule).
 """
 
 from __future__ import annotations
@@ -90,6 +97,7 @@ from .measures import (
     QuadConfig,
     WeightedArea,
     measure_of_disk,
+    poly_power,
 )
 
 DIVERGENCE_SLOPE = -0.1
@@ -314,7 +322,9 @@ class FamilySpec:
     Each nonzero kernel radius rho is a ring of n_dirs centres rho * w_k with
     w_k = exp(2 pi i k / n_dirs). Under a map of multiplicity 1 the kernel
     members are exact Psi values; under other maps they are integrated on the
-    rule (see ``test_constant``).
+    rule. At even p the polynomial members are exact moment sums, except under
+    Blaschke products with two or more zeros; those and odd or non-integer p
+    are integrated on the rule (see ``test_constant``).
 
     Fields are checked against the config schema's bounds: radii in
     [0, 0.97], n_dirs >= 1, random_count, random_degree and seed >= 0,
@@ -409,13 +419,30 @@ class TestConstantResult:
     ratios: dict
 
 
+def _even_power_rows(polys, p):
+    """Coefficient rows of f^(p/2) for even p: int |f|^p dmu is ``mu.square_integrals`` of them."""
+    width = max(len(f.coeffs) for f in polys)
+    return poly_power([f.coeffs + (0j,) * (width - len(f.coeffs)) for f in polys], int(p) // 2)
+
+
 # One entry is a tuple of a few dozen floats; the bound only caps what a
 # long-lived process can pin.
 @lru_cache(maxsize=128)
 def _poly_norms(family: FamilySpec, p, alpha, quad: QuadConfig):
-    """Norms of the polynomial members in the (p, alpha) space, in family order."""
+    """Norms of the polynomial members in the (p, alpha) space, in family order.
+
+    At even p each norm is exact, ||f||^p = ||f^(p/2)||^2 summed over the
+    monomial moments of dA_alpha (``WeightedArea.square_integrals``); at odd
+    and non-integer p each is a ``bergman_norm`` on the rule.
+    """
+    polys = [poly for _, poly in _family_polys(family)]
+    if not polys:
+        return ()
+    if p % 2 == 0:
+        squares = WeightedArea(alpha).square_integrals(_even_power_rows(polys, p), quad)
+        return tuple(float(x) ** (1.0 / p) for x in squares)
     params = SpaceParams(p=p, alpha=alpha)
-    return tuple(measures.bergman_norm(poly, params, quad) for _, poly in _family_polys(family))
+    return tuple(measures.bergman_norm(poly, params, quad) for poly in polys)
 
 
 def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers, solved):
@@ -447,11 +474,14 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
     is one point, so E is the identity and the kernel members are one
     ``mu.psi`` call at t = 2 + alpha; under other maps a kernel ring is one
     integral of a stacked integrand (``_ring_integrand``). Polynomial members
-    take E(f) in closed form under the identity and z^n
-    (``condexp.expect_polynomial``), and their norms once per (family, p,
-    alpha, quad). Every other E is a ``cond_expect_values`` call with the
-    sweep's dict ``solved``, so under a Blaschke map the level sets of each
-    node array are solved once per sweep.
+    take E(f) in closed form where ``condexp.expect_polynomial`` gives it
+    (maps of multiplicity 1 and z^n). At even p their numerators are then
+    exact: one ``mu.square_integrals`` call on the rows of (E f)^(p/2). Their
+    norms are exact at even p too (``_poly_norms``). Quadrature on the rule
+    remains for odd or non-integer p and for Blaschke products with two or
+    more zeros, where every E is a ``cond_expect_values`` call with the
+    sweep's dict ``solved``, so the level sets of each node array are solved
+    once per sweep.
     """
     members = build_family(family, params, mode)
     p = params.p
@@ -465,11 +495,15 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
         for centers in rings:
             nums.extend(mu.integrate(_ring_integrand(phi, params, centers, solved), quad))
     norms = [1.0] * len(nums) + list(_poly_norms(family, p, params.alpha, quad))
-    for member in members[len(nums):]:
-        ef = condexp.expect_polynomial(phi, member.poly)
-        if ef is None:
-            ef = lambda z, _f=member.poly: condexp.cond_expect_values(phi, _f, z, solved)
-        nums.append(mu.integrate(lambda z, _ef=ef: np.abs(_ef(z)) ** p, quad))
+    polys = [member.poly for member in members[len(nums):]]
+    efs = [condexp.expect_polynomial(phi, f) for f in polys]
+    if polys and p % 2 == 0 and all(ef is not None for ef in efs):
+        nums.extend(mu.square_integrals(_even_power_rows(efs, p), quad))
+    else:
+        for f, ef in zip(polys, efs):
+            if ef is None:
+                ef = lambda z, _f=f: condexp.cond_expect_values(phi, _f, z, solved)
+            nums.append(mu.integrate(lambda z, _ef=ef: np.abs(_ef(z)) ** p, quad))
     best = -np.inf
     worst = members[0].label
     ratios = {}

@@ -11,12 +11,15 @@ Supported map families: the identity, monomials z^n (level sets are exact
 root-of-unity orbits with uniform weights), and finite Blaschke products
 (level sets solved as polynomial root-finding with residual verification).
 Only this module tells the families apart: ``expect_polynomial`` gives E of
-a polynomial in closed form (None under a Blaschke product), and
-``cond_expect_values`` evaluates E on an array of points.
+a polynomial in closed form (None under a Blaschke product with two or more
+zeros), and ``cond_expect_values`` evaluates E on an array of points. Under a
+map of multiplicity 1 (the identity, z, a one-zero Blaschke product) every
+level set is one point, so E is the identity and both pass f through.
 Level sets and their weights are formed in one place, ``_level_sets``, over
 an array of points; ``level_set`` reads it at one point, and
-``cond_expect_values`` reads it everywhere except where the identity passes
-f through and where z^n on quadrature-rule nodes rolls f along its ring.
+``cond_expect_values`` reads it everywhere except where a map of multiplicity
+1 passes f through and where z^n on quadrature-rule nodes rolls f along its
+ring.
 ``_level_average`` reduces f's values on a level set to E(f). Each map type
 says whether E commutes with rotations (``commutes_with_rotations``). A
 test-family sweep (``carleson.test_constant``) passes one dict to all its
@@ -284,8 +287,9 @@ def cond_expect_poly(n, f: Polynomial) -> Polynomial:
 
 
 def expect_polynomial(phi: AnalyticSelfMap, f: Polynomial) -> Polynomial | None:
-    """E(f) in closed form: f under the identity, ``cond_expect_poly`` under z^n, else None."""
-    if isinstance(phi, Identity):
+    """E(f) in closed form: f under a map of multiplicity 1, ``cond_expect_poly``
+    under z^n, and None under a Blaschke product with two or more zeros."""
+    if phi.multiplicity == 1:
         return f
     if isinstance(phi, Monomial):
         return cond_expect_poly(phi.n, f)
@@ -295,9 +299,9 @@ def expect_polynomial(phi: AnalyticSelfMap, f: Polynomial) -> Polynomial | None:
 def cond_expect_values(phi: AnalyticSelfMap, f, zs, solved=None):
     """Vectorized E(f) on an array of points (critical points excluded by caller).
 
-    The identity passes f through. Under z^n on quadrature-rule nodes whose
-    angle count n divides, f is evaluated on the nodes only and the orbit
-    values are rolls of it. Everywhere else f is averaged over ``_level_sets``,
+    A map of multiplicity 1 passes f through. Under z^n on quadrature-rule
+    nodes whose angle count n divides, f is evaluated on the nodes only and
+    the orbit values are rolls of it. Everywhere else f is averaged over ``_level_sets``,
     taken in batches of at most LEVEL_SET_BATCH level-set points, so the
     temporaries of f stay small at any rule size; every value is computed
     pointwise, so it does not depend on the batch.
@@ -309,7 +313,7 @@ def cond_expect_values(phi: AnalyticSelfMap, f, zs, solved=None):
     """
     kept = solved.get(id(zs)) if solved is not None else None
     given, zs = zs, np.asarray(zs, dtype=complex)
-    if isinstance(phi, Identity):
+    if phi.multiplicity == 1:
         return np.asarray(f(zs), dtype=complex)
     shifts = ring_shifts(zs, phi.n) if isinstance(phi, Monomial) else None
     if shifts is not None:

@@ -37,6 +37,14 @@ at a centre or an array of centres: in closed form for radial densities, as
 a finite sum of Gauss functions 2F1 for polynomial weights at even p, by a
 Mobius pullback for polynomial weights at other p, and as a finite sum over
 the atoms for atoms.
+
+Each measure also integrates |f|^2 for a stack of polynomials f, one row of
+ascending coefficients each (``square_integrals``): as sum_n |c_n|^2 times
+the moments scale * B(n+1, gamma+1) for radial densities, as those moments of
+u^(p/2) f for polynomial weights at even p (on the rule at other p), as a
+finite sum over the atoms for atoms, and as the sum over the parts for sums.
+``poly_multiply`` and ``poly_power`` give the coefficients of products and
+powers.
 """
 
 from __future__ import annotations
@@ -296,6 +304,30 @@ class Polynomial:
         return [[c.real, c.imag] for c in self.coeffs]
 
 
+def poly_multiply(a, b):
+    """Product of polynomials given by ascending coefficients on the last axis.
+
+    The other axes broadcast, so a stack of polynomials, one per row, times
+    one polynomial is a product per row.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    n = a.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n + b.shape[-1] - 1,),
+                   dtype=complex)
+    for j in range(b.shape[-1]):
+        out[..., j:j + n] += a * b[..., j, None]
+    return out
+
+
+def poly_power(coeffs, k):
+    """Ascending coefficients of the k-th power of each polynomial on the last axis."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    out = np.ones(coeffs.shape[:-1] + (1,), dtype=complex)
+    for _ in range(k):
+        out = poly_multiply(out, coeffs)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # measures
 
@@ -347,6 +379,20 @@ class Measure:
         """The transform at each a of the 1-d array ``centers``."""
         raise NotImplementedError
 
+    def square_integrals(self, coeffs, quad: QuadConfig = DEFAULT_QUAD):
+        """int |f_i|^2 dmu for each polynomial f_i, one per row of ascending ``coeffs``."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.ndim != 2 or coeffs.shape[1] == 0:
+            raise ConfigurationError(
+                f"need one row of coefficients per polynomial, got shape {coeffs.shape}")
+        if len(coeffs) == 0:
+            return np.zeros(0)
+        return self._square_integrals(coeffs, quad)
+
+    def _square_integrals(self, coeffs, quad):
+        """The integrals of ``square_integrals`` for a 2-d complex ``coeffs``."""
+        raise NotImplementedError
+
     def scaled(self, c):
         raise NotImplementedError
 
@@ -356,7 +402,8 @@ class Measure:
 
 
 # Node budget of one batch of disk masses, or of centres x atoms in an atomic
-# transform: 2**16 complex nodes are 1 MB. Whole disks (and whole atom sets) go
+# transform, or of atoms x polynomials in ``square_integrals``: 2**16 complex
+# nodes are 1 MB. Whole disks (and whole atom sets) go
 # in a batch, so one larger than the budget goes alone.
 DISK_BATCH_NODES = 2**16
 
@@ -440,6 +487,12 @@ class RadialDensity(Measure):
         y = one_minus_modulus_sq(centers)
         return (self.scale / (self.gamma + 1.0) * y**m
                 * _hyp2f1_near_one(m, m, c, modulus(centers) ** 2, y))
+
+    def _square_integrals(self, coeffs, quad):
+        """sum_n |c_n|^2 scale B(n+1, gamma+1): the monomials are orthogonal and
+        int |z|^(2n) (1-|z|^2)^gamma dA = B(n+1, gamma+1)."""
+        n = np.arange(coeffs.shape[1])
+        return np.abs(coeffs) ** 2 @ (self.scale * beta_function(n + 1.0, self.gamma + 1.0))
 
     def scaled(self, c):
         return RadialDensity(self.gamma, c * self.scale)
@@ -541,9 +594,7 @@ class PolyWeighted(Measure):
         deg(v) + 1 times the mean of Psi over the circle of radius |a|, so the
         sup over a circle keeps its accuracy.
         """
-        coeffs = np.ones(1, dtype=complex)
-        for _ in range(int(self.p) // 2):
-            coeffs = np.convolve(coeffs, self.u.coeffs)
+        coeffs = poly_power(self.u.coeffs, int(self.p) // 2)
         y = one_minus_modulus_sq(centers)
         x = modulus(centers) ** 2
         total = np.zeros(len(centers))
@@ -585,6 +636,15 @@ class PolyWeighted(Measure):
         if expo != 0.0:
             vals = vals * np.abs(one_minus) ** expo
         return (1.0 - abs(a) ** 2) ** (self.beta + 2.0 - t) * np.sum(rule.weights * vals)
+
+    def _square_integrals(self, coeffs, quad):
+        """Exact at even p, where |u|^p |f|^2 = |u^(p/2) f|^2 and dA_beta has
+        the moments of ``RadialDensity``; at other p each row on the rule."""
+        if self.p % 2 == 0:
+            products = poly_multiply(coeffs, poly_power(self.u.coeffs, int(self.p) // 2))
+            return WeightedArea(self.beta)._square_integrals(products, quad)
+        polys = [Polynomial(tuple(row)) for row in coeffs]
+        return np.array([self.integrate(lambda z, f=f: np.abs(f(z)) ** 2, quad) for f in polys])
 
     def scaled(self, c):
         if c < 0:
@@ -637,6 +697,20 @@ class Atomic(Measure):
             out[lo:lo + step] = np.sum(masses * powers, axis=1)
         return out
 
+    def _square_integrals(self, coeffs, quad):
+        """sum_i m_i |f(z_i)|^2, by Horner's rule on chunks of atoms x polynomials."""
+        points, masses = self.points.ravel(), self.masses.ravel()
+        step = max(1, DISK_BATCH_NODES // len(coeffs))
+        out = np.zeros(len(coeffs))
+        for lo in range(0, points.size, step):
+            z = points[lo:lo + step]
+            vals = np.repeat(coeffs[:, -1:], z.size, axis=1)
+            for c in coeffs[:, -2::-1].T:
+                vals *= z
+                vals += c[:, None]
+            out += np.abs(vals) ** 2 @ masses[lo:lo + step]
+        return out
+
     def scaled(self, c):
         return Atomic(points=self.points, masses=c * self.masses)
 
@@ -668,6 +742,9 @@ class SumMeasure(Measure):
 
     def _psi(self, centers, t, quad):
         return sum(part._psi(centers, t, quad) for part in self.parts)
+
+    def _square_integrals(self, coeffs, quad):
+        return sum(part._square_integrals(coeffs, quad) for part in self.parts)
 
     def scaled(self, c):
         return SumMeasure(tuple(part.scaled(c) for part in self.parts))

@@ -51,8 +51,9 @@ class WeightedCondExpOperator:
     def expectation_analytic(self):
         """Whether E maps the polynomial test family to analytic functions.
 
-        True where ``expect_polynomial`` has a closed form (identity, z^n); for
-        Blaschke maps the expectation need not be analytic and output carries a flag.
+        True where ``expect_polynomial`` has a closed form (maps of multiplicity
+        1, z^n); for Blaschke products with two or more zeros the expectation
+        need not be analytic and output carries a flag.
         """
         return expect_polynomial(self.phi, self.u) is not None
 

@@ -433,12 +433,13 @@ class TestTestConstant:
         assert abs(res.c1 - sup_psi) < 1e-6
 
 
-def reference_test_constant(mu, params, phi, family, quad):
+def reference_test_constant(mu, params, phi, family, quad, norm=bergman_norm):
     """The per-member loop the sweep replaced: one integral and one norm per member.
 
     Under a map of multiplicity 1, E is the identity and a kernel member's
     ratio is the exact Psi_a(mu) at t = 2 + alpha, one ``psi_transform`` call
-    per centre.
+    per centre. Each polynomial member's norm is ``norm(f, params, quad)``,
+    by default its quadrature on the rule, which is exact for polynomials.
     """
     ratios = {}
     for member in build_family(family, params):
@@ -453,13 +454,20 @@ def reference_test_constant(mu, params, phi, family, quad):
         else:
             ef = lambda z, f=member.func: cond_expect_values(phi, f, z)
         num = float(mu.integrate(lambda z: np.abs(ef(z)) ** params.p, quad))
-        norm = 1.0 if member.kernel_center is not None else bergman_norm(member.func, params, quad)
-        ratios[member.label] = num / norm ** params.p
+        size = 1.0 if member.kernel_center is not None else norm(member.func, params, quad)
+        ratios[member.label] = num / size ** params.p
     return ratios
 
 
 SWEEP_FAMILY = FamilySpec(kernel_radii=(0.0, 0.5, 0.875), n_dirs=8, random_count=4,
                           random_degree=4)
+
+
+def sweep_norms(family, params, quad):
+    """The sweep's own polynomial norms, as a ``norm`` for ``reference_test_constant``."""
+    polys = [poly for _, poly in carleson._family_polys(family)]
+    norms = dict(zip(polys, carleson._poly_norms(family, params.p, params.alpha, quad)))
+    return lambda f, params, quad: norms[f]
 
 
 def sweep_measures(quad):
@@ -501,7 +509,9 @@ class TestFamilySweep:
         mu = {**sweep_measures(quad), "atomic": atomic}[name]
         phi = BlaschkeProduct((0.3 + 0.1j, -0.2))
         params = SpaceParams(2.0, 0.5)
-        want = reference_test_constant(mu, params, phi, SWEEP_FAMILY, quad)
+        # With the sweep's exact norms the ratios compare the numerators bit for bit.
+        want = reference_test_constant(mu, params, phi, SWEEP_FAMILY, quad,
+                                       sweep_norms(SWEEP_FAMILY, params, quad))
         calls = []
         original = condexp._level_sets
         monkeypatch.setattr(condexp, "_level_sets",
@@ -570,15 +580,47 @@ class TestFamilySweep:
         for label, value in want.items():
             assert abs(got[label] - value) <= 1e-14 * value, label
 
+    @pytest.mark.parametrize("phi", (Identity(), Monomial(2), BlaschkeProduct((0.3 + 0.1j,))),
+                             ids=("identity", "z^2", "blaschke1"))
+    def test_even_p_polynomial_members_are_moment_sums(self, phi, monkeypatch):
+        # At p = 2 no polynomial is evaluated on a rule, no norm is taken on
+        # one, and under a map of multiplicity 1 nothing is integrated at all.
+        quad = QuadConfig(64, 128)
+        params = SpaceParams(2.0, 0.5)
+        want = {name: family_constant(mu, params, phi, SWEEP_FAMILY, quad).ratios
+                for name, mu in sweep_measures(quad).items()}
+        calls = {"Polynomial.__call__": 0, "bergman_norm": 0, "integrate": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(Polynomial, "__call__",
+                            counted("Polynomial.__call__", Polynomial.__call__))
+        monkeypatch.setattr(measures, "bergman_norm",
+                            counted("bergman_norm", measures.bergman_norm))
+        monkeypatch.setattr(measures, "_weighted_sum",
+                            counted("integrate", measures._weighted_sum))
+        carleson._poly_norms.cache_clear()
+        for name, mu in sweep_measures(quad).items():
+            assert family_constant(mu, params, phi, SWEEP_FAMILY, quad).ratios == want[name]
+        assert calls["Polynomial.__call__"] == calls["bergman_norm"] == 0
+        if phi.multiplicity == 1:
+            assert calls["integrate"] == 0
+
     def test_member_norms_computed_once_per_key(self, monkeypatch, small_quad):
-        params = SpaceParams(2.0, 0.25)
-        first = family_constant(RadialDensity(0.5), params, Identity(), SWEEP_FAMILY, small_quad)
+        # At odd p the norms are quadratures, taken once per (family, p, alpha, rule).
+        params = SpaceParams(3.0, 0.25)
         calls = []
         original = measures.bergman_norm
         monkeypatch.setattr(measures, "bergman_norm",
                             lambda *args: calls.append(args) or original(*args))
+        carleson._poly_norms.cache_clear()
+        first = family_constant(RadialDensity(0.5), params, Identity(), SWEEP_FAMILY, small_quad)
+        assert len(calls) == SWEEP_FAMILY.random_count
         again = family_constant(RadialDensity(0.5), params, Identity(), SWEEP_FAMILY, small_quad)
-        assert calls == []
+        assert len(calls) == SWEEP_FAMILY.random_count
         assert again.ratios == first.ratios
 
 

@@ -245,3 +245,13 @@ class TestBatchEvaluation:
         f = Polynomial.from_coeffs([1, 1])
         zs = sample_disk(rng, 10)
         assert np.abs(cond_expect_values(Identity(), f, zs) - f(zs)).max() < 1e-15
+
+    @pytest.mark.parametrize("phi", (Monomial(1), BlaschkeProduct((0.3 + 0.1j,))),
+                             ids=("z", "blaschke1"))
+    def test_multiplicity_one_passthrough(self, phi, monkeypatch, rng):
+        # Each level set is one point, so E(f) = f without a root solve.
+        monkeypatch.setattr(condexp, "_level_sets", None)
+        f = Polynomial.from_coeffs([1, 2j, 0.5])
+        zs = sample_disk(rng, 10)
+        assert expect_polynomial(phi, f) == f
+        assert np.array_equal(cond_expect_values(phi, f, zs), f(zs))

@@ -1,7 +1,10 @@
 """Quadrature rules, measure variants, norms, and the wire format."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from bergmanlab import measures as measures_module
@@ -22,6 +25,7 @@ from bergmanlab.measures import (
     integrate,
     measure_from_config,
     measure_of_disk,
+    poly_power,
     ring_shifts,
     rotations,
 )
@@ -414,6 +418,92 @@ class TestPolynomial:
     def test_zero(self):
         assert Polynomial.from_coeffs([0, 0]).is_zero
         assert not Polynomial.from_coeffs([0, 1]).is_zero
+
+
+class TestPolyPower:
+    def test_matches_repeated_convolution(self, rng):
+        rows = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        for k in range(4):
+            got = poly_power(rows, k)
+            for row, out in zip(rows, got):
+                want = np.ones(1)
+                for _ in range(k):
+                    want = np.convolve(want, row)
+                np.testing.assert_allclose(out, want, rtol=1e-14, atol=1e-14)
+
+    def test_single_polynomial(self):
+        np.testing.assert_array_equal(poly_power((1.0, 2.0), 2), [1.0, 4.0, 4.0])
+
+
+def quadrature_square_integrals(mu, coeffs, quad):
+    """int |f|^2 dmu for each row of ``coeffs``, integrated on the measure's nodes."""
+    return np.array([mu.integrate(lambda z, row=row: np.abs(np.polynomial.polynomial.polyval(
+        z, row)) ** 2, quad) for row in coeffs])
+
+
+# Coefficients on a grid of tenths: no underflow, and zero rows stay possible.
+tenths = st.integers(-20, 20).map(lambda k: k / 10.0)
+complex_tenths = st.builds(complex, tenths, tenths)
+polynomial_stacks = st.integers(1, 7).flatmap(lambda width: st.lists(
+    st.lists(complex_tenths, min_size=width, max_size=width), min_size=1, max_size=4))
+exponents = st.floats(-0.5, 2.0)
+
+
+def square_integral_measures(gamma, beta, u, p):
+    atoms = Atomic.from_atoms([(0.3 + 0.2j, 0.5), (-0.6j, 0.25), (0.95, 1.0)])
+    return {
+        "radial": RadialDensity(gamma, 1.5),
+        "polyweighted": PolyWeighted(Polynomial.from_coeffs(u), p, beta),
+        "atomic": atoms,
+        "sum": SumMeasure((RadialDensity(gamma), PolyWeighted(Polynomial.from_coeffs(u), p, beta),
+                           atoms)),
+    }
+
+
+class TestSquareIntegrals:
+    @pytest.mark.parametrize("alpha", (-0.5, 0.0, 0.37, 1.0))
+    def test_monomial_norms_match_mpmath(self, alpha):
+        # ||z^n||^2 in A^2_alpha is n! Gamma(alpha+2) / Gamma(n+alpha+2).
+        got = WeightedArea(alpha).square_integrals(np.eye(13))
+        with mpmath.workdps(40):
+            want = [float(mpmath.factorial(n) * mpmath.gamma(alpha + 2)
+                          / mpmath.gamma(n + alpha + 2)) for n in range(13)]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=polynomial_stacks, gamma=exponents, beta=exponents,
+           u=st.lists(complex_tenths, min_size=1, max_size=3), p=st.sampled_from((2.0, 4.0)))
+    def test_equals_the_rule_quadrature(self, coeffs, gamma, beta, u, p):
+        # The rule integrates these polynomial integrands exactly.
+        quad = QuadConfig(32, 64)
+        coeffs = np.array(coeffs)
+        for name, mu in square_integral_measures(gamma, beta, u, p).items():
+            got = mu.square_integrals(coeffs, quad)
+            want = quadrature_square_integrals(mu, coeffs, quad)
+            assert got.shape == (len(coeffs),)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (name, got, want)
+
+    def test_default_grid_density_is_the_direct_sum(self, rng):
+        rule = build_quadrature(0.0, 256, 512)
+        mu = GridDensity.from_function(rule, lambda z: np.abs(1.0 + 0.5j * z) ** 2)
+        coeffs = rng.standard_normal((24, 7)) + 1j * rng.standard_normal((24, 7))
+        got = mu.square_integrals(coeffs)
+        want = [np.sum(mu.masses * np.abs(np.polynomial.polynomial.polyval(rule.nodes, row)) ** 2)
+                for row in coeffs]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_odd_p_weight_integrates_the_stack(self, rng, small_quad):
+        mu = PolyWeighted(Polynomial.from_coeffs([1, 0.5j, 0.25]), 3.0, 0.5)
+        coeffs = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        got = mu.square_integrals(coeffs, small_quad)
+        stack = mu.integrate(lambda z: np.stack([
+            np.abs(Polynomial.from_coeffs(row)(z)) ** 2 for row in coeffs]), small_quad)
+        np.testing.assert_allclose(got, stack, rtol=1e-14, atol=0)
+
+    def test_rejects_a_flat_array(self):
+        with pytest.raises(ConfigurationError):
+            WeightedArea(0.0).square_integrals([1.0, 2.0])
+        assert WeightedArea(0.0).square_integrals(np.zeros((0, 3))).shape == (0,)
 
 
 class TestWireFormat:

@@ -191,4 +191,6 @@ class TestOperatorType:
 
     def test_analytic_flag(self):
         assert _op([1.0], Monomial(2)).expectation_analytic
-        assert not _op([1.0], BlaschkeProduct((0.2,))).expectation_analytic
+        # A one-zero Blaschke product is an automorphism: E is the identity.
+        assert _op([1.0], BlaschkeProduct((0.2,))).expectation_analytic
+        assert not _op([1.0], BlaschkeProduct((0.2, -0.4j))).expectation_analytic
