@@ -14,35 +14,23 @@ characterizes the conditional Carleson property:
     C2  sup over lattice points of mu(D(a_k, r)) / ((1-|a_k|^2)/(1-tanh(r)|a_k|)^2)^(alpha+2)
     C3  sup over a boundary-refined grid of Psi_a(mu)
 
-Boundedness of Psi near the boundary is the mathematically loaded question,
-so the sup is taken on nested grids with max |a| = 1 - 2^(-j) and a log-log
-slope against (1 - |a|) decides between "bounded" and "divergent" instead of
-silently truncating.
+Whether Psi stays bounded near the boundary is decided by one exact number,
+``Measure.boundary_exponent(t)``: sup_a Psi_a is finite exactly when it is
+>= 0 (gamma + 2 - t for radial densities, beta + 2 - t for |u|^p dA_beta;
+Zhu, Operator Theory in Function Spaces, section 1.4). The C3 verdict, the
+operator criteria and the verdict of ``certify`` all come from it. The sup is
+taken on nested grids with max |a| = 1 - 2^(-j); the log-log slope of its
+level maxima against 1 - |a|, and C2's maxima per lattice ring, are reported
+beside the verdict and decide nothing.
 
-Numerical strategy for Psi: each measure type evaluates its own transform
+Each measure type evaluates its own transform on an array of centres
 (``Measure.psi``), and a type without one raises instead of falling back to
-quadrature of the peaked kernel. Radial densities scale*(1-|z|^2)^gamma dA,
-dA_alpha among them, use the closed form
-
-    Psi_a = scale/(gamma+1) * (1-|a|^2)^A * 2F1(A, A; gamma+2; |a|^2),   A = gamma+2-t,
-
-from the angular average 2F1(t, t; 1; |a|^2 rho^2), Euler's integral and
-Euler's transformation (DLMF 15.8.1; Zhu, Operator Theory in Function Spaces,
-section 1.4). Where t < A the untransformed pair (t, t) replaces (A, A), which
-keeps 2F1 well conditioned as |a| -> 1. The form is exact at every depth,
-equals 1 for dA_alpha, and shows the divergence exponent A = gamma - alpha of
-the default t = 2 + alpha directly. Polynomial weights |u|^p dA_beta at even
-p are exact too: with |u|^p = |u^(p/2)|^2 expanded into monomials z^j conj(z)^k,
-each pair gives a 3F2(t, t+d, j+1; d+1, j+beta+2; |a|^2), d = j - k, which is
-a finite positive sum of 2F1, each Euler-transformed where that bounds it at
-|a| = 1. At other p they are pulled back through the Mobius map phi_a, which
-absorbs the kernel peak analytically and leaves a bounded integrand on the
-quadrature rule. Atoms and grid densities are exact finite sums. Both closed
-forms take 1 - |a|^2 from ``geometry.one_minus_modulus_sq``, exact to an ulp,
-since 1 - fl(|a|^2) keeps only the rounding of |a|^2 near the circle.
-
-``psi_sup`` and ``psi_heatmap`` evaluate their whole grid in one ``mu.psi``
-call, and each measure type evaluates its transform on the array of centres.
+quadrature of the peaked kernel: radial densities, dA_alpha among them, by a
+closed form in 2F1 that is exact at every depth and equals 1 for dA_alpha;
+polynomial weights |u|^p dA_beta by a finite sum of 2F1 at even p and by the
+Mobius pullback, which absorbs the kernel peak, at other p; atoms and grid
+densities by finite sums (see ``measures``). ``psi_sup`` and ``psi_heatmap``
+evaluate their whole grid in one ``mu.psi`` call.
 
 C2 takes every lattice disk mass in one ``measure_of_disk`` call on the
 array of lattice points; symmetrized mode stacks the n rotated copies of the
@@ -96,11 +84,10 @@ from .measures import (
     Polynomial,
     QuadConfig,
     WeightedArea,
+    as_fraction,
     measure_of_disk,
     poly_power,
 )
-
-DIVERGENCE_SLOPE = -0.1
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +121,7 @@ def _check_in_disk(a):
 
 
 # ---------------------------------------------------------------------------
-# boundary-refined sup with divergence detection
+# boundary-refined sup with the verdict of the boundary exponent
 
 
 @dataclass(frozen=True)
@@ -167,17 +154,21 @@ class PsiGridSpec:
 
 @dataclass
 class SupResult:
-    """Sup over the finest grid plus boundary diagnostics."""
+    """Sup over the finest grid, boundary diagnostics, and the exponent that decides."""
 
     sup: float
     argmax: complex
     level_maxima: list          # (j, max over grid of level j)
-    slope: float                # log sup_j vs log(1 - |a|_max(j)), last 3 levels
-    verdict: str                # "bounded" | "divergent"
+    slope: float                # log sup_j vs log(1 - |a|_max(j)), last 3 levels; reported
+    exponent: float             # the measure's boundary exponent at the kernel exponent t
 
     @property
     def divergent(self):
-        return self.verdict == "divergent"
+        return self.exponent < 0
+
+    @property
+    def verdict(self):
+        return "divergent" if self.divergent else "bounded"
 
 
 def _fit_slope(level_maxima):
@@ -193,32 +184,25 @@ def _fit_slope(level_maxima):
 
 def psi_sup(mu: Measure, alpha, t=None, grid: PsiGridSpec = PsiGridSpec(),
             quad: QuadConfig = DEFAULT_QUAD) -> SupResult:
-    """Sup of Psi over the nested boundary grids with a divergence verdict.
+    """Sup of Psi over the nested boundary grids, in one ``mu.psi`` call.
 
-    The whole grid is one ``mu.psi`` call.
+    The verdict is "divergent" exactly when ``mu.boundary_exponent(t)`` < 0,
+    with t exact (2 + ``as_fraction(alpha)`` by default, so dA_alpha gives 0);
+    the level maxima and their slope over the last three levels only
+    corroborate it.
     """
-    t = _kernel_exponent(alpha, t)
+    t_float = _kernel_exponent(alpha, t)
+    exponent = mu.boundary_exponent(2 + as_fraction(alpha) if t is None else t)
     circles = [grid.points_at_radius(rho) for rho in grid.radii()]
     centers = np.concatenate(circles)
     _check_in_disk(centers)
-    values = np.split(mu.psi(centers, t, quad),
-                      np.cumsum([len(pts) for pts in circles[:-1]]))
-    best = -np.inf
-    argmax = 0j
-    max_at_radius = []
-    for pts, vals in zip(circles, values):
-        k = int(np.argmax(vals))
-        max_at_radius.append(float(vals[k]))
-        if vals[k] > best:
-            best = float(vals[k])
-            argmax = complex(pts[k])
-    level_maxima = []
-    for j in range(grid.j_min, grid.j_max + 1):
-        level_maxima.append((j, max(max_at_radius[: j + 1])))
-    slope = _fit_slope(level_maxima)
-    verdict = "divergent" if slope <= DIVERGENCE_SLOPE else "bounded"
-    return SupResult(sup=best, argmax=argmax, level_maxima=level_maxima,
-                     slope=slope, verdict=verdict)
+    values = mu.psi(centers, t_float, quad)
+    k = int(np.argmax(values))
+    per_radius = np.split(values, np.cumsum([len(pts) for pts in circles[:-1]]))
+    running = np.maximum.accumulate([vals.max() for vals in per_radius])
+    level_maxima = [(j, float(running[j])) for j in range(grid.j_min, grid.j_max + 1)]
+    return SupResult(sup=float(values[k]), argmax=complex(centers[k]), level_maxima=level_maxima,
+                     slope=_fit_slope(level_maxima), exponent=exponent)
 
 
 def psi_heatmap(mu: Measure, alpha, t=None, n_radial=24, n_angular=48,
@@ -244,8 +228,6 @@ class DiskConstantResult:
     c2: float
     argmax_index: int
     ring_maxima: list           # (1 - ring radius, max ratio on ring)
-    ring_slope: float
-    verdict: str
 
 
 def disk_bound(a, r, alpha):
@@ -281,30 +263,8 @@ def disk_constant(mu: Measure, alpha, r, lat: HyperbolicLattice,
     best_k = int(np.argmax(ratios))
     ring_maxima = [(1.0 - float(rho), float(ratios[lat.ring_index == m].max()))
                    for m, rho in zip(np.unique(lat.ring_index), lat.ring_radii)]
-    ring_slope, verdict = _ring_growth(ring_maxima)
     return DiskConstantResult(c2=float(ratios[best_k]), argmax_index=best_k,
-                              ring_maxima=ring_maxima, ring_slope=ring_slope,
-                              verdict=verdict)
-
-
-def _ring_growth(ring_maxima):
-    """Slope and verdict for the deepest strictly-increasing run of ring maxima.
-
-    Growth must persist to the final ring: an interior bump (a lattice point
-    happening to sit on top of an atom) does not count as boundary growth.
-    """
-    suffix = [ring_maxima[-1]]
-    for d, v in reversed(ring_maxima[:-1]):
-        if v > 0 and v < suffix[0][1]:
-            suffix.insert(0, (d, v))
-        else:
-            break
-    if len(suffix) < 2 or suffix[-1][1] <= 0:
-        return 0.0, "bounded"
-    x = np.log([d for d, _ in suffix])
-    y = np.log([v for _, v in suffix])
-    slope = float(np.polyfit(x, y, 1)[0])
-    return slope, ("divergent" if slope <= DIVERGENCE_SLOPE else "bounded")
+                              ring_maxima=ring_maxima)
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +509,11 @@ class CarlesonReport:
     c2: float = np.nan
     c2_normalized: float = np.nan
     c2_argmax_index: int = -1
-    c2_ring_slope: float = np.nan
-    c2_verdict: str = ""
     c3: float = np.nan
     c3_argmax: complex = 0j
     psi_slope: float = np.nan
     psi_verdict: str = ""
+    boundary_exponent: float = np.nan
     ratios: dict = field(default_factory=dict)
     verdict: str = ""
     mode: str = "unconditional"
@@ -580,8 +539,7 @@ class CarlesonReport:
             "divergence": {
                 "psi_slope": self.psi_slope,
                 "psi_verdict": self.psi_verdict,
-                "c2_ring_slope": self.c2_ring_slope,
-                "c2_verdict": self.c2_verdict,
+                "boundary_exponent": self.boundary_exponent,
             },
             "lattice": {
                 "size": self.lattice_size,
@@ -625,6 +583,8 @@ def certify(mu: Measure, params: SpaceParams, r, phi: AnalyticSelfMap = Identity
             config: CertifyConfig = CertifyConfig()) -> CarlesonReport:
     """Full three-constant certification with a carleson / not-carleson verdict.
 
+    The verdict is carleson exactly when C1, C2 and C3 are finite and the
+    measure's boundary exponent at t = 2 + alpha is >= 0 (``psi_sup``).
     Emits a partial report with a failure record if a stage raises.
     """
     report = CarlesonReport(mode=config.mode)
@@ -642,14 +602,13 @@ def certify(mu: Measure, params: SpaceParams, r, phi: AnalyticSelfMap = Identity
         report.c3_argmax = sup.argmax
         report.psi_slope = sup.slope
         report.psi_verdict = sup.verdict
+        report.boundary_exponent = sup.exponent
 
         stage = "disk_constant"
         disk = disk_constant(mu, params.alpha, r, lat, config.quad,
                              mode=config.mode, phi=phi)
         report.c2 = disk.c2
         report.c2_argmax_index = disk.argmax_index
-        report.c2_ring_slope = disk.ring_slope
-        report.c2_verdict = disk.verdict
         ref = reference_disk_constant(params.alpha, r, lat, config.quad)
         report.c2_normalized = disk.c2 / ref if ref > 0 else np.nan
 
@@ -660,13 +619,7 @@ def certify(mu: Measure, params: SpaceParams, r, phi: AnalyticSelfMap = Identity
 
         report.ratios = _pairwise_ratios(report.c1, report.c2_normalized, report.c3)
         finite = all(np.isfinite(c) for c in (report.c1, report.c2, report.c3))
-        # The boundary grid is the reliable divergence detector; the lattice
-        # ring trend corroborates but cannot flip the verdict on its own
-        # (a single deep lattice point aligned with an atom can fake growth).
-        divergent = sup.divergent or (
-            disk.verdict == "divergent" and sup.slope <= DIVERGENCE_SLOPE / 2.0
-        )
-        report.verdict = "carleson" if finite and not divergent else "not-carleson"
+        report.verdict = "carleson" if finite and not sup.divergent else "not-carleson"
     except Exception as exc:  # noqa: BLE001 - partial report carries the cause
         report.failure = {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
         report.verdict = "error"

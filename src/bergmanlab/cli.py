@@ -151,6 +151,7 @@ def _sup_payload(result):
         "argmax": result.argmax,
         "slope": result.slope,
         "verdict": result.verdict,
+        "boundary_exponent": result.exponent,
         "level_maxima": [[j, v] for j, v in result.level_maxima],
     }
 

@@ -15,7 +15,7 @@ so a Jacobi rule with weight (1-x)^alpha on [-1, 1] integrates the radial
 factor exactly for polynomial data regardless of how close alpha is to -1.
 The angles are 2 pi j / N from 0, so rotating by 2 pi k / n for n | N permutes
 the nodes of each ring; ``ring_shifts`` and ``rotations`` turn that into rolls
-of the angular axis.
+of the angular axis. ``ring_shifts`` knows the rule's node arrays by identity.
 
 Measure variants:
 
@@ -38,6 +38,13 @@ a finite sum of Gauss functions 2F1 for polynomial weights at even p, by a
 Mobius pullback for polynomial weights at other p, and as a finite sum over
 the atoms for atoms.
 
+Each measure also states the exponent e for which sup_a psi(a, t) is finite
+exactly when e >= 0 (``boundary_exponent``): gamma + 2 - t for radial
+densities, beta + 2 - t for polynomial weights, +inf for atoms and for the
+zero measure, and the minimum over the parts for sums. It is formed in
+rational arithmetic from the decimals the floats print as (``as_fraction``)
+and rounded once, so its sign is exact: dA_alpha at t = 2 + alpha gives 0.
+
 Each measure also integrates |f|^2 for a stack of polynomials f, one row of
 ascending coefficients each (``square_integrals``): as sum_n |c_n|^2 times
 the moments scale * B(n+1, gamma+1) for radial densities, as those moments of
@@ -49,7 +56,9 @@ powers.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -87,6 +96,10 @@ class QuadConfig:
 
 
 DEFAULT_QUAD = QuadConfig()
+
+# The node arrays of the rules ``build_quadrature`` made, by id, for as long as
+# each lives: ``ring_shifts`` recognises them by identity and pins none of them.
+_RULE_NODES = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +192,9 @@ def build_quadrature(alpha, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGUL
     x, w = roots_jacobi(n_radial, alpha, 0.0)
     t = (x + 1.0) / 2.0
     v = w * 2.0 ** (-(1.0 + alpha))
-    nodes = _polar_nodes(np.sqrt(t), n_angular)
+    # Node [i, j] is rho_i exp(2 pi i j / n_angular), angles from 0 (``ring_shifts``).
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    nodes = np.outer(np.sqrt(t), np.exp(1j * theta))
     weights = (alpha + 1.0) * np.outer(v, np.ones(n_angular)) / n_angular
     rule = QuadratureRule(
         alpha=float(alpha),
@@ -190,13 +205,8 @@ def build_quadrature(alpha, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGUL
     )
     for arr in (rule.nodes, rule.weights, rule.radial_sq, rule.radial_weights):
         arr.setflags(write=False)
+    _RULE_NODES[id(nodes)] = nodes
     return rule
-
-
-def _polar_nodes(radii, n_angular):
-    """Rule layout: node [i, j] is radii[i] * exp(2 pi i j / n_angular), angles from 0."""
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    return np.outer(radii, np.exp(1j * theta))
 
 
 def ring_shifts(z, n_dirs):
@@ -206,14 +216,11 @@ def ring_shifts(z, n_dirs):
     s_k = k * n_angular / n_dirs: the trapezoid in angle is invariant under
     these rotations, which only permute its nodes. So g(exp(-2 pi i k / n_dirs) z)
     is ``np.roll(g(z), s_k, axis=-1)`` for any g, and ``rotations`` stacks those
-    rolls. Returns the n_dirs shifts, or None unless ``z`` is laid out exactly
-    as ``build_quadrature`` lays out its nodes and n_dirs divides its angle
-    count: atoms, and rules of other angle counts, need direct evaluation.
+    rolls. Returns the n_dirs shifts, or None unless ``z`` is itself the node
+    array of a ``build_quadrature`` rule (not a view or copy) and n_dirs divides
+    its angle count: atoms, and rules of other angle counts, need direct evaluation.
     """
-    z = np.asarray(z)
-    if z.ndim != 2 or z.shape[1] % n_dirs:
-        return None
-    if not np.array_equal(z, _polar_nodes(z[:, 0].real, z.shape[1])):
+    if _RULE_NODES.get(id(z)) is not z or z.shape[1] % n_dirs:
         return None
     step = z.shape[1] // n_dirs
     return [k * step for k in range(n_dirs)]
@@ -379,6 +386,10 @@ class Measure:
         """The transform at each a of the 1-d array ``centers``."""
         raise NotImplementedError
 
+    def boundary_exponent(self, t):
+        """The e, exact in sign, with sup_a psi(a, t) finite iff e >= 0; t may be a Fraction."""
+        raise NotImplementedError
+
     def square_integrals(self, coeffs, quad: QuadConfig = DEFAULT_QUAD):
         """int |f_i|^2 dmu for each polynomial f_i, one per row of ascending ``coeffs``."""
         coeffs = np.asarray(coeffs, dtype=complex)
@@ -421,6 +432,16 @@ def _density_disk_measure(density, centers, r, quad):
         _check_finite(vals, nodes)
         masses[lo:lo + step] = np.sum(radius**2 * weights * vals, axis=(1, 2))
     return masses
+
+
+def as_fraction(x):
+    """x as an exact Fraction, a float read as the decimal it prints as (as a config has it)."""
+    return x if isinstance(x, Fraction) else Fraction(str(x))
+
+
+def _exponent(weight, t):
+    """weight + 2 - t in rational arithmetic, rounded once, so its sign is exact."""
+    return float(as_fraction(weight) + 2 - as_fraction(t))
 
 
 def _hyp2f1_near_one(a, b, c, x, y):
@@ -480,13 +501,17 @@ class RadialDensity(Measure):
         x. Together they keep the value within 2e-13 relative of a 40-digit
         oracle out to 1 - |a| = 2^-40, on and off the real axis, and within
         1e-10 where c - 2m < 1 (3e-11 in the logarithmic case c = 2m; without
-        the correction it is 1.5e-6). The divergence exponent is gamma + 2 - t.
+        the correction it is 1.5e-6). The boundary exponent is gamma + 2 - t.
         """
         c = self.gamma + 2.0
         m = min(t, c - t)
         y = one_minus_modulus_sq(centers)
         return (self.scale / (self.gamma + 1.0) * y**m
                 * _hyp2f1_near_one(m, m, c, modulus(centers) ** 2, y))
+
+    def boundary_exponent(self, t):
+        """gamma + 2 - t, the power of 1 - |a|^2 in ``_psi`` where it is negative."""
+        return _exponent(self.gamma, t) if self.scale > 0 else np.inf
 
     def _square_integrals(self, coeffs, quad):
         """sum_n |c_n|^2 scale B(n+1, gamma+1): the monomials are orthogonal and
@@ -637,6 +662,11 @@ class PolyWeighted(Measure):
             vals = vals * np.abs(one_minus) ** expo
         return (1.0 - abs(a) ** 2) ** (self.beta + 2.0 - t) * np.sum(rule.weights * vals)
 
+    def boundary_exponent(self, t):
+        """beta + 2 - t, that of dA_beta: |u|^p is bounded, and near every
+        boundary point but the finitely many zeros of u it is bounded below."""
+        return np.inf if self.u.is_zero else _exponent(self.beta, t)
+
     def _square_integrals(self, coeffs, quad):
         """Exact at even p, where |u|^p |f|^2 = |u^(p/2) f|^2 and dA_beta has
         the moments of ``RadialDensity``; at other p each row on the rule."""
@@ -661,6 +691,10 @@ class Atomic(Measure):
 
     points: np.ndarray
     masses: np.ndarray
+
+    def __post_init__(self):
+        if np.size(self.points) == 0:
+            raise ConfigurationError("an atomic measure needs at least one atom")
 
     @classmethod
     def from_atoms(cls, atoms):
@@ -696,6 +730,10 @@ class Atomic(Measure):
             powers = kernel_power_modulus(centers[lo:lo + step, None], points, t)
             out[lo:lo + step] = np.sum(masses * powers, axis=1)
         return out
+
+    def boundary_exponent(self, t):
+        """+inf: the kernel power at an atom z is at most (1-|z|^2)^-t."""
+        return np.inf
 
     def _square_integrals(self, coeffs, quad):
         """sum_i m_i |f(z_i)|^2, by Horner's rule on chunks of atoms x polynomials."""
@@ -742,6 +780,9 @@ class SumMeasure(Measure):
 
     def _psi(self, centers, t, quad):
         return sum(part._psi(centers, t, quad) for part in self.parts)
+
+    def boundary_exponent(self, t):
+        return min(part.boundary_exponent(t) for part in self.parts)
 
     def _square_integrals(self, coeffs, quad):
         return sum(part._square_integrals(coeffs, quad) for part in self.parts)

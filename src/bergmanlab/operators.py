@@ -22,7 +22,7 @@ from .carleson import FamilySpec, PsiGridSpec, SupResult, psi_sup, test_constant
 from .condexp import AnalyticSelfMap, cond_expect, expect_polynomial
 from .errors import ConfigurationError
 from .geometry import SpaceParams
-from .measures import DEFAULT_QUAD, Polynomial, PolyWeighted, QuadConfig
+from .measures import DEFAULT_QUAD, Polynomial, PolyWeighted, QuadConfig, as_fraction
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,10 @@ def opnorm_estimate(op: WeightedCondExpOperator, family: FamilySpec = FamilySpec
 def boundedness_criterion(op: WeightedCondExpOperator,
                           grid: PsiGridSpec = PsiGridSpec(),
                           quad: QuadConfig = DEFAULT_QUAD) -> SupResult:
-    """Transform criterion: sup_a Psi_a(|u|^p dA_beta) with exponent 2 + alpha."""
+    """Transform criterion: sup_a Psi_a(|u|^p dA_beta) with exponent 2 + alpha.
+
+    Bounded exactly when beta >= alpha or u = 0 (``PolyWeighted.boundary_exponent``).
+    """
     return psi_sup(op.symbol_measure(), op.alpha, None, grid, quad)
 
 
@@ -107,13 +110,13 @@ def multiplication_criterion(u: Polynomial, p, q, alpha, beta,
     """Criterion for M_u from the (p, alpha) into the (q, beta) space.
 
     Evaluates sup_a of the transform of |u|^q dA_beta with kernel exponent
-    (2 + alpha) q / p; boundedness of the sup is the boundedness criterion.
+    t = (2 + alpha) q / p, exact as a fraction and rounded once for the
+    evaluation; the sup is bounded, and M_u with it, exactly when
+    beta + 2 - t >= 0 or u = 0 (``PolyWeighted.boundary_exponent``).
     """
     if not 0 < p <= q:
         raise ConfigurationError(f"need 0 < p <= q, got p={p}, q={q}")
     SpaceParams(p=p, alpha=alpha)
     SpaceParams(p=q, alpha=beta)
-    if u.is_zero:
-        return SupResult(sup=0.0, argmax=0j, level_maxima=[], slope=0.0, verdict="bounded")
-    t = (2.0 + alpha) * q / p
+    t = (2 + as_fraction(alpha)) * as_fraction(q) / as_fraction(p)
     return psi_sup(PolyWeighted(u, q, beta), alpha, t, grid, quad)

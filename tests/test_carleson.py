@@ -3,11 +3,14 @@
 import functools
 import json
 import tracemalloc
+from dataclasses import replace
 from importlib import resources
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergmanlab import carleson, condexp, geometry, lattice, measures
 from bergmanlab.carleson import (
@@ -367,7 +370,6 @@ class TestDiskConstant:
         res = disk_constant(WeightedArea(0.0), 0.0, 1.0, lat, small_quad)
         assert abs(res.c2 - np.tanh(1.0) ** 2) < 1e-9
         assert res.argmax_index == 0
-        assert res.verdict == "bounded"
 
     def test_linear_in_measure(self, small_quad):
         lat = cached_lattice(1.0, 0.03)
@@ -769,7 +771,7 @@ class TestCertify:
         rep = certify(RadialDensity(-0.5), SpaceParams(2.0, 0.0), 1.0, Identity(), CHEAP)
         assert rep.verdict == "not-carleson"
         assert rep.psi_verdict == "divergent"
-        assert rep.c2_verdict == "divergent"
+        assert rep.boundary_exponent == -0.5
 
     def test_scaling_by_two_is_exact(self):
         mu = RadialDensity(0.5)
@@ -827,3 +829,67 @@ class TestCertify:
         d = rep.to_dict()
         assert set(d) >= {"constants", "ratios", "divergence", "verdict", "config", "mode"}
         assert d["config"]["measure"] == {"type": "area", "alpha": 0.0}
+
+
+def _deeper(config, levels):
+    return replace(config, psi_grid=replace(config.psi_grid, j_max=config.psi_grid.j_max + levels))
+
+
+tenths = st.integers(-10, 10).map(lambda k: k / 10.0)
+sum_parts = st.one_of(
+    st.builds(RadialDensity, st.floats(-0.9, 1.5), st.floats(0.1, 2.0)),
+    st.builds(lambda u, p, beta: PolyWeighted(Polynomial.from_coeffs(u), p, beta),
+              st.lists(st.builds(complex, tenths, tenths), min_size=1, max_size=3),
+              st.sampled_from((2.0, 4.0)), st.floats(-0.9, 1.5)),
+    st.builds(Atomic.from_atoms, st.lists(st.tuples(
+        st.builds(complex, st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)), st.floats(0.1, 2.0)),
+        min_size=1, max_size=4)),
+)
+
+
+class TestBoundaryExponentVerdict:
+    @pytest.mark.parametrize("gamma", (-0.0875, -0.05, -0.01))
+    def test_band_below_zero_is_not_carleson(self, gamma):
+        # The fitted slope of these weights stays above -0.1 at these depths.
+        rep = certify(RadialDensity(gamma), SpaceParams(2.0, 0.0), 1.0, Identity(), CHEAP)
+        assert rep.verdict == "not-carleson"
+        assert rep.psi_verdict == "divergent"
+        assert rep.boundary_exponent == gamma
+        assert -0.1 < rep.psi_slope < 0.0
+
+    def test_zero_exponent_is_carleson(self):
+        rep = certify(RadialDensity(0.1), SpaceParams(2.0, 0.1), 1.0, Identity(), CHEAP)
+        assert rep.verdict == "carleson"
+        assert rep.boundary_exponent == 0.0
+        assert rep.to_dict()["divergence"]["boundary_exponent"] == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(-0.4, 1.0), difference=st.floats(-0.5, 0.5))
+    def test_carleson_exactly_when_gamma_reaches_alpha(self, alpha, difference):
+        gamma = alpha + difference
+        for config in (CHEAP, _deeper(CHEAP, 18 - CHEAP.psi_grid.j_max)):
+            rep = certify(RadialDensity(gamma), SpaceParams(2.0, alpha), 1.0, Identity(), config)
+            assert rep.verdict == ("carleson" if gamma >= alpha else "not-carleson")
+
+    @settings(max_examples=25, deadline=None)
+    @given(parts=st.lists(sum_parts, min_size=1, max_size=3), alpha=st.floats(-0.4, 1.0))
+    def test_refinement_never_moves_toward_carleson(self, parts, alpha):
+        mu = SumMeasure(tuple(parts))
+        params = SpaceParams(2.0, alpha)
+        weights = [part.gamma for part in parts if isinstance(part, RadialDensity)] + [
+            part.beta for part in parts if isinstance(part, PolyWeighted) and not part.u.is_zero]
+        base = certify(mu, params, 1.0, Identity(), CHEAP)
+        assert base.verdict == ("carleson" if all(w >= alpha for w in weights) else "not-carleson")
+        for config in (CHEAP.doubled(), _deeper(CHEAP, 8)):
+            refined = certify(mu, params, 1.0, Identity(), config)
+            assert refined.verdict != "error", refined.failure
+            if base.verdict == "not-carleson":
+                assert refined.verdict == "not-carleson"
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(-0.4, 1.0), exponent=st.floats(-0.5, 0.0))
+    def test_slope_at_depth_30_is_the_exponent(self, alpha, exponent):
+        gamma = alpha + exponent
+        res = psi_sup(RadialDensity(gamma), alpha, grid=PsiGridSpec(4, 30, 4))
+        assert abs(res.slope - (gamma - alpha)) <= 0.02
+        assert abs(res.exponent - (gamma - alpha)) < 1e-12

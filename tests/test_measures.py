@@ -1,5 +1,7 @@
 """Quadrature rules, measure variants, norms, and the wire format."""
 
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from bergmanlab.measures import (
     RadialDensity,
     SumMeasure,
     WeightedArea,
+    as_fraction,
     bergman_norm,
     build_quadrature,
     integrate,
@@ -221,6 +224,14 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError):
             GridDensity.from_values(rule, -np.ones(rule.nodes.shape))
 
+    def test_atomic_needs_an_atom(self):
+        with pytest.raises(ConfigurationError, match="at least one atom"):
+            Atomic.from_atoms([])
+        with pytest.raises(ConfigurationError, match="at least one atom"):
+            Atomic(points=np.zeros(0, dtype=complex), masses=np.zeros(0))
+        with pytest.raises(ConfigurationError):
+            measure_from_config({"type": "atomic", "atoms": []})
+
 
 class TestRingRotation:
     def test_rolls_are_rotations_of_the_rule(self):
@@ -240,6 +251,46 @@ class TestRingRotation:
         assert ring_shifts(rule.nodes[:, ::-1], 6) is None
         assert ring_shifts(rule.nodes * np.exp(0.1j), 6) is None
         assert ring_shifts(rule.nodes.ravel(), 6) is None
+        assert ring_shifts(rule.nodes.copy(), 6) is None
+
+    def test_known_rules_are_not_pinned(self):
+        rule = build_quadrature(0.123, 8, 12)
+        key = id(rule.nodes)
+        assert measures_module._RULE_NODES[key] is rule.nodes
+        del rule
+        build_quadrature.cache_clear()
+        assert key not in measures_module._RULE_NODES
+
+
+class TestBoundaryExponent:
+    def test_each_measure_type(self):
+        t = 2.5
+        atoms = Atomic.from_atoms([(0.9, 1.0)])
+        assert RadialDensity(-0.25).boundary_exponent(t) == -0.75
+        assert RadialDensity(-0.25, scale=0.0).boundary_exponent(t) == np.inf
+        assert WeightedArea(0.5).boundary_exponent(t) == 0.0
+        assert PolyWeighted(Polynomial.from_coeffs([0, 1]), 3.0, 1.0).boundary_exponent(t) == 0.5
+        assert PolyWeighted(Polynomial.from_coeffs([0]), 3.0, -0.75).boundary_exponent(t) == np.inf
+        assert atoms.boundary_exponent(t) == np.inf
+        grid = GridDensity.from_values(build_quadrature(0.0, 8, 8), np.ones(64))
+        assert grid.boundary_exponent(t) == np.inf
+        assert SumMeasure((WeightedArea(0.5), RadialDensity(-0.25), atoms)).boundary_exponent(t) \
+            == -0.75
+        assert SumMeasure((atoms, WeightedArea(1.0))).boundary_exponent(t) == 0.5
+
+    def test_sign_is_exact(self):
+        # In floats, gamma + 2 rounds back onto 2 + alpha for the gamma just below alpha.
+        alpha = 0.5
+        gamma = np.nextafter(alpha, 0.0)
+        assert (gamma + 2.0) - (2.0 + alpha) == 0.0
+        assert RadialDensity(gamma).boundary_exponent(2 + as_fraction(alpha)) < 0
+        # Floats are read as the decimals they print as: the float 2.1 exceeds
+        # 2 + the float 0.1, but t = 2.1 at alpha = 0.1 means 2 + alpha.
+        assert Fraction(2.1) > 2 + Fraction(0.1)
+        assert WeightedArea(0.1).boundary_exponent(2 + as_fraction(0.1)) == 0.0
+        assert WeightedArea(0.1).boundary_exponent(2.1) == 0.0
+        assert as_fraction(0.1) == Fraction(1, 10)
+        assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
 
 
 class TestBergmanNorm:

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from bergmanlab.carleson import FamilySpec, PsiGridSpec
 from bergmanlab.condexp import BlaschkeProduct, Identity, Monomial, cond_expect_values
 from bergmanlab.errors import ConfigurationError
-from bergmanlab.measures import Polynomial, QuadConfig
+from bergmanlab.measures import Polynomial, QuadConfig, as_fraction
 from bergmanlab.operators import (
     WeightedCondExpOperator,
     apply,
@@ -143,6 +145,36 @@ class TestMultiplicationCriterion:
                                        0.0, 0.0, PsiGridSpec(4, 10, 4), SMALL)
         assert res.verdict == "divergent"
         assert -2.3 < res.slope < -1.7
+
+    def test_exponent_just_below_zero_is_divergent(self):
+        # beta + 2 - t = -0.05 for t = (2 + 0.2) 2.1 / 1.5 = 3.08; the slope is near -0.05.
+        res = multiplication_criterion(Polynomial.from_coeffs([1.0, 0.5]), 1.5, 2.1,
+                                       0.2, 1.03, PsiGridSpec(4, 10, 4), SMALL)
+        assert res.verdict == "divergent"
+        assert res.exponent == pytest.approx(-0.05, abs=1e-12)
+        assert -0.1 < res.slope < 0.0
+
+    def test_equal_spaces_are_bounded(self):
+        # t = (2 + alpha) q / p is exact, so p = q and beta = alpha give exponent 0;
+        # in floats, (2 + 0.7) * 1.5 / 1.5 rounds above 2 + 0.7.
+        assert (2.0 + 0.7) * 1.5 / 1.5 > 2.0 + 0.7
+        res = multiplication_criterion(Polynomial.from_coeffs([1.0, 0.5]), 1.5, 1.5,
+                                       0.7, 0.7, PsiGridSpec(4, 8, 4), SMALL)
+        assert res.exponent == 0.0 and res.verdict == "bounded"
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.floats(1.0, 2.0), ratio=st.floats(1.0, 1.6), alpha=st.floats(-0.4, 1.0),
+           exponent=st.floats(-0.5, 0.5))
+    def test_divergent_exactly_when_the_exponent_is_negative(self, p, ratio, alpha, exponent):
+        q = p * ratio
+        # The oracle reads each float as the decimal it prints as, as a config writes it.
+        t = (2 + as_fraction(alpha)) * as_fraction(q) / as_fraction(p)
+        beta = float(t) - 2.0 + exponent
+        res = multiplication_criterion(Polynomial.from_coeffs([1.0, 0.5]), p, q, alpha, beta,
+                                       PsiGridSpec(4, 8, 4), SMALL)
+        assert res.verdict == ("divergent" if as_fraction(beta) + 2 - t < 0 else "bounded")
+        if abs(exponent) > 1e-12:
+            assert res.divergent == (exponent < 0)
 
     def test_exponent_order_validated(self):
         with pytest.raises(ConfigurationError):
