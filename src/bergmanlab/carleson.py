@@ -20,8 +20,8 @@ Whether Psi stays bounded near the boundary is decided by one exact number,
 Zhu, Operator Theory in Function Spaces, section 1.4). The C3 verdict, the
 operator criteria and the verdict of ``certify`` all come from it. The sup is
 taken on nested grids with max |a| = 1 - 2^(-j); the log-log slope of its
-level maxima against 1 - |a|, and C2's maxima per lattice ring, are reported
-beside the verdict and decide nothing.
+level maxima against 1 - |a| is reported beside the verdict and decides
+nothing.
 
 Each measure type evaluates its own transform on an array of centres
 (``Measure.psi``), and a type without one raises instead of falling back to
@@ -33,13 +33,13 @@ densities by finite sums (see ``measures``). ``psi_sup`` and ``psi_heatmap``
 evaluate their whole grid in one ``mu.psi`` call.
 
 C2 takes every lattice disk mass in one ``measure_of_disk`` call on the
-array of lattice points; symmetrized mode stacks the n rotated copies of the
-lattice as a leading axis and averages over it, and the comparison bound is
-evaluated on the whole array. Each measure type batches its own disks
-(``Measure.disk_measure``): a radial density evaluates one disk rule per
-distinct |a| (15 for the default 699-point lattice), other densities go in
-batches of disks, and atoms in chunks of centres x atoms, all within a fixed
-budget of nodes.
+array of lattice points; given an orbit of rotations, it stacks the rotated
+copies of the lattice as a leading axis and averages over it, and the
+comparison bound is evaluated on the whole array. Each measure type batches
+its own disks (``Measure.disk_measure``): a radial density evaluates one
+disk rule per distinct |a| (15 for the default 699-point lattice), other
+densities go in batches of disks, and atoms in chunks of centres x atoms,
+all within a fixed budget of nodes.
 
 C1's kernel members are exact under a map of multiplicity 1 (the identity, z,
 one-zero Blaschke products): E is then the identity and int |f_a|^p dmu is
@@ -61,8 +61,15 @@ sum of moments for each measure type, and the norms are the same sums against
 dA_alpha. Quadrature on the rule remains only for Blaschke maps with two or
 more zeros, where every E is a ``condexp.cond_expect_values`` call with one
 dict per sweep, which keeps the level sets of each node array, so they are
-solved once per sweep; and for odd or non-integer p, where polynomial norms
-are ``bergman_norm`` values computed once per (family, p, alpha, rule).
+solved once per sweep; and for odd or non-integer p. A norm ||f||^p is the
+numerator of f against dA_alpha under the identity, so numerators and norms
+take one routine (``_power_integrals``), and norms are computed once per
+(family, p, alpha, rule).
+
+Nothing below ``certify`` tells the self-maps apart. Its symmetrized mode
+(z^n only) is two plain inputs: C2 averages each disk over the rotation
+orbit of ``condexp.rotation_orbit``, and C1 runs on the family with its
+kernel rings cut to the origin's.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import condexp, geometry, measures
-from .condexp import AnalyticSelfMap, Identity, Monomial
+from .condexp import AnalyticSelfMap, Identity
 from .errors import ConfigurationError
 from .geometry import SpaceParams
 from .geometry import test_function  # noqa: F401 - re-exported; perfbench's tracer test reads it
@@ -227,7 +234,6 @@ def psi_heatmap(mu: Measure, alpha, t=None, n_radial=24, n_angular=48,
 class DiskConstantResult:
     c2: float
     argmax_index: int
-    ring_maxima: list           # (1 - ring radius, max ratio on ring)
 
 
 def disk_bound(a, r, alpha):
@@ -239,32 +245,25 @@ def disk_bound(a, r, alpha):
 
 
 def disk_constant(mu: Measure, alpha, r, lat: HyperbolicLattice,
-                  quad: QuadConfig = DEFAULT_QUAD, mode="unconditional",
-                  phi: AnalyticSelfMap = Identity()) -> DiskConstantResult:
+                  quad: QuadConfig = DEFAULT_QUAD, orbit=None) -> DiskConstantResult:
     """C2: max over lattice points of mu(D(a_k, r)) over the comparison bound.
 
-    In "symmetrized" mode (monomial maps only) each disk is replaced by its
-    n-fold rotational orbit and the mass is divided by the orbit size, which
-    keeps the scale of the unconditional constant. All disk masses come from
-    one ``measure_of_disk`` call on the lattice, with the orbit as a leading
-    axis.
+    Given an ``orbit`` of rotations w, each disk's mass is the mean of the
+    masses of D(w a_k, r) over it, which keeps the scale of the unconditional
+    constant. All disk masses come from one ``measure_of_disk`` call on the
+    lattice, with the orbit as a leading axis.
     """
     if abs(lat.r - r) > 1e-12:
         raise ConfigurationError(
             f"lattice was built for r = {lat.r}, disk constant requested at r = {r}"
         )
     centers = lat.points[None, :]
-    if mode == "symmetrized":
-        if not isinstance(phi, Monomial):
-            raise ConfigurationError("symmetrized mode requires a monomial self-map")
-        centers = np.exp(2j * np.pi * np.arange(phi.n) / phi.n)[:, None] * centers
+    if orbit is not None:
+        centers = np.asarray(orbit)[:, None] * centers
     masses = measure_of_disk(mu, centers, r, quad).mean(axis=0)
     ratios = masses / disk_bound(lat.points, r, alpha)
     best_k = int(np.argmax(ratios))
-    ring_maxima = [(1.0 - float(rho), float(ratios[lat.ring_index == m].max()))
-                   for m, rho in zip(np.unique(lat.ring_index), lat.ring_radii)]
-    return DiskConstantResult(c2=float(ratios[best_k]), argmax_index=best_k,
-                              ring_maxima=ring_maxima)
+    return DiskConstantResult(c2=float(ratios[best_k]), argmax_index=best_k)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +279,13 @@ class FamilySpec:
     """Test family: unit kernel powers on rings of an a-grid plus seeded random polynomials.
 
     Each nonzero kernel radius rho is a ring of n_dirs centres rho * w_k with
-    w_k = exp(2 pi i k / n_dirs). Under a map of multiplicity 1 the kernel
-    members are exact Psi values; under other maps they are integrated on the
-    rule. At even p the polynomial members are exact moment sums, except under
-    Blaschke products with two or more zeros; those and odd or non-integer p
-    are integrated on the rule (see ``test_constant``).
+    w_k = exp(2 pi i k / n_dirs); radius 0 is one centre, taken once. Under a
+    map of multiplicity 1 the kernel members are exact Psi values; under
+    other maps they are integrated on the rule. At even p the polynomial
+    members and their norms are exact moment sums, except under Blaschke
+    products with two or more zeros; those and odd or non-integer p are
+    integrated on the rule (see ``test_constant``). ``certify``'s symmetrized
+    mode uses the family with ``kernel_radii=(0.0,)``.
 
     Fields are checked against the config schema's bounds: radii in
     [0, 0.97], n_dirs >= 1, random_count, random_degree and seed >= 0,
@@ -324,12 +325,11 @@ class FamilyMember:
     kernel_center: complex | None = None  # set for kernel members (norm is 1 exactly)
 
 
-def _kernel_rings(spec: FamilySpec, mode):
+def _kernel_rings(spec: FamilySpec):
     """Centres rho * exp(2 pi i k / n_dirs) of each kernel ring; the origin is a ring of one."""
-    radii = spec.kernel_radii if mode != "symmetrized" else (0.0,)
     rings = []
     seen_origin = False
-    for rho in radii:
+    for rho in spec.kernel_radii:
         if rho == 0.0:
             if seen_origin:
                 continue
@@ -354,10 +354,10 @@ def _family_polys(spec: FamilySpec):
     return polys
 
 
-def build_family(spec: FamilySpec, params: SpaceParams, mode="unconditional"):
+def build_family(spec: FamilySpec, params: SpaceParams):
     """Materialize the family deterministically: kernel rings first, then polynomials."""
     members = []
-    for centers in _kernel_rings(spec, mode):
+    for centers in _kernel_rings(spec):
         for a in centers:
             members.append(FamilyMember(
                 label=f"kernel:a={a.real:+.6f}{a.imag:+.6f}j",
@@ -379,10 +379,27 @@ class TestConstantResult:
     ratios: dict
 
 
-def _even_power_rows(polys, p):
-    """Coefficient rows of f^(p/2) for even p: int |f|^p dmu is ``mu.square_integrals`` of them."""
-    width = max(len(f.coeffs) for f in polys)
-    return poly_power([f.coeffs + (0j,) * (width - len(f.coeffs)) for f in polys], int(p) // 2)
+def _power_integrals(mu: Measure, phi: AnalyticSelfMap, polys, p, quad: QuadConfig, solved):
+    """int |E f|^p dmu for each polynomial f of ``polys``, in order.
+
+    Where ``condexp.expect_polynomial`` gives every E f in closed form and p
+    is even, |E f|^p = |(E f)^(p/2)|^2 and all integrals are one
+    ``mu.square_integrals`` call, a finite sum of moments. Otherwise each is a
+    quadrature on the measure's nodes, with E from ``cond_expect_values`` and
+    the level sets kept in ``solved`` where there is no closed form.
+    """
+    efs = [condexp.expect_polynomial(phi, f) for f in polys]
+    if polys and p % 2 == 0 and all(ef is not None for ef in efs):
+        width = max(len(ef.coeffs) for ef in efs)
+        rows = poly_power([ef.coeffs + (0j,) * (width - len(ef.coeffs)) for ef in efs],
+                          int(p) // 2)
+        return list(mu.square_integrals(rows, quad))
+    nums = []
+    for f, ef in zip(polys, efs):
+        if ef is None:
+            ef = lambda z, _f=f: condexp.cond_expect_values(phi, _f, z, solved)
+        nums.append(mu.integrate(lambda z, _ef=ef: np.abs(_ef(z)) ** p, quad))
+    return nums
 
 
 # One entry is a tuple of a few dozen floats; the bound only caps what a
@@ -391,18 +408,13 @@ def _even_power_rows(polys, p):
 def _poly_norms(family: FamilySpec, p, alpha, quad: QuadConfig):
     """Norms of the polynomial members in the (p, alpha) space, in family order.
 
-    At even p each norm is exact, ||f||^p = ||f^(p/2)||^2 summed over the
-    monomial moments of dA_alpha (``WeightedArea.square_integrals``); at odd
-    and non-integer p each is a ``bergman_norm`` on the rule.
+    ||f||^p is C1's numerator of f against dA_alpha under the identity
+    (``_power_integrals``): exact moment sums at even p, a quadrature on the
+    rule otherwise.
     """
     polys = [poly for _, poly in _family_polys(family)]
-    if not polys:
-        return ()
-    if p % 2 == 0:
-        squares = WeightedArea(alpha).square_integrals(_even_power_rows(polys, p), quad)
-        return tuple(float(x) ** (1.0 / p) for x in squares)
-    params = SpaceParams(p=p, alpha=alpha)
-    return tuple(measures.bergman_norm(poly, params, quad) for poly in polys)
+    powers = _power_integrals(WeightedArea(alpha), Identity(), polys, p, quad, None)
+    return tuple(float(x) ** (1.0 / p) for x in powers)
 
 
 def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers, solved):
@@ -426,8 +438,8 @@ def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers, solved):
 
 
 def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Identity(),
-                  family: FamilySpec = FamilySpec(), quad: QuadConfig = DEFAULT_QUAD,
-                  mode="unconditional") -> TestConstantResult:
+                  family: FamilySpec = FamilySpec(),
+                  quad: QuadConfig = DEFAULT_QUAD) -> TestConstantResult:
     """C1: max over the family of int |E(f)|^p dmu / ||f||^p, in one sweep.
 
     Kernel members have norm 1. Under a map of multiplicity 1 each level set
@@ -436,17 +448,18 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
     integral of a stacked integrand (``_ring_integrand``). Polynomial members
     take E(f) in closed form where ``condexp.expect_polynomial`` gives it
     (maps of multiplicity 1 and z^n). At even p their numerators are then
-    exact: one ``mu.square_integrals`` call on the rows of (E f)^(p/2). Their
-    norms are exact at even p too (``_poly_norms``). Quadrature on the rule
-    remains for odd or non-integer p and for Blaschke products with two or
-    more zeros, where every E is a ``cond_expect_values`` call with the
-    sweep's dict ``solved``, so the level sets of each node array are solved
-    once per sweep.
+    exact: one ``mu.square_integrals`` call on the rows of (E f)^(p/2).
+    Quadrature on the rule remains for odd or non-integer p and for Blaschke
+    products with two or more zeros, where every E is a ``cond_expect_values``
+    call with the sweep's dict ``solved``, so the level sets of each node
+    array are solved once per sweep. Their norms are the same integrals
+    against dA_alpha under the identity (``_poly_norms``). The sweep takes no
+    mode; ``certify`` passes the family to sweep.
     """
-    members = build_family(family, params, mode)
+    members = build_family(family, params)
     p = params.p
     solved = {}
-    rings = _kernel_rings(family, mode)
+    rings = _kernel_rings(family)
     if phi.multiplicity == 1:
         centers = np.array([a for ring in rings for a in ring], dtype=complex)
         nums = list(mu.psi(centers, 2.0 + params.alpha, quad))
@@ -456,14 +469,7 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
             nums.extend(mu.integrate(_ring_integrand(phi, params, centers, solved), quad))
     norms = [1.0] * len(nums) + list(_poly_norms(family, p, params.alpha, quad))
     polys = [member.poly for member in members[len(nums):]]
-    efs = [condexp.expect_polynomial(phi, f) for f in polys]
-    if polys and p % 2 == 0 and all(ef is not None for ef in efs):
-        nums.extend(mu.square_integrals(_even_power_rows(efs, p), quad))
-    else:
-        for f, ef in zip(polys, efs):
-            if ef is None:
-                ef = lambda z, _f=f: condexp.cond_expect_values(phi, _f, z, solved)
-            nums.append(mu.integrate(lambda z, _ef=ef: np.abs(_ef(z)) ** p, quad))
+    nums.extend(_power_integrals(mu, phi, polys, p, quad, solved))
     best = -np.inf
     worst = members[0].label
     ratios = {}
@@ -605,15 +611,16 @@ def certify(mu: Measure, params: SpaceParams, r, phi: AnalyticSelfMap = Identity
         report.boundary_exponent = sup.exponent
 
         stage = "disk_constant"
-        disk = disk_constant(mu, params.alpha, r, lat, config.quad,
-                             mode=config.mode, phi=phi)
+        orbit = condexp.rotation_orbit(phi) if config.mode == "symmetrized" else None
+        disk = disk_constant(mu, params.alpha, r, lat, config.quad, orbit)
         report.c2 = disk.c2
         report.c2_argmax_index = disk.argmax_index
         ref = reference_disk_constant(params.alpha, r, lat, config.quad)
         report.c2_normalized = disk.c2 / ref if ref > 0 else np.nan
 
         stage = "test_constant"
-        tc = test_constant(mu, params, phi, config.family, config.quad, config.mode)
+        family = config.family if orbit is None else replace(config.family, kernel_radii=(0.0,))
+        tc = test_constant(mu, params, phi, family, config.quad)
         report.c1 = tc.c1
         report.c1_worst = tc.worst_label
 

@@ -12,9 +12,11 @@ root-of-unity orbits with uniform weights), and finite Blaschke products
 (level sets solved as polynomial root-finding with residual verification).
 Only this module tells the families apart: ``expect_polynomial`` gives E of
 a polynomial in closed form (None under a Blaschke product with two or more
-zeros), and ``cond_expect_values`` evaluates E on an array of points. Under a
-map of multiplicity 1 (the identity, z, a one-zero Blaschke product) every
-level set is one point, so E is the identity and both pass f through.
+zeros), ``cond_expect_values`` evaluates E on an array of points, and
+``rotation_orbit`` gives the roots of unity of z^n, whose rotations leave
+z^n unchanged (it raises for every other map). Under a map of multiplicity
+1 (the identity, z, a one-zero Blaschke product) every level set is one
+point, so E is the identity and the first two pass f through.
 Level sets and their weights are formed in one place, ``_level_sets``, over
 an array of points; ``level_set`` reads it at one point, and
 ``cond_expect_values`` reads it everywhere except where a map of multiplicity
@@ -224,8 +226,7 @@ def _level_sets(phi: AnalyticSelfMap, zs):
         return zs[..., None], None
     if isinstance(phi, Monomial):
         # |phi'| is constant on |zeta| = |z|, so the weights are exactly uniform.
-        rot = np.exp(2j * np.pi * np.arange(phi.n) / phi.n)
-        return zs[..., None] * rot, None
+        return zs[..., None] * rotation_orbit(phi), None
     w = phi(zs)
     num, den = phi.numerator_coeffs()
     n = phi.multiplicity
@@ -251,6 +252,17 @@ def _level_sets(phi: AnalyticSelfMap, zs):
     if np.any(empty):
         raise RootFindingError(f"no valid preimages found for z = {zs[empty].flat[0]}")
     return np.where(valid, roots, zs[..., None]), weights
+
+
+def rotation_orbit(phi: AnalyticSelfMap):
+    """The rotations w with phi(w z) = phi(z) for every z: the n-th roots of unity of z^n.
+
+    The level set of z^n through z is z times them. Other maps have no such
+    orbit, and asking for one raises ``ConfigurationError``.
+    """
+    if not isinstance(phi, Monomial):
+        raise ConfigurationError("symmetrized mode requires a monomial self-map")
+    return np.exp(2j * np.pi * np.arange(phi.n) / phi.n)
 
 
 def level_set(phi: AnalyticSelfMap, z) -> LevelSet:

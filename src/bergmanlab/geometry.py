@@ -38,12 +38,12 @@ def as_disk_point(z):
     """Validate that ``z`` lies in the open unit disk and return it as complex.
 
     Accepts scalars or arrays. Raises ValueError for points with
-    |z| >= 1 - BOUNDARY_MARGIN.
+    |z| >= 1 - BOUNDARY_MARGIN and for non-finite ones.
     """
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0 - BOUNDARY_MARGIN):
-        bad = np.asarray(z)[np.abs(z) >= 1.0 - BOUNDARY_MARGIN]
-        first = bad.flat[0]
+    outside = ~(np.abs(z) < 1.0 - BOUNDARY_MARGIN)
+    if np.any(outside):
+        first = z[outside].flat[0]
         raise ValueError(
             f"point {first} with |z| = {abs(first):.17g} is not an interior "
             f"point of the unit disk (margin {BOUNDARY_MARGIN:g})"

@@ -16,7 +16,7 @@ Verification is sampled: cover and overlap statistics are measured on a
 deterministic low-discrepancy (Halton) stream of disk points, filtered to
 the requested truncation so that sample sets for coarser truncations are
 subsets of finer ones. The overlap bound N of a lattice is measured on first
-read, not at build: certification reads the points and rings only.
+read, not at build: certification reads the points only.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class HyperbolicLattice:
     r: float
     epsilon: float
     points: np.ndarray          # complex, origin first, then rings outward
-    ring_index: np.ndarray      # int ring number per point (0 = origin)
 
     @cached_property
     def N(self):
@@ -94,13 +93,6 @@ class HyperbolicLattice:
     @property
     def size(self):
         return len(self.points)
-
-    @property
-    def ring_radii(self):
-        """Euclidean radius of each ring present in the lattice."""
-        rings = np.unique(self.ring_index)
-        return np.array([np.abs(self.points[self.ring_index == m]).max() if m else 0.0
-                         for m in rings])
 
     def pairwise_pseudo(self):
         return pseudo_distance(self.points[:, None], self.points[None, :])
@@ -133,7 +125,6 @@ def build_lattice(r, epsilon) -> HyperbolicLattice:
         raise ConfigurationError(f"epsilon must lie in (0, 1), got {epsilon}")
     sep_target = np.tanh(r / 2.0)
     pts = [0.0 + 0.0j]
-    ring = [0]
     m = 1
     while True:
         rho = np.tanh(m * r / 2.0)
@@ -143,14 +134,10 @@ def build_lattice(r, epsilon) -> HyperbolicLattice:
         offset = np.pi / n if m % 2 == 0 else 0.0
         angles = 2.0 * np.pi * np.arange(n) / n + offset
         pts.extend(rho * np.exp(1j * angles))
-        ring.extend([m] * n)
         m += 1
     points = np.array(pts, dtype=complex)
-    ring_index = np.array(ring, dtype=int)
     points.setflags(write=False)
-    ring_index.setflags(write=False)
-    return HyperbolicLattice(r=float(r), epsilon=float(epsilon), points=points,
-                             ring_index=ring_index)
+    return HyperbolicLattice(r=float(r), epsilon=float(epsilon), points=points)
 
 
 @dataclass

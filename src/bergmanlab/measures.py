@@ -469,8 +469,8 @@ class RadialDensity(Measure):
     def __post_init__(self):
         if not self.gamma > -1:
             raise ConfigurationError(f"gamma must exceed -1, got {self.gamma}")
-        if self.scale < 0:
-            raise ConfigurationError(f"scale must be nonnegative, got {self.scale}")
+        if not 0 <= self.scale < np.inf:
+            raise ConfigurationError(f"scale must be finite and nonnegative, got {self.scale}")
 
     def integrate(self, g, quad=DEFAULT_QUAD):
         out = _rule(self.gamma, quad).integrate(g)
@@ -567,6 +567,8 @@ class PolyWeighted(Measure):
             raise ConfigurationError(f"p must be positive, got {self.p}")
         if not self.beta > -1:
             raise ConfigurationError(f"beta must exceed -1, got {self.beta}")
+        if not np.all(np.isfinite(self.u.coeffs)):
+            raise ConfigurationError(f"symbol coefficients must be finite, got {self.u.coeffs}")
 
     def integrate(self, g, quad=DEFAULT_QUAD):
         rule = _rule(self.beta, quad)
@@ -695,13 +697,15 @@ class Atomic(Measure):
     def __post_init__(self):
         if np.size(self.points) == 0:
             raise ConfigurationError("an atomic measure needs at least one atom")
+        if not (np.all(np.isfinite(self.points)) and np.all(np.isfinite(self.masses))):
+            raise ConfigurationError("atom points and masses must be finite")
 
     @classmethod
     def from_atoms(cls, atoms):
         """atoms: iterable of (point, mass)."""
         pts = as_disk_point(np.array([p for p, _ in atoms], dtype=complex))
         ms = np.array([m for _, m in atoms], dtype=float)
-        if np.any(ms <= 0):
+        if not np.all(ms > 0):
             raise ConfigurationError("atom masses must be positive")
         pts = np.atleast_1d(pts)
         pts.setflags(write=False)
@@ -808,7 +812,7 @@ class GridDensity(Atomic):
     @classmethod
     def from_values(cls, rule, values):
         vals = np.asarray(values, dtype=float).reshape(rule.nodes.shape)
-        if np.any(vals < 0):
+        if not np.all(vals >= 0):
             raise ConfigurationError("grid density values must be nonnegative")
         vals = vals.copy()
         masses = rule.weights * vals

@@ -211,20 +211,3 @@ def compare_with_expectations(report, expected, rel_tol=1e-6):
             f"comparability max ratio {got_ratio!r} != expected {exp_ratio!r}")
     return mismatches
 
-
-def freeze_expectations(report):
-    """Reduce a suite report to the committed regression snapshot."""
-    frozen = {"carleson": {}, "operators": {}, "comparability": report["comparability"]}
-    for name, entry in report["carleson"].items():
-        frozen["carleson"][name] = {
-            "verdict": entry["verdict"],
-            "constants": entry["constants"],
-            "psi_slope": entry["divergence"]["psi_slope"],
-        }
-    for name, entry in report["operators"].items():
-        frozen["operators"][name] = {
-            "opnorm_lower_bound": entry["opnorm_lower_bound"],
-            "criterion_sup": entry["criterion_sup"],
-            "criterion_verdict": entry["criterion_verdict"],
-        }
-    return frozen

@@ -612,18 +612,32 @@ class TestFamilySweep:
             assert calls["integrate"] == 0
 
     def test_member_norms_computed_once_per_key(self, monkeypatch, small_quad):
-        # At odd p the norms are quadratures, taken once per (family, p, alpha, rule).
+        # At odd p the norms are quadratures against dA_alpha, taken once per
+        # (family, p, alpha, rule).
         params = SpaceParams(3.0, 0.25)
         calls = []
-        original = measures.bergman_norm
-        monkeypatch.setattr(measures, "bergman_norm",
-                            lambda *args: calls.append(args) or original(*args))
+        original = WeightedArea.integrate
+        monkeypatch.setattr(WeightedArea, "integrate",
+                            lambda self, *args: calls.append(args) or original(self, *args))
         carleson._poly_norms.cache_clear()
         first = family_constant(RadialDensity(0.5), params, Identity(), SWEEP_FAMILY, small_quad)
         assert len(calls) == SWEEP_FAMILY.random_count
         again = family_constant(RadialDensity(0.5), params, Identity(), SWEEP_FAMILY, small_quad)
         assert len(calls) == SWEEP_FAMILY.random_count
         assert again.ratios == first.ratios
+
+    @pytest.mark.parametrize("p", (1.5, 3.0))
+    def test_norms_off_even_p_are_bergman_norms(self, p, small_quad):
+        # At odd and non-integer p a norm is the identity's numerator against
+        # dA_alpha, which is bergman_norm's sum on the same rule.
+        family = replace(SWEEP_FAMILY, monomial_degree=3)
+        params = SpaceParams(p, 0.25)
+        carleson._poly_norms.cache_clear()
+        got = carleson._poly_norms(family, p, 0.25, small_quad)
+        want = tuple(bergman_norm(poly, params, small_quad)
+                     for _, poly in carleson._family_polys(family))
+        assert len(got) == family.random_count + 4
+        assert got == want
 
 
 def per_point_disk_constant(mu, alpha, r, lat, quad, phi):
@@ -646,8 +660,7 @@ def per_point_disk_constant(mu, alpha, r, lat, quad, phi):
     orbit = np.exp(2j * np.pi * np.arange(n) / n)
     ratios = np.array([sum(mass(mu, w * a) for w in orbit) / n / disk_bound(a, r, alpha)
                        for a in lat.points])
-    ring_maxima = [float(ratios[lat.ring_index == m].max()) for m in np.unique(lat.ring_index)]
-    return float(ratios.max()), int(np.argmax(ratios)), ring_maxima
+    return float(ratios.max()), int(np.argmax(ratios))
 
 
 class TestBatchedDiskConstant:
@@ -659,15 +672,34 @@ class TestBatchedDiskConstant:
         # that the tolerance sees (at 32 angles it moves the 12th).
         quad = QuadConfig()
         lat = cached_lattice(1.0, 0.03)
-        mode = "unconditional" if isinstance(phi, Identity) else "symmetrized"
+        orbit = None if isinstance(phi, Identity) else condexp.rotation_orbit(phi)
         for name, mu in {"area": WeightedArea(0.5), **sweep_measures(small_quad)}.items():
-            got = disk_constant(mu, 0.5, 1.0, lat, quad, mode=mode, phi=phi)
-            c2, argmax, ring_maxima = per_point_disk_constant(mu, 0.5, 1.0, lat, quad, phi)
+            got = disk_constant(mu, 0.5, 1.0, lat, quad, orbit)
+            c2, argmax = per_point_disk_constant(mu, 0.5, 1.0, lat, quad, phi)
             assert abs(got.c2 - c2) <= 1e-13 * c2, name
             assert got.argmax_index == argmax, name
-            assert len(got.ring_maxima) == len(ring_maxima)
-            for (_, value), want in zip(got.ring_maxima, ring_maxima):
-                assert abs(value - want) <= 1e-13 * want, name
+
+    def test_symmetrized_atoms_are_rotated_atoms_at_half_mass(self):
+        # The orbit mean of mu(D(w a, r)) over w = +-1 is the mass of D(a, r)
+        # under the atoms and their reflections through 0, each at half mass.
+        atoms = [(0.3 + 0.2j, 0.5), (-0.6j, 0.25), (0.8, 1.0), (-0.55 + 0.7j, 2.0)]
+        config = replace(CHEAP, mode="symmetrized")
+        rep = certify(Atomic.from_atoms(atoms), SpaceParams(2.0, 0.0), 1.0, Monomial(2), config)
+        rotated = Atomic.from_atoms([(w * z, m / 2) for z, m in atoms for w in (1, -1)])
+        lat = cached_lattice(1.0, config.lattice_epsilon)
+        want = disk_constant(rotated, 0.0, 1.0, lat, config.quad)
+        assert rep.c2 > 0
+        assert abs(rep.c2 - want.c2) <= 1e-15 * want.c2
+        assert rep.c2_argmax_index == want.argmax_index
+
+    @pytest.mark.parametrize("phi", (Monomial(2), Monomial(3)), ids=("z^2", "z^3"))
+    def test_symmetrized_radial_density_is_unconditional(self, phi):
+        # A radial density's disk masses depend on |a| alone, and rotations keep it.
+        config = replace(CHEAP, mode="symmetrized")
+        mu = RadialDensity(0.5)
+        sym = certify(mu, SpaceParams(2.0, 0.0), 1.0, phi, config)
+        plain = certify(mu, SpaceParams(2.0, 0.0), 1.0, Identity(), CHEAP)
+        assert abs(sym.c2 - plain.c2) <= 1e-15 * plain.c2
 
     def test_radial_density_one_disk_per_radius(self, monkeypatch, small_quad):
         lat = cached_lattice(1.0, 0.01)
@@ -807,7 +839,7 @@ class TestCertify:
     def test_overlap_bound_not_sampled(self, monkeypatch):
         from dataclasses import replace
 
-        # C2 reads the lattice's points and rings, never its overlap bound N.
+        # C2 reads the lattice's points, never its overlap bound N.
         calls = []
         monkeypatch.setattr(lattice, "overlap_bound", lambda *args: calls.append(args))
         config = replace(CHEAP, lattice_epsilon=0.0371)

@@ -39,6 +39,11 @@ class TestGeom:
         assert run_cli(["geom", "--a", "1.5,0", "--z", "0,0"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_nan_point(self, capsys):
+        assert run_cli(["geom", "--a", "nan,0", "--z", "0,0"]) == 1
+        captured = capsys.readouterr()
+        assert "error" in captured.err and captured.out == ""
+
 
 class TestLattice:
     def test_report(self, tmp_path):

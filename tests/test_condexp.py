@@ -13,8 +13,9 @@ from bergmanlab.condexp import (
     cond_expect_values,
     expect_polynomial,
     level_set,
+    rotation_orbit,
 )
-from bergmanlab.errors import CriticalPointError
+from bergmanlab.errors import ConfigurationError, CriticalPointError
 from bergmanlab.geometry import SpaceParams, weighted_kernel
 from bergmanlab.geometry import test_function as kernel_power
 from bergmanlab.measures import Polynomial, bergman_norm, build_quadrature
@@ -180,6 +181,23 @@ class TestExpectPolynomial:
         zs = sample_disk(rng, 20, rmax=0.9)
         assert np.abs(ef(zs) - cond_expect_values(Monomial(2), f, zs)).max() < 1e-13
         assert expect_polynomial(BlaschkeProduct((0.2, -0.4j)), f) is None
+
+
+class TestRotationOrbit:
+    @pytest.mark.parametrize("n", (1, 2, 3, 5))
+    def test_roots_of_unity(self, n, rng):
+        orbit = rotation_orbit(Monomial(n))
+        assert orbit.shape == (n,) and orbit[0] == 1.0
+        assert np.abs(orbit**n - 1.0).max() < 1e-14
+        assert len(np.unique(np.round(np.angle(orbit), 12))) == n
+        zs = sample_disk(rng, 10, rmax=0.9)
+        assert np.abs(Monomial(n)(orbit[:, None] * zs) - Monomial(n)(zs)).max() < 1e-14
+
+    @pytest.mark.parametrize("phi", (Identity(), BlaschkeProduct((0.3 + 0.1j, -0.2))),
+                             ids=("identity", "blaschke"))
+    def test_other_maps_have_none(self, phi):
+        with pytest.raises(ConfigurationError, match="monomial self-map"):
+            rotation_orbit(phi)
 
 
 class TestBatchEvaluation:

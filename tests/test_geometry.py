@@ -277,6 +277,12 @@ class TestValidation:
             as_disk_point(1.0 - 1e-15)
         assert as_disk_point(0.5 + 0.5j) == 0.5 + 0.5j
 
+    @pytest.mark.parametrize("z", (float("nan"), complex(0.0, float("nan")), float("inf"),
+                                   np.array([0.1, float("nan")])), ids=repr)
+    def test_non_finite_rejected(self, z):
+        with pytest.raises(ValueError):
+            as_disk_point(z)
+
     def test_space_params(self):
         with pytest.raises(ValueError):
             SpaceParams(p=0.0, alpha=0.0)

@@ -30,7 +30,6 @@ def lat_mid():
 class TestConstruction:
     def test_includes_origin(self, lat_coarse):
         assert lat_coarse.points[0] == 0.0
-        assert lat_coarse.ring_index[0] == 0
 
     def test_truncation_respected(self, lat_mid):
         assert np.all(1.0 - np.abs(lat_mid.points) >= lat_mid.epsilon)
@@ -87,7 +86,7 @@ class TestCover:
         keep = bergman_distance(target, lat_mid.points) >= lat_mid.r
         holed = HyperbolicLattice(
             r=lat_mid.r, epsilon=lat_mid.epsilon,
-            points=lat_mid.points[keep], ring_index=lat_mid.ring_index[keep],
+            points=lat_mid.points[keep],
         )
         report = verify_cover(holed, 20000)
         assert not report.covered
@@ -97,7 +96,7 @@ class TestCover:
         # worst covering distance cannot improve
         reduced = HyperbolicLattice(
             r=lat_mid.r, epsilon=lat_mid.epsilon,
-            points=lat_mid.points[1:], ring_index=lat_mid.ring_index[1:],
+            points=lat_mid.points[1:],
         )
         full = verify_cover(lat_mid, 10000)
         less = verify_cover(reduced, 10000)

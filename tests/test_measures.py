@@ -224,6 +224,31 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError):
             GridDensity.from_values(rule, -np.ones(rule.nodes.shape))
 
+    def test_atom_masses_must_be_finite(self):
+        for mass in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                Atomic.from_atoms([(0.5, mass)])
+            with pytest.raises(ConfigurationError, match="finite"):
+                Atomic(points=np.array([0.5 + 0j]), masses=np.array([mass]))
+
+    def test_grid_density_values_must_be_finite(self):
+        rule = build_quadrature(0.0, 16, 32)
+        for value in (float("nan"), float("inf")):
+            values = np.ones(rule.nodes.shape)
+            values[3, 7] = value
+            with pytest.raises(ConfigurationError):
+                GridDensity.from_values(rule, values)
+
+    @pytest.mark.parametrize("scale", (float("nan"), float("inf")))
+    def test_radial_scale_must_be_finite(self, scale):
+        with pytest.raises(ConfigurationError, match="scale"):
+            RadialDensity(0.0, scale)
+
+    @pytest.mark.parametrize("coeff", (float("nan"), complex(0.0, float("inf"))))
+    def test_polyweighted_symbol_must_be_finite(self, coeff):
+        with pytest.raises(ConfigurationError, match="symbol"):
+            PolyWeighted(Polynomial.from_coeffs([1.0, coeff]), 2.0, 0.0)
+
     def test_atomic_needs_an_atom(self):
         with pytest.raises(ConfigurationError, match="at least one atom"):
             Atomic.from_atoms([])

@@ -120,6 +120,11 @@ class TestBoundednessCriterion:
                                     PsiGridSpec(4, 10, 4), SMALL)
         assert res.verdict == "divergent"
 
+    def test_non_finite_symbol_rejected(self):
+        with pytest.raises(ConfigurationError, match="symbol"):
+            boundedness_criterion(_op([1.0, float("nan")], Identity()), PsiGridSpec(4, 8, 4),
+                                  SMALL)
+
     def test_scales_like_symbol_power(self):
         grid = PsiGridSpec(4, 8, 4)
         a = boundedness_criterion(_op([0, 1], Identity()), grid, SMALL)
