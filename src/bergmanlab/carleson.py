@@ -23,14 +23,11 @@ taken on nested grids with max |a| = 1 - 2^(-j); the log-log slope of its
 level maxima against 1 - |a| is reported beside the verdict and decides
 nothing.
 
-Each measure type evaluates its own transform on an array of centres
-(``Measure.psi``), and a type without one raises instead of falling back to
-quadrature of the peaked kernel: radial densities, dA_alpha among them, by a
-closed form in 2F1 that is exact at every depth and equals 1 for dA_alpha;
-polynomial weights |u|^p dA_beta by a finite sum of 2F1 at even p and by the
-Mobius pullback, which absorbs the kernel peak, at other p; atoms and grid
-densities by finite sums (see ``measures``). ``psi_sup`` and ``psi_heatmap``
-evaluate their whole grid in one ``mu.psi`` call.
+Each measure type evaluates its own transform on an array of centres, and
+a type without one raises instead of falling back to quadrature of the
+peaked kernel; ``measures`` lists the paths. ``Measure.psi`` checks the
+centres and the values, and ``psi_sup`` and ``psi_heatmap`` evaluate their
+whole grid in one ``mu.psi`` call.
 
 C2 takes every lattice disk mass in one ``measure_of_disk`` call on the
 array of lattice points; given an orbit of rotations, it stacks the rotated
@@ -114,17 +111,7 @@ def _kernel_exponent(alpha, t):
 def psi_transform(mu: Measure, a, alpha, t=None, quad: QuadConfig = DEFAULT_QUAD):
     """Psi_a(mu) with exponent t (default 2 + alpha), evaluated by ``mu.psi``."""
     t = _kernel_exponent(alpha, t)
-    a = complex(a)
-    _check_in_disk(a)
-    return float(mu.psi(a, t, quad))
-
-
-def _check_in_disk(a):
-    """Reject centres on or outside the unit circle (and NaN ones)."""
-    outside = ~(np.abs(a) < 1)
-    if np.any(outside):
-        raise ConfigurationError(
-            f"a must lie in the open unit disk, got {complex(np.asarray(a)[outside].flat[0])}")
+    return float(mu.psi(complex(a), t, quad))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +189,6 @@ def psi_sup(mu: Measure, alpha, t=None, grid: PsiGridSpec = PsiGridSpec(),
     exponent = mu.boundary_exponent(2 + as_fraction(alpha) if t is None else t)
     circles = [grid.points_at_radius(rho) for rho in grid.radii()]
     centers = np.concatenate(circles)
-    _check_in_disk(centers)
     values = mu.psi(centers, t_float, quad)
     k = int(np.argmax(values))
     per_radius = np.split(values, np.cumsum([len(pts) for pts in circles[:-1]]))
@@ -221,7 +207,6 @@ def psi_heatmap(mu: Measure, alpha, t=None, n_radial=24, n_angular=48,
         angles = [0.0] if rho == 0.0 else 2.0 * np.pi * np.arange(n_angular) / n_angular
         centers.extend(rho * np.exp(1j * np.atleast_1d(angles)))
     centers = np.array(centers, dtype=complex)
-    _check_in_disk(centers)
     values = mu.psi(centers, t, quad)
     return [(float(a.real), float(a.imag), float(v)) for a, v in zip(centers, values)]
 

@@ -33,10 +33,12 @@ Each measure evaluates its own kernel-power transform
 
     psi(a, t) = int_D ((1 - |a|^2) / |1 - conj(a) z|^2)^t dmu(z)
 
-at a centre or an array of centres: in closed form for radial densities, as
-a finite sum of Gauss functions 2F1 for polynomial weights at even p, by a
-Mobius pullback for polynomial weights at other p, and as a finite sum over
-the atoms for atoms.
+at a centre or an array of centres: one finite sum of Gauss functions 2F1
+for every m |v|^2 dA_beta with polynomial v (``_psi_squared``), which takes
+radial densities (v = 1) and polynomial weights wherever |u|^p = m |v|^2
+(``_as_square``: even p, or constant u); a Mobius pullback for the other
+polynomial weights; a finite sum over the atoms for atoms. ``Measure.psi``
+checks the centres, and refuses values that can only be a breakdown.
 
 Each measure also states the exponent e for which sup_a psi(a, t) is finite
 exactly when e >= 0 (``boundary_exponent``): gamma + 2 - t for radial
@@ -47,9 +49,10 @@ and rounded once, so its sign is exact: dA_alpha at t = 2 + alpha gives 0.
 
 Each measure also integrates |f|^2 for a stack of polynomials f, one row of
 ascending coefficients each (``square_integrals``): as sum_n |c_n|^2 times
-the moments scale * B(n+1, gamma+1) for radial densities, as those moments of
-u^(p/2) f for polynomial weights at even p (on the rule at other p), as a
-finite sum over the atoms for atoms, and as the sum over the parts for sums.
+the moments scale * B(n+1, gamma+1) for radial densities, as m times those
+moments of v f for polynomial weights with |u|^p = m |v|^2 (on the rule
+otherwise), as a finite sum over the atoms for atoms, and as the sum over the
+parts for sums.
 ``poly_multiply`` and ``poly_power`` give the coefficients of products and
 powers.
 """
@@ -377,9 +380,24 @@ class Measure:
 
         ``a`` is a centre or an array of centres in the open disk; the values
         come back in the shape of ``a``, and a scalar centre gives a float.
+        Centres outside the open disk raise ConfigurationError. A value that is
+        NaN, or +inf where ``boundary_exponent(t)`` >= 0 says Psi is bounded,
+        is a numerical breakdown and raises EvaluationError.
         """
         a = np.asarray(a, dtype=complex)
-        values = self._psi(a.ravel(), t, quad).reshape(a.shape)
+        outside = ~(np.abs(a) < 1)
+        if np.any(outside):
+            raise ConfigurationError(
+                f"a must lie in the open unit disk, got {complex(a[outside].flat[0])}")
+        values = self._psi(a.ravel(), t, quad)
+        broken = ~np.isfinite(values)
+        if np.any(broken) and self.boundary_exponent(t) < 0:
+            broken &= values != np.inf  # the overflow of a transform that does diverge
+        if np.any(broken):
+            k = int(np.argmax(broken))
+            raise EvaluationError(
+                f"Psi is {values[k]} at a = {a.ravel()[k]} (t = {t}): a numerical breakdown")
+        values = values.reshape(a.shape)
         return float(values) if values.ndim == 0 else values
 
     def _psi(self, centers, t, quad):
@@ -452,11 +470,104 @@ def _hyp2f1_near_one(a, b, c, x, y):
     in the logarithmic case c = a + b at 1 - |a| = 2^-40. There the first-order
     term (ab/c) 2F1(a+1, b+1; c+1; x) ((1 - x) - y) removes it; 1 - x is exact
     for x >= 1/2, and where x < 1/2 the correction is below the rounding.
+    Both 2F1 go through ``_hyp2f1``.
     """
-    f = hyp2f1(a, b, c, x)
+    f = _hyp2f1(a, b, c, x)
     if c - a - b < 1:
-        f = f + a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, x) * ((1.0 - x) - y)
+        f = f + a * b / c * _hyp2f1(a + 1.0, b + 1.0, c + 1.0, x) * ((1.0 - x) - y)
     return f
+
+
+# Where c - a - b lies within this of an integer without being one, ``_hyp2f1``
+# interpolates between parameters that put it at _STEP multiples off the integer.
+_NEAR_INTEGER = 1e-4
+_STEP = 2.0**-11
+
+
+def _hyp2f1(a, b, c, x):
+    """scipy's 2F1(a, b; c; x), made accurate near x = 1 where c - a - b is nearly an integer.
+
+    scipy is accurate near x = 1 where d = c - a - b is an integer k, but not
+    where d is close to one: on 150 random a, b, c with k in 0..6 and
+    1 - x in [2^-40, 2^-7], scipy was off by 8e-10 relative at |d - k| = 1e-5,
+    by up to 1e7 at 1e-6 to 1e-14, and inf on 26 at 1e-14. For
+    0 < |d - k| < 1e-4, a and c are rounded to multiples of
+    q = 4 spacing(max(|a|, |b|, |c|, |k|)), so that b0 = c - a - k and
+    b0 + s 2^-11 are exact and give c - a - b = k - s 2^-11 exactly. 2F1 is
+    analytic in b, and the degree-4 interpolant through s = -2..2 is taken at
+    (k - d)/2^-11 as f_0 + sum L_s (f_s - f_0), which is f_0 exactly where
+    the f_s agree. It was then within 5e-13 of a 40-digit oracle at every
+    such offset, and scipy alone within 1.1e-11 at 1e-4 to 5e-4. Not
+    covered: d a negative integer with a or b near 0, where scipy drops the
+    small one (a, b, c = 3, 1e-20, 1 give 1.0 for 6.9 at 1 - x = 2^-35);
+    the 2F1 of ``_psi_squared`` have d >= 0.
+    """
+    d = c - a - b
+    k = round(d)
+    if not 0 < abs(d - k) < _NEAR_INTEGER:
+        return hyp2f1(a, b, c, x)
+    q = 4.0 * np.spacing(max(abs(a), abs(b), abs(c), abs(k)))
+    a, c = np.round(a / q) * q, np.round(c / q) * q
+    b0 = c - a - k
+    u = (k - d) / _STEP
+    f0 = hyp2f1(a, b0, c, x)
+    f = f0
+    for s in (-2, -1, 1, 2):
+        lagrange = np.prod([(u - r) / (s - r) for r in range(-2, 3) if r != s])
+        f = f + lagrange * (hyp2f1(a, b0 + s * _STEP, c, x) - f0)
+    return f
+
+
+def _psi_squared(v, beta, centers, t):
+    """Psi of |v|^2 dA_beta at each a of the 1-d ``centers``, v = sum_j v_j z^j a polynomial.
+
+    With x = |a|^2, d = j - k >= 0 and c = j + beta + 2, the angular average
+    of the kernel power against e^(i d theta) is a^d rho^d (t)_d/d!
+    2F1(t, t+d; d+1; x rho^2), and Euler's integral against rho^(j+k) dA_beta
+    turns the pair v_j conj(v_k) z^j conj(z)^k of |v|^2, with its conjugate,
+    into (1-x)^t e Re[v_j conj(v_k) a^d] (t)_d/d! j!/(beta+2)_j
+    3F2(t, t+d, j+1; d+1, c; x), e = 1 on the diagonal and 2 off it; the
+    radial factor j!/(beta+2)_j = (beta+1) B(j+1, beta+1) is exactly 1 at
+    j = 0. As (j+1)_m/(d+1)_m is a polynomial of degree k in m, the 3F2 is
+    the finite positive sum
+    sum_{i<=k} binom(k, i)/(d+1)_i (t)_i (t+d)_i/(c)_i x^i 2F1(t+i, t+d+i; c+i; x).
+    Where c - 2t - d - i < 0, Euler's transformation (DLMF 15.8.1) writes
+    (1-x)^t 2F1 as (1-x)^(c-t-d-i) 2F1(c-t, c-t-d; c+i; x), so each 2F1 has
+    c - a - b >= 0. For v = 1 this is (1-x)^m 2F1(m, m; beta+2; x) with
+    m = min(t, beta + 2 - t), exactly 1 for dA_beta at t = beta + 2. 1 - x
+    comes from ``one_minus_modulus_sq``, and each 2F1 from ``_hyp2f1_near_one``.
+
+    Against 40-digit oracles from 1 - |a| = 2^-1 to 2^-40, on and off the
+    real axis: radial weights within 1.7e-13 relative (3e-11 where c - 2m < 1),
+    u in {z, z^2, 1+z/2, 1-z} at p in {2, 4} within 2.7e-13 of the 3F2 sum,
+    and 2.6e-12 where c - a - b is within rounding of an integer. The terms
+    cancel where v is small near a/|a|, so the error is about eps times the
+    sum of their moduli, which by Cauchy-Schwarz is at most deg(v) + 1 times
+    the mean of Psi over the circle of radius |a|: a sup keeps its accuracy.
+    """
+    y = one_minus_modulus_sq(centers)
+    x = modulus(centers) ** 2
+    total = np.zeros(len(centers))
+    for j, vj in enumerate(v):
+        c = j + beta + 2.0
+        radial = poch(1.0, j) / poch(beta + 2.0, j)
+        for k in range(j + 1):
+            pair = vj * np.conj(v[k])
+            if pair == 0:
+                continue
+            d = j - k
+            series = np.zeros(len(centers))
+            for i in range(k + 1):
+                coef = binom(k, i) / poch(d + 1.0, i) * poch(t, i) * poch(t + d, i) / poch(c, i)
+                if c - 2.0 * t - d - i < 0:
+                    term = (y ** (c - t - d - i)
+                            * _hyp2f1_near_one(c - t, c - t - d, c + i, x, y))
+                else:
+                    term = y**t * _hyp2f1_near_one(t + i, t + d + i, c + i, x, y)
+                series += coef * x**i * term
+            weight = (1.0 if d == 0 else 2.0) * poch(t, d) / poch(1.0, d) * radial
+            total += weight * np.real(pair * centers**d) * series
+    return total
 
 
 @dataclass(frozen=True)
@@ -488,26 +599,8 @@ class RadialDensity(Measure):
         return _density_disk_measure(self.density, radii.astype(complex), r, quad)[where]
 
     def _psi(self, centers, t, quad):
-        """Exact at every |a| < 1: with x = |a|^2 and c = gamma + 2,
-
-            psi = scale/(gamma+1) * (1-x)^m * 2F1(m, m; c; x),   m = min(t, c - t).
-
-        The angular average of the kernel power is 2F1(t, t; 1; x rho^2); its
-        integral against (1 - rho^2)^gamma in rho^2 is 2F1(t, t; c; x)/(gamma+1),
-        and Euler's transformation (DLMF 15.8.1) trades t for c - t. Taking the
-        smaller of the two keeps c - 2m >= 0, so 2F1 has at most a logarithmic
-        singularity at x = 1. 1 - x comes from ``one_minus_modulus_sq``, and
-        where c - 2m < 1 ``_hyp2f1_near_one`` corrects 2F1 for the rounding of
-        x. Together they keep the value within 2e-13 relative of a 40-digit
-        oracle out to 1 - |a| = 2^-40, on and off the real axis, and within
-        1e-10 where c - 2m < 1 (3e-11 in the logarithmic case c = 2m; without
-        the correction it is 1.5e-6). The boundary exponent is gamma + 2 - t.
-        """
-        c = self.gamma + 2.0
-        m = min(t, c - t)
-        y = one_minus_modulus_sq(centers)
-        return (self.scale / (self.gamma + 1.0) * y**m
-                * _hyp2f1_near_one(m, m, c, modulus(centers) ** 2, y))
+        """The case v = 1 of ``_psi_squared``, times the mass scale/(gamma+1)."""
+        return self.scale / (self.gamma + 1.0) * _psi_squared(np.ones(1), self.gamma, centers, t)
 
     def boundary_exponent(self, t):
         """gamma + 2 - t, the power of 1 - |a|^2 in ``_psi`` where it is negative."""
@@ -581,70 +674,21 @@ class PolyWeighted(Measure):
     def _disk_masses(self, centers, r, quad):
         return _density_disk_measure(self.density, centers, r, quad)
 
-    def _psi(self, centers, t, quad):
-        """Finite sum of 2F1 at even p; otherwise radial for constant u, else the pullback."""
+    def _as_square(self):
+        """(v, m) with |u|^p = m |v|^2: (u^(p/2), 1) at even p, (1, |u_0|^p) for constant u."""
         if self.p % 2 == 0:
-            return self._psi_even(centers, t)
+            return poly_power(self.u.coeffs, int(self.p) // 2), 1.0
         if self.u.is_constant:
-            mass = abs(self.u.coeffs[0]) ** self.p
-            return RadialDensity(self.beta, mass * (self.beta + 1.0))._psi(centers, t, quad)
-        return np.array([self._psi_pullback(a, t, quad) for a in centers])
+            return np.ones(1), abs(self.u.coeffs[0]) ** self.p
+        return None
 
-    def _psi_even(self, centers, t):
-        """Exact at even p: a finite sum of Gauss functions 2F1 in x = |a|^2.
-
-        Write |u|^p = |v|^2 with v = u^(p/2) = sum_j c_j z^j and expand
-        |v|^2 = sum c_j conj(c_k) z^j conj(z)^k. For d = j - k >= 0 the angular
-        average of the kernel power against e^(i d theta) is
-        a^d rho^d (t)_d/d! 2F1(t, t+d; d+1; x rho^2), and Euler's integral
-        against rho^(j+k) dA_beta turns the pair into
-
-            (1-x)^t e Re[c_j conj(c_k) a^d] (t)_d/d! (beta+1) B(j+1, beta+1)
-                * 3F2(t, t+d, j+1; d+1, c; x),      c = j + beta + 2,
-
-        with e = 1 on the diagonal and 2 off it, for the pair and its
-        conjugate. Since j + 1 = d + 1 + k, (j+1)_m/(d+1)_m is a polynomial
-        of degree k in m, and its Newton expansion
-        sum_i binom(k, i) m(m-1)...(m-i+1)/(d+1)_i makes the 3F2 the finite
-        positive sum
-
-            sum_{i<=k} binom(k, i)/(d+1)_i (t)_i (t+d)_i/(c)_i x^i 2F1(t+i, t+d+i; c+i; x).
-
-        Where c - 2t - d - i < 0, Euler's transformation (DLMF 15.8.1) writes
-        (1-x)^t 2F1 as (1-x)^(c-t-d-i) 2F1(c-t, c-t-d; c+i; x), which is
-        bounded at x = 1. 1 - x comes from ``one_minus_modulus_sq``, and each
-        2F1 goes through ``_hyp2f1_near_one``. For u in {z, z^2, 1+z/2, 1-z},
-        p in {2, 4} and beta in {alpha, alpha+1} this matches a 40-digit 3F2
-        oracle within 3e-13 relative from 1 - |a| = 2^-1 to 2^-40. The terms
-        cancel where v is small near a/|a|, so the error is about eps times
-        the sum of their moduli; by Cauchy-Schwarz that sum is at most
-        deg(v) + 1 times the mean of Psi over the circle of radius |a|, so the
-        sup over a circle keeps its accuracy.
-        """
-        coeffs = poly_power(self.u.coeffs, int(self.p) // 2)
-        y = one_minus_modulus_sq(centers)
-        x = modulus(centers) ** 2
-        total = np.zeros(len(centers))
-        for j, cj in enumerate(coeffs):
-            c = j + self.beta + 2.0
-            radial = (self.beta + 1.0) * beta_function(j + 1.0, self.beta + 1.0)
-            for k in range(j + 1):
-                pair = cj * np.conj(coeffs[k])
-                if pair == 0:
-                    continue
-                d = j - k
-                series = np.zeros(len(centers))
-                for i in range(k + 1):
-                    coef = binom(k, i) / poch(d + 1.0, i) * poch(t, i) * poch(t + d, i) / poch(c, i)
-                    if c - 2.0 * t - d - i < 0:
-                        term = (y ** (c - t - d - i)
-                                * _hyp2f1_near_one(c - t, c - t - d, c + i, x, y))
-                    else:
-                        term = y**t * _hyp2f1_near_one(t + i, t + d + i, c + i, x, y)
-                    series += coef * x**i * term
-                weight = (1.0 if d == 0 else 2.0) * poch(t, d) / poch(1.0, d) * radial
-                total += weight * np.real(pair * centers**d) * series
-        return total
+    def _psi(self, centers, t, quad):
+        """m ``_psi_squared`` of v where |u|^p = m |v|^2 (``_as_square``), else the pullback."""
+        square = self._as_square()
+        if square is None:
+            return np.array([self._psi_pullback(a, t, quad) for a in centers])
+        v, mass = square
+        return mass * _psi_squared(v, self.beta, centers, t)
 
     def _psi_pullback(self, a, t, quad):
         """Transform at one centre by substituting z = phi_a(w).
@@ -670,11 +714,12 @@ class PolyWeighted(Measure):
         return np.inf if self.u.is_zero else _exponent(self.beta, t)
 
     def _square_integrals(self, coeffs, quad):
-        """Exact at even p, where |u|^p |f|^2 = |u^(p/2) f|^2 and dA_beta has
-        the moments of ``RadialDensity``; at other p each row on the rule."""
-        if self.p % 2 == 0:
-            products = poly_multiply(coeffs, poly_power(self.u.coeffs, int(self.p) // 2))
-            return WeightedArea(self.beta)._square_integrals(products, quad)
+        """Exact where |u|^p |f|^2 = m |v f|^2 (``_as_square``) and dA_beta has
+        the moments of ``RadialDensity``; otherwise each row on the rule."""
+        square = self._as_square()
+        if square is not None:
+            v, mass = square
+            return mass * WeightedArea(self.beta)._square_integrals(poly_multiply(coeffs, v), quad)
         polys = [Polynomial(tuple(row)) for row in coeffs]
         return np.array([self.integrate(lambda z, f=f: np.abs(f(z)) ** 2, quad) for f in polys])
 

@@ -9,7 +9,7 @@ from importlib import resources
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergmanlab import carleson, condexp, geometry, lattice, measures
@@ -47,7 +47,7 @@ from bergmanlab.measures import (
     integrate,
 )
 
-from conftest import sample_disk
+from conftest import BrokenPsi, sample_disk
 
 # reduced sizes for unit tests: the kernel grid is capped to what the reduced
 # angular resolution integrates to full accuracy
@@ -124,6 +124,8 @@ class TestPsiTransform:
     @pytest.mark.parametrize("gamma, t", [
         (0.0, 2.0), (-0.5, 2.0), (1.0, 2.5), (0.3, 1.2), (-0.5, 3.0),
         (1.0, 1.0), (0.0, 0.5), (-0.75, 0.3), (0.0, 1.0),
+        # gamma + 2 - 2 (gamma + 2 - t) is within rounding of 1 without being 1
+        (1.1, 2.05), (1.4, 2.2), (1.9, 2.45),
     ])
     def test_radial_matches_hypergeometric_oracle(self, gamma, t):
         # Euler's integral of the angular average 2F1(t, t; 1; x rho^2) against
@@ -204,6 +206,21 @@ class TestPolyWeightedClosedForm:
                     want = hyp3f2_psi(np.array(coeffs, dtype=complex), p, beta, t, a)
                     got = psi_transform(mu, a, alpha)
                     assert abs(got / want - 1) < 1e-12, (name, p, k, got, want)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.05, 0.1), (0.2, 0.4), (0.35, 0.7)])
+    def test_matches_hyp3f2_oracle_where_c_minus_a_minus_b_is_nearly_an_integer(
+            self, alpha, beta):
+        # c - a - b of the Euler-transformed 2F1 is 2t + d + i - c, within
+        # rounding of an integer at these pairs, where scipy's 2F1 alone is inf.
+        t = 2.0 + alpha
+        for name, coeffs in ORACLE_SYMBOLS.items():
+            for p in (2, 4):
+                mu = PolyWeighted(Polynomial.from_coeffs(coeffs), float(p), beta)
+                for k in (1, 3, 7, 12, 40):
+                    a = complex((1.0 - 2.0**-k) * np.exp(0.3j))
+                    want = hyp3f2_psi(np.array(coeffs, dtype=complex), p, beta, t, a)
+                    got = psi_transform(mu, a, alpha)
+                    assert abs(got / want - 1) < 1e-11, (name, p, k, got, want)
 
     @pytest.mark.parametrize("alpha", (0.0, 1.0))
     def test_radial_identity(self, alpha):
@@ -591,7 +608,7 @@ class TestFamilySweep:
         params = SpaceParams(2.0, 0.5)
         want = {name: family_constant(mu, params, phi, SWEEP_FAMILY, quad).ratios
                 for name, mu in sweep_measures(quad).items()}
-        calls = {"Polynomial.__call__": 0, "bergman_norm": 0, "integrate": 0}
+        calls = {"Polynomial.__call__": 0, "WeightedArea.integrate": 0, "integrate": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -600,14 +617,15 @@ class TestFamilySweep:
             return wrapper
         monkeypatch.setattr(Polynomial, "__call__",
                             counted("Polynomial.__call__", Polynomial.__call__))
-        monkeypatch.setattr(measures, "bergman_norm",
-                            counted("bergman_norm", measures.bergman_norm))
+        # sweep_measures holds no WeightedArea, so these are norms on the rule
+        monkeypatch.setattr(WeightedArea, "integrate",
+                            counted("WeightedArea.integrate", WeightedArea.integrate))
         monkeypatch.setattr(measures, "_weighted_sum",
                             counted("integrate", measures._weighted_sum))
         carleson._poly_norms.cache_clear()
         for name, mu in sweep_measures(quad).items():
             assert family_constant(mu, params, phi, SWEEP_FAMILY, quad).ratios == want[name]
-        assert calls["Polynomial.__call__"] == calls["bergman_norm"] == 0
+        assert calls["Polynomial.__call__"] == calls["WeightedArea.integrate"] == 0
         if phi.multiplicity == 1:
             assert calls["integrate"] == 0
 
@@ -905,6 +923,8 @@ class TestBoundaryExponentVerdict:
 
     @settings(max_examples=25, deadline=None)
     @given(parts=st.lists(sum_parts, min_size=1, max_size=3), alpha=st.floats(-0.4, 1.0))
+    @example(parts=[PolyWeighted(Polynomial.from_coeffs([0, 0.1j, 0.1j]), 2.0, 0.0)],
+             alpha=1e-14)
     def test_refinement_never_moves_toward_carleson(self, parts, alpha):
         mu = SumMeasure(tuple(parts))
         params = SpaceParams(2.0, alpha)
@@ -925,3 +945,38 @@ class TestBoundaryExponentVerdict:
         res = psi_sup(RadialDensity(gamma), alpha, grid=PsiGridSpec(4, 30, 4))
         assert abs(res.slope - (gamma - alpha)) <= 0.02
         assert abs(res.exponent - (gamma - alpha)) < 1e-12
+
+
+class TestNearIntegerParameters:
+    # At these weights c - a - b of a 2F1 in the exact Psi is within rounding of
+    # an integer without being one; scipy's 2F1 alone is inf from 1 - |a| = 2^-10.
+    @pytest.mark.parametrize("gamma, alpha", [(1.1, 0.05), (1.4, 0.2), (1.6, 0.3), (1.9, 0.45)])
+    def test_radial_weight_is_carleson(self, gamma, alpha):
+        rep = certify(RadialDensity(gamma), SpaceParams(2.0, alpha), 1.0, Identity(),
+                      _deeper(CHEAP, 1))
+        assert rep.verdict == "carleson"
+        assert rep.psi_verdict == "bounded"
+        # gamma > alpha: the sup is at the origin, the total mass
+        assert rep.c3 == pytest.approx(1.0 / (gamma + 1.0), rel=1e-12)
+
+    def test_polynomial_weight_is_carleson(self):
+        mu = PolyWeighted(Polynomial.from_coeffs([1, 0.5]), 2.0, 0.1)
+        rep = certify(mu, SpaceParams(2.0, 0.05), 1.0, Identity(), _deeper(CHEAP, 1))
+        assert rep.verdict == "carleson"
+        assert np.isfinite(rep.c3)
+
+
+class TestPsiBreakdown:
+    @pytest.mark.parametrize("value, exponent", [(np.inf, 0.0), (np.nan, -1.0)])
+    def test_certify_fails_at_psi_sup(self, value, exponent):
+        rep = certify(BrokenPsi(value, exponent), SpaceParams(2.0, 0.0), 1.0, Identity(), CHEAP)
+        assert rep.verdict == "error"
+        assert rep.failure["stage"] == "psi_sup"
+        assert rep.failure["error"] == "EvaluationError"
+
+    def test_overflow_of_a_divergent_transform_stays_divergent(self):
+        # (1 - |a|^2)^(gamma + 2 - t) overflows at 1 - |a| = 2^-30 for t = 42
+        with pytest.warns(RuntimeWarning):
+            res = psi_sup(RadialDensity(0.0), 40.0, grid=PsiGridSpec(4, 30, 4))
+        assert res.sup == np.inf
+        assert res.verdict == "divergent"

@@ -166,6 +166,21 @@ class TestCarlesonCheck:
         cfg.write_text(json.dumps(cfg_data))
         assert run_cli(["carleson", "check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_weight_with_nearly_integer_2f1_parameters_is_carleson(self, tmp_path):
+        # gamma + 2 - 2 (gamma - alpha) is within rounding of 1 here; scipy's 2F1
+        # alone made c3 inf from 1 - |a| = 2^-10 and the exit code 2.
+        cfg_data = self.base_config()
+        cfg_data["measure"] = {"type": "radial", "gamma": 1.1}
+        cfg_data["alpha"] = 0.05
+        cfg_data["psi_grid"]["j_max"] = 10
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        code = run_cli(["carleson", "check", "--config", str(cfg), "--out", str(tmp_path)])
+        rep = read_report(tmp_path / "carleson_report.json")["report"]
+        assert rep["verdict"] == "carleson"
+        assert rep["constants"]["c3"] == pytest.approx(1.0 / 2.1, rel=1e-12)
+        assert code == 0
+
     def test_deep_grid_keeps_not_carleson(self, tmp_path):
         cfg_data = self.base_config()
         cfg_data["measure"] = {"type": "radial", "gamma": -0.5}

@@ -4,6 +4,10 @@ Every other module of the package reaches the map families through
 ``condexp``'s public calls and the map types' own attributes: it imports
 neither ``Monomial`` nor ``BlaschkeProduct`` and tests no object against a
 self-map class with ``isinstance``.
+
+And one routine evaluates Psi exactly for weighted areas: only
+``measures._hyp2f1_near_one`` (or a helper that only it reads) calls scipy's
+``hyp2f1``, and only ``measures._psi_squared`` calls ``_hyp2f1_near_one``.
 """
 
 import ast
@@ -70,3 +74,59 @@ def test_detector_sees_each_form():
         "    return isinstance(phi, int)\n"
     )
     assert [line for line, _ in map_class_uses(source)] == [1, 4, 6, 7]
+
+
+# The one exact Psi routine for weighted areas, and the one function that
+# calls scipy's hyp2f1 on its behalf.
+PSI_ROUTINE = "_psi_squared"
+NEAR_ONE = "_hyp2f1_near_one"
+
+
+def references(source):
+    """{name: set of the qualified names of the functions that reference it} for
+    every name and attribute read in ``source``; "<module>" outside functions."""
+    found = {}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            name = _name(child)
+            if name is not None and isinstance(getattr(child, "ctx", None), ast.Load):
+                found.setdefault(name, set()).add(where or "<module>")
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def package_references():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, where in references(path.read_text()).items():
+            found.setdefault(name, set()).update(where)
+    return found
+
+
+def test_one_function_calls_scipy_hyp2f1_for_the_one_psi_routine():
+    uses = package_references()
+    assert uses.get(NEAR_ONE) == {PSI_ROUTINE}
+    for caller in uses.get("hyp2f1", set()) - {NEAR_ONE}:
+        # a helper of the one function, read by nothing else
+        assert uses.get(caller.rsplit(".", 1)[-1]) == {NEAR_ONE}, caller
+
+
+def test_references_name_each_enclosing_function():
+    source = (
+        "from scipy.special import hyp2f1\n"
+        "def helper(x):\n"
+        "    return hyp2f1(1, 2, 3, x)\n"
+        "class Radial:\n"
+        "    def _psi(self, x):\n"
+        "        return special.hyp2f1(1, 2, 3, x) + helper(x)\n"
+        "LIMIT = helper(0.5)\n"
+    )
+    uses = references(source)
+    assert uses["hyp2f1"] == {"helper", "Radial._psi"}
+    assert uses["helper"] == {"Radial._psi", "<module>"}

@@ -5,10 +5,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from bergmanlab import geometry
 from bergmanlab import measures as measures_module
 from bergmanlab.errors import ConfigurationError, EvaluationError
 from bergmanlab.geometry import SpaceParams
@@ -33,7 +34,7 @@ from bergmanlab.measures import (
     rotations,
 )
 
-from conftest import sample_disk
+from conftest import BrokenPsi, sample_disk
 
 ALPHAS = (-0.9, -0.5, 0.0, 1.0, 3.0)
 
@@ -316,6 +317,64 @@ class TestBoundaryExponent:
         assert WeightedArea(0.1).boundary_exponent(2.1) == 0.0
         assert as_fraction(0.1) == Fraction(1, 10)
         assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+
+
+class TestPsiGate:
+    MEASURES = (WeightedArea(0.0), Atomic.from_atoms([(0.3, 1.0)]),
+                PolyWeighted(Polynomial.from_coeffs([1, 0.5]), 3.0, 0.0))
+
+    @pytest.mark.parametrize("mu", MEASURES, ids=("area", "atomic", "pullback"))
+    @pytest.mark.parametrize("a", (1.0, -1j, 1.5, complex("nan")))
+    def test_centre_outside_the_disk_rejected(self, mu, a):
+        with pytest.raises(ConfigurationError, match="open unit disk"):
+            mu.psi(np.array([0.5, a]), 2.0)
+
+    @pytest.mark.parametrize("alpha", (-0.5, 1e-14, 0.05, 1.0, 2.0 - 1e-13))
+    def test_reference_transform_is_exactly_one(self, alpha):
+        centers = np.concatenate([[0.0, 0.3 - 0.4j],
+                                  (1.0 - 2.0 ** -np.arange(1, 41)) * np.exp(0.3j)])
+        assert np.all(WeightedArea(alpha).psi(centers, 2.0 + alpha) == 1.0)
+
+
+class TestPsiBreakdown:
+    @pytest.mark.parametrize("value", (np.inf, np.nan, -np.inf))
+    @pytest.mark.parametrize("exponent", (0.0, 0.5))
+    def test_non_finite_value_of_a_bounded_transform_raises(self, value, exponent):
+        # Psi is bounded where the exponent is >= 0, so inf cannot be its value
+        with pytest.raises(EvaluationError, match=r"at a = \(0\.5\+0\.25j\)"):
+            BrokenPsi(value, exponent).psi(np.array([0.1, 0.5 + 0.25j]), 2.0)
+
+    def test_nan_raises_where_the_transform_diverges(self):
+        with pytest.raises(EvaluationError, match="nan"):
+            BrokenPsi(np.nan, -0.5).psi(np.array([0.1, 0.5]), 2.0)
+
+    def test_inf_passes_where_the_transform_diverges(self):
+        assert BrokenPsi(np.inf, -0.5).psi(np.array([0.1, 0.5]), 2.0)[-1] == np.inf
+
+
+class TestHyp2f1NearOne:
+    @settings(max_examples=25, deadline=None)
+    @given(c=st.floats(1.0, 16.0), b=st.floats(-0.9, 10.0, exclude_min=True),
+           k=st.integers(0, 6),
+           offset=st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e,
+                                                   st.sampled_from((-1.0, 1.0)),
+                                                   st.floats(-16.0, np.log10(5e-4)))),
+           depth=st.integers(8, 40))
+    # c - a - b = 1 + 1e-14: scipy's 2F1 is inf
+    @example(c=3.1, b=1.05, k=1, offset=1e-14, depth=20)
+    def test_matches_mpmath_where_c_minus_a_minus_b_is_near_an_integer(
+            self, c, b, k, offset, depth):
+        # c - a - b >= -5e-4, the side _psi_squared calls it on (c - a - b >= 0).
+        # On the real axis at 1 - |a| = 2^-depth, |a|^2 rounds off 1 - y by
+        # 2^(-2 depth), so what is compared is 2F1 itself, not the rounding of x.
+        a = c - b - (k + offset)
+        assume(a > -0.9)
+        r = 1.0 - 2.0**-depth
+        y = geometry.one_minus_modulus_sq(r)
+        got = measures_module._hyp2f1_near_one(a, b, c, r * r, y)
+        with mpmath.workdps(40):
+            want = mpmath.hyp2f1(a, b, c, 1 - mpmath.mpf(float(y)))
+        assert abs(got / want - 1) < 1e-10, (a, b, c, c - a - b, depth, got, want)
 
 
 class TestBergmanNorm:

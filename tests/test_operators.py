@@ -231,3 +231,12 @@ class TestOperatorType:
         # A one-zero Blaschke product is an automorphism: E is the identity.
         assert _op([1.0], BlaschkeProduct((0.2,))).expectation_analytic
         assert not _op([1.0], BlaschkeProduct((0.2, -0.4j))).expectation_analytic
+
+
+def test_criterion_sup_is_finite_where_c_minus_a_minus_b_is_nearly_an_integer():
+    # beta + 2 - 2 (beta + 2 - t) is within rounding of 1 here, where scipy's
+    # 2F1 alone is inf from 1 - |a| = 2^-10.
+    res = boundedness_criterion(_op([1, 0.5], Identity(), alpha=0.05, beta=0.1),
+                                PsiGridSpec(4, 12, 8))
+    assert res.verdict == "bounded"
+    assert np.isfinite(res.sup)
