@@ -38,30 +38,37 @@ disk rule per distinct |a| (15 for the default 699-point lattice), other
 densities go in batches of disks, and atoms in chunks of centres x atoms,
 all within a fixed budget of nodes.
 
-C1's kernel members are exact under a map of multiplicity 1 (the identity, z,
-one-zero Blaschke products): E is then the identity and int |f_a|^p dmu is
-Psi_a(mu) at t = 2 + alpha, so all of them are one ``mu.psi`` call. Under
-other maps the sweep integrates |E f_a|^p on the measure's nodes. A centre
-a = rho w with |w| = 1 gives f_a(z) = f_rho(conj(w) z), and rotations through
-multiples of 2 pi / N only permute the disk rule's nodes, whose angles are
-2 pi j / N (Trefethen & Weideman, SIAM Review 2014). So when E commutes
-with rotations (the map type's ``commutes_with_rotations``) and n_dirs
-divides N, a ring is one evaluation of |E f_rho|^p rolled onto every
+C1's kernel members take one of three paths. Under a map of multiplicity 1
+(the identity, z, one-zero Blaschke products) E is the identity and
+int |f_a|^p dmu is Psi_a(mu) at t = 2 + alpha, so all of them are one
+``mu.psi`` call. At even p under z^n, on a measure whose ``square_integrals``
+is a moment sum (``mu.moment_sums``: radial densities, polynomial weights
+with |u|^p = m |v|^2, and sums of those), each f_a is its Taylor series
+truncated at a degree D with an explicit tail bound
+(``geometry.kernel_series``), and its rows join the polynomial members below.
+Otherwise (atoms and grid densities, Blaschke products with two or more
+zeros, odd or non-integer p) the sweep integrates |E f_a|^p on the measure's
+nodes. A centre a = rho w with |w| = 1 gives f_a(z) = f_rho(conj(w) z), and
+rotations through multiples of 2 pi / N only permute the disk rule's nodes,
+whose angles are 2 pi j / N (Trefethen & Weideman, SIAM Review 2014). So when
+E commutes with rotations (the map type's ``commutes_with_rotations``) and
+n_dirs divides N, a ring is one evaluation of |E f_rho|^p rolled onto every
 direction (``measures.ring_shifts``); Blaschke maps, atoms and other rule
 sizes evaluate each member directly.
 
 C1's polynomial members are exact at even p wherever
-``condexp.expect_polynomial`` gives E f (every map but Blaschke products with
-two or more zeros): |E f|^p = |(E f)^(p/2)|^2 is the squared modulus of a
-polynomial, so all numerators are one ``mu.square_integrals`` call, a finite
-sum of moments for each measure type, and the norms are the same sums against
-dA_alpha. Quadrature on the rule remains only for Blaschke maps with two or
-more zeros, where every E is a ``condexp.cond_expect_values`` call with one
-dict per sweep, which keeps the level sets of each node array, so they are
-solved once per sweep; and for odd or non-integer p. A norm ||f||^p is the
-numerator of f against dA_alpha under the identity, so numerators and norms
-take one routine (``_power_integrals``), and norms are computed once per
-(family, p, alpha, rule).
+``condexp.expect_coefficients`` gives E f (every map but Blaschke products
+with two or more zeros): |E f|^p = |(E f)^(p/2)|^2 is the squared modulus of
+a polynomial, so all numerators, the kernel series included, are one
+``mu.square_integrals`` call on the rows of (E f)^(p/2), a finite sum of
+moments or of atoms for each measure type, and the norms are the same sums
+against dA_alpha. Quadrature on the rule remains only for Blaschke maps with
+two or more zeros, where every E is a ``condexp.cond_expect_values`` call
+with one dict per sweep, which keeps the level sets of each node array, so
+they are solved once per sweep; and for odd or non-integer p. A norm ||f||^p
+is the numerator of f against dA_alpha under the identity, so numerators and
+norms take one routine (``_power_integrals``), and norms are computed once
+per (family, p, alpha, rule).
 
 Nothing below ``certify`` tells the self-maps apart. Its symmetrized mode
 (z^n only) is two plain inputs: C2 averages each disk over the rotation
@@ -265,7 +272,8 @@ class FamilySpec:
 
     Each nonzero kernel radius rho is a ring of n_dirs centres rho * w_k with
     w_k = exp(2 pi i k / n_dirs); radius 0 is one centre, taken once. Under a
-    map of multiplicity 1 the kernel members are exact Psi values; under
+    map of multiplicity 1 the kernel members are exact Psi values; under z^n
+    at even p on a measure with moment sums they are truncated series; under
     other maps they are integrated on the rule. At even p the polynomial
     members and their norms are exact moment sums, except under Blaschke
     products with two or more zeros; those and odd or non-integer p are
@@ -339,6 +347,14 @@ def _family_polys(spec: FamilySpec):
     return polys
 
 
+def _stack_rows(rows):
+    """The coefficient sequences ``rows`` as one 2-d array, zero-padded to the widest."""
+    out = np.zeros((len(rows), max((len(row) for row in rows), default=1)), dtype=complex)
+    for i, row in enumerate(rows):
+        out[i, :len(row)] = row
+    return out
+
+
 def build_family(spec: FamilySpec, params: SpaceParams):
     """Materialize the family deterministically: kernel rings first, then polynomials."""
     members = []
@@ -364,25 +380,24 @@ class TestConstantResult:
     ratios: dict
 
 
-def _power_integrals(mu: Measure, phi: AnalyticSelfMap, polys, p, quad: QuadConfig, solved):
-    """int |E f|^p dmu for each polynomial f of ``polys``, in order.
+def _power_integrals(mu: Measure, phi: AnalyticSelfMap, rows, p, quad: QuadConfig, solved):
+    """int |E f|^p dmu for each polynomial f, one row of ascending coefficients each.
 
-    Where ``condexp.expect_polynomial`` gives every E f in closed form and p
-    is even, |E f|^p = |(E f)^(p/2)|^2 and all integrals are one
-    ``mu.square_integrals`` call, a finite sum of moments. Otherwise each is a
-    quadrature on the measure's nodes, with E from ``cond_expect_values`` and
-    the level sets kept in ``solved`` where there is no closed form.
+    Where ``condexp.expect_coefficients`` gives E of the rows and p is even,
+    |E f|^p = |(E f)^(p/2)|^2 and all integrals are one ``mu.square_integrals``
+    call on the rows of the powers. Otherwise each is a quadrature on the
+    measure's nodes, with E from ``cond_expect_values`` and the level sets
+    kept in ``solved`` where there is no closed form.
     """
-    efs = [condexp.expect_polynomial(phi, f) for f in polys]
-    if polys and p % 2 == 0 and all(ef is not None for ef in efs):
-        width = max(len(ef.coeffs) for ef in efs)
-        rows = poly_power([ef.coeffs + (0j,) * (width - len(ef.coeffs)) for ef in efs],
-                          int(p) // 2)
-        return list(mu.square_integrals(rows, quad))
+    erows = condexp.expect_coefficients(phi, rows)
+    if p % 2 == 0 and erows is not None:
+        return list(mu.square_integrals(poly_power(erows, int(p) // 2), quad))
     nums = []
-    for f, ef in zip(polys, efs):
-        if ef is None:
-            ef = lambda z, _f=f: condexp.cond_expect_values(phi, _f, z, solved)
+    for i, row in enumerate(rows):
+        if erows is not None:
+            ef = Polynomial(tuple(erows[i]))
+        else:
+            ef = lambda z, _f=Polynomial(tuple(row)): condexp.cond_expect_values(phi, _f, z, solved)
         nums.append(mu.integrate(lambda z, _ef=ef: np.abs(_ef(z)) ** p, quad))
     return nums
 
@@ -397,8 +412,8 @@ def _poly_norms(family: FamilySpec, p, alpha, quad: QuadConfig):
     (``_power_integrals``): exact moment sums at even p, a quadrature on the
     rule otherwise.
     """
-    polys = [poly for _, poly in _family_polys(family)]
-    powers = _power_integrals(WeightedArea(alpha), Identity(), polys, p, quad, None)
+    rows = _stack_rows([poly.coeffs for _, poly in _family_polys(family)])
+    powers = _power_integrals(WeightedArea(alpha), Identity(), rows, p, quad, None)
     return tuple(float(x) ** (1.0 / p) for x in powers)
 
 
@@ -427,34 +442,44 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
                   quad: QuadConfig = DEFAULT_QUAD) -> TestConstantResult:
     """C1: max over the family of int |E(f)|^p dmu / ||f||^p, in one sweep.
 
-    Kernel members have norm 1. Under a map of multiplicity 1 each level set
-    is one point, so E is the identity and the kernel members are one
-    ``mu.psi`` call at t = 2 + alpha; under other maps a kernel ring is one
-    integral of a stacked integrand (``_ring_integrand``). Polynomial members
-    take E(f) in closed form where ``condexp.expect_polynomial`` gives it
-    (maps of multiplicity 1 and z^n). At even p their numerators are then
-    exact: one ``mu.square_integrals`` call on the rows of (E f)^(p/2).
-    Quadrature on the rule remains for odd or non-integer p and for Blaschke
-    products with two or more zeros, where every E is a ``cond_expect_values``
-    call with the sweep's dict ``solved``, so the level sets of each node
-    array are solved once per sweep. Their norms are the same integrals
-    against dA_alpha under the identity (``_poly_norms``). The sweep takes no
-    mode; ``certify`` passes the family to sweep.
+    Kernel members have norm 1 and take one of three paths:
+    - under a map of multiplicity 1 each level set is one point, so E is the
+      identity and the kernel members are one ``mu.psi`` call at t = 2 + alpha;
+    - at even p, where E of a polynomial has a closed form (z^n) and the
+      measure's ``square_integrals`` is a moment sum (``mu.moment_sums``),
+      each f_a is its truncated power series (``geometry.kernel_series``,
+      within 2^-59 of f_a^(p/2) on the disk), and the rows join the
+      polynomial members below;
+    - otherwise (atoms, Blaschke products with two or more zeros, odd or
+      non-integer p) a kernel ring is one integral of a stacked integrand on
+      the measure's nodes (``_ring_integrand``).
+    Polynomial members take E(f) in closed form where
+    ``condexp.expect_coefficients`` gives it (maps of multiplicity 1 and
+    z^n). At even p their numerators are then exact: one
+    ``mu.square_integrals`` call on the rows of (E f)^(p/2). Quadrature on
+    the rule remains for odd or non-integer p and for Blaschke products with
+    two or more zeros, where every E is a ``cond_expect_values`` call with the
+    sweep's dict ``solved``, so the level sets of each node array are solved
+    once per sweep. Their norms are the same integrals against dA_alpha
+    under the identity (``_poly_norms``). The sweep takes no mode; ``certify``
+    passes the family to sweep.
     """
     members = build_family(family, params)
     p = params.p
     solved = {}
     rings = _kernel_rings(family)
+    centers = np.array([a for ring in rings for a in ring], dtype=complex)
+    rows = _stack_rows([member.poly.coeffs for member in members[len(centers):]])
+    nums = []
     if phi.multiplicity == 1:
-        centers = np.array([a for ring in rings for a in ring], dtype=complex)
         nums = list(mu.psi(centers, 2.0 + params.alpha, quad))
+    elif p % 2 == 0 and mu.moment_sums and condexp.expect_coefficients(phi, rows) is not None:
+        rows = _stack_rows([*geometry.kernel_series(centers, params, int(p) // 2), *rows])
     else:
-        nums = []
-        for centers in rings:
-            nums.extend(mu.integrate(_ring_integrand(phi, params, centers, solved), quad))
-    norms = [1.0] * len(nums) + list(_poly_norms(family, p, params.alpha, quad))
-    polys = [member.poly for member in members[len(nums):]]
-    nums.extend(_power_integrals(mu, phi, polys, p, quad, solved))
+        for ring in rings:
+            nums.extend(mu.integrate(_ring_integrand(phi, params, ring, solved), quad))
+    norms = [1.0] * len(centers) + list(_poly_norms(family, p, params.alpha, quad))
+    nums.extend(_power_integrals(mu, phi, rows, p, quad, solved))
     best = -np.inf
     worst = members[0].label
     ratios = {}

@@ -10,23 +10,31 @@ critical points, with weights inversely proportional to |phi'|^2:
 Supported map families: the identity, monomials z^n (level sets are exact
 root-of-unity orbits with uniform weights), and finite Blaschke products
 (level sets solved as polynomial root-finding with residual verification).
-Only this module tells the families apart: ``expect_polynomial`` gives E of
-a polynomial in closed form (None under a Blaschke product with two or more
-zeros), ``cond_expect_values`` evaluates E on an array of points, and
-``rotation_orbit`` gives the roots of unity of z^n, whose rotations leave
-z^n unchanged (it raises for every other map). Under a map of multiplicity
-1 (the identity, z, a one-zero Blaschke product) every level set is one
-point, so E is the identity and the first two pass f through.
+Only this module tells the families apart: ``expect_coefficients`` gives E
+of a stack of polynomials in closed form, as rows of coefficients, and
+``expect_polynomial`` of one polynomial (both None under a Blaschke product
+with two or more zeros); ``cond_expect_values`` evaluates E on an array of
+points, and ``rotation_orbit`` gives the roots of unity of z^n, whose
+rotations leave z^n unchanged (it raises for every other map). Under a map of
+multiplicity 1 (the identity, z, a one-zero Blaschke product) every level set
+is one point, so E is the identity and the first three pass f through.
 Level sets and their weights are formed in one place, ``_level_sets``, over
 an array of points; ``level_set`` reads it at one point, and
 ``cond_expect_values`` reads it everywhere except where a map of multiplicity
 1 passes f through and where z^n on quadrature-rule nodes rolls f along its
 ring.
 ``_level_average`` reduces f's values on a level set to E(f). Each map type
-says whether E commutes with rotations (``commutes_with_rotations``). A
-test-family sweep (``carleson.test_constant``) passes one dict to all its
-calls, in which the Blaschke level sets of each node array are kept once
-solved, so members cost one evaluation of f each and no further root-finding.
+says whether E commutes with rotations (``commutes_with_rotations``).
+
+Who reads E: the test-family sweep (``carleson.test_constant``) takes E of
+its polynomial members, and at even p under z^n of its kernel series, from
+``expect_coefficients`` in one array call, and E of the kernel rings and of
+every member under other maps from ``cond_expect_values``. It passes one
+dict to all those calls, in which the Blaschke level sets of each node array
+are kept once solved, so members cost one evaluation of f each and no
+further root-finding. ``operators`` asks ``expect_polynomial`` whether E of
+the symbol has a closed form, the CLI evaluates E of a polynomial with it,
+and ``certify``'s symmetrized mode reads ``rotation_orbit``.
 
 The point z = 0 is a critical point of every monomial z^n with n >= 2; the
 expectation is defined off the critical set only, and callers evaluating on
@@ -294,8 +302,28 @@ def cond_expect_poly(n, f: Polynomial) -> Polynomial:
     """
     if n < 1:
         raise ValueError(f"monomial exponent must be >= 1, got {n}")
-    kept = [c if m % n == 0 else 0j for m, c in enumerate(f.coeffs)]
-    return Polynomial.from_coeffs(kept)
+    return Polynomial.from_coeffs(_keep_multiples(n, np.array(f.coeffs, dtype=complex)))
+
+
+def _keep_multiples(n, rows):
+    """``rows`` with every coefficient whose power is not a multiple of n set to zero."""
+    return np.where(np.arange(rows.shape[-1]) % n == 0, rows, 0j)
+
+
+def expect_coefficients(phi: AnalyticSelfMap, rows):
+    """E of a stack of polynomials, one row of ascending coefficients each, as rows.
+
+    The rows pass through under a map of multiplicity 1, and keep the powers
+    that are multiples of n under z^n (``cond_expect_poly``), in one array
+    operation. None under a Blaschke product with two or more zeros, where E
+    of a polynomial has no closed form.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    if phi.multiplicity == 1:
+        return rows
+    if isinstance(phi, Monomial):
+        return _keep_multiples(phi.n, rows)
+    return None
 
 
 def expect_polynomial(phi: AnalyticSelfMap, f: Polynomial) -> Polynomial | None:
@@ -303,9 +331,8 @@ def expect_polynomial(phi: AnalyticSelfMap, f: Polynomial) -> Polynomial | None:
     under z^n, and None under a Blaschke product with two or more zeros."""
     if phi.multiplicity == 1:
         return f
-    if isinstance(phi, Monomial):
-        return cond_expect_poly(phi.n, f)
-    return None
+    rows = expect_coefficients(phi, [f.coeffs])
+    return None if rows is None else Polynomial.from_coeffs(rows[0])
 
 
 def cond_expect_values(phi: AnalyticSelfMap, f, zs, solved=None):

@@ -9,6 +9,9 @@ Implements the standard automorphism and kernel toolkit:
     k_a(z)     = (1 - |a|^2) / (1 - conj(a) z)^2   normalized kernel
     f_a(z)     = k_a(z)^((2+alpha)/p)              unit-norm kernel power
 
+``kernel_series`` gives the Taylor coefficients of f_a, truncated at a degree
+chosen from an explicit tail bound (``series_degree``).
+
 The metric ball D(a, r) = {z : beta(a, z) < r} is a Euclidean disk whose
 center, radius, normalized area, and kernel extrema all have closed forms
 in s = tanh(r); those are evaluated here exactly.
@@ -24,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 # Points this close to the unit circle are rejected at construction so that
 # powers of (1 - |z|^2) cannot overflow downstream.
@@ -269,6 +273,66 @@ def test_function(a, z, params: SpaceParams):
     np.multiply(modulus, np.cos(phase), out=out.real)
     np.multiply(modulus, np.sin(phase), out=out.imag)
     return complex(out) if out.ndim == 0 else out
+
+
+# Bound on sup_z |f_a - S_D| / (1 - |a|^2)^s of the truncated series (``kernel_series``).
+SERIES_TAIL = 2.0**-60
+
+
+def series_degree(r, e):
+    """The least D whose tail bound b_{D+1} / (1 - q) is at most SERIES_TAIL.
+
+    Here b_k = (e)_k / k! r^k and q = r max(1, (e + D + 1)/(D + 2)), which
+    bounds b_{k+1} / b_k for every k > D, so that sum_{k > D} b_k <=
+    b_{D+1} / (1 - q) once q < 1. The terms are formed in logs, so a large e
+    does not overflow. D is 0 at r = 0 and grows linearly in e; r must lie
+    in [0, 1), where the series converges.
+    """
+    if not 0 <= r < 1:
+        raise ValueError(f"the kernel series needs 0 <= r < 1, got {r}")
+    if r == 0:
+        return 0
+    log_tail = np.log(SERIES_TAIL)
+    size = 64
+    while True:
+        d = np.arange(size)
+        log_b = gammaln(e + d + 1) - gammaln(e) - gammaln(d + 2) + (d + 1) * np.log(r)
+        q = r * np.maximum(1.0, (e + d + 1) / (d + 2))
+        with np.errstate(divide="ignore"):
+            ok = (q < 1) & (log_b - np.log1p(-np.minimum(q, 1.0)) <= log_tail)
+        if ok.any():
+            return int(np.argmax(ok))
+        size *= 2
+
+
+def kernel_series(a, params: SpaceParams, power=1):
+    """Ascending coefficients of the series S_D of f_a, one row per centre of ``a``.
+
+    With s = (2+alpha)/p,
+
+        f_a(z) = (1 - |a|^2)^s sum_k (2s)_k / k! (conj(a) z)^k,
+
+    and every row stops at D = ``series_degree(max |a|, 2 s power)``, so that
+    sup_{|z|<1} |f_a - S_D| <= SERIES_TAIL (1 - |a|^2)^s. The coefficients of
+    S_D, and of E(S_D) under a conditional expectation that keeps or drops
+    each power, are bounded by those of g = (1 - |a|^2)^s (1 - |a| z)^(-2s);
+    so for an integer ``power`` m the coefficients of (E S_D)^m up to degree D
+    are those of (E f_a)^m, and those above D are bounded by the tail of g^m,
+    which gives sup |(E f_a)^m - (E S_D)^m| <= 2 SERIES_TAIL (1 - |a|^2)^(s m).
+    The coefficients are formed in logs (``gammaln``), so a large alpha does
+    not overflow. No centres give a (0, 1) array.
+    """
+    a = np.asarray(a, dtype=complex).ravel()
+    if a.size == 0:
+        return np.zeros((0, 1), dtype=complex)
+    s = params.kernel_exponent
+    radii = modulus(a)
+    k = np.arange(series_degree(float(radii.max()), 2.0 * s * power) + 1)
+    log_mod = s * np.log(one_minus_modulus_sq(a))[:, None] \
+        + (gammaln(2.0 * s + k) - gammaln(2.0 * s) - gammaln(k + 1.0))
+    with np.errstate(divide="ignore"):
+        log_mod[:, 1:] += k[1:] * np.log(radii)[:, None]
+    return np.exp(log_mod) * np.exp(-1j * np.outer(np.angle(a), k))
 
 
 def kernel_power_modulus(a, z, t):

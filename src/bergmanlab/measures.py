@@ -52,7 +52,9 @@ ascending coefficients each (``square_integrals``): as sum_n |c_n|^2 times
 the moments scale * B(n+1, gamma+1) for radial densities, as m times those
 moments of v f for polynomial weights with |u|^p = m |v|^2 (on the rule
 otherwise), as a finite sum over the atoms for atoms, and as the sum over the
-parts for sums.
+parts for sums. Each measure says whether that is a sum of moments, whose cost
+does not grow with a node or atom count (``moment_sums``): radial densities,
+polynomial weights with |u|^p = m |v|^2, and sums of only those.
 ``poly_multiply`` and ``poly_power`` give the coefficients of products and
 powers.
 """
@@ -329,13 +331,46 @@ def poly_multiply(a, b):
     return out
 
 
+# Rows of at most this many coefficients are raised to a power by repeated
+# products, which are exact on small integer data; wider rows take one FFT.
+DIRECT_POWER_WIDTH = 64
+
+
 def poly_power(coeffs, k):
-    """Ascending coefficients of the k-th power of each polynomial on the last axis."""
+    """Ascending coefficients of the k-th power of each polynomial on the last axis.
+
+    The first power is an exact copy. From k = 2 on, rows wider than
+    DIRECT_POWER_WIDTH are raised with one FFT product, O(n log n) in the
+    width n where repeated products are O(n^2), and every coefficient outside
+    the power's exact support is set to zero, so zero coefficients of the
+    power stay exactly zero.
+    """
     coeffs = np.asarray(coeffs, dtype=complex)
-    out = np.ones(coeffs.shape[:-1] + (1,), dtype=complex)
-    for _ in range(k):
-        out = poly_multiply(out, coeffs)
-    return out
+    if k == 1:
+        return coeffs.copy()
+    if k == 0 or coeffs.shape[-1] <= DIRECT_POWER_WIDTH:
+        out = np.ones(coeffs.shape[:-1] + (1,), dtype=complex)
+        for _ in range(k):
+            out = poly_multiply(out, coeffs)
+        return out
+    n = k * (coeffs.shape[-1] - 1) + 1
+    out = np.fft.ifft(np.fft.fft(coeffs, n) ** k, n)
+    return np.where(_power_support(coeffs != 0, k), out, 0j)
+
+
+def _power_support(nonzero, k):
+    """Where the k-th power of each row can be nonzero: the k-fold sumset of the
+    powers where ``nonzero`` holds, by integer convolution once per distinct row."""
+    flat = nonzero.reshape(-1, nonzero.shape[-1])
+    patterns, which = np.unique(flat, axis=0, return_inverse=True)
+    n = k * (nonzero.shape[-1] - 1) + 1
+    supports = np.empty((len(patterns), n), dtype=bool)
+    for i, pattern in enumerate(patterns.astype(np.int64)):
+        support = pattern
+        for _ in range(k - 1):
+            support = np.minimum(np.convolve(support, pattern), 1)
+        supports[i] = support
+    return supports[which.ravel()].reshape(nonzero.shape[:-1] + (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +379,10 @@ def poly_power(coeffs, k):
 
 class Measure:
     """Base class; subclasses are immutable after construction."""
+
+    # Whether ``square_integrals`` is a sum of moments, O(degree) per row and
+    # independent of any node count; a sum over atoms or rule nodes is not.
+    moment_sums = False
 
     def integrate(self, g, quad: QuadConfig = DEFAULT_QUAD):
         """Integral of g, a constant or a callable on the measure's nodes.
@@ -576,6 +615,7 @@ class RadialDensity(Measure):
 
     gamma: float
     scale: float = 1.0
+    moment_sums = True
 
     def __post_init__(self):
         if not self.gamma > -1:
@@ -673,6 +713,11 @@ class PolyWeighted(Measure):
 
     def _disk_masses(self, centers, r, quad):
         return _density_disk_measure(self.density, centers, r, quad)
+
+    @property
+    def moment_sums(self):
+        """Exactly where |u|^p = m |v|^2 (``_as_square``)."""
+        return self._as_square() is not None
 
     def _as_square(self):
         """(v, m) with |u|^p = m |v|^2: (u^(p/2), 1) at even p, (1, |u_0|^p) for constant u."""
@@ -832,6 +877,10 @@ class SumMeasure(Measure):
 
     def boundary_exponent(self, t):
         return min(part.boundary_exponent(t) for part in self.parts)
+
+    @property
+    def moment_sums(self):
+        return all(part.moment_sums for part in self.parts)
 
     def _square_integrals(self, coeffs, quad):
         return sum(part._square_integrals(coeffs, quad) for part in self.parts)

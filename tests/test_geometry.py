@@ -1,5 +1,6 @@
 """Closed-form geometry: fixed values, identities, and sampled cross-checks."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,12 +10,15 @@ from bergmanlab.geometry import (
     as_disk_point,
     bergman_disk,
     bergman_distance,
+    SERIES_TAIL,
     disk_area,
     kernel_extrema_on_disk,
+    kernel_series,
     mobius,
     mobius_derivative,
     normalized_kernel,
     pseudo_distance,
+    series_degree,
     weighted_kernel,
 )
 from bergmanlab.geometry import test_function as kernel_power
@@ -297,3 +301,68 @@ class TestValidation:
     def test_weighted_kernel_alpha(self):
         with pytest.raises(ValueError):
             weighted_kernel(0.3, 0.2, -1.5)
+
+
+def tail_bound(r, e, d):
+    """b_{d+1} / (1 - q) of ``series_degree`` in mpmath, or inf where q >= 1."""
+    with mpmath.workdps(30):
+        r, e = mpmath.mpf(r), mpmath.mpf(e)
+        q = r * max(1, (e + d + 1) / (d + 2))
+        if q >= 1:
+            return mpmath.inf
+        return mpmath.rf(e, d + 1) / mpmath.factorial(d + 1) * r ** (d + 1) / (1 - q)
+
+
+class TestKernelSeries:
+    @pytest.mark.parametrize("alpha", (-0.9, 0.0, 5.0))
+    def test_within_the_tail_bound_of_the_kernel_power(self, alpha, rng):
+        # |S_D - f_a| <= SERIES_TAIL (1-|a|^2)^s, plus the rounding of Horner's
+        # rule over D terms and of the kernel's own exp and log, both at most
+        # a few ulps of the majorant sum |c_k| |z|^k per term.
+        params = SpaceParams(2.0, alpha)
+        a = 0.97 * np.exp(0.7j)
+        row = kernel_series(a, params)[0]
+        z = np.concatenate([sample_disk(rng, 300, 0.999),
+                            a / abs(a) * np.array([0.5, 0.9, 0.97, 0.99, 0.999])])
+        got = np.polynomial.polynomial.polyval(z, row)
+        majorant = np.polynomial.polynomial.polyval(np.abs(z), np.abs(row))
+        eps = np.finfo(float).eps
+        bound = SERIES_TAIL * (1.0 - abs(a) ** 2) ** params.kernel_exponent \
+            + (4 * len(row) + 100) * eps * majorant
+        assert np.all(np.abs(got - kernel_power(a, z, params)) <= bound)
+
+    @pytest.mark.parametrize("r", (0.5, 0.9375, 0.97))
+    @pytest.mark.parametrize("e", (0.2, 1.0, 2.5, 7.0))
+    def test_degree_is_the_least_with_the_tail_bound(self, r, e):
+        d = series_degree(r, e)
+        assert tail_bound(r, e, d) <= SERIES_TAIL < tail_bound(r, e, d - 1)
+
+    def test_degree_at_the_default_radii(self):
+        # about 650 to 900 at |a| <= 0.9375 for alpha in [-0.5, 1] at p = 2
+        assert 650 <= series_degree(0.9375, 1.5) < series_degree(0.9375, 3.0) <= 900
+
+    def test_rows_share_the_degree_of_the_largest_radius(self):
+        params = SpaceParams(2.0, 0.5)
+        rows = kernel_series(np.array([0.5j, -0.9375, 0.0]), params)
+        assert rows.shape == (3, series_degree(0.9375, 2.5) + 1)
+        np.testing.assert_array_equal(rows[2], np.eye(1, rows.shape[1])[0])
+
+    def test_origin_and_no_centres(self):
+        params = SpaceParams(4.0, 1.0)
+        np.testing.assert_array_equal(kernel_series(0j, params), [[1.0]])
+        assert kernel_series(np.empty(0), params).shape == (0, 1)
+
+    def test_power_raises_the_degree(self):
+        # The series of f_a for the (p/2)-th power takes the bound of exponent 2s p/2.
+        params = SpaceParams(6.0, 0.0)
+        assert kernel_series(0.9, params, 3).shape[1] == series_degree(0.9, 2.0) + 1
+        assert kernel_series(0.9, params).shape[1] == series_degree(0.9, 2.0 / 3.0) + 1
+
+    @pytest.mark.parametrize("r", (1.0, -0.5, float("nan")))
+    def test_degree_outside_the_disk_rejected(self, r):
+        with pytest.raises(ValueError):
+            series_degree(r, 2.0)
+
+    def test_large_alpha_does_not_overflow(self):
+        row = kernel_series(0.97, SpaceParams(2.0, 200.0))[0]
+        assert np.all(np.isfinite(row)) and abs(row[0]) > 0

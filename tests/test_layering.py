@@ -5,6 +5,10 @@ Every other module of the package reaches the map families through
 neither ``Monomial`` nor ``BlaschkeProduct`` and tests no object against a
 self-map class with ``isinstance``.
 
+Likewise ``carleson`` and ``operators`` choose their numerical paths from
+each measure's own attributes (``moment_sums``, ``psi``, ...) and test no
+object against a measure class with ``isinstance``.
+
 And one routine evaluates Psi exactly for weighted areas: only
 ``measures._hyp2f1_near_one`` (or a helper that only it reads) calls scipy's
 ``hyp2f1``, and only ``measures._psi_squared`` calls ``_hyp2f1_near_one``.
@@ -32,6 +36,18 @@ def _name(node):
     return None
 
 
+def isinstance_uses(source, classes):
+    """(line, description) of each isinstance test against one of ``classes`` in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _name(node.func) == "isinstance" \
+                and len(node.args) == 2:
+            named = {_name(n) for n in ast.walk(node.args[1])} & classes
+            if named:
+                found.append((node.lineno, f"isinstance against {sorted(named)}"))
+    return found
+
+
 def map_class_uses(source):
     """(line, description) of each family import or reference and each isinstance test
     against a self-map class in ``source``."""
@@ -42,12 +58,7 @@ def map_class_uses(source):
                       if alias.name in FAMILIES]
         elif isinstance(node, ast.Attribute) and node.attr in FAMILIES:
             found.append((node.lineno, f"reads .{node.attr}"))
-        elif isinstance(node, ast.Call) and _name(node.func) == "isinstance" \
-                and len(node.args) == 2:
-            classes = {_name(n) for n in ast.walk(node.args[1])} & MAP_CLASSES
-            if classes:
-                found.append((node.lineno, f"isinstance against {sorted(classes)}"))
-    return found
+    return sorted(found + isinstance_uses(source, MAP_CLASSES))
 
 
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name not in EXEMPT)
@@ -74,6 +85,31 @@ def test_detector_sees_each_form():
         "    return isinstance(phi, int)\n"
     )
     assert [line for line, _ in map_class_uses(source)] == [1, 4, 6, 7]
+
+
+MEASURE_CLASSES = {"Measure", "RadialDensity", "WeightedArea", "PolyWeighted", "Atomic",
+                   "GridDensity", "SumMeasure"}
+# The modules that choose a numerical path per measure.
+PATH_CHOOSERS = ("carleson.py", "operators.py")
+
+
+@pytest.mark.parametrize("name", PATH_CHOOSERS)
+def test_no_isinstance_on_a_measure_class(name):
+    assert isinstance_uses((PACKAGE / name).read_text(), MEASURE_CLASSES) == []
+
+
+def test_measure_detector_sees_each_form():
+    source = (
+        "from . import measures\n"
+        "from .measures import RadialDensity\n"
+        "def f(mu):\n"
+        "    if isinstance(mu, RadialDensity):\n"
+        "        return 1\n"
+        "    if isinstance(mu, (measures.Atomic, int)):\n"
+        "        return mu.moment_sums\n"
+        "    return isinstance(mu, int) or type(mu) is measures.SumMeasure\n"
+    )
+    assert [line for line, _ in isinstance_uses(source, MEASURE_CLASSES)] == [4, 6]
 
 
 # The one exact Psi routine for weighted areas, and the one function that

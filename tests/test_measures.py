@@ -569,6 +569,38 @@ class TestPolyPower:
     def test_single_polynomial(self):
         np.testing.assert_array_equal(poly_power((1.0, 2.0), 2), [1.0, 4.0, 4.0])
 
+    def test_first_power_is_a_bitwise_copy(self, rng):
+        rows = rng.standard_normal((3, 200)) + 1j * rng.standard_normal((3, 200))
+        rows[0, 5] = complex(-0.0, -0.0)
+        got = poly_power(rows, 1)
+        assert got is not rows and got.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_wide_rows_match_repeated_convolution(self, rng, k):
+        rows = rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))
+        for row, out in zip(rows, poly_power(rows, k)):
+            want = np.ones(1)
+            for _ in range(k):
+                want = np.convolve(want, row)
+            assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_wide_powers_keep_exact_zeros(self, rng):
+        # (z^2)^2 = z^4 and the powers of rows with only every third power
+        # nonzero, as E leaves them under z^3, are exactly zero off the support.
+        square = np.zeros(100)
+        square[2] = 1.0
+        out = poly_power(square, 2)
+        assert np.flatnonzero(out).tolist() == [4]
+        assert abs(out[4] - 1.0) <= 4 * np.finfo(float).eps
+        np.testing.assert_array_equal(poly_power([0.0, 0.0, 1.0], 2), [0, 0, 0, 0, 1])
+        rows = rng.standard_normal((3, 300)) + 0j
+        rows[:, np.arange(300) % 3 != 0] = 0.0
+        rows[2, 1:] = 0.0
+        for k in (2, 3):
+            out = poly_power(rows, k)
+            assert np.all(out[:2, np.arange(out.shape[1]) % 3 != 0] == 0)
+            assert np.flatnonzero(out[2]).tolist() == [0]
+
 
 def quadrature_square_integrals(mu, coeffs, quad):
     """int |f|^2 dmu for each row of ``coeffs``, integrated on the measure's nodes."""
