@@ -47,14 +47,9 @@ with |u|^p = m |v|^2, and sums of those), each f_a is its Taylor series
 truncated at a degree D with an explicit tail bound
 (``geometry.kernel_series``), and its rows join the polynomial members below.
 Otherwise (atoms and grid densities, Blaschke products with two or more
-zeros, odd or non-integer p) the sweep integrates |E f_a|^p on the measure's
-nodes. A centre a = rho w with |w| = 1 gives f_a(z) = f_rho(conj(w) z), and
-rotations through multiples of 2 pi / N only permute the disk rule's nodes,
-whose angles are 2 pi j / N (Trefethen & Weideman, SIAM Review 2014). So when
-E commutes with rotations (the map type's ``commutes_with_rotations``) and
-n_dirs divides N, a ring is one evaluation of |E f_rho|^p rolled onto every
-direction (``measures.ring_shifts``); Blaschke maps, atoms and other rule
-sizes evaluate each member directly.
+zeros, odd or non-integer p) each member's E f_a is one
+``condexp.cond_expect_values`` call on the measure's nodes, and |E f_a|^p
+is integrated there, one member at a time (``_power_integrals``).
 
 C1's polynomial members are exact at even p wherever
 ``condexp.expect_coefficients`` gives E f (every map but Blaschke products
@@ -65,10 +60,12 @@ moments or of atoms for each measure type, and the norms are the same sums
 against dA_alpha. Quadrature on the rule remains only for Blaschke maps with
 two or more zeros, where every E is a ``condexp.cond_expect_values`` call
 with one dict per sweep, which keeps the level sets of each node array, so
-they are solved once per sweep; and for odd or non-integer p. A norm ||f||^p
-is the numerator of f against dA_alpha under the identity, so numerators and
-norms take one routine (``_power_integrals``), and norms are computed once
-per (family, p, alpha, rule).
+they are solved once per sweep; and for odd or non-integer p. Every member
+without an exact path, kernel or polynomial, goes through the one quadrature
+routine ``_power_integrals``. A norm ||f||^p is the numerator of f against
+dA_alpha under the identity, so numerators and norms take one routine
+(``_poly_integrals``), and norms are computed once per (family, p, alpha,
+rule).
 
 Nothing below ``certify`` tells the self-maps apart. Its symmetrized mode
 (z^n only) is two plain inputs: C2 averages each disk over the rotation
@@ -83,7 +80,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import condexp, geometry, measures
+from . import condexp, geometry
 from .condexp import AnalyticSelfMap, Identity
 from .errors import ConfigurationError
 from .geometry import SpaceParams
@@ -125,6 +122,11 @@ def psi_transform(mu: Measure, a, alpha, t=None, quad: QuadConfig = DEFAULT_QUAD
 # boundary-refined sup with the verdict of the boundary exponent
 
 
+# The config schema's bound on j_max (definitions/psiGrid): from j = 54 on,
+# 1 - 2^-j rounds to 1.0, off the open disk.
+MAX_GRID_LEVEL = 53
+
+
 @dataclass(frozen=True)
 class PsiGridSpec:
     """Nested grids: level j uses radii {0} + {1 - 2^-i : i <= j}, each with n_dirs angles."""
@@ -138,6 +140,10 @@ class PsiGridSpec:
             raise ConfigurationError(
                 f"need 1 <= j_min <= j_max, got ({self.j_min}, {self.j_max})"
             )
+        if self.j_max > MAX_GRID_LEVEL:
+            raise ConfigurationError(
+                f"j_max must be <= {MAX_GRID_LEVEL}, where the radius 1 - 2^-j_max still "
+                f"rounds into the open unit disk, got {self.j_max}")
         if self.n_dirs < 1:
             raise ConfigurationError(f"n_dirs must be >= 1, got {self.n_dirs}")
 
@@ -150,7 +156,8 @@ class PsiGridSpec:
         return rho * np.exp(2j * np.pi * np.arange(self.n_dirs) / self.n_dirs)
 
     def doubled(self):
-        return replace(self, j_max=self.j_max + 1, n_dirs=2 * self.n_dirs)
+        """One level deeper, up to MAX_GRID_LEVEL, with twice the directions."""
+        return replace(self, j_max=min(self.j_max + 1, MAX_GRID_LEVEL), n_dirs=2 * self.n_dirs)
 
 
 @dataclass
@@ -271,14 +278,9 @@ class FamilySpec:
     """Test family: unit kernel powers on rings of an a-grid plus seeded random polynomials.
 
     Each nonzero kernel radius rho is a ring of n_dirs centres rho * w_k with
-    w_k = exp(2 pi i k / n_dirs); radius 0 is one centre, taken once. Under a
-    map of multiplicity 1 the kernel members are exact Psi values; under z^n
-    at even p on a measure with moment sums they are truncated series; under
-    other maps they are integrated on the rule. At even p the polynomial
-    members and their norms are exact moment sums, except under Blaschke
-    products with two or more zeros; those and odd or non-integer p are
-    integrated on the rule (see ``test_constant``). ``certify``'s symmetrized
-    mode uses the family with ``kernel_radii=(0.0,)``.
+    w_k = exp(2 pi i k / n_dirs); radius 0 is one centre, taken once.
+    ``test_constant`` says how each member is integrated. ``certify``'s
+    symmetrized mode uses the family with ``kernel_radii=(0.0,)``.
 
     Fields are checked against the config schema's bounds: radii in
     [0, 0.97], n_dirs >= 1, random_count, random_degree and seed >= 0,
@@ -318,20 +320,15 @@ class FamilyMember:
     kernel_center: complex | None = None  # set for kernel members (norm is 1 exactly)
 
 
-def _kernel_rings(spec: FamilySpec):
-    """Centres rho * exp(2 pi i k / n_dirs) of each kernel ring; the origin is a ring of one."""
-    rings = []
-    seen_origin = False
+def _kernel_centers(spec: FamilySpec):
+    """Centres rho * exp(2 pi i k / n_dirs), ring by ring; radius 0 is one centre, taken once."""
+    centers = []
     for rho in spec.kernel_radii:
-        if rho == 0.0:
-            if seen_origin:
-                continue
-            seen_origin = True
-            centers = [0j]
-        else:
-            centers = rho * np.exp(2j * np.pi * np.arange(spec.n_dirs) / spec.n_dirs)
-        rings.append([complex(a) for a in centers])
-    return rings
+        if rho > 0.0:
+            centers.extend(rho * np.exp(2j * np.pi * np.arange(spec.n_dirs) / spec.n_dirs))
+        elif 0j not in centers:
+            centers.append(0j)
+    return [complex(a) for a in centers]
 
 
 def _family_polys(spec: FamilySpec):
@@ -357,17 +354,12 @@ def _stack_rows(rows):
 
 def build_family(spec: FamilySpec, params: SpaceParams):
     """Materialize the family deterministically: kernel rings first, then polynomials."""
-    members = []
-    for centers in _kernel_rings(spec):
-        for a in centers:
-            members.append(FamilyMember(
-                label=f"kernel:a={a.real:+.6f}{a.imag:+.6f}j",
-                func=(lambda z, _a=a: geometry.test_function(_a, z, params)),
-                poly=None,
-                kernel_center=a,
-            ))
-    for label, poly in _family_polys(spec):
-        members.append(FamilyMember(label=label, func=poly, poly=poly))
+    members = [FamilyMember(label=f"kernel:a={a.real:+.6f}{a.imag:+.6f}j",
+                            func=(lambda z, _a=a: geometry.test_function(_a, z, params)),
+                            poly=None, kernel_center=a)
+               for a in _kernel_centers(spec)]
+    members += [FamilyMember(label=label, func=poly, poly=poly)
+                for label, poly in _family_polys(spec)]
     if not members:
         raise ConfigurationError("test family is empty")
     return members
@@ -380,26 +372,32 @@ class TestConstantResult:
     ratios: dict
 
 
-def _power_integrals(mu: Measure, phi: AnalyticSelfMap, rows, p, quad: QuadConfig, solved):
+def _power_integrals(mu: Measure, funcs, p, quad: QuadConfig):
+    """int |g|^p dmu for each callable g, one quadrature on the measure's nodes each."""
+    return [mu.integrate(lambda z, _g=g: np.abs(_g(z)) ** p, quad) for g in funcs]
+
+
+def _expectation(phi: AnalyticSelfMap, f, solved):
+    """z -> E(f)(z) by ``cond_expect_values``, keeping level sets in the sweep's ``solved``."""
+    return lambda z: condexp.cond_expect_values(phi, f, z, solved)
+
+
+def _poly_integrals(mu: Measure, phi: AnalyticSelfMap, rows, p, quad: QuadConfig, solved):
     """int |E f|^p dmu for each polynomial f, one row of ascending coefficients each.
 
     Where ``condexp.expect_coefficients`` gives E of the rows and p is even,
     |E f|^p = |(E f)^(p/2)|^2 and all integrals are one ``mu.square_integrals``
-    call on the rows of the powers. Otherwise each is a quadrature on the
-    measure's nodes, with E from ``cond_expect_values`` and the level sets
-    kept in ``solved`` where there is no closed form.
+    call on the rows of the powers. Otherwise they are ``_power_integrals`` of
+    the closed-form E f, or, where there is none, of ``_expectation``.
     """
     erows = condexp.expect_coefficients(phi, rows)
-    if p % 2 == 0 and erows is not None:
+    if erows is None:
+        funcs = [_expectation(phi, Polynomial(tuple(row)), solved) for row in rows]
+    elif p % 2 == 0:
         return list(mu.square_integrals(poly_power(erows, int(p) // 2), quad))
-    nums = []
-    for i, row in enumerate(rows):
-        if erows is not None:
-            ef = Polynomial(tuple(erows[i]))
-        else:
-            ef = lambda z, _f=Polynomial(tuple(row)): condexp.cond_expect_values(phi, _f, z, solved)
-        nums.append(mu.integrate(lambda z, _ef=ef: np.abs(_ef(z)) ** p, quad))
-    return nums
+    else:
+        funcs = [Polynomial(tuple(row)) for row in erows]
+    return _power_integrals(mu, funcs, p, quad)
 
 
 # One entry is a tuple of a few dozen floats; the bound only caps what a
@@ -409,32 +407,12 @@ def _poly_norms(family: FamilySpec, p, alpha, quad: QuadConfig):
     """Norms of the polynomial members in the (p, alpha) space, in family order.
 
     ||f||^p is C1's numerator of f against dA_alpha under the identity
-    (``_power_integrals``): exact moment sums at even p, a quadrature on the
+    (``_poly_integrals``): exact moment sums at even p, a quadrature on the
     rule otherwise.
     """
     rows = _stack_rows([poly.coeffs for _, poly in _family_polys(family)])
-    powers = _power_integrals(WeightedArea(alpha), Identity(), rows, p, quad, None)
+    powers = _poly_integrals(WeightedArea(alpha), Identity(), rows, p, quad, None)
     return tuple(float(x) ** (1.0 / p) for x in powers)
-
-
-def _ring_integrand(phi: AnalyticSelfMap, params: SpaceParams, centers, solved):
-    """z -> stack of |E(f_a)(z)|^p over the ring's centres a, one row per centre.
-
-    E is ``cond_expect_values`` with the sweep's ``solved`` level sets. When
-    E commutes with rotations and z is a rule grid that the ring's directions
-    divide, the first centre is evaluated and rolled onto the rest.
-    """
-    def power(a, z):
-        ef = condexp.cond_expect_values(
-            phi, lambda w: geometry.test_function(a, w, params), z, solved)
-        return np.abs(ef) ** params.p
-
-    def integrand(z):
-        shifts = measures.ring_shifts(z, len(centers)) if phi.commutes_with_rotations else None
-        if shifts is None:
-            return np.stack([power(a, z) for a in centers])
-        return measures.rotations(power(centers[0], z), shifts)
-    return integrand
 
 
 def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Identity(),
@@ -442,44 +420,33 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
                   quad: QuadConfig = DEFAULT_QUAD) -> TestConstantResult:
     """C1: max over the family of int |E(f)|^p dmu / ||f||^p, in one sweep.
 
-    Kernel members have norm 1 and take one of three paths:
-    - under a map of multiplicity 1 each level set is one point, so E is the
-      identity and the kernel members are one ``mu.psi`` call at t = 2 + alpha;
-    - at even p, where E of a polynomial has a closed form (z^n) and the
-      measure's ``square_integrals`` is a moment sum (``mu.moment_sums``),
-      each f_a is its truncated power series (``geometry.kernel_series``,
-      within 2^-59 of f_a^(p/2) on the disk), and the rows join the
-      polynomial members below;
-    - otherwise (atoms, Blaschke products with two or more zeros, odd or
-      non-integer p) a kernel ring is one integral of a stacked integrand on
-      the measure's nodes (``_ring_integrand``).
-    Polynomial members take E(f) in closed form where
-    ``condexp.expect_coefficients`` gives it (maps of multiplicity 1 and
-    z^n). At even p their numerators are then exact: one
-    ``mu.square_integrals`` call on the rows of (E f)^(p/2). Quadrature on
-    the rule remains for odd or non-integer p and for Blaschke products with
-    two or more zeros, where every E is a ``cond_expect_values`` call with the
-    sweep's dict ``solved``, so the level sets of each node array are solved
-    once per sweep. Their norms are the same integrals against dA_alpha
-    under the identity (``_poly_norms``). The sweep takes no mode; ``certify``
-    passes the family to sweep.
+    Kernel members have norm 1. Under a map of multiplicity 1 they are one
+    ``mu.psi`` call at t = 2 + alpha. At even p under z^n, on a measure with
+    ``moment_sums``, their truncated series (``geometry.kernel_series``) join
+    the polynomial rows of ``_poly_integrals``. Otherwise each is
+    ``_power_integrals`` of its E f from ``cond_expect_values``. Polynomial
+    members go through ``_poly_integrals``, and their norms through
+    ``_poly_norms``. Every ``cond_expect_values`` call shares the sweep's dict
+    ``solved``, so the level sets of each node array are solved once per
+    sweep. The module docstring describes each path. The sweep takes no
+    mode; ``certify`` passes the family to sweep.
     """
     members = build_family(family, params)
     p = params.p
     solved = {}
-    rings = _kernel_rings(family)
-    centers = np.array([a for ring in rings for a in ring], dtype=complex)
-    rows = _stack_rows([member.poly.coeffs for member in members[len(centers):]])
+    kernels = [member for member in members if member.kernel_center is not None]
+    centers = np.array([member.kernel_center for member in kernels], dtype=complex)
+    rows = _stack_rows([member.poly.coeffs for member in members[len(kernels):]])
     nums = []
     if phi.multiplicity == 1:
         nums = list(mu.psi(centers, 2.0 + params.alpha, quad))
     elif p % 2 == 0 and mu.moment_sums and condexp.expect_coefficients(phi, rows) is not None:
         rows = _stack_rows([*geometry.kernel_series(centers, params, int(p) // 2), *rows])
     else:
-        for ring in rings:
-            nums.extend(mu.integrate(_ring_integrand(phi, params, ring, solved), quad))
-    norms = [1.0] * len(centers) + list(_poly_norms(family, p, params.alpha, quad))
-    nums.extend(_power_integrals(mu, phi, rows, p, quad, solved))
+        funcs = [_expectation(phi, member.func, solved) for member in kernels]
+        nums = _power_integrals(mu, funcs, p, quad)
+    norms = [1.0] * len(kernels) + list(_poly_norms(family, p, params.alpha, quad))
+    nums.extend(_poly_integrals(mu, phi, rows, p, quad, solved))
     best = -np.inf
     worst = members[0].label
     ratios = {}

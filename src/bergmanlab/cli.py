@@ -322,7 +322,8 @@ def build_parser():
 
     flags = {
         "seed": {"type": int, "help": "override the family seed"},
-        "grid-levels": {"type": int, "help": "override the deepest boundary grid level J"},
+        "grid-levels": {"type": int,
+                        "help": "override the deepest boundary grid level J (at most 53)"},
         "mode": {"choices": ["unconditional", "symmetrized"]},
     }
 

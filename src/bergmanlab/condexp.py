@@ -20,19 +20,18 @@ multiplicity 1 (the identity, z, a one-zero Blaschke product) every level set
 is one point, so E is the identity and the first three pass f through.
 Level sets and their weights are formed in one place, ``_level_sets``, over
 an array of points; ``level_set`` reads it at one point, and
-``cond_expect_values`` reads it everywhere except where a map of multiplicity
-1 passes f through and where z^n on quadrature-rule nodes rolls f along its
-ring.
-``_level_average`` reduces f's values on a level set to E(f). Each map type
-says whether E commutes with rotations (``commutes_with_rotations``).
+``cond_expect_values`` reads it wherever a map of multiplicity 1 does not
+pass f through. ``_level_average`` reduces f's values on a level set to E(f).
+E knows nothing of how a quadrature rule lays out its nodes: of ``measures``
+it reads only ``Polynomial``.
 
 Who reads E: the test-family sweep (``carleson.test_constant``) takes E of
 its polynomial members, and at even p under z^n of its kernel series, from
-``expect_coefficients`` in one array call, and E of the kernel rings and of
-every member under other maps from ``cond_expect_values``. It passes one
-dict to all those calls, in which the Blaschke level sets of each node array
-are kept once solved, so members cost one evaluation of f each and no
-further root-finding. ``operators`` asks ``expect_polynomial`` whether E of
+``expect_coefficients`` in one array call, and E of every other member
+from ``cond_expect_values``, one call per member. It passes one dict to all
+those calls, in which the Blaschke level sets of each node array are kept
+once solved, so members cost one evaluation of f each and no further
+root-finding. ``operators`` asks ``expect_polynomial`` whether E of
 the symbol has a closed form, the CLI evaluates E of a polynomial with it,
 and ``certify``'s symmetrized mode reads ``rotation_orbit``.
 
@@ -51,7 +50,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .config import validate
 from .errors import ConfigurationError, CriticalPointError, RootFindingError
-from .measures import Polynomial, ring_shifts, rotations
+from .measures import Polynomial
 
 RESIDUAL_TOL = 1e-10
 CRITICAL_TOL = 1e-12
@@ -63,7 +62,6 @@ class AnalyticSelfMap:
     """Base class for the supported self-map families."""
 
     multiplicity: int
-    commutes_with_rotations = False     # whether E(f(w .)) = E(f)(w .) for all |w| = 1
 
     def __call__(self, z):
         raise NotImplementedError
@@ -77,8 +75,6 @@ class AnalyticSelfMap:
 
 @dataclass(frozen=True)
 class Identity(AnalyticSelfMap):
-    commutes_with_rotations = True
-
     @property
     def multiplicity(self):
         return 1
@@ -98,7 +94,6 @@ class Monomial(AnalyticSelfMap):
     """phi(z) = z^n."""
 
     n: int
-    commutes_with_rotations = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -338,12 +333,10 @@ def expect_polynomial(phi: AnalyticSelfMap, f: Polynomial) -> Polynomial | None:
 def cond_expect_values(phi: AnalyticSelfMap, f, zs, solved=None):
     """Vectorized E(f) on an array of points (critical points excluded by caller).
 
-    A map of multiplicity 1 passes f through. Under z^n on quadrature-rule
-    nodes whose angle count n divides, f is evaluated on the nodes only and
-    the orbit values are rolls of it. Everywhere else f is averaged over ``_level_sets``,
-    taken in batches of at most LEVEL_SET_BATCH level-set points, so the
-    temporaries of f stay small at any rule size; every value is computed
-    pointwise, so it does not depend on the batch.
+    A map of multiplicity 1 passes f through. Every other map averages f
+    over ``_level_sets``, taken in batches of at most LEVEL_SET_BATCH
+    level-set points, so the temporaries of f stay small at any rule size;
+    every value is computed pointwise, so it does not depend on the batch.
 
     Calls that pass the same dict ``solved`` share level sets: those solved
     for an array are kept in it batch by batch under the array's id, with the
@@ -354,11 +347,6 @@ def cond_expect_values(phi: AnalyticSelfMap, f, zs, solved=None):
     given, zs = zs, np.asarray(zs, dtype=complex)
     if phi.multiplicity == 1:
         return np.asarray(f(zs), dtype=complex)
-    shifts = ring_shifts(zs, phi.n) if isinstance(phi, Monomial) else None
-    if shifts is not None:
-        # On rule nodes the orbit of z is n nodes of its own ring, so the
-        # orbit average is a mean of rolls of f on the nodes.
-        return np.mean(rotations(np.asarray(f(zs), dtype=complex), shifts), axis=0)
     flat = zs.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
     step = max(1, LEVEL_SET_BATCH // phi.multiplicity)

@@ -305,6 +305,13 @@ class TestArrayPsi:
         with pytest.raises(ConfigurationError, match="open unit disk"):
             psi_sup(WeightedArea(0.0), 0.0, grid=PsiGridSpec(4, 54, 4))
 
+    def test_sup_reaches_the_last_level_below_the_circle(self):
+        grid = PsiGridSpec(4, 53, 4)
+        for mu in (WeightedArea(0.0), RadialDensity(-0.25), Atomic.from_atoms([(0.5, 1.0)]),
+                   PolyWeighted(Polynomial.from_coeffs([1, 0.5j]), 3.0, 0.0)):
+            res = psi_sup(mu, 0.0, grid=grid)
+            assert np.isfinite(res.sup) and res.level_maxima[-1][0] == 53, mu
+
 
 class TestPsiSup:
     def test_flat_reference(self):
@@ -565,7 +572,7 @@ class TestFamilySweep:
         # Under the identity the kernel members are Psi values and under z^2
         # at p = 2 a radial density's are series sums: no kernel is evaluated
         # on the rule. Under z^2 at p = 3, and on a grid density's atoms at
-        # p = 2, each of the 5 rings is one evaluation, rolled onto its directions.
+        # p = 2, each of the 33 members is one evaluation on the nodes' orbits.
         calls = {}
 
         def counted(name):
@@ -582,8 +589,8 @@ class TestFamilySweep:
         grid = GridDensity.from_function(rule, lambda z: np.abs(1.0 + 0.5j * z) ** 2)
         for mu, phi, p, evaluations in ((RadialDensity(0.5), Identity(), 2.0, 0),
                                         (RadialDensity(0.5), Monomial(2), 2.0, 0),
-                                        (RadialDensity(0.5), Monomial(2), 3.0, 5),
-                                        (grid, Monomial(2), 2.0, 5)):
+                                        (RadialDensity(0.5), Monomial(2), 3.0, 33),
+                                        (grid, Monomial(2), 2.0, 33)):
             calls.update(kernel_power_modulus=0, test_function=0)
             res = family_constant(mu, SpaceParams(p, 0.0), phi, FamilySpec(), small_quad)
             assert len([label for label in res.ratios if label.startswith("kernel")]) == 33
@@ -670,6 +677,47 @@ class TestFamilySweep:
                      for _, poly in carleson._family_polys(family))
         assert len(got) == family.random_count + 4
         assert got == want
+
+
+class TestRotationEquivariance:
+    # E under z^n commutes with rotations, and f_{rho w}(z) = f_rho(conj(w) z):
+    # the kernel ratio at rho w on |u|^p dA_beta is the one at rho on
+    # |u(w .)|^p dA_beta, and on a rotation-invariant measure every member of
+    # a ring has one ratio. Each member is integrated on the nodes directly.
+
+    def test_ratio_at_rho_w_is_the_ratio_at_rho_of_the_turned_weight(self, small_quad):
+        # 1 + iz/2 is not symmetric under z -> conj(z), which maps direction k
+        # onto n_dirs - k, so a turn in the wrong direction shows.
+        params, phi, rho = SpaceParams(3.0, 0.5), Monomial(3), 0.75
+        u = Polynomial.from_coeffs([1, 0.5j])
+        family = FamilySpec(kernel_radii=(rho,), n_dirs=8, random_count=0)
+        got = family_constant(PolyWeighted(u, 3.0, 1.0), params, phi, family, small_quad).ratios
+        assert len(got) == 8
+        for member in build_family(family, params):
+            w = member.kernel_center / rho
+            turned = PolyWeighted(Polynomial.from_coeffs([1, 0.5j * w]), 3.0, 1.0)
+            want = family_constant(turned, params, phi, replace(family, n_dirs=1),
+                                   small_quad).ratios
+            assert got[member.label] == pytest.approx(want["kernel:a=+0.750000+0.000000j"],
+                                                      rel=1e-12, abs=0), member.label
+
+    @pytest.mark.parametrize("phi", (Monomial(2), Monomial(3)), ids=("z^2", "z^3"))
+    def test_rotation_invariant_measures_give_each_ring_one_ratio(self, phi, small_quad):
+        # The grid's rule has 128 angles, which the 8 directions divide, so
+        # its atoms and masses are invariant under the ring's rotations.
+        rule = build_quadrature(0.25, small_quad.n_radial, small_quad.n_angular)
+        params = SpaceParams(3.0, 0.25)
+        family = FamilySpec(n_dirs=8, random_count=0)
+        grid = GridDensity.from_function(rule, lambda z: 1 + np.abs(z) ** 2)
+        for mu in (RadialDensity(0.5), grid):
+            ratios = family_constant(mu, params, phi, family, small_quad).ratios
+            rings = {}
+            for member in build_family(family, params):
+                rings.setdefault(round(abs(member.kernel_center), 12), []).append(
+                    ratios[member.label])
+            assert sorted(len(ring) for ring in rings.values()) == [1, 8, 8, 8, 8]
+            for values in rings.values():
+                assert max(values) - min(values) <= 1e-12 * min(values), (mu, values)
 
 
 tenths = st.integers(-10, 10).map(lambda k: k / 10.0)

@@ -327,6 +327,10 @@ class TestConfigErrors:
         ("psi", {**PSI, "quad": {"n_radial": 10**400, "n_angular": 8}}, "/quad/n_radial"),
         ("psi", {**PSI, "heatmap": {"n_angular": 2049}}, "/heatmap/n_angular"),
         ("psi", {**PSI, "measure": {**GRID_MEASURE, "n_radial": 1025}}, "/measure/n_radial"),
+        ("psi", {**PSI, "grid": {"j_max": 54}}, "/grid/j_max"),
+        ("carleson", {**CHECK, "psi_grid": {"j_max": 54}}, "/psi_grid/j_max"),
+        ("psi", {**PSI, "measure": {"type": "atomic", "atoms": [{**ATOM, "re": 1.0}]}},
+         "/measure"),
     ])
     def test_malformed_config_named_by_pointer(self, command, doc, pointer, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -384,6 +388,22 @@ class TestConfigErrors:
             argv = argv + ["--config", str(cfg)]
         assert run_cli(argv + ["--seed", "-3"]) == 1
         assert "config error: --seed -3: seed must be >= 0, got -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, doc, prefix", [
+        (["suite"], None, ""),
+        (["psi"], PSI, "/grid: "),
+        (["carleson", "check"], CHECK, "/psi_grid: "),
+    ], ids=("suite", "psi", "carleson"))
+    def test_grid_levels_past_the_last_float_level_named(self, argv, doc, prefix, tmp_path,
+                                                         capsys):
+        # From level 54 on, 1 - 2^-j rounds to 1.0.
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv = argv + ["--config", str(cfg)]
+        assert run_cli(argv + ["--grid-levels", "54"]) == 1
+        assert f"config error: {prefix}--grid-levels 54: j_max must be <= 53" \
+            in capsys.readouterr().err
 
     def test_grid_levels_below_suite_j_min_named(self, capsys):
         assert run_cli(["suite", "--grid-levels", "2"]) == 1

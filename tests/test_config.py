@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from bergmanlab import config
-from bergmanlab.carleson import CertifyConfig, FamilySpec, PsiGridSpec, psi_heatmap
+from bergmanlab.carleson import (MAX_GRID_LEVEL, CertifyConfig, FamilySpec, PsiGridSpec,
+                                 psi_heatmap)
 from bergmanlab.errors import ConfigurationError
 from bergmanlab.measures import MAX_N_ANGULAR, MAX_N_RADIAL, QuadConfig, RadialDensity
 
@@ -117,6 +118,19 @@ def test_every_rule_size_is_bounded_as_quad_config_bounds_it():
     for bad in ((MAX_N_RADIAL + 1, 8), (8, MAX_N_ANGULAR + 1), (10**400, 8)):
         with pytest.raises(ConfigurationError):
             QuadConfig(*bad)
+
+
+def test_grid_depth_is_bounded_as_psi_grid_spec_bounds_it():
+    # 1 - 2^-53 is the last radius 1 - 2^-j below 1.0.
+    assert 1.0 - 2.0**-MAX_GRID_LEVEL < 1.0 == 1.0 - 2.0**-(MAX_GRID_LEVEL + 1)
+    levels = [node for path, node in schema_nodes(config.schema()) if path.endswith("/j_max")]
+    assert levels and all(node["maximum"] == MAX_GRID_LEVEL for node in levels)
+    assert PsiGridSpec(4, MAX_GRID_LEVEL).doubled().j_max == MAX_GRID_LEVEL
+    with pytest.raises(ConfigurationError, match=f"j_max must be <= {MAX_GRID_LEVEL}"):
+        PsiGridSpec(4, MAX_GRID_LEVEL + 1)
+    with pytest.raises(ConfigurationError) as err:
+        config.validate({"j_max": MAX_GRID_LEVEL + 1}, "definitions/psiGrid", "/grid")
+    assert err.value.pointer == "/grid/j_max"
 
 
 def test_uninterpreted_keyword_raises(monkeypatch):

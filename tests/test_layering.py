@@ -9,6 +9,9 @@ Likewise ``carleson`` and ``operators`` choose their numerical paths from
 each measure's own attributes (``moment_sums``, ``psi``, ...) and test no
 object against a measure class with ``isinstance``.
 
+Conditional expectation knows nothing of how a quadrature rule lays out its
+nodes: of ``measures``, ``condexp`` imports only ``Polynomial``.
+
 And one routine evaluates Psi exactly for weighted areas: only
 ``measures._hyp2f1_near_one`` (or a helper that only it reads) calls scipy's
 ``hyp2f1``, and only ``measures._psi_squared`` calls ``_hyp2f1_near_one``.
@@ -110,6 +113,40 @@ def test_measure_detector_sees_each_form():
         "    return isinstance(mu, int) or type(mu) is measures.SumMeasure\n"
     )
     assert [line for line, _ in isinstance_uses(source, MEASURE_CLASSES)] == [4, 6]
+
+
+def names_from(source, module):
+    """The names ``source`` takes from the package module ``module``: those of
+    ``from .module import ...`` and the attributes it reads of the module
+    after ``from . import module``."""
+    tree = ast.parse(source)
+    found, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"bergmanlab.{module}"):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "bergmanlab"):
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == module}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _name(node.value) in aliases:
+            found.add(node.attr)
+    return found
+
+
+def test_condexp_takes_only_polynomial_from_measures():
+    assert names_from((PACKAGE / "condexp.py").read_text(), "measures") == {"Polynomial"}
+
+
+def test_import_detector_sees_each_form():
+    source = (
+        "from .measures import Polynomial, ring_shifts\n"
+        "from . import measures as m, geometry\n"
+        "from bergmanlab.measures import rotations\n"
+        "def f(z):\n"
+        "    return m.build_quadrature(0.0).nodes, geometry.modulus(z)\n"
+    )
+    assert names_from(source, "measures") == {"Polynomial", "ring_shifts", "rotations",
+                                              "build_quadrature"}
 
 
 # The one exact Psi routine for weighted areas, and the one function that

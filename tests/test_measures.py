@@ -30,8 +30,6 @@ from bergmanlab.measures import (
     measure_from_config,
     measure_of_disk,
     poly_power,
-    ring_shifts,
-    rotations,
 )
 
 from conftest import BrokenPsi, sample_disk
@@ -142,7 +140,7 @@ class TestIntegrate:
 
         with pytest.raises(EvaluationError) as err:
             WeightedArea(0.0).integrate(bad, small_quad)
-        assert "node" in str(err.value)
+        assert f"node z = {z0}" in str(err.value) and "(index (3, 7))" in str(err.value)
 
     def test_grid_density(self, small_quad):
         rule = build_quadrature(0.0, 32, 64)
@@ -167,58 +165,19 @@ class TestIntegrate:
             assert abs(gd.disk_measure(a, r) - atoms.disk_measure(a, r)) < 1e-14
             assert abs(psi_transform(gd, a, 0.5) - psi_transform(atoms, a, 0.5)) < 1e-13
 
-    def test_stacked_integrand_gives_one_value_per_member(self, small_quad):
+    def test_integrand_not_shaped_like_the_nodes_raises(self, small_quad):
+        # A stack of integrands is refused rather than summed into one number.
         rule = build_quadrature(0.0, small_quad.n_radial, small_quad.n_angular)
-        measures = (
-            RadialDensity(0.5, 2.0),
-            PolyWeighted(Polynomial.from_coeffs([1, 0.5]), 2.0, 0.0),
-            Atomic.from_atoms([(0.3 + 0.2j, 0.5), (-0.6j, 0.25)]),
-            GridDensity.from_function(rule, lambda z: np.abs(1.0 + z / 2) ** 2),
-            SumMeasure((RadialDensity(1.0), Atomic.from_atoms([(0.5, 0.3)]))),
-        )
-        members = (lambda z: np.abs(1.0 + z) ** 3, lambda z: np.abs(z) ** 2 + z.real,
-                   lambda z: 1.0 + 0.0 * z.real)
-        for mu in measures:
-            got = mu.integrate(lambda z: np.stack([g(z) for g in members]), small_quad)
-            assert got.shape == (len(members),)
-            for value, g in zip(got, members):
-                assert abs(value - mu.integrate(g, small_quad)) <= 1e-14 * abs(value)
-
-    def test_row_sums_equal_whole_stack_sums(self, monkeypatch, small_quad):
-        # A stack is summed one member row at a time; each sum must be bitwise
-        # the one of the whole weighted stack, for every measure type's weights
-        # (and the polynomial weight's density).
-        rule = build_quadrature(0.0, small_quad.n_radial, small_quad.n_angular)
-        original = measures_module._weighted_sum
-        kinds = []
-
-        def compared(weights, vals, nodes, density=None):
-            got = original(weights, vals, nodes, density)
-            if density is not None:
-                vals = density * vals
-            members = np.shape(vals)[: np.ndim(vals) - np.ndim(weights)]
-            whole = np.sum((weights * vals).reshape(members + (-1,)), axis=-1)
-            np.testing.assert_array_equal(got, whole if np.iscomplexobj(got) else whole.real)
-            kinds.append(np.ndim(weights))
-            return got
-        monkeypatch.setattr(measures_module, "_weighted_sum", compared)
+        g = lambda z: np.abs(1.0 + z) ** 3
         for mu in (WeightedArea(0.5), RadialDensity(0.5, 2.0),
                    PolyWeighted(Polynomial.from_coeffs([1, 0.5j]), 3.0, 1.0),
-                   Atomic.from_atoms([(0.3 + 0.2j, 0.5), (-0.6j, 0.25), (0.9, 1.0)]),
+                   Atomic.from_atoms([(0.3 + 0.2j, 0.5), (-0.6j, 0.25)]),
                    GridDensity.from_function(rule, lambda z: np.abs(1.0 + z / 2) ** 2),
                    SumMeasure((RadialDensity(1.0), Atomic.from_atoms([(0.5, 0.3)])))):
-            mu.integrate(lambda z: np.stack([np.abs(1.0 + z) ** 3, np.abs(z) ** 2]), small_quad)
-            mu.integrate(lambda z: np.stack([[z**k for k in range(3)]] * 2), small_quad)
-            mu.integrate(2.5, small_quad)
-        assert sorted(set(kinds)) == [1, 2]
-
-    def test_stacked_non_finite_integrand_names_node(self, small_quad):
-        rule = build_quadrature(0.0, small_quad.n_radial, small_quad.n_angular)
-        z0 = rule.nodes[3, 7]
-        bad = lambda z: np.stack([np.ones(z.shape), 1.0 / np.abs(z - z0)])
-        with np.errstate(divide="ignore"), pytest.raises(EvaluationError) as err:
-            WeightedArea(0.0).integrate(bad, small_quad)
-        assert f"z = {z0}" in str(err.value) and "(1, 3, 7)" in str(err.value)
+            for bad in (lambda z: np.stack([g(z), g(z)]), lambda z: g(z)[..., None]):
+                with pytest.raises(ConfigurationError, match="shaped like the nodes"):
+                    mu.integrate(bad, small_quad)
+            assert mu.integrate(2.5, small_quad) == pytest.approx(2.5 * mu.total_mass(small_quad))
 
     def test_grid_density_rejects_negative(self):
         rule = build_quadrature(0.0, 16, 32)
@@ -250,6 +209,33 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError, match="symbol"):
             PolyWeighted(Polynomial.from_coeffs([1.0, coeff]), 2.0, 0.0)
 
+    @pytest.mark.parametrize("points, masses, match", (
+        ([0.5, 1.0], [1.0, 1.0], "interior point"),
+        ([0.5, -1j], [1.0, 1.0], "interior point"),
+        ([0.5, 0.2j], [1.0, -0.5], "nonnegative"),
+        ([0.5, 0.2j], [1.0], "one mass per atom"),
+        ([[0.5, 0.2j]], [1.0, 2.0], "one mass per atom"),
+    ), ids=("on-circle", "on-circle-imaginary", "negative-mass", "fewer-masses", "shapes"))
+    def test_atomic_constructor_validates(self, points, masses, match):
+        with pytest.raises(ConfigurationError, match=match):
+            Atomic(points=np.array(points, dtype=complex), masses=np.array(masses))
+
+    def test_atomic_keeps_zero_masses_and_from_atoms_refuses_them(self, small_quad):
+        rule = build_quadrature(0.0, small_quad.n_radial, small_quad.n_angular)
+        grid = GridDensity.from_values(rule, np.where(np.abs(rule.nodes) < 0.5, 1.0, 0.0))
+        assert np.any(grid.masses == 0)
+        assert Atomic(points=np.array([0.5 + 0j]), masses=np.zeros(1)).total_mass() == 0.0
+        with pytest.raises(ConfigurationError, match="positive"):
+            Atomic.from_atoms([(0.5, 0.0)])
+        with pytest.raises(ConfigurationError, match="interior point"):
+            Atomic.from_atoms([(0.5, 1.0), (1.0, 1.0)])
+
+    def test_atomic_scales_by_nonnegative_factors_only(self):
+        mu = Atomic.from_atoms([(0.5, 1.0)])
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            mu.scaled(-1.0)
+        assert mu.scaled(2.0).total_mass() == 2.0
+
     def test_atomic_needs_an_atom(self):
         with pytest.raises(ConfigurationError, match="at least one atom"):
             Atomic.from_atoms([])
@@ -257,35 +243,6 @@ class TestIntegrate:
             Atomic(points=np.zeros(0, dtype=complex), masses=np.zeros(0))
         with pytest.raises(ConfigurationError):
             measure_from_config({"type": "atomic", "atoms": []})
-
-
-class TestRingRotation:
-    def test_rolls_are_rotations_of_the_rule(self):
-        rule = build_quadrature(0.5, 16, 32)
-        g = lambda z: np.abs(1.0 + z / 2) ** 3 + z.imag
-        shifts = ring_shifts(rule.nodes, 8)
-        assert shifts == [4 * k for k in range(8)]
-        stack = rotations(g(rule.nodes), shifts)
-        for k in range(8):
-            w = np.exp(2j * np.pi * k / 8)
-            assert np.abs(stack[k] - g(np.conj(w) * rule.nodes)).max() < 1e-14
-
-    def test_only_rule_layouts_divided_by_the_directions(self):
-        rule = build_quadrature(0.0, 16, 30)
-        assert ring_shifts(rule.nodes, 8) is None
-        assert ring_shifts(rule.nodes, 6) == [5 * k for k in range(6)]
-        assert ring_shifts(rule.nodes[:, ::-1], 6) is None
-        assert ring_shifts(rule.nodes * np.exp(0.1j), 6) is None
-        assert ring_shifts(rule.nodes.ravel(), 6) is None
-        assert ring_shifts(rule.nodes.copy(), 6) is None
-
-    def test_known_rules_are_not_pinned(self):
-        rule = build_quadrature(0.123, 8, 12)
-        key = id(rule.nodes)
-        assert measures_module._RULE_NODES[key] is rule.nodes
-        del rule
-        build_quadrature.cache_clear()
-        assert key not in measures_module._RULE_NODES
 
 
 class TestBoundaryExponent:
@@ -355,7 +312,7 @@ class TestPsiBreakdown:
 class TestHyp2f1NearOne:
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(1.0, 16.0), b=st.floats(-0.9, 10.0, exclude_min=True),
-           k=st.integers(0, 6),
+           k=st.integers(-6, 6),
            offset=st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e,
                                                    st.sampled_from((-1.0, 1.0)),
                                                    st.floats(-16.0, np.log10(5e-4)))),
@@ -364,17 +321,28 @@ class TestHyp2f1NearOne:
     @example(c=3.1, b=1.05, k=1, offset=1e-14, depth=20)
     def test_matches_mpmath_where_c_minus_a_minus_b_is_near_an_integer(
             self, c, b, k, offset, depth):
-        # c - a - b >= -5e-4, the side _psi_squared calls it on (c - a - b >= 0).
+        # Near a negative integer c - a - b, a or b near 0 is refused (below),
+        # and off the integer, so is a b whose interpolation nodes come near 0.
         # On the real axis at 1 - |a| = 2^-depth, |a|^2 rounds off 1 - y by
         # 2^(-2 depth), so what is compared is 2F1 itself, not the rounding of x.
         a = c - b - (k + offset)
         assume(a > -0.9)
+        assume(k >= 0 or min(abs(a), abs(b)) >= (1e-4 if c - a - b == k else 1.2e-3))
         r = 1.0 - 2.0**-depth
         y = geometry.one_minus_modulus_sq(r)
         got = measures_module._hyp2f1_near_one(a, b, c, r * r, y)
         with mpmath.workdps(40):
             want = mpmath.hyp2f1(a, b, c, 1 - mpmath.mpf(float(y)))
         assert abs(got / want - 1) < 1e-10, (a, b, c, c - a - b, depth, got, want)
+
+
+    @pytest.mark.parametrize("b", (1e-20, -1e-5, 1e-6))
+    def test_refuses_a_small_parameter_near_a_negative_integer(self, b):
+        # scipy gives 1.0 where 2F1(3, 1e-20; 1; 1 - 2^-36) is 6.90.
+        with pytest.raises(EvaluationError, match="negative integer -2"):
+            measures_module._hyp2f1(3.0, b, 1.0, 1.0 - 2.0**-36)
+        with pytest.raises(EvaluationError, match="negative integer -2"):
+            measures_module._hyp2f1(b, 3.0, 1.0 + 3e-5, 0.5)
 
 
 class TestBergmanNorm:
@@ -663,9 +631,9 @@ class TestSquareIntegrals:
         mu = PolyWeighted(Polynomial.from_coeffs([1, 0.5j, 0.25]), 3.0, 0.5)
         coeffs = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
         got = mu.square_integrals(coeffs, small_quad)
-        stack = mu.integrate(lambda z: np.stack([
-            np.abs(Polynomial.from_coeffs(row)(z)) ** 2 for row in coeffs]), small_quad)
-        np.testing.assert_allclose(got, stack, rtol=1e-14, atol=0)
+        rows = [mu.integrate(lambda z, f=Polynomial.from_coeffs(row): np.abs(f(z)) ** 2,
+                             small_quad) for row in coeffs]
+        np.testing.assert_allclose(got, rows, rtol=1e-14, atol=0)
 
     def test_rejects_a_flat_array(self):
         with pytest.raises(ConfigurationError):
