@@ -345,6 +345,138 @@ class TestHyp2f1NearOne:
             measures_module._hyp2f1(b, 3.0, 1.0 + 3e-5, 0.5)
 
 
+def kernel_mode_oracle(t, zeta, m):
+    """kappa_m at 1 - w^2 = zeta: w^m (t)_m/m! 2F1(t, t+m; m+1; w^2), to 40 digits."""
+    with mpmath.workdps(40):
+        x, t = 1 - mpmath.mpf(zeta), mpmath.mpf(t)
+        return float(mpmath.sqrt(x) ** m * mpmath.rf(t, m) / mpmath.factorial(m)
+                     * mpmath.hyp2f1(t, t + m, m + 1, x))
+
+
+class TestKernelModes:
+    # 2t = 4 and 5 exactly, and 5 +- 1e-6, go through the interpolation in t.
+    @pytest.mark.parametrize("t", (0.3, 1.0, 1.77, 2.0, 2.5, 2.5 - 5e-7, 2.5 + 5e-7, 4.6, 5.12))
+    def test_match_mpmath_from_the_circle_to_half_way(self, t):
+        # Each of the three routines (series, table, connection) takes some of these zeta.
+        gaps = 2.0 ** -np.array([1, 3, 6, 9, 20, 40])
+        zeta = gaps * (2.0 - gaps)                  # 1 - w^2 for 1 - w = gap, exactly
+        modes = (measures_module._kernel_modes(t, zeta, 256)
+                 * zeta[:, None] ** (1 - 2 * t))
+        for row, z in zip(modes, zeta):
+            scale = kernel_mode_oracle(t, z, 0)
+            for m in (0, 1, 7, 64, 256):
+                assert abs(row[m] - kernel_mode_oracle(t, z, m)) <= 1e-12 * scale, (z, m)
+
+    def test_modes_are_positive_and_below_the_mean(self):
+        zeta = 2.0 ** -np.arange(0.5, 45.0, 1.5)
+        modes = measures_module._kernel_modes(3.3, zeta, 1024)
+        assert np.all(modes[:, 1:] <= modes[:, :1] * (1 + 1e-12))
+        assert np.all(modes >= -1e-15 * modes[:, :1])
+
+    def test_table_values_do_not_depend_on_who_asked_first(self):
+        # The mode tables are cached; a value must not depend on their state.
+        zeta = np.array([0.1, 0.03, 0.3])
+        first = measures_module._kernel_modes(2.7, zeta, 40)
+        measures_module._kernel_modes(2.7, zeta, 3000)
+        measures_module._MODE_TABLES.__init__(measures_module._MODE_TABLES.limit)
+        measures_module._kernel_modes(2.7, zeta, 300)
+        assert np.array_equal(measures_module._kernel_modes(2.7, zeta, 40), first)
+
+
+def fourier_psi(u, p, beta, centers, t):
+    return measures_module._psi_fourier(tuple(complex(c) for c in u), p, beta, centers, t)
+
+
+def refined(*args):
+    """``fourier_psi`` with twice the panel nodes and twice the first angle count."""
+    nodes, angles = measures_module.PSI_PANEL_NODES, measures_module.PSI_ANGLES
+    measures_module.PSI_PANEL_NODES, measures_module.PSI_ANGLES = 2 * nodes, 2 * angles
+    try:
+        return fourier_psi(*args)
+    finally:
+        measures_module.PSI_PANEL_NODES, measures_module.PSI_ANGLES = nodes, angles
+
+
+DEPTHS = 2.0 ** -np.array([1, 4, 12, 20, 30, 40])
+DIRECTIONS = np.exp(1j * np.array([0.0, 0.3, 2.0, -2.5]))
+
+
+class TestFourierPsi:
+    # (u, p, beta, t): at even p, m |v|^2 = |u|^p is exact by _psi_squared.
+    # beta = -0.875 is where scipy's Gauss-Jacobi rule is least accurate, and
+    # u(0) = 0 puts the Gauss-Jacobi rule for s^(kp/2) on the panel at s = 0.
+    EVEN = (((1.0, 0.5), 2.0, -0.875, 1.125),
+            ((0.0, 1.0), 2.0, 1.0, 2.0),
+            ((0.0, 0.0, 1.0), 2.0, 0.5, 3.7),
+            ((1.0, 0.5j, -0.3), 4.0, 0.25, 2.5),
+            ((1.0, -1.0), 4.0, 0.5, 2.5))
+
+    @pytest.mark.parametrize("u, p, beta, t", EVEN)
+    def test_even_p_matches_the_finite_sum(self, u, p, beta, t):
+        centers = ((1.0 - DEPTHS)[:, None] * DIRECTIONS[:3]).ravel()
+        mu = PolyWeighted(Polynomial.from_coeffs(u), p, beta)
+        v, mass = mu._as_square()
+        exact = mass * measures_module._psi_squared(v, beta, centers, t)
+        got = fourier_psi(u, p, beta, centers, t)
+        # Relative to the largest value on each circle: u = 1 - z vanishes toward 1.
+        scale = np.repeat(exact.reshape(len(DEPTHS), -1).max(axis=1), 3)
+        assert np.all(np.abs(got - exact) <= 1e-12 * scale)
+
+    @settings(max_examples=4, deadline=None)
+    @given(u=st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False), min_size=2,
+                      max_size=3).filter(lambda c: abs(c[-1]) > 0.1),
+           p=st.one_of(st.sampled_from((1.0, 3.0)), st.floats(0.6, 3.4)).filter(
+               lambda p: p % 2 != 0),
+           beta=st.floats(-0.5, 2.0), t=st.floats(1.2, 4.5), depth=st.integers(1, 20))
+    def test_odd_and_non_integer_p_agree_with_a_refinement(self, u, p, beta, t, depth):
+        # Within 1e-10 of the largest value on the circle, or refused (with or without the refinement).
+        centers = (1.0 - 2.0**-depth) * DIRECTIONS[:3]
+        try:
+            got = fourier_psi(u, p, beta, centers, t)
+            want = refined(u, p, beta, centers, t)
+        except EvaluationError:
+            return
+        assert np.all(np.abs(got - want) <= 1e-10 * np.max(want)), (got, want)
+
+    @pytest.mark.parametrize("zero", (2.0**-9, 2.0**-20))
+    def test_a_zero_near_the_origin_is_resolved(self, zero):
+        # |z + zero| grows like |z| past the zero: the panels are graded toward s = 0.
+        centers = 0.5 * DIRECTIONS[:2]
+        got = fourier_psi((zero, 1.0), 1.0, 0.0, centers, 2.0)
+        assert np.all(np.abs(got - refined((zero, 1.0), 1.0, 0.0, centers, 2.0)) <= 1e-10 * got)
+
+    def test_zero_on_the_circle_is_accurate_or_refused(self):
+        # u = 1 - z at p = 3: the kink of |u|^3 at z = 1 sits on the circle.
+        centers = ((1.0 - DEPTHS[:3])[:, None] * DIRECTIONS).ravel()
+        for center in np.split(centers, 3):
+            try:
+                got = fourier_psi((1.0, -1.0), 3.0, 0.5, center, 2.5)
+            except EvaluationError as err:
+                assert "angular tail" in str(err)
+                continue
+            want = refined((1.0, -1.0), 3.0, 0.5, center, 2.5)
+            assert np.all(np.abs(got - want) <= 1e-9 * np.max(want))
+
+    def test_a_zero_just_inside_the_circle_is_refused_near_it(self):
+        # |u| = |z - (1 - 1e-4)| at p = 1: its kink needs more than PSI_MAX_ANGLES angles.
+        with pytest.raises(EvaluationError, match="angular tail .* at 8192 angles"):
+            fourier_psi((-(1.0 - 1e-4), 1.0), 1.0, 0.5, np.array([1.0 - 2.0**-18]), 2.5)
+
+    def test_a_centre_takes_the_same_value_alone_and_in_any_batch(self):
+        u, p, beta, t = (1.0, 0.5j, -0.3), 3.0, 0.25, 2.5
+        centers = np.concatenate([(1.0 - DEPTHS[:4])[:, None] * DIRECTIONS,
+                                  [[0.0, 0.5, -0.5, 0.5j]]]).ravel()
+        together = fourier_psi(u, p, beta, centers, t)
+        alone = [fourier_psi(u, p, beta, centers[i:i + 1], t)[0] for i in range(len(centers))]
+        assert np.array_equal(together, alone)
+        assert np.array_equal(fourier_psi(u, p, beta, centers[::-1], t), together[::-1])
+
+    def test_psi_of_a_polynomial_weight_does_not_use_the_quadrature(self):
+        mu = PolyWeighted(Polynomial.from_coeffs([1.0, 0.5j, -0.3]), 3.0, 0.25)
+        centers = np.array([0.3, 0.9j, 1.0 - 2.0**-20])
+        assert np.array_equal(mu.psi(centers, 2.5, QuadConfig(8, 8)), mu.psi(centers, 2.5))
+
+
 class TestBergmanNorm:
     def test_constant(self):
         for p, alpha in [(1.0, -0.5), (2.0, 0.0), (4.0, 1.0)]:
