@@ -880,10 +880,10 @@ def _kernel_mode_bound(t, zeta, m):
     w = np.sqrt(1.0 - zeta)[:, None]
     m = np.asarray(m, dtype=float)[None, :]
     shift = w * (m + t) / m                      # e^-eta, below 1 where the bound is finite
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_bound = (m * np.log(shift) + t * np.log1p(m / t) - t * np.log1p(-w * shift)
                      + (2 * t - 1) * np.log(zeta)[:, None])
-    return np.where(shift < 1.0, np.exp(log_bound), np.inf)
+        return np.where(shift < 1.0, np.exp(log_bound), np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -1162,9 +1162,10 @@ def _panel_sums(t, zeta, factor, mean_mode, nearest, modes, alias):
     size = np.abs(modes)
     mean = np.add.reduceat(factor * mean_mode * size[:, 0], starts)
     m = np.arange(1, size.shape[1])
-    bound = _kernel_mode_bound(t, nearest, m) * nearest[:, None] ** (1 - 2 * t)
-    bound = np.repeat(bound, n, axis=0)
-    bound = np.minimum(mean_mode[:, None], bound * zeta[:, None] ** (2 * t - 1))
+    # kappa_m is largest at the least zeta of a panel; rescale that bound to each row.
+    scale = (zeta / np.repeat(nearest, n)) ** (2 * t - 1)
+    bound = np.repeat(_kernel_mode_bound(t, nearest, m), n, axis=0) * scale[:, None]
+    bound = np.minimum(mean_mode[:, None], bound)
     bounded = np.add.reduceat(factor[:, None] * bound * size[:, 1:], starts, axis=0)
     beyond = np.cumsum(bounded[:, ::-1], axis=1)[:, ::-1]    # beyond[:, j]: the terms past m = j
     caps = [int(np.argmax(np.append(row, 0.0) <= PSI_MODE_CUT * base))

@@ -471,6 +471,13 @@ class TestFourierPsi:
         assert np.array_equal(together, alone)
         assert np.array_equal(fourier_psi(u, p, beta, centers[::-1], t), together[::-1])
 
+    def test_a_large_kernel_exponent_raises_no_numerical_warning(self):
+        # t = 20 > beta + 2: Psi grows like (1-|a|^2)^(beta+2-t), and the
+        # kernel-mode bound near the circle overflows unless it is rescaled.
+        mu = PolyWeighted(Polynomial.from_coeffs([2.0, 0.3, 0.1]), 1.5, 5.0)
+        values = mu.psi(np.array([0.3, -0.99, (1.0 - 2.0**-30) * np.exp(1j)]), 20.0)
+        assert np.all(np.isfinite(values)) and values[0] < values[1] < values[2]
+
     def test_psi_of_a_polynomial_weight_does_not_use_the_quadrature(self):
         mu = PolyWeighted(Polynomial.from_coeffs([1.0, 0.5j, -0.3]), 3.0, 0.25)
         centers = np.array([0.3, 0.9j, 1.0 - 2.0**-20])
