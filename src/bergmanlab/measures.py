@@ -953,8 +953,8 @@ def _radial_panels(y, kinks, p, beta, origin):
     # A dyadic point within a quarter of its distance to the nearer end of a
     # kink would make a narrow panel all of whose circles pass near the zero;
     # 1/2 stays, where the nodes switch from sigma to s.
-    base = sorted({0.0, 0.5, 1.0, *kinks, *(d for d in dyadic
-                                            if all(abs(d - k) >= min(d, 1.0 - d) / 4.0 for k in kinks))})
+    kept = [d for d in dyadic if all(abs(d - k) >= min(d, 1.0 - d) / 4.0 for k in kinks)]
+    base = sorted({0.0, 0.5, 1.0, *kinks, *kept})
     points = set(base)
     width = PSI_PANEL_NODES**2 * _KINK_TOL ** (1.0 / (p + 2.0))
     for left, right in zip(base[:-1], base[1:]):

@@ -429,7 +429,8 @@ class TestFourierPsi:
                lambda p: p % 2 != 0),
            beta=st.floats(-0.5, 2.0), t=st.floats(1.2, 4.5), depth=st.integers(1, 20))
     def test_odd_and_non_integer_p_agree_with_a_refinement(self, u, p, beta, t, depth):
-        # Within 1e-10 of the largest value on the circle, or refused (with or without the refinement).
+        # Within 1e-10 of the largest value on the circle, or refused, with or
+        # without the refinement.
         centers = (1.0 - 2.0**-depth) * DIRECTIONS[:3]
         try:
             got = fourier_psi(u, p, beta, centers, t)
