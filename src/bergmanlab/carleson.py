@@ -112,10 +112,10 @@ def _kernel_exponent(alpha, t):
     return t
 
 
-def psi_transform(mu: Measure, a, alpha, t=None, quad: QuadConfig = DEFAULT_QUAD):
+def psi_transform(mu: Measure, a, alpha, t=None):
     """Psi_a(mu) with exponent t (default 2 + alpha), evaluated by ``mu.psi``."""
     t = _kernel_exponent(alpha, t)
-    return float(mu.psi(complex(a), t, quad))
+    return float(mu.psi(complex(a), t))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,7 @@ def _fit_slope(level_maxima):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def psi_sup(mu: Measure, alpha, t=None, grid: PsiGridSpec = PsiGridSpec(),
-            quad: QuadConfig = DEFAULT_QUAD) -> SupResult:
+def psi_sup(mu: Measure, alpha, t=None, grid: PsiGridSpec = PsiGridSpec()) -> SupResult:
     """Sup of Psi over the nested boundary grids, in one ``mu.psi`` call.
 
     The verdict is "divergent" exactly when ``mu.boundary_exponent(t)`` < 0,
@@ -203,7 +202,7 @@ def psi_sup(mu: Measure, alpha, t=None, grid: PsiGridSpec = PsiGridSpec(),
     exponent = mu.boundary_exponent(2 + as_fraction(alpha) if t is None else t)
     circles = [grid.points_at_radius(rho) for rho in grid.radii()]
     centers = np.concatenate(circles)
-    values = mu.psi(centers, t_float, quad)
+    values = mu.psi(centers, t_float)
     k = int(np.argmax(values))
     per_radius = np.split(values, np.cumsum([len(pts) for pts in circles[:-1]]))
     running = np.maximum.accumulate([vals.max() for vals in per_radius])
@@ -212,8 +211,7 @@ def psi_sup(mu: Measure, alpha, t=None, grid: PsiGridSpec = PsiGridSpec(),
                      slope=_fit_slope(level_maxima), exponent=exponent)
 
 
-def psi_heatmap(mu: Measure, alpha, t=None, n_radial=24, n_angular=48,
-                max_radius=0.96, quad: QuadConfig = DEFAULT_QUAD):
+def psi_heatmap(mu: Measure, alpha, t=None, n_radial=24, n_angular=48, max_radius=0.96):
     """Polar grid of (Re a, Im a, Psi) rows for CSV export, in one ``mu.psi`` call."""
     t = _kernel_exponent(alpha, t)
     centers = []
@@ -221,7 +219,7 @@ def psi_heatmap(mu: Measure, alpha, t=None, n_radial=24, n_angular=48,
         angles = [0.0] if rho == 0.0 else 2.0 * np.pi * np.arange(n_angular) / n_angular
         centers.extend(rho * np.exp(1j * np.atleast_1d(angles)))
     centers = np.array(centers, dtype=complex)
-    values = mu.psi(centers, t, quad)
+    values = mu.psi(centers, t)
     return [(float(a.real), float(a.imag), float(v)) for a, v in zip(centers, values)]
 
 
@@ -439,7 +437,7 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
     rows = _stack_rows([member.poly.coeffs for member in members[len(kernels):]])
     nums = []
     if phi.multiplicity == 1:
-        nums = list(mu.psi(centers, 2.0 + params.alpha, quad))
+        nums = list(mu.psi(centers, 2.0 + params.alpha))
     elif p % 2 == 0 and mu.moment_sums and condexp.expect_coefficients(phi, rows) is not None:
         rows = _stack_rows([*geometry.kernel_series(centers, params, int(p) // 2), *rows])
     else:
@@ -580,7 +578,7 @@ def certify(mu: Measure, params: SpaceParams, r, phi: AnalyticSelfMap = Identity
         report.lattice_kernel_sum = lat.kernel_sum()
 
         stage = "psi_sup"
-        sup = psi_sup(mu, params.alpha, None, config.psi_grid, config.quad)
+        sup = psi_sup(mu, params.alpha, None, config.psi_grid)
         report.c3 = sup.sup
         report.c3_argmax = sup.argmax
         report.psi_slope = sup.slope

@@ -230,10 +230,10 @@ def _cmd_psi(args):
     cfg, doc = _read_config(args, "psi")
     mu = build_measure(doc["measure"])
     config = _with_flags(_certify_config(doc, grid="grid"), args, "grid")
-    result = psi_sup(mu, doc["alpha"], doc.get("t"), config.psi_grid, config.quad)
+    result = psi_sup(mu, doc["alpha"], doc.get("t"), config.psi_grid)
     payload = _sup_payload(result)
     if "heatmap" in doc:
-        rows = psi_heatmap(mu, doc["alpha"], doc.get("t"), quad=config.quad, **doc["heatmap"])
+        rows = psi_heatmap(mu, doc["alpha"], doc.get("t"), **doc["heatmap"])
         payload["heatmap_rows"] = len(rows)
         if args.out is not None:
             path = Path(args.out)
@@ -271,7 +271,7 @@ def _cmd_opnorm(args):
     )
     config = _with_flags(_certify_config(doc, grid="grid"), args, "grid")
     norm = opnorm_estimate(op, config.family, config.quad)
-    crit = boundedness_criterion(op, config.psi_grid, config.quad)
+    crit = boundedness_criterion(op, config.psi_grid)
     payload = {
         "opnorm_lower_bound": norm.lower_bound,
         "worst_member": norm.worst_label,
@@ -288,7 +288,7 @@ def _cmd_mult_criterion(args):
     cfg, doc = _read_config(args, "mult_criterion")
     config = _with_flags(_certify_config(doc, grid="grid"), args, "grid")
     result = multiplication_criterion(Polynomial.from_pairs(doc["u"]), doc["p"], doc["q"],
-                                      doc["alpha"], doc["beta"], config.psi_grid, config.quad)
+                                      doc["alpha"], doc["beta"], config.psi_grid)
     _emit(_report_envelope("mult-criterion", cfg, _sup_payload(result)), args.out,
           "mult_criterion_report.json")
     return 2 if result.divergent else 0

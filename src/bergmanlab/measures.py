@@ -48,8 +48,8 @@ depth 1 - |a| to which it is validated:
 - atoms: a finite sum over the atoms, exact but for the rounding of
   1 - |a|^2, about 1e-16/(1 - |a|^2) relative: validated to 2^-20.
 
-None of them uses QuadConfig. ``Measure.psi`` checks the centres, and refuses
-values that can only be a breakdown.
+``Measure.psi`` checks the centres, and refuses values that can only be a
+breakdown.
 
 Each measure also states the exponent e for which sup_a psi(a, t) is finite
 exactly when e >= 0 (``boundary_exponent``): gamma + 2 - t for radial
@@ -96,10 +96,7 @@ MAX_N_ANGULAR = 2048
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Grid sizes for the disk rule. All quoted tolerances assume the defaults.
-
-    The kernel-power transform Psi does not use the rule (``Measure.psi``).
-    """
+    """Grid sizes for the disk rule. All quoted tolerances assume the defaults."""
 
     n_radial: int = DEFAULT_N_RADIAL
     n_angular: int = DEFAULT_N_ANGULAR
@@ -387,7 +384,7 @@ class Measure:
     def total_mass(self, quad: QuadConfig = DEFAULT_QUAD):
         return float(self.integrate(1.0, quad))
 
-    def psi(self, a, t, quad: QuadConfig = DEFAULT_QUAD):
+    def psi(self, a, t):
         """Kernel-power transform int ((1-|a|^2)/|1-conj(a) z|^2)^t dmu(z).
 
         ``a`` is a centre or an array of centres in the open disk; the values
@@ -401,7 +398,7 @@ class Measure:
         if np.any(outside):
             raise ConfigurationError(
                 f"a must lie in the open unit disk, got {complex(a[outside].flat[0])}")
-        values = self._psi(a.ravel(), t, quad)
+        values = self._psi(a.ravel(), t)
         broken = ~np.isfinite(values)
         if np.any(broken) and self.boundary_exponent(t) < 0:
             broken &= values != np.inf  # the overflow of a transform that does diverge
@@ -412,7 +409,7 @@ class Measure:
         values = values.reshape(a.shape)
         return float(values) if values.ndim == 0 else values
 
-    def _psi(self, centers, t, quad):
+    def _psi(self, centers, t):
         """The transform at each a of the 1-d array ``centers``."""
         raise NotImplementedError
 
@@ -1058,7 +1055,8 @@ def _psi_fourier(coeffs, p, beta, centers, t):
     modes it meets) exceeds PSI_TAIL_TOL of the mean of Psi over the circle
     |a|^2 = 1 - y, the circles with the largest shares are refined, by as many
     doublings as their spectra's decay says they need, up to PSI_MAX_ANGLES;
-    past that cap EvaluationError names the tail. QuadConfig plays no part.
+    past that cap EvaluationError names the tail and the zero of u nearest
+    the circle.
 
     Validated depth: 1 - |a| from 2^-1 to 2^-40, on and off the real axis. At
     p in {2, 4}, against ``_psi_squared``, within 1e-12 of the largest value
@@ -1131,10 +1129,13 @@ def _mode_sums(coeffs, p, beta, t, y, kinks, origin):
         share = PSI_TAIL_TOL * mean / len(tails)
         refine = (tails >= min(share, tails.max())) & (angles < PSI_MAX_ANGLES)
         if not np.any(refine):
+            roots = np.roots(np.asarray(coeffs, dtype=complex)[::-1])
+            z0 = roots[np.argmin(np.abs(1.0 - np.abs(roots)))]  # a constant u never aliases
             raise EvaluationError(
                 f"Psi of |u|^{p} dA_{beta} at 1-|a|^2 = {y:.6g}: its angular tail is "
                 f"{tails.sum() / mean:.1e} of the circle mean at {PSI_MAX_ANGLES} angles, "
-                f"above {PSI_TAIL_TOL:g}; a zero of u on or near the circle?")
+                f"above {PSI_TAIL_TOL:g}; the zero of u nearest the circle is z0 = {z0:.6g}, "
+                f"with |z0| = {abs(z0):.6g} and 1 - |z0| = {1.0 - abs(z0):.3g}")
         # Each doubling cuts a row's aliasing by about its decay per octave.
         with np.errstate(divide="ignore"):
             doublings = np.ceil(np.log(tails[refine] / share)
@@ -1218,7 +1219,7 @@ class RadialDensity(Measure):
         radii, where = np.unique(modulus(centers), return_inverse=True)
         return _density_disk_measure(self.density, radii.astype(complex), r, quad)[where]
 
-    def _psi(self, centers, t, quad):
+    def _psi(self, centers, t):
         """The case v = 1 of ``_psi_squared``, times the mass scale/(gamma+1)."""
         return self.scale / (self.gamma + 1.0) * _psi_squared(np.ones(1), self.gamma, centers, t)
 
@@ -1307,9 +1308,9 @@ class PolyWeighted(Measure):
             return np.ones(1), abs(self.u.coeffs[0]) ** self.p
         return None
 
-    def _psi(self, centers, t, quad):
+    def _psi(self, centers, t):
         """m ``_psi_squared`` of v where |u|^p = m |v|^2 (``_as_square``), else
-        ``_psi_fourier``; neither uses ``quad``."""
+        ``_psi_fourier``."""
         square = self._as_square()
         if square is None:
             return _psi_fourier(self.u.coeffs, self.p, self.beta, centers, t)
@@ -1389,7 +1390,7 @@ class Atomic(Measure):
                                        where=inside)
         return out
 
-    def _psi(self, centers, t, quad):
+    def _psi(self, centers, t):
         """The finite sum over the atoms of their kernel powers. 1 - |a|^2 is
         rounded, which costs about 1e-16/(1 - |a|^2) relative: validated depth
         1 - |a| = 2^-20, where that is below 1e-10."""
@@ -1448,8 +1449,8 @@ class SumMeasure(Measure):
     def _disk_masses(self, centers, r, quad):
         return sum(part._disk_masses(centers, r, quad) for part in self.parts)
 
-    def _psi(self, centers, t, quad):
-        return sum(part._psi(centers, t, quad) for part in self.parts)
+    def _psi(self, centers, t):
+        return sum(part._psi(centers, t) for part in self.parts)
 
     def boundary_exponent(self, t):
         return min(part.boundary_exponent(t) for part in self.parts)

@@ -137,7 +137,7 @@ def run_operator_suite(config: CertifyConfig = CertifyConfig()):
             p=SUITE_P, alpha=case.alpha, beta=case.alpha,
         )
         norm = opnorm_estimate(op, config.family, config.quad)
-        crit = boundedness_criterion(op, config.psi_grid, config.quad)
+        crit = boundedness_criterion(op, config.psi_grid)
         out[case.name] = {
             "opnorm_lower_bound": norm.lower_bound,
             "opnorm_worst_member": norm.worst_label,

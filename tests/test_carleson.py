@@ -63,7 +63,7 @@ class TestPsiTransform:
     def test_at_origin_gives_total_mass(self, small_quad):
         for mu in (WeightedArea(0.5), RadialDensity(1.0), Atomic.from_atoms([(0.3, 2.0)]),
                    PolyWeighted(Polynomial.from_coeffs([1, 0.5]), 2.0, 0.0)):
-            got = psi_transform(mu, 0.0, 0.7, quad=small_quad)
+            got = psi_transform(mu, 0.0, 0.7)
             assert abs(got - mu.total_mass(small_quad)) < 1e-10
 
     @pytest.mark.parametrize("alpha", (-0.5, 0.0, 1.0))
@@ -94,18 +94,18 @@ class TestPsiTransform:
         for mu in measures:
             for a in sample_disk(rng, 6, rmax=0.8):
                 a = complex(a)
-                smart = psi_transform(mu, a, params.alpha, quad=quad)
+                smart = psi_transform(mu, a, params.alpha)
                 direct = integrate(
                     mu, lambda z: np.abs(kernel_power(a, z, params)) ** params.p, quad)
                 assert abs(smart - direct) < 1e-9
 
-    def test_general_exponent(self, small_quad):
+    def test_general_exponent(self):
         # t = 1: int (1-|a|^2)/|1-conj(a) z|^2 dA(z) has closed form
         # (1-|a|^2) * sum_k |a|^(2k)/(k+1) = ((1-x)/x) * (-log(1-x)), x = |a|^2
         a = 0.6
         x = a * a
         expected = (1 - x) / x * (-np.log1p(-x))
-        got = psi_transform(WeightedArea(0.0), a, 0.0, t=1.0, quad=small_quad)
+        got = psi_transform(WeightedArea(0.0), a, 0.0, t=1.0)
         assert abs(got - expected) < 1e-12
 
     def test_invalid_exponent(self):
@@ -270,8 +270,8 @@ class TestArrayPsi:
                                   0.7 * np.exp(2j * np.pi * np.arange(12) / 12),
                                   sample_disk(rng, 40)])
         for t in (2.0, 2.5):
-            got = mu.psi(centers, t, small_quad)
-            want = np.array([psi_transform(mu, a, t - 2.0, quad=small_quad) for a in centers])
+            got = mu.psi(centers, t)
+            want = np.array([psi_transform(mu, a, t - 2.0) for a in centers])
             assert got.shape == centers.shape
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), name
             # Each odd-p value depends on its own centre alone.
@@ -281,31 +281,30 @@ class TestArrayPsi:
     def test_shape_follows_input(self, name, rng, small_quad):
         mu = array_psi_measures(small_quad)[name]
         centers = sample_disk(rng, 6).reshape(2, 3)
-        got = mu.psi(centers, 2.0, small_quad)
+        got = mu.psi(centers, 2.0)
         assert got.shape == (2, 3)
-        assert got[1, 2] == pytest.approx(mu.psi(centers[1, 2], 2.0, small_quad), rel=1e-13)
-        assert type(mu.psi(0.3 - 0.2j, 2.0, small_quad)) is float
-        assert mu.psi(np.empty(0, dtype=complex), 2.0, small_quad).shape == (0,)
+        assert got[1, 2] == pytest.approx(mu.psi(centers[1, 2], 2.0), rel=1e-13)
+        assert type(mu.psi(0.3 - 0.2j, 2.0)) is float
+        assert mu.psi(np.empty(0, dtype=complex), 2.0).shape == (0,)
 
     def test_one_call_per_sup_and_heatmap(self, monkeypatch, small_quad):
         mu = array_psi_measures(small_quad)["pullback"]
         calls = []
         original = PolyWeighted.psi
 
-        def counting(self, a, t, quad=None):
+        def counting(self, a, t):
             calls.append(np.size(a))
-            return original(self, a, t, quad)
+            return original(self, a, t)
         monkeypatch.setattr(PolyWeighted, "psi", counting)
-        psi_sup(mu, 0.0, grid=PsiGridSpec(4, 6, 4), quad=small_quad)
+        psi_sup(mu, 0.0, grid=PsiGridSpec(4, 6, 4))
         assert calls == [1 + 6 * 4]
-        rows = psi_heatmap(mu, 0.0, n_radial=3, n_angular=5, quad=small_quad)
+        rows = psi_heatmap(mu, 0.0, n_radial=3, n_angular=5)
         assert calls == [1 + 6 * 4, 1 + 2 * 5]
         assert [psi for _, _, psi in rows] == \
-            [original(mu, complex(x, y), 2.0, small_quad) for x, y, _ in rows]
+            [original(mu, complex(x, y), 2.0) for x, y, _ in rows]
         grid = np.concatenate([PsiGridSpec(4, 6, 4).points_at_radius(rho)
                                for rho in PsiGridSpec(4, 6, 4).radii()])
-        assert np.array_equal(original(mu, grid, 2.0, small_quad),
-                              [original(mu, a, 2.0, small_quad) for a in grid])
+        assert np.array_equal(original(mu, grid, 2.0), [original(mu, a, 2.0) for a in grid])
 
     def test_sup_rejects_grid_on_the_circle(self):
         with pytest.raises(ConfigurationError, match="open unit disk"):
@@ -357,9 +356,8 @@ class TestPsiSup:
         assert res.sup == 0.0
         assert res.verdict == "bounded"
 
-    def test_heatmap_rows(self, small_quad):
-        rows = psi_heatmap(WeightedArea(0.0), 0.0, n_radial=5, n_angular=8,
-                           quad=small_quad)
+    def test_heatmap_rows(self):
+        rows = psi_heatmap(WeightedArea(0.0), 0.0, n_radial=5, n_angular=8)
         assert len(rows) == 1 + 4 * 8
         assert all(abs(psi - 1.0) < 1e-8 for _, _, psi in rows)
 
@@ -461,7 +459,7 @@ class TestTestConstant:
         fam = FamilySpec(kernel_radii=(0.0, 0.5, 0.75), n_dirs=4, random_count=0)
         res = family_constant(mu, params, Identity(), fam, small_quad)
         centers = [m.kernel_center for m in build_family(fam, params)]
-        sup_psi = max(psi_transform(mu, a, params.alpha, quad=small_quad) for a in centers)
+        sup_psi = max(psi_transform(mu, a, params.alpha) for a in centers)
         assert abs(res.c1 - sup_psi) < 1e-6
 
 
@@ -476,7 +474,7 @@ def reference_test_constant(mu, params, phi, family, quad, norm=bergman_norm):
     ratios = {}
     for member in build_family(family, params):
         if member.kernel_center is not None and phi.multiplicity == 1:
-            ratios[member.label] = psi_transform(mu, member.kernel_center, params.alpha, quad=quad)
+            ratios[member.label] = psi_transform(mu, member.kernel_center, params.alpha)
             continue
         if isinstance(phi, Identity):
             ef = member.func

@@ -115,7 +115,6 @@ class TestPsi:
             "measure": {"type": "atomic", "atoms": [{"re": 0.9, "im": 0, "mass": 1.0}]},
             "alpha": 0.0,
             "grid": {"j_min": 4, "j_max": 8, "n_dirs": 8},
-            "quad": SMALL_QUAD,
             "heatmap": {"n_radial": 4, "n_angular": 6, "max_radius": 0.9},
         }))
         code = run_cli(["psi", "--config", str(cfg), "--out", str(tmp_path)])
@@ -132,7 +131,6 @@ class TestPsi:
             "measure": {"type": "radial", "gamma": -0.5},
             "alpha": 0.0,
             "grid": {"j_min": 4, "j_max": 10, "n_dirs": 4},
-            "quad": SMALL_QUAD,
         }))
         assert run_cli(["psi", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
@@ -244,7 +242,6 @@ class TestMultCriterionCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "u": [[1, 0]], "p": 2.0, "q": 4.0, "alpha": 0.0, "beta": 0.0,
-            "quad": SMALL_QUAD,
             "grid": {"j_min": 4, "j_max": 10, "n_dirs": 4},
         }))
         code = run_cli(["mult-criterion", "--config", str(cfg), "--out", str(tmp_path)])
@@ -256,7 +253,6 @@ class TestMultCriterionCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "u": [[1, 0]], "p": 2.0, "q": 2.0, "alpha": 0.0, "beta": 0.0,
-            "quad": SMALL_QUAD,
             "grid": {"j_min": 4, "j_max": 8, "n_dirs": 4},
         }))
         assert run_cli(["mult-criterion", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -298,11 +294,12 @@ class TestExpectationsComparer:
 
 
 PSI = {"measure": {"type": "area", "alpha": 0.0}, "alpha": 0.0,
-       "grid": {"j_min": 4, "j_max": 5, "n_dirs": 2}, "quad": {"n_radial": 8, "n_angular": 8}}
+       "grid": {"j_min": 4, "j_max": 5, "n_dirs": 2}}
 CHECK = {"measure": {"type": "area", "alpha": 0.0}, "p": 2.0, "alpha": 0.0, "r": 1.0,
          "quad": {"n_radial": 16, "n_angular": 32}, "psi_grid": {"j_max": 5, "n_dirs": 2},
          "family": {"kernel_radii": [0.0], "random_count": 1}, "lattice_epsilon": 0.3}
 OPNORM = {"u": [[1, 0]], "p": 2.0, "alpha": 0.0, "beta": 0.0}
+MULT = {"u": [[1, 0]], "p": 2.0, "q": 2.0, "alpha": 0.0, "beta": 0.0}
 CONDEXP = {"map": {"type": "identity"}, "f": [[1, 0]]}
 ATOM = {"re": 0.5, "im": 0.0, "mass": 1.0}
 GRID_MEASURE = {"type": "grid", "alpha": 0.0, "n_radial": 4, "n_angular": 8, "values": [1.0] * 32}
@@ -316,7 +313,7 @@ class TestConfigErrors:
         ("psi", {**PSI, "measure": {"type": "atomic", "atoms": []}}, "/measure/atoms"),
         ("psi", {**PSI, "measure": {"type": "atomic", "atoms": [{**ATOM, "weight": 2.0}]}},
          "/measure/atoms/0/weight"),
-        ("psi", {**PSI, "quad": {"n_radial": 16.9, "n_angular": 8}}, "/quad/n_radial"),
+        ("carleson", {**CHECK, "quad": {"n_radial": 16.9, "n_angular": 8}}, "/quad/n_radial"),
         ("psi", {**PSI, "heatmap": {"max_radius": 1.5}}, "/heatmap/max_radius"),
         ("carleson", {**CHECK, "family": {"n_dirs": 1.9}}, "/family/n_dirs"),
         ("carleson", {**CHECK, "seed": 1.9}, "/seed"),
@@ -324,13 +321,16 @@ class TestConfigErrors:
         ("carleson", {**CHECK, "seed": -5}, "/seed"),
         ("carleson", {**CHECK, "family": {"seed": -5}}, "/family/seed"),
         ("opnorm", {**OPNORM, "seed": -5}, "/seed"),
-        ("psi", {**PSI, "quad": {"n_radial": 10**400, "n_angular": 8}}, "/quad/n_radial"),
+        ("opnorm", {**OPNORM, "quad": {"n_radial": 10**400, "n_angular": 8}}, "/quad/n_radial"),
         ("psi", {**PSI, "heatmap": {"n_angular": 2049}}, "/heatmap/n_angular"),
         ("psi", {**PSI, "measure": {**GRID_MEASURE, "n_radial": 1025}}, "/measure/n_radial"),
         ("psi", {**PSI, "grid": {"j_max": 54}}, "/grid/j_max"),
         ("carleson", {**CHECK, "psi_grid": {"j_max": 54}}, "/psi_grid/j_max"),
         ("psi", {**PSI, "measure": {"type": "atomic", "atoms": [{**ATOM, "re": 1.0}]}},
          "/measure"),
+        # Psi reads no quadrature rule, so these documents have no quad.
+        ("psi", {**PSI, "quad": {"n_radial": 16, "n_angular": 32}}, "/quad"),
+        ("mult-criterion", {**MULT, "quad": {"n_radial": 16, "n_angular": 32}}, "/quad"),
     ])
     def test_malformed_config_named_by_pointer(self, command, doc, pointer, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -15,6 +15,9 @@ nodes: of ``measures``, ``condexp`` imports only ``Polynomial``.
 And one routine evaluates Psi exactly for weighted areas: only
 ``measures._hyp2f1_near_one`` (or a helper that only it reads) calls scipy's
 ``hyp2f1``, and only ``measures._psi_squared`` calls ``_hyp2f1_near_one``.
+
+Psi reads no quadrature rule, so no function that computes it takes a
+``quad``, ``operators.boundedness_criterion`` excepted.
 """
 
 import ast
@@ -203,3 +206,55 @@ def test_references_name_each_enclosing_function():
     uses = references(source)
     assert uses["hyp2f1"] == {"helper", "Radial._psi"}
     assert uses["helper"] == {"Radial._psi", "<module>"}
+
+
+def parameters(source):
+    """{qualified name: parameter names} of every function defined in ``source``."""
+    found = {}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{where}.{child.name}" if where else child.name
+                if not isinstance(child, ast.ClassDef):
+                    args = child.args
+                    found[name] = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                                   + [args.vararg, args.kwarg] if a is not None}
+                visit(child, name)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+# The functions that compute Psi, by module: in measures, ``Measure.psi`` and
+# every ``_psi``. ``operators.boundedness_criterion`` computes Psi too, but it
+# keeps an unused ``quad``: the benchmark's operator workloads still pass it a
+# QuadConfig positionally, and the benchmark's files do not change with the
+# package's. Drop the parameter once they stop passing it.
+PSI_FUNCTIONS = {
+    "measures.py": {"Measure.psi", "Measure._psi", "RadialDensity._psi", "PolyWeighted._psi",
+                    "Atomic._psi", "SumMeasure._psi"},
+    "carleson.py": {"psi_transform", "psi_sup", "psi_heatmap"},
+    "operators.py": {"multiplication_criterion"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PSI_FUNCTIONS))
+def test_no_psi_function_takes_a_quadrature(name):
+    defined = parameters((PACKAGE / name).read_text())
+    psi = set(PSI_FUNCTIONS[name])
+    if name == "measures.py":
+        psi |= {f for f in defined if f.rsplit(".", 1)[-1] in ("psi", "_psi")}
+    assert psi <= set(defined)
+    assert sorted(f for f in psi if "quad" in defined[f]) == []
+
+
+def test_parameter_detector_sees_each_form():
+    source = (
+        "def f(a, /, b, *rest, quad=None, **extra):\n"
+        "    def inner(quad): pass\n"
+        "class Radial:\n"
+        "    def _psi(self, centers, t): pass\n"
+    )
+    assert parameters(source) == {"f": {"a", "b", "rest", "quad", "extra"}, "f.inner": {"quad"},
+                                  "Radial._psi": {"self", "centers", "t"}}

@@ -463,6 +463,29 @@ class TestFourierPsi:
         with pytest.raises(EvaluationError, match="angular tail .* at 8192 angles"):
             fourier_psi((-(1.0 - 1e-4), 1.0), 1.0, 0.5, np.array([1.0 - 2.0**-18]), 2.5)
 
+    def test_a_refusal_names_the_zero_nearest_the_circle(self, monkeypatch):
+        # No circle may refine, so the deep centre beside the zero is refused;
+        # the zero at -2 is further from the circle.
+        monkeypatch.setattr(measures_module, "PSI_MAX_ANGLES", measures_module.PSI_ANGLES)
+        z0 = (1.0 - 2.0**-8) * np.exp(0.3j)
+        u = np.convolve((-z0, 1.0), (2.0, 1.0))
+        with pytest.raises(EvaluationError, match="nearest the circle is z0 = ") as refusal:
+            fourier_psi(u, 1.0, 0.5, np.array([(1.0 - 2.0**-10) * np.exp(0.3j)]), 2.5)
+        assert "with |z0| = 0.996094 and 1 - |z0| = 0.00391" in str(refusal.value)
+
+    @pytest.mark.xfail(strict=True, raises=EvaluationError,
+                       reason="the kink of a zero of u 0.00139 inside the circle needs more "
+                              "than PSI_MAX_ANGLES angles at 1-|a|^2 = 0.00195")
+    def test_cold_mix_seed_12_multiplication_criterion(self):
+        # cold-mix seed 12, request 16-multiplication: u has a zero at |z0| = 0.99861.
+        u = Polynomial.from_pairs([[1.3982823366445174, -1.1151864402924954],
+                                   [-0.7248525994851387, -0.7888097502307713],
+                                   [0.7288885549034524, -0.19481757200512054]])
+        p, q, alpha, beta = 1.4451764282392636, 1.691862268538109, -0.17141844444360005, \
+            0.47336289127778225
+        t = float((2 + as_fraction(alpha)) * as_fraction(q) / as_fraction(p))
+        assert np.isfinite(PolyWeighted(u, q, beta).psi(1.0 - 2.0**-10, t))
+
     def test_a_centre_takes_the_same_value_alone_and_in_any_batch(self):
         u, p, beta, t = (1.0, 0.5j, -0.3), 3.0, 0.25, 2.5
         centers = np.concatenate([(1.0 - DEPTHS[:4])[:, None] * DIRECTIONS,
@@ -478,11 +501,6 @@ class TestFourierPsi:
         mu = PolyWeighted(Polynomial.from_coeffs([2.0, 0.3, 0.1]), 1.5, 5.0)
         values = mu.psi(np.array([0.3, -0.99, (1.0 - 2.0**-30) * np.exp(1j)]), 20.0)
         assert np.all(np.isfinite(values)) and values[0] < values[1] < values[2]
-
-    def test_psi_of_a_polynomial_weight_does_not_use_the_quadrature(self):
-        mu = PolyWeighted(Polynomial.from_coeffs([1.0, 0.5j, -0.3]), 3.0, 0.25)
-        centers = np.array([0.3, 0.9j, 1.0 - 2.0**-20])
-        assert np.array_equal(mu.psi(centers, 2.5, QuadConfig(8, 8)), mu.psi(centers, 2.5))
 
 
 class TestBergmanNorm:
