@@ -193,6 +193,9 @@ def _fit_slope(level_maxima):
 def psi_sup(mu: Measure, alpha, t=None, grid: PsiGridSpec = PsiGridSpec()) -> SupResult:
     """Sup of Psi over the nested boundary grids, in one ``mu.psi`` call.
 
+    Every centre of the ring of radius rho takes y = (1-rho)(1+rho), exact
+    to one rounding since both factors are exact at rho = 1 - 2^-j.
+
     The verdict is "divergent" exactly when ``mu.boundary_exponent(t)`` < 0,
     with t exact (2 + ``as_fraction(alpha)`` by default, so dA_alpha gives 0);
     the level maxima and their slope over the last three levels only
@@ -200,9 +203,11 @@ def psi_sup(mu: Measure, alpha, t=None, grid: PsiGridSpec = PsiGridSpec()) -> Su
     """
     t_float = _kernel_exponent(alpha, t)
     exponent = mu.boundary_exponent(2 + as_fraction(alpha) if t is None else t)
-    circles = [grid.points_at_radius(rho) for rho in grid.radii()]
+    radii = grid.radii()
+    circles = [grid.points_at_radius(rho) for rho in radii]
     centers = np.concatenate(circles)
-    values = mu.psi(centers, t_float)
+    y = np.repeat([(1.0 - rho) * (1.0 + rho) for rho in radii], [len(pts) for pts in circles])
+    values = mu.psi(centers, t_float, y)
     k = int(np.argmax(values))
     per_radius = np.split(values, np.cumsum([len(pts) for pts in circles[:-1]]))
     running = np.maximum.accumulate([vals.max() for vals in per_radius])
@@ -212,14 +217,16 @@ def psi_sup(mu: Measure, alpha, t=None, grid: PsiGridSpec = PsiGridSpec()) -> Su
 
 
 def psi_heatmap(mu: Measure, alpha, t=None, n_radial=24, n_angular=48, max_radius=0.96):
-    """Polar grid of (Re a, Im a, Psi) rows for CSV export, in one ``mu.psi`` call."""
+    """Polar grid of (Re a, Im a, Psi) rows for CSV export, in one ``mu.psi`` call,
+    with y = (1-rho)(1+rho) on each ring as in ``psi_sup``."""
     t = _kernel_exponent(alpha, t)
-    centers = []
+    centers, y = [], []
     for rho in np.linspace(0.0, max_radius, n_radial):
         angles = [0.0] if rho == 0.0 else 2.0 * np.pi * np.arange(n_angular) / n_angular
         centers.extend(rho * np.exp(1j * np.atleast_1d(angles)))
+        y.extend([(1.0 - rho) * (1.0 + rho)] * len(angles))
     centers = np.array(centers, dtype=complex)
-    values = mu.psi(centers, t)
+    values = mu.psi(centers, t, np.array(y))
     return [(float(a.real), float(a.imag), float(v)) for a, v in zip(centers, values)]
 
 

@@ -335,11 +335,13 @@ def kernel_series(a, params: SpaceParams, power=1):
     return np.exp(log_mod) * np.exp(-1j * np.outer(np.angle(a), k))
 
 
-def kernel_power_modulus(a, z, t):
-    """((1 - |a|^2)/|1 - conj(a) z|^2)^t, the modulus |f_a|^p for t = 2 + alpha."""
+def kernel_power_modulus(a, z, t, y):
+    """(y/|1 - conj(a) z|^2)^t, the modulus |f_a|^p for t = 2 + alpha, with
+    y = 1 - |a|^2 from the caller in the shape of ``a``: rounding y here would
+    cost about 1e-16/(1 - |a|^2) relative."""
     a = np.asarray(a, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    base = (1.0 - np.abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2
+    base = y / np.abs(1.0 - np.conj(a) * z) ** 2
     out = base**t
     return float(out) if out.ndim == 0 else out
 

@@ -45,11 +45,13 @@ depth 1 - |a| to which it is validated:
   (``_psi_fourier``); within 1e-12 of the finite sum at even p and 1e-10 of
   its own refinement at other p, from 2^-1 to 2^-40, and refused with
   EvaluationError where its angular error estimate does not converge;
-- atoms: a finite sum over the atoms, exact but for the rounding of
-  1 - |a|^2, about 1e-16/(1 - |a|^2) relative: validated to 2^-20.
+- atoms: a finite sum over the atoms, within 5e-16 relative of 40-digit
+  mpmath for one atom, given 1 - |a|^2 exact: validated to 2^-40.
 
-``Measure.psi`` checks the centres, and refuses values that can only be a
-breakdown.
+Every path reads 1 - |a|^2 as the y that ``Measure.psi`` hands it, which is
+``one_minus_modulus_sq(a)`` unless the caller knows it better: ``psi_sup``
+and ``psi_heatmap`` pass one y per ring of their grids. ``Measure.psi``
+checks the centres and y, and refuses values that can only be a breakdown.
 
 Each measure also states the exponent e for which sup_a psi(a, t) is finite
 exactly when e >= 0 (``boundary_exponent``): gamma + 2 - t for radial
@@ -384,21 +386,39 @@ class Measure:
     def total_mass(self, quad: QuadConfig = DEFAULT_QUAD):
         return float(self.integrate(1.0, quad))
 
-    def psi(self, a, t):
+    def psi(self, a, t, y=None):
         """Kernel-power transform int ((1-|a|^2)/|1-conj(a) z|^2)^t dmu(z).
 
         ``a`` is a centre or an array of centres in the open disk; the values
         come back in the shape of ``a``, and a scalar centre gives a float.
-        Centres outside the open disk raise ConfigurationError. A value that is
-        NaN, or +inf where ``boundary_exponent(t)`` >= 0 says Psi is bounded,
-        is a numerical breakdown and raises EvaluationError.
+        ``y`` is 1 - |a|^2 for each centre, in the shape of ``a``, by default
+        ``one_minus_modulus_sq(a)``; a caller that knows its centres' radius
+        exactly passes it, so that the centres of one circle share one y.
+        Centres outside the open disk, and a y that is not finite, not shaped
+        like ``a`` or more than PSI_Y_TOL from ``one_minus_modulus_sq(a)``,
+        raise ConfigurationError. A value that is NaN, or +inf where
+        ``boundary_exponent(t)`` >= 0 says Psi is bounded, is a numerical
+        breakdown and raises EvaluationError.
         """
         a = np.asarray(a, dtype=complex)
         outside = ~(np.abs(a) < 1)
         if np.any(outside):
             raise ConfigurationError(
                 f"a must lie in the open unit disk, got {complex(a[outside].flat[0])}")
-        values = self._psi(a.ravel(), t)
+        exact = one_minus_modulus_sq(a)
+        if y is None:
+            y = exact
+        else:
+            y = np.asarray(y, dtype=float)
+            if y.shape != a.shape:
+                raise ConfigurationError(f"y must have the shape {a.shape} of a, got {y.shape}")
+            off = ~(np.abs(y - exact) <= PSI_Y_TOL)
+            if np.any(off):
+                k = int(np.argmax(off))
+                raise ConfigurationError(
+                    f"y must be finite and within {PSI_Y_TOL:.3g} of 1-|a|^2, got "
+                    f"{y.flat[k]!r} at a = {a.flat[k]}, where 1-|a|^2 = {exact.flat[k]!r}")
+        values = self._psi(a.ravel(), y.ravel(), t)
         broken = ~np.isfinite(values)
         if np.any(broken) and self.boundary_exponent(t) < 0:
             broken &= values != np.inf  # the overflow of a transform that does diverge
@@ -409,8 +429,8 @@ class Measure:
         values = values.reshape(a.shape)
         return float(values) if values.ndim == 0 else values
 
-    def _psi(self, centers, t):
-        """The transform at each a of the 1-d array ``centers``."""
+    def _psi(self, centers, y, t):
+        """The transform at each a of the 1-d array ``centers``, with y = 1 - |a|^2."""
         raise NotImplementedError
 
     def boundary_exponent(self, t):
@@ -438,6 +458,12 @@ class Measure:
         """Round-trippable dict form (the wire format)."""
         raise NotImplementedError
 
+
+# How far a y handed to ``Measure.psi`` may lie from ``one_minus_modulus_sq(a)``,
+# absolute: four units of 2^-52. A ring's (1-rho)(1+rho) lies within 1.38 of
+# them of its rounded points' own on ``psi_sup`` grids out to 1 - |a| = 2^-53
+# with 1 to 1000 directions, and within 1.29 on heatmaps up to 1024 x 2048.
+PSI_Y_TOL = 4 * 2.0**-52
 
 # Node budget of one batch of disk masses, or of centres x atoms in an atomic
 # transform, or of atoms x polynomials in ``square_integrals``: 2**16 complex
@@ -542,7 +568,7 @@ def _hyp2f1(a, b, c, x):
     return f
 
 
-def _psi_squared(v, beta, centers, t):
+def _psi_squared(v, beta, centers, y, t):
     """Psi of |v|^2 dA_beta at each a of the 1-d ``centers``, v = sum_j v_j z^j a polynomial.
 
     With x = |a|^2, d = j - k >= 0 and c = j + beta + 2, the angular average
@@ -559,7 +585,7 @@ def _psi_squared(v, beta, centers, t):
     (1-x)^t 2F1 as (1-x)^(c-t-d-i) 2F1(c-t, c-t-d; c+i; x), so each 2F1 has
     c - a - b >= 0. For v = 1 this is (1-x)^m 2F1(m, m; beta+2; x) with
     m = min(t, beta + 2 - t), exactly 1 for dA_beta at t = beta + 2. 1 - x
-    comes from ``one_minus_modulus_sq``, and each 2F1 from ``_hyp2f1_near_one``.
+    is the caller's y, and each 2F1 comes from ``_hyp2f1_near_one``.
 
     Against 40-digit oracles from 1 - |a| = 2^-1 to 2^-40, on and off the
     real axis: radial weights within 1.7e-13 relative (3e-11 where c - 2m < 1),
@@ -568,10 +594,9 @@ def _psi_squared(v, beta, centers, t):
     cancel where v is small near a/|a|, so the error is about eps times the
     sum of their moduli, which by Cauchy-Schwarz is at most deg(v) + 1 times
     the mean of Psi over the circle of radius |a|: a sup keeps its accuracy.
-    Validated depth: 1 - |a| from 2^-1 to 2^-40; 1 - |a|^2 is exact to an ulp
-    at every depth (``one_minus_modulus_sq``).
+    Validated depth: 1 - |a| from 2^-1 to 2^-40, given y exact to an ulp at
+    every depth, as ``Measure.psi`` checks it.
     """
-    y = one_minus_modulus_sq(centers)
     x = modulus(centers) ** 2
     total = np.zeros(len(centers))
     for j, vj in enumerate(v):
@@ -1031,7 +1056,7 @@ def _alias_estimate(size, p):
     return 2.0 * zeta_function(p + 1.0) * quarter * decay**2, decay
 
 
-def _psi_fourier(coeffs, p, beta, centers, t):
+def _psi_fourier(coeffs, p, beta, centers, y, t):
     """Psi of |u|^p dA_beta at each a of the 1-d ``centers``, in angular Fourier modes.
 
     With s = |z|^2 and sigma = 1 - s,
@@ -1043,9 +1068,10 @@ def _psi_fourier(coeffs, p, beta, centers, t):
     circle |z|^2 = s (``_circle_modes``) and kappa_m those of the kernel power
     at 1 - w^2 = sigma + s y (``_kernel_modes``). The radial integral runs on
     ``_radial_panels``. Everything depends on a only through y and arg a, so
-    the centres sharing one exact y = ``one_minus_modulus_sq(a)`` share one
-    evaluation of the mode sums D_m, and each centre's value is one sum over
-    m of D_m e^(i m arg a): a centre's value does not depend on the others.
+    the centres handed one y share one evaluation of the mode sums D_m, and
+    each centre's value is one sum over m of D_m e^(i m arg a): a centre's
+    value does not depend on the others. ``psi_sup`` and ``psi_heatmap`` hand
+    every centre of a ring the same y, so each ring is one evaluation.
 
     Per y and per panel, the trailing modes are dropped while the sum of their
     terms |kappa_m g_m|, bounded first by ``_kernel_mode_bound`` and then
@@ -1071,7 +1097,6 @@ def _psi_fourier(coeffs, p, beta, centers, t):
     # numpy's vector loops round arctan2 and exp differently from its strided
     # ones; on contiguous input a value does not depend on its place.
     centers = np.ascontiguousarray(centers)
-    y = one_minus_modulus_sq(centers)
     directions = np.angle(centers)
     out = np.empty(len(centers))
     for y_value in np.unique(y):
@@ -1219,9 +1244,10 @@ class RadialDensity(Measure):
         radii, where = np.unique(modulus(centers), return_inverse=True)
         return _density_disk_measure(self.density, radii.astype(complex), r, quad)[where]
 
-    def _psi(self, centers, t):
+    def _psi(self, centers, y, t):
         """The case v = 1 of ``_psi_squared``, times the mass scale/(gamma+1)."""
-        return self.scale / (self.gamma + 1.0) * _psi_squared(np.ones(1), self.gamma, centers, t)
+        mass = self.scale / (self.gamma + 1.0)
+        return mass * _psi_squared(np.ones(1), self.gamma, centers, y, t)
 
     def boundary_exponent(self, t):
         """gamma + 2 - t, the power of 1 - |a|^2 in ``_psi`` where it is negative."""
@@ -1308,14 +1334,14 @@ class PolyWeighted(Measure):
             return np.ones(1), abs(self.u.coeffs[0]) ** self.p
         return None
 
-    def _psi(self, centers, t):
+    def _psi(self, centers, y, t):
         """m ``_psi_squared`` of v where |u|^p = m |v|^2 (``_as_square``), else
         ``_psi_fourier``."""
         square = self._as_square()
         if square is None:
-            return _psi_fourier(self.u.coeffs, self.p, self.beta, centers, t)
+            return _psi_fourier(self.u.coeffs, self.p, self.beta, centers, y, t)
         v, mass = square
-        return mass * _psi_squared(v, self.beta, centers, t)
+        return mass * _psi_squared(v, self.beta, centers, y, t)
 
     def boundary_exponent(self, t):
         """beta + 2 - t, that of dA_beta: |u|^p is bounded, and near every
@@ -1390,15 +1416,16 @@ class Atomic(Measure):
                                        where=inside)
         return out
 
-    def _psi(self, centers, t):
-        """The finite sum over the atoms of their kernel powers. 1 - |a|^2 is
-        rounded, which costs about 1e-16/(1 - |a|^2) relative: validated depth
-        1 - |a| = 2^-20, where that is below 1e-10."""
+    def _psi(self, centers, y, t):
+        """The finite sum over the atoms of their kernel powers, with the given
+        y = 1 - |a|^2: one atom at 0.5 is within 5e-16 relative of 40-digit
+        mpmath from 1 - |a| = 2^-10 to 2^-40, the validated depth."""
         points, masses = self.points.ravel(), self.masses.ravel()
         step = max(1, DISK_BATCH_NODES // points.size)
         out = np.empty(len(centers))
         for lo in range(0, len(centers), step):
-            powers = kernel_power_modulus(centers[lo:lo + step, None], points, t)
+            powers = kernel_power_modulus(centers[lo:lo + step, None], points, t,
+                                          y[lo:lo + step, None])
             out[lo:lo + step] = np.sum(masses * powers, axis=1)
         return out
 
@@ -1449,8 +1476,8 @@ class SumMeasure(Measure):
     def _disk_masses(self, centers, r, quad):
         return sum(part._disk_masses(centers, r, quad) for part in self.parts)
 
-    def _psi(self, centers, t):
-        return sum(part._psi(centers, t) for part in self.parts)
+    def _psi(self, centers, y, t):
+        return sum(part._psi(centers, y, t) for part in self.parts)
 
     def boundary_exponent(self, t):
         return min(part.boundary_exponent(t) for part in self.parts)

@@ -30,7 +30,7 @@ class BrokenPsi(Measure):
     def __init__(self, value, exponent):
         self.value, self.exponent = value, exponent
 
-    def _psi(self, centers, t):
+    def _psi(self, centers, y, t):
         out = np.full(len(centers), self.value)
         out[0] = 1.0
         return out

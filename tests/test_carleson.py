@@ -292,19 +292,40 @@ class TestArrayPsi:
         calls = []
         original = PolyWeighted.psi
 
-        def counting(self, a, t):
-            calls.append(np.size(a))
-            return original(self, a, t)
+        def counting(self, a, t, y=None):
+            values = original(self, a, t, y)
+            calls.append((a, y, values))
+            return values
         monkeypatch.setattr(PolyWeighted, "psi", counting)
-        psi_sup(mu, 0.0, grid=PsiGridSpec(4, 6, 4))
-        assert calls == [1 + 6 * 4]
+        grid = PsiGridSpec(4, 6, 4)
+        psi_sup(mu, 0.0, grid=grid)
+        assert [np.size(a) for a, _, _ in calls] == [1 + 6 * 4]
         rows = psi_heatmap(mu, 0.0, n_radial=3, n_angular=5)
-        assert calls == [1 + 6 * 4, 1 + 2 * 5]
-        assert [psi for _, _, psi in rows] == \
-            [original(mu, complex(x, y), 2.0) for x, y, _ in rows]
-        grid = np.concatenate([PsiGridSpec(4, 6, 4).points_at_radius(rho)
-                               for rho in PsiGridSpec(4, 6, 4).radii()])
-        assert np.array_equal(original(mu, grid, 2.0), [original(mu, a, 2.0) for a in grid])
+        assert [np.size(a) for a, _, _ in calls] == [1 + 6 * 4, 1 + 2 * 5]
+        assert [psi for _, _, psi in rows] == list(calls[1][2])
+        # Each value is that of its centre alone, with its ring's y.
+        rings = (np.repeat(grid.radii(), [1] + [4] * 6),
+                 np.repeat(np.linspace(0.0, 0.96, 3), [1, 5, 5]))
+        for (a, y, values), rho in zip(calls, rings):
+            assert np.array_equal(y, (1.0 - rho) * (1.0 + rho))
+            assert np.array_equal(values, [original(mu, c, 2.0, y_c) for c, y_c in zip(a, y)])
+
+    def test_one_fourier_group_per_ring(self, monkeypatch, small_quad):
+        # Each ring's centres share one exact 1 - |a|^2, and so one set of mode sums.
+        mu = array_psi_measures(small_quad)["pullback"]
+        calls = []
+        original = measures._mode_sums
+
+        def counting(*args):
+            calls.append(args[4])
+            return original(*args)
+        monkeypatch.setattr(measures, "_mode_sums", counting)
+        grid = PsiGridSpec(n_dirs=16)
+        psi_sup(mu, 0.0, grid=grid)
+        assert len(calls) == len(grid.radii()) == 11
+        calls.clear()
+        psi_heatmap(mu, 0.0, n_radial=4, n_angular=16)
+        assert len(calls) == 4
 
     def test_sup_rejects_grid_on_the_circle(self):
         with pytest.raises(ConfigurationError, match="open unit disk"):

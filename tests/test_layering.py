@@ -18,6 +18,10 @@ And one routine evaluates Psi exactly for weighted areas: only
 
 Psi reads no quadrature rule, so no function that computes it takes a
 ``quad``, ``operators.boundedness_criterion`` excepted.
+
+And 1 - |a|^2 is formed for Psi in one place: ``Measure.psi`` hands every
+``_psi`` its ``centers, y, t``, and in ``measures`` only it and
+``_weight_zeros`` (on zeros of u, not on centres) call ``one_minus_modulus_sq``.
 """
 
 import ast
@@ -247,6 +251,18 @@ def test_no_psi_function_takes_a_quadrature(name):
         psi |= {f for f in defined if f.rsplit(".", 1)[-1] in ("psi", "_psi")}
     assert psi <= set(defined)
     assert sorted(f for f in psi if "quad" in defined[f]) == []
+
+
+def test_one_minus_modulus_sq_is_formed_for_psi_only_by_the_gate():
+    uses = references((PACKAGE / "measures.py").read_text())
+    assert uses["one_minus_modulus_sq"] == {"Measure.psi", "_weight_zeros"}
+
+
+def test_every_psi_takes_centers_y_and_t():
+    defined = parameters((PACKAGE / "measures.py").read_text())
+    psi = {f for f in defined if f.rsplit(".", 1)[-1] == "_psi"}
+    assert PSI_FUNCTIONS["measures.py"] - {"Measure.psi"} <= psi
+    assert {f: defined[f] for f in psi} == {f: {"self", "centers", "y", "t"} for f in psi}
 
 
 def test_parameter_detector_sees_each_form():

@@ -286,6 +286,24 @@ class TestPsiGate:
         with pytest.raises(ConfigurationError, match="open unit disk"):
             mu.psi(np.array([0.5, a]), 2.0)
 
+    @pytest.mark.parametrize("mu", MEASURES, ids=("area", "atomic", "pullback"))
+    @pytest.mark.parametrize("y, match", (
+        (np.full(3, 0.75), "shape"),
+        (np.array([0.75, np.nan]), "finite"),
+        (np.array([0.75, 0.75 + 8 * 2.0**-52]), "within"),
+        (np.array([0.75, 0.75 - 8 * 2.0**-52]), "within")),
+        ids=("shape", "nan", "8-eps-above", "8-eps-below"))
+    def test_a_y_that_is_not_one_minus_modulus_sq_rejected(self, mu, y, match):
+        # 1 - |a|^2 = 0.75 exactly at both centres.
+        with pytest.raises(ConfigurationError, match=match):
+            mu.psi(np.array([0.5, 0.5j]), 2.0, y)
+
+    @pytest.mark.parametrize("mu", MEASURES, ids=("area", "atomic", "pullback"))
+    def test_a_y_one_unit_off_accepted(self, mu):
+        a = np.array([0.5, 0.5j])
+        got = mu.psi(a, 2.0, np.array([0.75 + 2.0**-52, 0.75 - 2.0**-52]))
+        assert np.all(np.abs(got - mu.psi(a, 2.0)) <= 1e-14 * got)
+
     @pytest.mark.parametrize("alpha", (-0.5, 1e-14, 0.05, 1.0, 2.0 - 1e-13))
     def test_reference_transform_is_exactly_one(self, alpha):
         centers = np.concatenate([[0.0, 0.3 - 0.4j],
@@ -307,6 +325,18 @@ class TestPsiBreakdown:
 
     def test_inf_passes_where_the_transform_diverges(self):
         assert BrokenPsi(np.inf, -0.5).psi(np.array([0.1, 0.5]), 2.0)[-1] == np.inf
+
+
+class TestAtomicPsi:
+    @pytest.mark.parametrize("k", (10, 20, 30, 40))
+    def test_one_atom_matches_mpmath_to_the_validated_depth(self, k):
+        # 1 - |a|^2 rounded from |a| would be off by 1.6e-4 relative at k = 40.
+        a = (1.0 - 2.0**-k) * np.exp(0.3j)
+        with mpmath.workdps(40):
+            ma = mpmath.mpc(a.real, a.imag)
+            want = ((1 - abs(ma) ** 2) / abs(1 - mpmath.conj(ma) * mpmath.mpf(0.5)) ** 2) ** 2
+        got = Atomic.from_atoms([(0.5, 1.0)]).psi(a, 2.0)
+        assert abs(got - float(want)) <= 1e-13 * float(want)
 
 
 class TestHyp2f1NearOne:
@@ -384,7 +414,8 @@ class TestKernelModes:
 
 
 def fourier_psi(u, p, beta, centers, t):
-    return measures_module._psi_fourier(tuple(complex(c) for c in u), p, beta, centers, t)
+    return measures_module._psi_fourier(tuple(complex(c) for c in u), p, beta, centers,
+                                        geometry.one_minus_modulus_sq(centers), t)
 
 
 def refined(*args):
@@ -416,7 +447,8 @@ class TestFourierPsi:
         centers = ((1.0 - DEPTHS)[:, None] * DIRECTIONS[:3]).ravel()
         mu = PolyWeighted(Polynomial.from_coeffs(u), p, beta)
         v, mass = mu._as_square()
-        exact = mass * measures_module._psi_squared(v, beta, centers, t)
+        exact = mass * measures_module._psi_squared(v, beta, centers,
+                                                    geometry.one_minus_modulus_sq(centers), t)
         got = fourier_psi(u, p, beta, centers, t)
         # Relative to the largest value on each circle: u = 1 - z vanishes toward 1.
         scale = np.repeat(exact.reshape(len(DEPTHS), -1).max(axis=1), 3)
