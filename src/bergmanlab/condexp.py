@@ -9,7 +9,10 @@ critical points, with weights inversely proportional to |phi'|^2:
 
 Supported map families: the identity, monomials z^n (level sets are exact
 root-of-unity orbits with uniform weights), and finite Blaschke products
-(level sets solved as polynomial root-finding with residual verification).
+(each level set is its base point z, bitwise, and the n - 1 roots of the
+Bezoutian that divides z out of num - phi(z) den exactly: one linear root
+at 2 zeros, a quadratic at 3, companion eigenvalues only from 4 zeros on;
+every root verified by its residual).
 Only this module tells the families apart: ``expect_coefficients`` gives E
 of a stack of polynomials in closed form, as rows of coefficients, and
 ``expect_polynomial`` of one polynomial (both None under a Blaschke product
@@ -44,6 +47,7 @@ grids are expected to use grids that avoid it (the quadrature nodes do).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -151,13 +155,37 @@ class BlaschkeProduct(AnalyticSelfMap):
         return total
 
     def numerator_coeffs(self):
-        """Ascending coefficients of prod(a_i - z) and prod(1 - conj(a_i) z)."""
+        """Ascending coefficients of prod(a_i - z) and prod(1 - conj(a_i) z), n + 1 each.
+
+        ``polymul`` trims trailing zeros, which a zero at the origin leaves in
+        ``den``; it is padded back to n + 1.
+        """
         num = np.array([1.0 + 0j])
         den = np.array([1.0 + 0j])
         for a in self.zeros:
             num = npoly.polymul(num, np.array([a, -1.0]))
             den = npoly.polymul(den, np.array([1.0, -np.conj(a)]))
-        return num, den
+        return num, np.pad(den, (0, len(num) - len(den)))
+
+    @cached_property
+    def bezoutian(self):
+        """The n x n Bezout matrix B of (num, den), read-only.
+
+        (num(x) den(y) - num(y) den(x)) / (x - y) = sum_ij B[i, j] x^i y^j,
+        so at y = z its coefficients in x are the level-set polynomial
+        through z with the root z divided out.
+        """
+        num, den = self.numerator_coeffs()
+        n = self.multiplicity
+        bez = np.zeros((n, n), dtype=complex)
+        # (x^k y^l - x^l y^k) / (x - y) = sum_m x^(l+m) y^(k-1-m), m < k - l.
+        for k in range(n + 1):
+            for l in range(k):
+                c = num[k] * den[l] - num[l] * den[k]
+                for m in range(k - l):
+                    bez[l + m, k - 1 - m] += c
+        bez.flags.writeable = False
+        return bez
 
     def spec(self):
         return {"type": "blaschke", "zeros": [[a.real, a.imag] for a in map(complex, self.zeros)]}
@@ -212,7 +240,12 @@ class LevelSet:
 
 def is_critical(phi: AnalyticSelfMap, z):
     """Whether |phi'(z)| <= CRITICAL_TOL, elementwise; E is defined only where not."""
-    return np.abs(phi.derivative(z)) <= CRITICAL_TOL
+    return _is_critical_slope(phi.derivative(z))
+
+
+def _is_critical_slope(derivative):
+    """Whether the values phi'(z) make z a critical point: |phi'(z)| <= CRITICAL_TOL."""
+    return np.abs(derivative) <= CRITICAL_TOL
 
 
 def _level_sets(phi: AnalyticSelfMap, zs):
@@ -220,9 +253,22 @@ def _level_sets(phi: AnalyticSelfMap, zs):
 
     The weights are proportional to 1/|phi'|^2 on each level set and are not
     normalised. They are None on the uniform orbits of the identity and z^n,
-    whose average is a plain mean. A Blaschke root rejected for lying outside
-    the disk or at a critical point has weight 0, and its entry in ``points``
-    is the base point, so that f is only ever evaluated on the level set.
+    whose average is a plain mean. By the change of variables w = phi(zeta),
+    these weights make E the conditional expectation of unweighted area dA:
+    the integral of E(f) conj(g o phi) dA equals that of f conj(g o phi) dA
+    for every g. They are not the (1-|zeta|^2)^alpha/|phi'|^2 of dA_alpha.
+
+    A Blaschke level set through z is z itself, first, and the roots of the
+    Bezoutian Q(zeta; z) = (num(zeta) den(z) - num(z) den(zeta)) / (zeta - z),
+    of degree n - 1 in zeta. Its coefficients in zeta are polynomials in z
+    with the fixed coefficients of ``BlaschkeProduct.bezoutian``, taken by
+    Horner elementwise, so no rounded phi(z) enters them and no value depends
+    on the size of ``zs``. Q is solved in closed form at 2 and 3 zeros (a
+    linear root, and the cancellation-free quadratic) and by the eigenvalues
+    of its companion matrix from 4 zeros on. Every root is verified by its
+    residual. A root rejected for lying outside the disk or at a critical
+    point has weight 0, and its entry in ``points`` is the base point, so
+    that f is only ever evaluated on the level set.
     """
     zs = np.asarray(zs, dtype=complex)
     if isinstance(phi, Identity):
@@ -230,16 +276,8 @@ def _level_sets(phi: AnalyticSelfMap, zs):
     if isinstance(phi, Monomial):
         # |phi'| is constant on |zeta| = |z|, so the weights are exactly uniform.
         return zs[..., None] * rotation_orbit(phi), None
-    w = phi(zs)
-    num, den = phi.numerator_coeffs()
-    n = phi.multiplicity
-    coeffs = num - w[..., None] * den
-    comp = np.zeros(w.shape + (n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    comp[..., idx + 1, idx] = 1.0
-    comp[..., :, -1] = -coeffs[..., :-1] / coeffs[..., -1:]
-    roots = np.linalg.eigvals(comp)
-    residual = np.abs(phi(roots) - w[..., None])
+    roots = np.concatenate([zs[..., None], _deflated_roots(phi.bezoutian, zs)], axis=-1)
+    residual = np.abs(phi(roots) - phi(zs)[..., None])
     inside = np.abs(roots) < 1.0
     bad = inside & (residual > RESIDUAL_TOL)
     if np.any(bad):
@@ -248,13 +286,38 @@ def _level_sets(phi: AnalyticSelfMap, zs):
             f"preimage root failed verification with residual {worst:.3e} "
             f"(tolerance {RESIDUAL_TOL:g})"
         )
-    valid = inside & ~is_critical(phi, roots)
-    derivative_sq = np.abs(phi.derivative(roots)) ** 2
-    weights = np.divide(1.0, derivative_sq, out=np.zeros(roots.shape), where=valid)
+    derivative = phi.derivative(roots)
+    valid = inside & ~_is_critical_slope(derivative)
+    weights = np.divide(1.0, np.abs(derivative) ** 2, out=np.zeros(roots.shape), where=valid)
     empty = ~valid.any(axis=-1)
     if np.any(empty):
         raise RootFindingError(f"no valid preimages found for z = {zs[empty].flat[0]}")
     return np.where(valid, roots, zs[..., None]), weights
+
+
+def _deflated_roots(bez, zs):
+    """The n - 1 roots in zeta of sum_ij bez[i, j] zeta^i z^j at each z, shape zs.shape + (n-1,)."""
+    n = bez.shape[0]
+    if n == 1:
+        return np.empty(zs.shape + (0,), dtype=complex)
+    z = zs[..., None]
+    q = np.broadcast_to(bez[:, -1], zs.shape + (n,))
+    for j in range(n - 2, -1, -1):
+        q = q * z + bez[:, j]
+    if n == 2:
+        return (-q[..., :1]) / q[..., 1:]
+    if n == 3:
+        a, b, c = q[..., 2], q[..., 1], q[..., 0]
+        d = np.sqrt(b * b - 4.0 * a * c)
+        # The sign that adds b and d without cancellation; m = 0 only at a double root 0.
+        m = np.where((np.conj(b) * d).real >= 0, b + d, b - d) / -2.0
+        other = np.divide(c, m, out=np.zeros_like(m), where=m != 0)
+        return np.stack([m / a, other], axis=-1)
+    comp = np.zeros(zs.shape + (n - 1, n - 1), dtype=complex)
+    idx = np.arange(n - 2)
+    comp[..., idx + 1, idx] = 1.0
+    comp[..., :, -1] = -q[..., :-1] / q[..., -1:]
+    return np.linalg.eigvals(comp)
 
 
 def rotation_orbit(phi: AnalyticSelfMap):

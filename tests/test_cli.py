@@ -179,6 +179,18 @@ class TestCarlesonCheck:
         assert rep["constants"]["c3"] == pytest.approx(1.0 / 2.1, rel=1e-12)
         assert code == 0
 
+    def test_blaschke_zero_at_the_origin_certifies(self, tmp_path):
+        # A zero at 0 leaves prod(1 - conj(a) z) one degree short.
+        cfg_data = self.base_config()
+        cfg_data["phi"] = {"type": "blaschke", "zeros": [[0.0, 0.0], [0.3, 0.1]]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        code = run_cli(["carleson", "check", "--config", str(cfg), "--out", str(tmp_path)])
+        rep = read_report(tmp_path / "carleson_report.json")["report"]
+        assert "failure" not in rep
+        assert rep["verdict"] == "carleson"
+        assert code == 0
+
     def test_deep_grid_keeps_not_carleson(self, tmp_path):
         cfg_data = self.base_config()
         cfg_data["measure"] = {"type": "radial", "gamma": -0.5}

@@ -1,10 +1,17 @@
 """Level sets and conditional expectation for the supported map families."""
 
+import cmath
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from bergmanlab import condexp
 from bergmanlab.condexp import (
+    RESIDUAL_TOL,
     BlaschkeProduct,
     Identity,
     Monomial,
@@ -69,6 +76,118 @@ class TestLevelSet:
         ls = level_set(phi, z)
         inv = 1.0 / np.abs(phi.derivative(ls.points)) ** 2
         assert np.allclose(ls.weights, inv / inv.sum())
+
+
+@st.composite
+def blaschke_and_base_point(draw):
+    """2 to 5 zeros with |a| <= 0.9, and a point |z| <= 0.95, half the time 1e-6 from a critical point."""
+    angle = st.floats(0.0, 2.0 * np.pi)
+    n = draw(st.integers(2, 5))
+    phi = BlaschkeProduct(tuple(cmath.rect(draw(st.floats(0.0, 0.9)), draw(angle))
+                                for _ in range(n)))
+    if draw(st.booleans()):
+        # The critical points are the roots of num' den - num den' in the disk.
+        num, den = phi.numerator_coeffs()
+        slope = npoly.polysub(npoly.polymul(npoly.polyder(num), den),
+                              npoly.polymul(num, npoly.polyder(den)))
+        critical = [c for c in npoly.polyroots(npoly.polytrim(slope)) if abs(c) < 1.0]
+        z = critical[draw(st.integers(0, len(critical) - 1))] + cmath.rect(1e-6, draw(angle))
+    else:
+        z = cmath.rect(draw(st.floats(0.0, 0.95)), draw(angle))
+    return phi, complex(z)
+
+
+def mpmath_level_set(phi, z):
+    """The n roots of num - phi(z) den, from the double inputs at 40 digits."""
+    with mpmath.workdps(40):
+        zeros = [mpmath.mpc(a.real, a.imag) for a in map(complex, phi.zeros)]
+        base = mpmath.mpc(z.real, z.imag)
+        w = mpmath.fprod((a - base) / (1 - mpmath.conj(a) * base) for a in zeros)
+        poly = [mpmath.mpc(1)]    # ascending coefficients of num - w den
+        den = [mpmath.mpc(1)]
+        for a in zeros:
+            poly = [a * c - d for c, d in zip(poly + [0], [0] + poly)]
+            den = [c - mpmath.conj(a) * d for c, d in zip(den + [0], [0] + den)]
+        poly = [c - w * d for c, d in zip(poly, den)]
+        roots = mpmath.polyroots(poly[::-1], maxsteps=200, extraprec=60)
+        return np.array([complex(r) for r in roots])
+
+
+class TestBlaschkeLevelSets:
+    @settings(max_examples=60, deadline=None)
+    @given(blaschke_and_base_point())
+    def test_roots_match_mpmath(self, case):
+        phi, z = case
+        assume(abs(z) <= 0.95 and abs(complex(phi.derivative(z))) > 1e-9)
+        ls = level_set(phi, z)
+        want = mpmath_level_set(phi, z)
+        # n-to-1: every root is in the disk and none is critical, so all n are kept.
+        assert len(ls.points) == phi.multiplicity
+        gaps = np.abs(ls.points[:, None] - want[None, :])
+        assert gaps.min(axis=1).max() <= 1e-9
+        assert gaps.min(axis=0).max() <= 1e-9
+        assert z in ls.points
+        assert np.abs(phi(ls.points) - phi(z)).max() <= RESIDUAL_TOL
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_zeros_at_the_origin_are_the_monomial(self, k, rng):
+        # (0 - z)^k is (-z)^k: its level sets are those of z^k.
+        nodes = build_quadrature(0.0, 32, 64).nodes
+        f = Polynomial.from_coeffs(rng.standard_normal(7) + 1j * rng.standard_normal(7))
+        got = cond_expect_values(BlaschkeProduct((0.0,) * k), f, nodes)
+        want = cond_expect_values(Monomial(k), f, nodes)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_one_zero_is_its_base_point(self):
+        z = 0.2 - 0.4j
+        ls = level_set(BlaschkeProduct((0.3 + 0.1j,)), z)
+        assert ls.points.tolist() == [z]
+        assert ls.weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize("zeros", ((0.3 + 0.2j, -0.5j), (0.1, 0.4j, -0.5 + 0.1j)),
+                             ids=("2 zeros", "3 zeros"))
+    def test_expectation_of_unweighted_area(self, zeros, rng):
+        # The 1/|phi'|^2 weights make E the conditional expectation of dA:
+        # int E(f) conj(g o phi) dA = int f conj(g o phi) dA. Weights of dA_alpha
+        # miss it by 2e-2 at alpha = 0.1, uniform ones by 0.5; at 3 zeros the
+        # rule errs by 1.3e-7 at the kinks E has where level-set roots merge.
+        phi = BlaschkeProduct(zeros)
+        rule = build_quadrature(0.0, 128, 256)
+        for _ in range(3):
+            f, g = (Polynomial.from_coeffs(rng.standard_normal(5) + 1j * rng.standard_normal(5))
+                    for _ in range(2))
+            g_phi = np.conj(g(phi(rule.nodes)))
+            lhs = np.sum(rule.weights * cond_expect_values(phi, f, rule.nodes) * g_phi)
+            rhs = np.sum(rule.weights * f(rule.nodes) * g_phi)
+            assert abs(lhs - rhs) <= 1e-6 * np.sum(rule.weights * np.abs(f(rule.nodes) * g_phi))
+
+    @pytest.mark.parametrize("zeros", ((0.3 + 0.1j, -0.2), (0.1, 0.4j, -0.5 + 0.1j)),
+                             ids=("2 zeros", "3 zeros"))
+    def test_closed_form_below_four_zeros(self, zeros, monkeypatch):
+        nodes = build_quadrature(0.0, 16, 32).nodes
+        want = cond_expect_values(BlaschkeProduct(zeros), np.exp, nodes)
+
+        def refuse(a):
+            raise AssertionError("eigvals called")
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        assert np.array_equal(cond_expect_values(BlaschkeProduct(zeros), np.exp, nodes), want)
+
+    def test_four_zeros_reach_eigvals(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or original(a))
+        nodes = build_quadrature(0.0, 16, 32).nodes
+        cond_expect_values(BlaschkeProduct((0.1, 0.4j, -0.5 + 0.1j, 0.2 - 0.3j)), np.exp, nodes)
+        assert calls == [(nodes.size, 3, 3)]
+
+    def test_derivative_taken_once_per_solve(self, monkeypatch):
+        calls = []
+        original = BlaschkeProduct.derivative
+        monkeypatch.setattr(BlaschkeProduct, "derivative",
+                            lambda phi, z: calls.append(np.shape(z)) or original(phi, z))
+        nodes = build_quadrature(0.0, 16, 32).nodes
+        cond_expect_values(BlaschkeProduct((0.1, 0.4j, -0.5 + 0.1j)), np.exp, nodes)
+        assert calls == [(nodes.size, 3)]
 
 
 class TestCondExpect:
