@@ -41,7 +41,10 @@ and ``certify``'s symmetrized mode reads ``rotation_orbit``.
 The point z = 0 is a critical point of every monomial z^n with n >= 2; the
 expectation is defined off the critical set only, and callers evaluating on
 grids are expected to use grids that avoid it (the quadrature nodes do).
-``is_critical`` is the test for it.
+``is_critical`` is the test for it. ``level_set`` refuses a critical base
+point, and every evaluation a Blaschke level set holding a critical point
+(``CriticalPointError``); the weightless orbits of z^n are never refused, so
+``cond_expect_values`` under z^n gives f(0) at 0.
 """
 
 from __future__ import annotations
@@ -240,12 +243,7 @@ class LevelSet:
 
 def is_critical(phi: AnalyticSelfMap, z):
     """Whether |phi'(z)| <= CRITICAL_TOL, elementwise; E is defined only where not."""
-    return _is_critical_slope(phi.derivative(z))
-
-
-def _is_critical_slope(derivative):
-    """Whether the values phi'(z) make z a critical point: |phi'(z)| <= CRITICAL_TOL."""
-    return np.abs(derivative) <= CRITICAL_TOL
+    return np.abs(phi.derivative(z)) <= CRITICAL_TOL
 
 
 def _level_sets(phi: AnalyticSelfMap, zs):
@@ -266,9 +264,10 @@ def _level_sets(phi: AnalyticSelfMap, zs):
     on the size of ``zs``. Q is solved in closed form at 2 and 3 zeros (a
     linear root, and the cancellation-free quadratic) and by the eigenvalues
     of its companion matrix from 4 zeros on. Every root is verified by its
-    residual. A root rejected for lying outside the disk or at a critical
-    point has weight 0, and its entry in ``points`` is the base point, so
-    that f is only ever evaluated on the level set.
+    residual. A root outside the disk has weight 0, and its entry in
+    ``points`` is the base point, so that f is only ever evaluated on the
+    level set. A level set with a critical point in the disk raises
+    ``CriticalPointError``: E is undefined there, not the mean of the rest.
     """
     zs = np.asarray(zs, dtype=complex)
     if isinstance(phi, Identity):
@@ -287,12 +286,15 @@ def _level_sets(phi: AnalyticSelfMap, zs):
             f"(tolerance {RESIDUAL_TOL:g})"
         )
     derivative = phi.derivative(roots)
-    valid = inside & ~_is_critical_slope(derivative)
-    weights = np.divide(1.0, np.abs(derivative) ** 2, out=np.zeros(roots.shape), where=valid)
-    empty = ~valid.any(axis=-1)
+    critical = (inside & (np.abs(derivative) <= CRITICAL_TOL)).any(axis=-1)
+    if np.any(critical):
+        raise CriticalPointError(f"the level set through z = {zs[critical].flat[0]} holds "
+                                 "a critical point of the self-map")
+    weights = np.divide(1.0, np.abs(derivative) ** 2, out=np.zeros(roots.shape), where=inside)
+    empty = ~inside.any(axis=-1)
     if np.any(empty):
         raise RootFindingError(f"no valid preimages found for z = {zs[empty].flat[0]}")
-    return np.where(valid, roots, zs[..., None]), weights
+    return np.where(inside, roots, zs[..., None]), weights
 
 
 def _deflated_roots(bez, zs):

@@ -7,10 +7,10 @@ doubled disks D(a_k, 2r).
 
 Construction: concentric circles at hyperbolic radii m*(r/2) carry points
 equally spaced in angle, with the count per circle chosen as the largest
-for which the adjacent-point metric chord still reaches r/2. That keeps the
-pairwise separation at exactly r/2 in the worst case while the cover radius
-stays below r. The infinite lattice is truncated at 1 - |a| >= epsilon,
-which every exported point satisfies.
+for which the adjacent-point metric chord still reaches r/2, in closed form
+(``_ring_count``). That keeps the pairwise separation at exactly r/2 in the
+worst case while the cover radius stays below r. The infinite lattice is
+truncated at 1 - |a| >= epsilon, which every exported point satisfies.
 
 Verification is sampled: cover and overlap statistics are measured on a
 deterministic low-discrepancy (Halton) stream of disk points, filtered to
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigurationError
 from .geometry import pseudo_distance
@@ -35,27 +34,15 @@ DEFAULT_OVERLAP_SAMPLES = 20000
 SAMPLE_CHUNK = 4096
 
 
-def _chord(rho, n):
-    """Pseudo-hyperbolic distance between adjacent n-th roots scaled to |z| = rho."""
-    e = np.exp(2j * np.pi / n)
-    return abs(rho * (1.0 - e) / (1.0 - rho**2 * e))
-
-
 def _ring_count(rho, target):
-    """Largest n so that adjacent points on |z| = rho keep pseudo-chord >= target."""
-    if _chord(rho, 2) < target:
-        return 1
-    n = 2
-    while _chord(rho, n) >= target:
-        n *= 2
-    lo, hi = n // 2, n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _chord(rho, mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Largest n so that adjacent points on |z| = rho keep pseudo-chord >= target.
+
+    The chord 2 rho sin(pi/n) / sqrt((1-rho^2)^2 + 4 rho^2 sin^2(pi/n)) falls as
+    n grows and reaches target where sin(pi/n) = x. Every ring has rho >= target,
+    so x <= sqrt(1 - target^2) / 2 < 1/2 and n >= 6.
+    """
+    x = target * (1.0 - rho**2) / (2.0 * rho * np.sqrt(1.0 - target**2))
+    return int(np.pi // np.arcsin(x))
 
 
 def halton_disk_samples(count, epsilon=0.0):
@@ -67,6 +54,10 @@ def halton_disk_samples(count, epsilon=0.0):
     """
     if count < 1:
         raise ConfigurationError(f"need at least one sample, got {count}")
+    # Imported here, not at load: scipy.stats is most of the package's import
+    # time and memory, and only the cover and overlap checks sample.
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=2, scramble=False)
     kept = []
     total = 0
@@ -99,6 +90,8 @@ class HyperbolicLattice:
 
     def min_separation(self):
         """Minimum pairwise hyperbolic distance."""
+        if self.size < 2:
+            return float("inf")
         p = self.pairwise_pseudo()
         np.fill_diagonal(p, 1.0)
         return float(np.arctanh(p.min()))

@@ -183,8 +183,9 @@ def _as_scalar(x):
 
 # A rule at the default 256 x 512 nodes holds about 3 MB and a doubled one about
 # 12 MB, so the cache pins at most 24 MB at default sizes and 96 MB at doubled
-# ones. Eight entries hold every rule of one suite pass: five for the carleson
-# suite, two for the operator suite.
+# ones. Counted per pass of the benchmark workloads: the carleson and operator
+# suites build no rule; cold-mix at seed 7 builds two 128 x 256 rules, one per
+# Blaschke operator, and reads each ten times (one miss, nine hits).
 @lru_cache(maxsize=8)
 def build_quadrature(alpha, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGULAR):
     """Build (and cache) the tensor rule for dA_alpha."""
@@ -1284,7 +1285,9 @@ class WeightedArea(RadialDensity):
 
 # |u|^p on the rule of one polynomial weight: 1 MB at the default 256 x 512
 # nodes and 4 MB doubled, so the cache pins at most 4 MB at default sizes and
-# 16 MB at doubled ones. Four entries hold the weights one operator runs.
+# 16 MB at doubled ones. Counted per pass of the benchmark workloads: the
+# suites read none; cold-mix at seed 7 computes two, one per Blaschke operator,
+# and reads each nine times (one miss, eight hits).
 @lru_cache(maxsize=4)
 def _weight_on_rule(mu, quad):
     """|u|^p at the nodes of the dA_beta rule of the polynomial weight ``mu``."""

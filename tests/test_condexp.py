@@ -1,15 +1,17 @@
 """Level sets and conditional expectation for the supported map families."""
 
 import cmath
+import re
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from bergmanlab import condexp
+from bergmanlab.carleson import CertifyConfig, FamilySpec, certify
 from bergmanlab.condexp import (
     RESIDUAL_TOL,
     BlaschkeProduct,
@@ -25,7 +27,7 @@ from bergmanlab.condexp import (
 from bergmanlab.errors import ConfigurationError, CriticalPointError
 from bergmanlab.geometry import SpaceParams, weighted_kernel
 from bergmanlab.geometry import test_function as kernel_power
-from bergmanlab.measures import Polynomial, bergman_norm, build_quadrature
+from bergmanlab.measures import Atomic, Polynomial, bergman_norm, build_quadrature
 
 from conftest import sample_disk
 
@@ -58,6 +60,11 @@ class TestLevelSet:
         with pytest.raises(CriticalPointError):
             level_set(Monomial(2), 0.0)
 
+    def test_uniform_orbit_at_the_critical_point_is_f_there(self):
+        # The orbit of z^2 through 0 is 0 twice and needs no weights: its mean is f(0).
+        got = cond_expect_values(Monomial(2), lambda w: w**2 + 1, np.array([0j]))
+        assert got.tolist() == [1.0]
+
     def test_blaschke_level_sets_verified(self, rng):
         zeros = tuple(sample_disk(rng, 3, rmax=0.7))
         phi = BlaschkeProduct(zeros)
@@ -78,6 +85,20 @@ class TestLevelSet:
         assert np.allclose(ls.weights, inv / inv.sum())
 
 
+def critical_points(phi):
+    """The critical points of a Blaschke product in the disk: the roots there of num' den - num den'.
+
+    Coefficients below 2^-52 of the largest are trimmed first: a zero of
+    subnormal modulus leaves a subnormal leading coefficient, which would
+    overflow ``polyroots`` and only stands for roots far outside the disk.
+    """
+    num, den = phi.numerator_coeffs()
+    slope = npoly.polysub(npoly.polymul(npoly.polyder(num), den),
+                          npoly.polymul(num, npoly.polyder(den)))
+    slope = npoly.polytrim(slope, tol=2**-52 * np.abs(slope).max())
+    return [c for c in npoly.polyroots(slope) if abs(c) < 1.0]
+
+
 @st.composite
 def blaschke_and_base_point(draw):
     """2 to 5 zeros with |a| <= 0.9, and a point |z| <= 0.95, half the time 1e-6 from a critical point."""
@@ -86,11 +107,7 @@ def blaschke_and_base_point(draw):
     phi = BlaschkeProduct(tuple(cmath.rect(draw(st.floats(0.0, 0.9)), draw(angle))
                                 for _ in range(n)))
     if draw(st.booleans()):
-        # The critical points are the roots of num' den - num den' in the disk.
-        num, den = phi.numerator_coeffs()
-        slope = npoly.polysub(npoly.polymul(npoly.polyder(num), den),
-                              npoly.polymul(num, npoly.polyder(den)))
-        critical = [c for c in npoly.polyroots(npoly.polytrim(slope)) if abs(c) < 1.0]
+        critical = critical_points(phi)
         z = critical[draw(st.integers(0, len(critical) - 1))] + cmath.rect(1e-6, draw(angle))
     else:
         z = cmath.rect(draw(st.floats(0.0, 0.95)), draw(angle))
@@ -113,13 +130,30 @@ def mpmath_level_set(phi, z):
         return np.array([complex(r) for r in roots])
 
 
+# A subnormal zero beside one at the origin: its slope polynomial leads with a
+# subnormal coefficient, which overflowed polyroots before the trim.
+SUBNORMAL = BlaschkeProduct((1e-314, 0.0, 0.5))
+
+
+# Zeros whose critical points in the disk, near -0.199+0.104i and 0.271+0.080i,
+# have |phi'| below 2e-15 in double precision.
+CRITICAL_ZEROS = (0.5, -0.4, 0.3j)
+
+
 class TestBlaschkeLevelSets:
     @settings(max_examples=60, deadline=None)
     @given(blaschke_and_base_point())
+    @example((SUBNORMAL, complex(critical_points(SUBNORMAL)[0] + 1e-6)))
     def test_roots_match_mpmath(self, case):
         phi, z = case
         assume(abs(z) <= 0.95 and abs(complex(phi.derivative(z))) > 1e-9)
-        ls = level_set(phi, z)
+        try:
+            ls = level_set(phi, z)
+        except CriticalPointError:
+            # Refused only where another root is critical (z = 0.5 under zeros
+            # (0, 0, 0.5)), that is where phi(z) is a critical value.
+            assert min(abs(complex(phi(c) - phi(z))) for c in critical_points(phi)) <= 1e-9
+            reject()
         want = mpmath_level_set(phi, z)
         # n-to-1: every root is in the disk and none is critical, so all n are kept.
         assert len(ls.points) == phi.multiplicity
@@ -179,6 +213,33 @@ class TestBlaschkeLevelSets:
         nodes = build_quadrature(0.0, 16, 32).nodes
         cond_expect_values(BlaschkeProduct((0.1, 0.4j, -0.5 + 0.1j, 0.2 - 0.3j)), np.exp, nodes)
         assert calls == [(nodes.size, 3, 3)]
+
+    def test_critical_level_set_refused(self):
+        phi = BlaschkeProduct(CRITICAL_ZEROS)
+        for c in critical_points(phi):
+            with pytest.raises(CriticalPointError, match=re.escape(str(c))):
+                cond_expect_values(phi, lambda w: w**2 + 1, np.array([c]))
+        # A base point that is not critical, whose level set holds the double zero 0.
+        with pytest.raises(CriticalPointError):
+            cond_expect_values(BlaschkeProduct((0.0, 0.0, 0.5)), np.exp, np.array([0.5 + 0j]))
+
+    def test_near_a_critical_point_is_f_there(self):
+        # The level set through c + 1e-7 holds two roots 1e-7 apart, both near c.
+        phi = BlaschkeProduct(CRITICAL_ZEROS)
+        c = critical_points(phi)[0]
+        got = cond_expect_values(phi, lambda w: w**2 + 1, np.array([c + 1e-7]))
+        assert abs(got[0] - (c**2 + 1)) <= 1e-6
+
+    def test_certify_refuses_an_atom_at_a_critical_point(self):
+        phi = BlaschkeProduct(CRITICAL_ZEROS)
+        config = CertifyConfig(family=FamilySpec(kernel_radii=(0.0, 0.5, 0.75), n_dirs=4,
+                                                 random_count=4))
+        for c in critical_points(phi):
+            rep = certify(Atomic(np.array([c]), np.array([1.0])), SpaceParams(2.0, 0.0), 1.0,
+                          phi, config)
+            assert rep.verdict == "error"
+            assert rep.failure["stage"] == "test_constant"
+            assert rep.failure["error"] == "CriticalPointError"
 
     def test_derivative_taken_once_per_solve(self, monkeypatch):
         calls = []

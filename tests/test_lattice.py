@@ -27,6 +27,43 @@ def lat_mid():
     return build_lattice(1.0, 0.03)
 
 
+def searched_ring_count(rho, target):
+    """Largest n with adjacent points on |z| = rho at pseudo-chord >= target,
+    by doubling and bisection on the chord itself: the oracle of the closed form."""
+    def chord(n):
+        e = np.exp(2j * np.pi / n)
+        return abs(rho * (1.0 - e) / (1.0 - rho**2 * e))
+
+    if chord(2) < target:
+        return 1
+    n = 2
+    while chord(n) >= target:
+        n *= 2
+    lo, hi = n // 2, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if chord(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestRingCount:
+    def test_closed_form_matches_the_search(self):
+        # Every ring of build_lattice(r, 1e-4), at the radii of the suites and 200 more.
+        rings = 0
+        for r in np.concatenate([[0.5, 0.75, 1.0], np.linspace(0.05, 1.0, 200)]):
+            target = np.tanh(r / 2.0)
+            m, rho = 1, target
+            while 1.0 - rho >= 1e-4:
+                assert lattice._ring_count(rho, target) == searched_ring_count(rho, target), (r, m)
+                rings += 1
+                m += 1
+                rho = np.tanh(m * r / 2.0)
+        assert rings == 6260
+
+
 class TestConstruction:
     def test_includes_origin(self, lat_coarse):
         assert lat_coarse.points[0] == 0.0
@@ -36,6 +73,12 @@ class TestConstruction:
 
     def test_separation(self, lat_mid):
         assert lat_mid.min_separation() >= lat_mid.r / 2.0 - 1e-12
+
+    def test_one_point_lattice_is_infinitely_separated(self):
+        # Past 1 - tanh(1/2) = 0.538 the first ring is truncated away: only the origin.
+        lat = build_lattice(1.0, 0.6)
+        assert lat.size == 1
+        assert lat.min_separation() == float("inf")
 
     def test_deterministic(self):
         a = build_lattice(1.0, 0.2)

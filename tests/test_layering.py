@@ -22,9 +22,15 @@ Psi reads no quadrature rule, so no function that computes it takes a
 And 1 - |a|^2 is formed for Psi in one place: ``Measure.psi`` hands every
 ``_psi`` its ``centers, y, t``, and in ``measures`` only it and
 ``_weight_zeros`` (on zeros of u, not on centres) call ``one_minus_modulus_sq``.
+
+Certification imports no sampler: ``scipy.stats`` is loaded only when a
+lattice's cover or overlap is sampled, never by ``import bergmanlab``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -274,3 +280,12 @@ def test_parameter_detector_sees_each_form():
     )
     assert parameters(source) == {"f": {"a", "b", "rest", "quad", "extra"}, "f.inner": {"quad"},
                                   "Radial._psi": {"self", "centers", "t"}}
+
+
+def test_import_loads_no_sampler():
+    # A fresh interpreter, since this one holds whatever the other tests imported.
+    code = "import sys, bergmanlab, bergmanlab.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["False"]
