@@ -32,11 +32,14 @@ whole grid in one ``mu.psi`` call.
 C2 takes every lattice disk mass in one ``measure_of_disk`` call on the
 array of lattice points; given an orbit of rotations, it stacks the rotated
 copies of the lattice as a leading axis and averages over it, and the
-comparison bound is evaluated on the whole array. Each measure type batches
-its own disks (``Measure.disk_measure``): a radial density evaluates one
-disk rule per distinct |a| (15 for the default 699-point lattice), other
-densities go in batches of disks, and atoms in chunks of centres x atoms,
-all within a fixed budget of nodes.
+comparison bound is evaluated on the whole array. Each measure type takes
+its own disks (``Measure.disk_measure``), all within a fixed budget of nodes.
+Radial densities and polynomial weights with |u|^p = m |v|^2 pull each disk
+back onto D(0, tanh r) and sum a Beta series, exact to 2^-40 and with no
+rule: a radial density once per distinct exact 1 - |a|^2 (152 for the
+699-point lattice (1.0, 0.01)), a polynomial weight once per centre. Other
+polynomial weights integrate each disk on a Euclidean rule, and atoms sum
+their masses in chunks of centres x atoms.
 
 C1's kernel members take one of three paths. Under a map of multiplicity 1
 (the identity, z, one-zero Blaschke products) E is the identity and
@@ -241,10 +244,14 @@ class DiskConstantResult:
 
 
 def disk_bound(a, r, alpha):
-    """The comparison bound ((1-|a|^2)/(1-tanh(r)|a|)^2)^(alpha+2), elementwise on arrays."""
-    aa = geometry.modulus(a)
-    s = np.tanh(r)
-    out = ((1.0 - aa**2) / (1.0 - s * aa) ** 2) ** (alpha + 2.0)
+    """The comparison bound ((1-|a|^2)/(1-tanh(r)|a|)^2)^(alpha+2), elementwise on arrays.
+
+    1 - |a|^2 is ``geometry.one_minus_modulus_sq``, exact to an ulp at every
+    depth, as the disk masses read it; 1 - tanh(r)|a| >= 1 - tanh(r) cancels
+    nowhere.
+    """
+    y, s = geometry.one_minus_modulus_sq(a), np.tanh(r)
+    out = (y / (1.0 - s * geometry.modulus(a)) ** 2) ** (alpha + 2.0)
     return float(out) if np.ndim(out) == 0 else out
 
 

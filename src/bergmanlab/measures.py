@@ -51,7 +51,20 @@ depth 1 - |a| to which it is validated:
 Every path reads 1 - |a|^2 as the y that ``Measure.psi`` hands it, which is
 ``one_minus_modulus_sq(a)`` unless the caller knows it better: ``psi_sup``
 and ``psi_heatmap`` pass one y per ring of their grids. ``Measure.psi``
-checks the centres and y, and refuses values that can only be a breakdown.
+checks the centres and y, and refuses values that can only be a breakdown;
+``Measure.disk_measure`` checks the centres and forms y the same way.
+
+Each measure also gives the masses of the metric disks D(a, r)
+(``disk_measure``), by one of three paths, which read the y it forms:
+
+- disk series: every m |v|^2 (1-|z|^2)^w dA with polynomial v (radial
+  densities, and polynomial weights where ``_as_square`` holds) pulls each
+  disk back onto D(0, tanh r) and sums a positive Beta series
+  (``_disk_series``), to a term count set by its tail bound; within 1e-13
+  relative of 40-digit mpmath from 1 - |a| = 2^-1 to 2^-40;
+- Euclidean rule: the other polynomial weights integrate each disk on a
+  polar Gauss rule (``_density_disk_measure``), validated for 1 - |a| >= 2^-12;
+- atoms: the masses of the atoms inside each disk, exact.
 
 Each measure also states the exponent e for which sup_a psi(a, t) is finite
 exactly when e >= 0 (``boundary_exponent``): gamma + 2 - t for radial
@@ -79,7 +92,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import binom, hyp2f1, poch, roots_jacobi
+from scipy.special import betainc, binom, gammaln, hyp2f1, poch, roots_jacobi, xlog1py, xlogy
 from scipy.special import gamma as gamma_function
 from scipy.special import zeta as zeta_function
 from scipy.special import beta as beta_function
@@ -369,19 +382,25 @@ class Measure:
         """Masses of the metric disks D(a, r), for a scalar or an array of centres.
 
         The masses come back in the shape of ``a``, and a scalar centre gives a
-        float. Densities integrate each disk with a Euclidean-disk rule,
-        evaluated in batches of at most ``DISK_BATCH_NODES`` nodes; radial
-        densities evaluate that rule once per distinct |a|, on the real axis,
-        since their disk mass depends on |a| alone. Atoms, grid densities
-        included, sum the masses inside each disk, in chunks of centres x atoms
-        of the same budget.
+        float; centres outside the open disk raise ConfigurationError. Every
+        ``_disk_masses`` reads 1 - |a|^2 as the y formed here once,
+        ``one_minus_modulus_sq(a)``. Densities m |v|^2 (1-|z|^2)^w dA, that is
+        radial densities and polynomial weights with |u|^p = m |v|^2
+        (``_as_square``), pull each disk back onto D(0, tanh r) and sum a
+        Beta series (``_disk_series``), exact from 1 - |a| = 2^-1 to 2^-40;
+        radial densities sum it once per distinct y. Other polynomial weights
+        integrate each disk with a Euclidean-disk rule (``_density_disk_measure``),
+        the only users of ``quad``. Atoms, grid densities included, sum the
+        masses inside each disk. Every path works in batches of at most
+        ``DISK_BATCH_NODES`` nodes, terms or centres x atoms.
         """
-        a = np.asarray(a, dtype=complex)
-        masses = self._disk_masses(a.ravel(), r, quad).reshape(a.shape)
+        a = _centers(a)
+        masses = self._disk_masses(a.ravel(), one_minus_modulus_sq(a).ravel(), r, quad)
+        masses = masses.reshape(a.shape)
         return float(masses) if masses.ndim == 0 else masses
 
-    def _disk_masses(self, centers, r, quad):
-        """mu(D(a, r)) for each a of the 1-d array ``centers``."""
+    def _disk_masses(self, centers, y, r, quad):
+        """mu(D(a, r)) for each a of the 1-d array ``centers``, with y = 1 - |a|^2."""
         raise NotImplementedError
 
     def total_mass(self, quad: QuadConfig = DEFAULT_QUAD):
@@ -401,11 +420,7 @@ class Measure:
         ``boundary_exponent(t)`` >= 0 says Psi is bounded, is a numerical
         breakdown and raises EvaluationError.
         """
-        a = np.asarray(a, dtype=complex)
-        outside = ~(np.abs(a) < 1)
-        if np.any(outside):
-            raise ConfigurationError(
-                f"a must lie in the open unit disk, got {complex(a[outside].flat[0])}")
+        a = _centers(a)
         exact = one_minus_modulus_sq(a)
         if y is None:
             y = exact
@@ -460,6 +475,16 @@ class Measure:
         raise NotImplementedError
 
 
+def _centers(a):
+    """``a`` as a complex array, refused unless every centre lies in the open disk."""
+    a = np.asarray(a, dtype=complex)
+    outside = ~(np.abs(a) < 1)
+    if np.any(outside):
+        raise ConfigurationError(
+            f"a must lie in the open unit disk, got {complex(a[outside].flat[0])}")
+    return a
+
+
 # How far a y handed to ``Measure.psi`` may lie from ``one_minus_modulus_sq(a)``,
 # absolute: four units of 2^-52. A ring's (1-rho)(1+rho) lies within 1.38 of
 # them of its rounded points' own on ``psi_sup`` grids out to 1 - |a| = 2^-53
@@ -474,7 +499,15 @@ DISK_BATCH_NODES = 2**16
 
 
 def _density_disk_measure(density, centers, r, quad):
-    """Masses of D(a, r), a in the 1-d ``centers``, under a density, by the Euclidean-disk rule."""
+    """Masses of D(a, r), a in the 1-d ``centers``, under a density, by the Euclidean-disk rule.
+
+    Only polynomial weights without a square (``PolyWeighted._as_square`` is
+    None: odd or non-integer p and non-constant u) come here. Validated for
+    1 - |a| >= 2^-12; deeper, the rule's nodes crowd the circle and it drifts:
+    for u = z, p = 2, beta = 0.37 at r = 1 off the axis it is off 40-digit
+    mpmath by 1.2e-10 at 2^-20 and 1.1e-4 at 2^-40, where the series is
+    within 1e-15.
+    """
     disk_centers, disk_radii = disk_realization(centers, r)
     base, weights = _euclid_disk_base(max(16, quad.n_radial // 4), max(32, quad.n_angular // 4))
     step = max(1, DISK_BATCH_NODES // base.size)
@@ -620,6 +653,150 @@ def _psi_squared(v, beta, centers, y, t):
             weight = (1.0 if d == 0 else 2.0) * poch(t, d) / poch(1.0, d) * radial
             total += weight * np.real(pair * centers**d) * series
     return total
+
+
+# Relative truncation error of ``_disk_series``, and the multiple its term
+# counts are rounded up to, so that centres needing about as many terms share
+# a batch while each centre's count depends on its own y alone.
+DISK_SERIES_TOL = 2.0**-64
+DISK_SERIES_STEP = 16
+
+
+def _pulled_back(coeffs, centers, y):
+    """Rows of the coefficients of u(phi_a(w)) (1 - conj(a) w)^e, turned by a/|a|.
+
+    u has degree e. With u(z) = sum_k U_k (z - a)^k, its Taylor coefficients
+    at each centre (repeated synthetic division), and phi_a(w) - a =
+    -y w / (1 - conj(a) w), the polynomial is sum_k U_k (-y w)^k
+    (1 - conj(a) w)^(e-k). The turn w -> (a/|a|) w, which keeps every disk
+    |w| < s, makes conj(a) the real |a|. y enters exactly, and a zero of u
+    near a costs no digits: for u = 1 - z, U_0 = 1 - a is exact, where the
+    expanded v(a) = 1 - 2a + a^2 of p = 4 keeps none at 1 - a = 2^-40. So
+    callers raise these rows to p/2, not the coefficients of v.
+    """
+    e = len(coeffs) - 1
+    taylor = np.repeat(np.asarray(coeffs, dtype=complex)[None, :], len(centers), axis=0)
+    for i in range(e):
+        for j in range(e - 1, i - 1, -1):
+            taylor[:, j] += centers * taylor[:, j + 1]
+    rho = modulus(centers)
+    turn = np.where(rho > 0, centers / np.where(rho > 0, rho, 1.0), 1.0)
+    out = np.zeros_like(taylor)
+    for k in range(e + 1):
+        lead = taylor[:, k] * (-y * turn) ** k
+        for j in range(k, e + 1):
+            out[:, j] += lead * binom(e - k, j - k) * (-rho) ** (j - k)
+    return out
+
+
+def _series_counts(lam, weight, s2, x, d):
+    """Terms of ``_disk_series`` at each x = |a|^2, a multiple of DISK_SERIES_STEP,
+    found once per distinct x.
+
+    With R_n = (lam)_n/n! |a|^n and B_n = B(s^2; n+1, weight+1), the radial
+    terms t_n = R_n^2 B_n have t_(n+1)/t_n <= rho_n = ((lam+n)/(n+1))^2 x s^2,
+    as B_(n+1) <= s^2 B_n, and rho_n falls with n, as lam > 1. So
+    t_N <= t_0 ((lam)_N/N!)^2 (x s^2)^N, and past the terms' peak, where
+    rho_N < 1, the tail after N is at most t_N rho_N / (1 - rho_N), a bound
+    that falls with N. N is the least index past the peak where it is below
+    DISK_SERIES_TOL t_0, bracketed by doubling and found by bisection; t_0
+    is at most the sum. For
+    d > 0 the bound on the tail after N + d is (d+1) |Q|^2 times the radial
+    one (Cauchy-Schwarz, B_n <= B_(n-j)), and the sum is at least
+    |Q|^2 B_d (1+s)^(-2 lam), so the target is lowered by
+    log((d+1) B_0/B_d) + 2 lam log(1+s). A count beyond DISK_BATCH_NODES,
+    which only radii far past 1 reach, raises EvaluationError.
+    """
+    target = np.log(DISK_SERIES_TOL)
+    if d:
+        b = betainc([1.0, d + 1.0], weight + 1.0, s2) * beta_function([1.0, d + 1.0], weight + 1.0)
+        target -= np.log((d + 1.0) * b[0] / b[1]) + 2.0 * lam * np.log1p(np.sqrt(s2))
+    x, where = np.unique(x, return_inverse=True)
+    xs = x * s2
+    log_k0 = gammaln(lam)
+
+    def log_rho(n):
+        return 2.0 * np.log((lam + n) / (n + 1.0)) + np.log(xs)
+
+    def log_tail(n):
+        return (2.0 * (gammaln(lam + n) - log_k0 - gammaln(n + 1.0)) + xlogy(n, xs)
+                + log_rho(n) - np.log1p(-np.exp(log_rho(n))))
+
+    cap = DISK_BATCH_NODES - DISK_SERIES_STEP - d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 1.0 / np.sqrt(xs)  # rho_n < 1 exactly where n > (lam - q)/(q - 1)
+        lo = np.where(xs > 0, np.floor(np.maximum((lam - q) / (q - 1.0), -1.0)) + 1.0, 0.0)
+        lo = np.minimum(lo + (log_rho(lo) >= 0), cap)
+        hi = np.minimum(lo + DISK_SERIES_STEP, cap)
+        while True:  # double the reach past the peak until the bound is met
+            short = ~(log_tail(hi) <= target)  # NaN where hi is still before the peak
+            if not np.any(short & (hi < cap)):
+                break
+            hi = np.where(short, np.minimum(lo + 2.0 * (hi - lo), cap), hi)
+        if np.any(short):
+            k = int(np.argmax(short))
+            raise EvaluationError(
+                f"the disk series needs more than {cap} terms at |a|^2 = {float(x[k])!r}, "
+                f"tanh(r)^2 = {float(s2)!r}")
+        while np.any(lo < hi):
+            mid = np.floor((lo + hi) / 2.0)
+            below = log_tail(mid) <= target
+            hi, lo = np.where(below, mid, hi), np.where(below, lo, mid + 1.0)
+    last = hi.astype(int)[where] + d
+    return (last // DISK_SERIES_STEP + 1) * DISK_SERIES_STEP
+
+
+def _disk_series(coeffs, weight, y, r):
+    """sum_n |g_n|^2 B(s^2; n+1, weight+1) at each centre, for s = tanh(r).
+
+    Pulled back by z = phi_a(w), D(a, r) is |w| < s, and
+    m |v|^2 (1-|z|^2)^weight dA(z) = m y^(weight+2) |g(w)|^2 (1-|w|^2)^weight dA(w),
+    y = 1 - |a|^2, with g = Q(w) (1 - |a| w)^(-lam), lam = weight + 2 + d, and
+    Q of degree d the row of ``coeffs`` (``_pulled_back``; 1 for radial
+    densities). The monomials are orthogonal on |w| < s against the radial
+    weight, and int_(|w|<s) |w|^(2n) (1-|w|^2)^weight dA = B(s^2; n+1, weight+1)
+    = betainc(n+1, weight+1, s^2) beta(n+1, weight+1). The g_n are the
+    (d+1)-term convolution of Q with (lam)_n |a|^n / n!; so the mass is
+    m y^(weight+2) times this sum, which the caller forms.
+
+    The terms are formed as (lam)_n/n! sqrt(B_n) |a|^n, with
+    |a|^n = exp(n/2 log1p(-y)) from the exact y, and sqrt(B_n/B_(n-j)) for
+    the shifted ones, so none overflows before the sum would. The count of
+    terms is ``_series_counts``, which keeps the truncation below
+    DISK_SERIES_TOL of the sum. At r = 1 and 1 - |a| = 2^-40 that is 112
+    terms for weight 0, 656 for weight 40, and 160 for |v|^2 of degree 2 at
+    weight 0.37. Centres are
+    grouped by count and batched centres x terms within DISK_BATCH_NODES;
+    each centre's count and arithmetic depend on its own row and y alone.
+
+    Against 40-digit mpmath from 1 - |a| = 2^-1 to 2^-40, on and off the
+    axis, at r in {0.1, 0.5, 1}: radial weights from -0.95 to 40 and
+    u in {z, 1+z/2, 1-z, a quadratic} at p in {2, 4}, within 1e-13 relative.
+    Validated depth: 2^-1 to 2^-40, given y exact to an ulp.
+    """
+    d = coeffs.shape[1] - 1
+    lam = weight + 2.0 + d
+    s2 = np.tanh(r) ** 2
+    counts = _series_counts(lam, weight, s2, 1.0 - y, d)
+    out = np.empty(len(y))
+    if not len(y):
+        return out
+    n = np.arange(counts.max(), dtype=float)
+    moments = betainc(n + 1.0, weight + 1.0, s2) * beta_function(n + 1.0, weight + 1.0)
+    scaled = np.cumprod(np.concatenate([[1.0], (lam + n[:-1]) / n[1:]])) * np.sqrt(moments)
+    shifts = [np.sqrt(np.divide(moments[j:], moments[:-j], out=np.zeros(n.size - j),
+                                where=moments[:-j] > 0)) for j in range(1, d + 1)]
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        step = max(1, DISK_BATCH_NODES // count)
+        for lo in range(0, len(rows), step):
+            k = rows[lo:lo + step]
+            terms = scaled[:count] * np.exp(0.5 * xlog1py(n[:count], -y[k, None]))
+            g = coeffs[k, :1] * terms
+            for j in range(1, d + 1):
+                g[:, j:] += coeffs[k, j:j + 1] * shifts[j - 1][:count - j] * terms[:, :-j]
+            out[k] = np.sum(g.real**2 + g.imag**2, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1237,13 +1414,12 @@ class RadialDensity(Measure):
     def density(self, z):
         return self.scale * (1.0 - np.abs(z) ** 2) ** self.gamma
 
-    def _disk_masses(self, centers, r, quad):
-        # D(a, r) is D(|a|, r) rotated, and the density is radial, so both carry
-        # one mass: one disk rule per distinct |a|, on the real axis. The two
-        # rules differ by a turn of their angular nodes, which the converged
-        # trapezoid does not see.
-        radii, where = np.unique(modulus(centers), return_inverse=True)
-        return _density_disk_measure(self.density, radii.astype(complex), r, quad)[where]
+    def _disk_masses(self, centers, y, r, quad):
+        """scale y^(gamma+2) ``_disk_series`` of v = 1, once per distinct exact y:
+        the density is radial, so D(a, r) and D(|a|, r) carry one mass."""
+        levels, where = np.unique(y, return_inverse=True)
+        series = _disk_series(np.ones((len(levels), 1)), self.gamma, levels, r)
+        return (self.scale * levels ** (self.gamma + 2.0) * series)[where]
 
     def _psi(self, centers, y, t):
         """The case v = 1 of ``_psi_squared``, times the mass scale/(gamma+1)."""
@@ -1321,8 +1497,18 @@ class PolyWeighted(Measure):
     def density(self, z):
         return np.abs(self.u(z)) ** self.p * (self.beta + 1.0) * (1.0 - np.abs(z) ** 2) ** self.beta
 
-    def _disk_masses(self, centers, r, quad):
-        return _density_disk_measure(self.density, centers, r, quad)
+    def _disk_masses(self, centers, y, r, quad):
+        """m (beta+1) y^(beta+2) ``_disk_series`` where |u|^p = m |v|^2 (``_as_square``),
+        else ``_density_disk_measure``. At even p, u is pulled back before it is
+        raised to p/2, so a zero of u near a keeps its digits."""
+        square = self._as_square()
+        if square is None:
+            return _density_disk_measure(self.density, centers, r, quad)
+        v, mass = square
+        base, k = (self.u.coeffs, int(self.p) // 2) if self.p % 2 == 0 else (v, 1)
+        rows = poly_power(_pulled_back(base, centers, y), k)
+        series = _disk_series(rows, self.beta, y, r)
+        return mass * (self.beta + 1.0) * y ** (self.beta + 2.0) * series
 
     @property
     def moment_sums(self):
@@ -1408,7 +1594,7 @@ class Atomic(Measure):
     def integrate(self, g, quad=DEFAULT_QUAD):
         return _weighted_sum(self.masses, g(self.points) if callable(g) else g, self.points)
 
-    def _disk_masses(self, centers, r, quad):
+    def _disk_masses(self, centers, y, r, quad):
         points, masses = self.points.ravel(), self.masses.ravel()
         s = np.tanh(r)
         step = max(1, DISK_BATCH_NODES // points.size)
@@ -1476,8 +1662,8 @@ class SumMeasure(Measure):
     def integrate(self, g, quad=DEFAULT_QUAD):
         return sum(part.integrate(g, quad) for part in self.parts)
 
-    def _disk_masses(self, centers, r, quad):
-        return sum(part._disk_masses(centers, r, quad) for part in self.parts)
+    def _disk_masses(self, centers, y, r, quad):
+        return sum(part._disk_masses(centers, y, r, quad) for part in self.parts)
 
     def _psi(self, centers, y, t):
         return sum(part._psi(centers, y, t) for part in self.parts)

@@ -9,7 +9,7 @@ from importlib import resources
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bergmanlab import carleson, condexp, geometry, lattice, measures
@@ -29,7 +29,7 @@ from bergmanlab.carleson import (
 )
 from bergmanlab.carleson import test_constant as family_constant
 from bergmanlab.condexp import BlaschkeProduct, Identity, Monomial, cond_expect_values
-from bergmanlab.errors import ConfigurationError
+from bergmanlab.errors import ConfigurationError, EvaluationError
 from bergmanlab.geometry import SpaceParams
 from bergmanlab.geometry import test_function as kernel_power
 from bergmanlab.measures import (
@@ -45,6 +45,7 @@ from bergmanlab.measures import (
     bergman_norm,
     build_quadrature,
     integrate,
+    measure_of_disk,
 )
 
 from conftest import BrokenPsi, sample_disk
@@ -438,11 +439,88 @@ class TestDiskConstant:
         with pytest.raises(ConfigurationError):
             disk_constant(WeightedArea(0.0), 0.0, 0.5, lat, small_quad)
 
+    def test_bound_matches_mpmath_to_the_validated_depth(self):
+        # With 1 - |a|^2 formed from the rounded |a|, it was off by 1.0e-4 at 2^-40.
+        for k in range(1, 41):
+            a = (1.0 - 2.0**-k) * np.exp(0.3j)
+            with mpmath.workdps(40):
+                ma = mpmath.mpc(a.real, a.imag)
+                s = mpmath.mpf(np.tanh(1.0))
+                want = float(((1 - abs(ma) ** 2) / (1 - s * abs(ma)) ** 2) ** mpmath.mpf(2.5))
+            assert disk_bound(a, 1.0, 0.5) == pytest.approx(want, rel=1e-13, abs=0), k
+
     def test_bound_formula(self):
         assert abs(disk_bound(0.0, 1.0, 0.0) - 1.0) < 1e-15
         s = np.tanh(1.0)
         expected = ((1 - 0.25) / (1 - 0.5 * s) ** 2) ** 2
         assert abs(disk_bound(0.5, 1.0, 0.0) - expected) < 1e-12
+
+
+class InflatedDisks(RadialDensity):
+    """A radial density whose disk masses are ten times too large."""
+
+    def _disk_masses(self, centers, y, r, quad):
+        return 10.0 * super()._disk_masses(centers, y, r, quad)
+
+
+def disk_ratio_over_psi(mu, a, r, alpha):
+    """mu(D(a, r)) / disk_bound(a, r, alpha) over Psi_a(2 + alpha), asserted <= 1.
+
+    On D(a, r), 1 - conj(a) z = y / (1 - conj(a) w) with |w| < tanh(r), so
+    |1 - conj(a) z| <= y / (1 - tanh(r)|a|) and the kernel power
+    (y / |1 - conj(a) z|^2)^(2+alpha) is at least 1 / disk_bound(a, r, alpha)
+    there: Psi_a(2 + alpha) >= mu(D(a, r)) / disk_bound(a, r, alpha), with
+    constant 1, for every measure.
+    """
+    ratio = measure_of_disk(mu, a, r) / disk_bound(a, r, alpha)
+    psi = mu.psi(a, 2.0 + alpha)
+    assert ratio <= psi * (1.0 + 1e-12), (mu, a, r, alpha, ratio, psi)
+    return ratio / psi if psi > 0 else 0.0
+
+
+@st.composite
+def disk_test_measures(draw, atoms_allowed=True):
+    kind = draw(st.sampled_from(("radial", "area", "poly", "atoms", "sum")
+                                if atoms_allowed else ("radial", "area", "poly")))
+    if kind == "radial":
+        return RadialDensity(draw(st.floats(-0.9, 3.0)), draw(st.floats(0.1, 5.0)))
+    if kind == "area":
+        return WeightedArea(draw(st.floats(-0.9, 3.0)))
+    if kind == "poly":
+        coeffs = draw(st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False),
+                               min_size=1, max_size=3))
+        assume(any(c != 0 for c in coeffs))
+        return PolyWeighted(Polynomial.from_coeffs(coeffs), draw(st.sampled_from((2.0, 4.0, 3.0))),
+                            draw(st.floats(-0.5, 2.0)))
+    if kind == "atoms":
+        points = draw(st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 2 * np.pi),
+                                         st.floats(0.01, 3.0)), min_size=1, max_size=6))
+        return Atomic.from_atoms([(rho * np.exp(1j * th), m) for rho, th, m in points])
+    return SumMeasure((draw(disk_test_measures(atoms_allowed=False)),
+                       draw(disk_test_measures())))
+
+
+class TestDiskRatioBelowPsi:
+    """C2's disk ratio never exceeds Psi at the same centre: an oracle that
+    needs neither the series nor a rule."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu=disk_test_measures(), r=st.floats(0.05, 1.0, exclude_min=True),
+           depth=st.floats(1.0, 20.0), theta=st.floats(0.0, 2 * np.pi),
+           alpha=st.floats(-0.5, 1.0))
+    def test_disk_ratio_at_most_psi(self, mu, r, depth, theta, alpha):
+        a = (1.0 - 2.0**-depth) * np.exp(1j * theta)
+        try:
+            disk_ratio_over_psi(mu, a, r, alpha)
+        except EvaluationError:  # the Fourier path's refusal near a zero of u on the circle
+            assume(False)
+
+    def test_inflated_disk_masses_are_caught(self):
+        honest, inflated = RadialDensity(0.0), InflatedDisks(0.0)
+        worst = max(disk_ratio_over_psi(honest, a, 1.0, 0.0) for a in (0.0, 0.5, 0.9j))
+        assert 0.5 < worst < 1.0
+        with pytest.raises(AssertionError):
+            disk_ratio_over_psi(inflated, 0.0, 1.0, 0.0)
 
 
 class TestTestConstant:
@@ -910,23 +988,27 @@ class TestBatchedDiskConstant:
         plain = certify(mu, SpaceParams(2.0, 0.0), 1.0, Identity(), CHEAP)
         assert abs(sym.c2 - plain.c2) <= 1e-15 * plain.c2
 
-    def test_radial_density_one_disk_per_radius(self, monkeypatch, small_quad):
+    def test_radial_density_one_series_per_exact_y(self, monkeypatch, small_quad):
         lat = cached_lattice(1.0, 0.01)
-        calls, disks = [], []
-        original_density = RadialDensity.density
+        calls, levels = [], []
+        original_series = measures._disk_series
         original_measure_of_disk = carleson.measure_of_disk
-        monkeypatch.setattr(RadialDensity, "density",
-                            lambda self, z: disks.append(len(z)) or original_density(self, z))
+        monkeypatch.setattr(RadialDensity, "density", lambda self, z: pytest.fail("density read"))
+        monkeypatch.setattr(measures, "_disk_series",
+                            lambda c, w, y, r: levels.append(len(y)) or original_series(c, w, y, r))
         monkeypatch.setattr(carleson, "measure_of_disk",
                             lambda *args: calls.append(args) or original_measure_of_disk(*args))
         disk_constant(RadialDensity(0.5), 0.0, 1.0, lat, small_quad)
         assert len(calls) == 1
-        assert 0 < sum(disks) <= len(np.unique(geometry.modulus(lat.points))) < lat.size
+        distinct_y = np.unique(geometry.one_minus_modulus_sq(lat.points))
+        assert 0 < sum(levels) <= len(distinct_y) < lat.size
 
-    @pytest.mark.parametrize("case", ("grid-256x512", "polyweighted-doubled"))
+    @pytest.mark.parametrize("case", ("grid-256x512", "polyweighted-p3-doubled",
+                                      "polyweighted-p2-doubled"))
     def test_peak_memory_bounded(self, case):
-        # The batches hold about 2**16 nodes; whole-lattice or 64-disk batches
-        # would pin tens to hundreds of MB here.
+        # The batches hold about 2**16 nodes or terms; whole-lattice or 64-disk
+        # batches would pin tens to hundreds of MB here. At p = 3 the disks go
+        # on the Euclidean rule, at p = 2 through the series.
         lat = cached_lattice(1.0, 0.01)
         if case == "grid-256x512":
             quad = QuadConfig()
@@ -934,7 +1016,8 @@ class TestBatchedDiskConstant:
                                            lambda z: np.abs(1.0 + 0.5j * z) ** 2)
         else:
             quad = QuadConfig().doubled()
-            mu = PolyWeighted(Polynomial.from_coeffs([1, 0.5j, -0.3]), 2.0, 0.3)
+            p = 3.0 if case == "polyweighted-p3-doubled" else 2.0
+            mu = PolyWeighted(Polynomial.from_coeffs([1, 0.5j, -0.3]), p, 0.3)
         tracemalloc.start()
         try:
             disk_constant(mu, 0.0, 1.0, lat, quad)

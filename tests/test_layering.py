@@ -19,9 +19,13 @@ And one routine evaluates Psi exactly for weighted areas: only
 Psi reads no quadrature rule, so no function that computes it takes a
 ``quad``, ``operators.boundedness_criterion`` excepted.
 
-And 1 - |a|^2 is formed for Psi in one place: ``Measure.psi`` hands every
-``_psi`` its ``centers, y, t``, and in ``measures`` only it and
+And 1 - |a|^2 is formed in two gates: ``Measure.psi`` hands every ``_psi``
+its ``centers, y, t``, and ``Measure.disk_measure`` hands every
+``_disk_masses`` its ``centers, y, r, quad``. In ``measures`` only they and
 ``_weight_zeros`` (on zeros of u, not on centres) call ``one_minus_modulus_sq``.
+
+C2 builds no quadrature rule for the measures its disk series covers: radial
+densities, polynomial weights with |u|^p = m |v|^2, and sums of those and atoms.
 
 Certification imports no sampler: ``scipy.stats`` is loaded only when a
 lattice's cover or overlap is sampled, never by ``import bergmanlab``.
@@ -259,9 +263,9 @@ def test_no_psi_function_takes_a_quadrature(name):
     assert sorted(f for f in psi if "quad" in defined[f]) == []
 
 
-def test_one_minus_modulus_sq_is_formed_for_psi_only_by_the_gate():
+def test_one_minus_modulus_sq_is_formed_only_by_the_two_gates():
     uses = references((PACKAGE / "measures.py").read_text())
-    assert uses["one_minus_modulus_sq"] == {"Measure.psi", "_weight_zeros"}
+    assert uses["one_minus_modulus_sq"] == {"Measure.psi", "Measure.disk_measure", "_weight_zeros"}
 
 
 def test_every_psi_takes_centers_y_and_t():
@@ -280,6 +284,29 @@ def test_parameter_detector_sees_each_form():
     )
     assert parameters(source) == {"f": {"a", "b", "rest", "quad", "extra"}, "f.inner": {"quad"},
                                   "Radial._psi": {"self", "centers", "t"}}
+
+
+def test_series_covered_disk_constant_builds_no_rule(monkeypatch):
+    from bergmanlab import measures
+    from bergmanlab.carleson import cached_lattice, disk_constant
+    from bergmanlab.measures import Atomic, Polynomial, PolyWeighted, RadialDensity, SumMeasure, \
+        WeightedArea
+
+    def refuse(*args):
+        raise AssertionError("C2 built a quadrature rule")
+
+    lat = cached_lattice(0.5, 0.02)
+    u = Polynomial.from_coeffs([0.3 - 0.2j, -0.7 + 0.4j, 0.45 + 0.1j])
+    atoms = Atomic.from_atoms([(0.0, 1.0), (0.3 + 0.2j, 0.5), (0.985, 2.0)])
+    covered = (WeightedArea(0.5), RadialDensity(-0.5, 2.0), PolyWeighted(u, 2.0, 0.3),
+               PolyWeighted(u, 4.0, 0.3), PolyWeighted(Polynomial.from_coeffs([1.5j]), 3.0, 0.3),
+               SumMeasure((RadialDensity(0.3), PolyWeighted(u, 2.0, -0.2), atoms)))
+    monkeypatch.setattr(measures, "_euclid_disk_base", refuse)
+    monkeypatch.setattr(measures, "build_quadrature", refuse)
+    for mu in covered:
+        assert disk_constant(mu, 0.0, 0.5, lat).c2 > 0
+    with pytest.raises(AssertionError, match="quadrature rule"):
+        disk_constant(PolyWeighted(u, 3.0, 0.3), 0.0, 0.5, lat)
 
 
 def test_import_loads_no_sampler():

@@ -1,5 +1,6 @@
 """Quadrature rules, measure variants, norms, and the wire format."""
 
+import functools
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,7 @@ from bergmanlab import measures as measures_module
 from bergmanlab.errors import ConfigurationError, EvaluationError
 from bergmanlab.geometry import SpaceParams
 from bergmanlab.geometry import test_function as kernel_power
+from bergmanlab.lattice import build_lattice
 from bergmanlab.measures import (
     Atomic,
     GridDensity,
@@ -646,6 +648,148 @@ class TestBatchedDiskMeasure:
         for a in (0.3 - 0.2j, 0.5, np.complex128(0.1j), np.array(0.2)):
             assert type(measure_of_disk(mu, a, 1.0, small_quad)) is float
             assert type(mu.disk_measure(a, 1.0, small_quad)) is float
+
+
+def _pulled_back_oracle(v, a):
+    """Coefficients of sum_k v_k (a - w)^k (1 - conj(a) w)^(d-k), expanded in mpmath."""
+    d = len(v) - 1
+    out = [mpmath.mpc(0)] * (d + 1)
+    for k, vk in enumerate(v):
+        poly = [mpmath.mpc(1)]
+        for factor in [(a, -1)] * k + [(1, -mpmath.conj(a))] * (d - k):
+            poly = [(poly[i] * factor[0] if i < len(poly) else 0)
+                    + (poly[i - 1] * factor[1] if i else 0) for i in range(len(poly) + 1)]
+        out = [o + mpmath.mpc(vk) * c for o, c in zip(out, poly)]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre_40_digits(nodes):
+    with mpmath.workdps(40):
+        return tuple(zip(*mpmath.gauss_quadrature(nodes, "legendre")))
+
+
+def disk_series_oracle(v, weight, a, r, nodes=24):
+    """(m |v|^2 (1-|z|^2)^weight dA)(D(a, r)) / (m y^(weight+2)) in 40 digits, y = 1-|a|^2.
+
+    Pulled back by z = phi_a(w), the disk is |w| < s and the integrand is
+    |Q(w)|^2 |1 - conj(a) w|^(-2 lam) (1-|w|^2)^weight. Its circle means are
+    sums of Q_j conj(Q_k) times the modes xi^m (lam)_m/m! 2F1(lam, lam+m; m+1; xi^2),
+    and t = |w|^2 is integrated on [0, s^2] by Gauss-Legendre: at r <= 1 the
+    integrand is analytic inside a Bernstein ellipse of parameter 4.6 around
+    it, so n nodes are off by about 4.6^(-2n) times its size there, which
+    grows like 0.42^(1 - 2 lam): weight 40 takes 40 nodes.
+    """
+    with mpmath.workdps(40):
+        a = mpmath.mpc(a.real, a.imag)
+        modulus, phase = abs(a), mpmath.arg(a)
+        q = _pulled_back_oracle(v, a)
+        d, w = len(v) - 1, mpmath.mpf(weight)
+        lam = w + 2 + d
+        s2 = mpmath.tanh(mpmath.mpf(r)) ** 2
+        total = 0
+        for node, gauss_weight in _gauss_legendre_40_digits(nodes):
+            t = s2 * (node + 1) / 2
+            xi2 = modulus**2 * t
+            mean = 0
+            for j in range(d + 1):
+                for k in range(j, d + 1):
+                    m = k - j
+                    mode = (mpmath.sqrt(xi2) ** m * mpmath.rf(lam, m) / mpmath.factorial(m)
+                            * mpmath.hyp2f1(lam, lam + m, m + 1, xi2))
+                    pair = mpmath.re(q[j] * mpmath.conj(q[k]) * mpmath.expj((j - k) * phase))
+                    mean += (1 if m == 0 else 2) * pair * mpmath.sqrt(t) ** (j + k) * mode
+            total += gauss_weight * (1 - t) ** w * mean
+        return total * s2 / 2
+
+
+QUADRATIC = [0.3 - 0.2j, -0.7 + 0.4j, 0.45 + 0.1j]
+
+
+class TestDiskSeries:
+    """Disk masses of m |v|^2 (1-|z|^2)^w dA by the pulled-back Beta series."""
+
+    @pytest.mark.parametrize("gamma", (-0.95, -0.5, 0.0, 0.3, 2.0, 40.0))
+    def test_radial_matches_mpmath_to_the_validated_depth(self, gamma):
+        # The series alone, since at gamma = 40 the mass y^42 (...) underflows
+        # from 1 - |a| = 2^-20 on; the mass itself where it does not.
+        mu = RadialDensity(gamma, 3.0)
+        for r in (0.1, 0.5, 1.0):
+            for k in (1, 6, 12, 20, 30, 40):
+                for theta in (0.0, 0.3):
+                    a = (1.0 - 2.0**-k) * np.exp(1j * theta)
+                    y = geometry.one_minus_modulus_sq(np.array([a]))
+                    want = disk_series_oracle([1.0], gamma, a, r, nodes=40)
+                    got = measures_module._disk_series(np.ones((1, 1)), gamma, y, r)[0]
+                    assert got == pytest.approx(float(want), rel=1e-13, abs=0), (r, k, theta)
+                    mass = 3.0 * float(y[0] ** mpmath.mpf(gamma + 2.0) * want)
+                    if mass > 1e-290:
+                        assert mu.disk_measure(a, r) == pytest.approx(mass, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("p", (2, 4))
+    @pytest.mark.parametrize("u", ([0, 1], [1, 0.5], [1, -1], QUADRATIC),
+                             ids=("z", "1+z/2", "1-z", "quadratic"))
+    def test_polynomial_weight_matches_mpmath_to_the_validated_depth(self, u, p):
+        # 1 - z at p = 4 vanishes to fourth order at the boundary point 1 that
+        # the on-axis centres approach: |v(a)| = 2^-80 at 2^-40.
+        beta = 0.37
+        mu = PolyWeighted(Polynomial.from_coeffs(u), float(p), beta)
+        v = poly_power(np.array(u, dtype=complex), p // 2)
+        for r in (0.1, 0.5, 1.0):
+            for k in (1, 12, 30, 40):
+                for theta in (0.0, 0.3):
+                    a = (1.0 - 2.0**-k) * np.exp(1j * theta)
+                    with mpmath.workdps(40):
+                        y = 1 - abs(mpmath.mpc(a.real, a.imag)) ** 2
+                        series = disk_series_oracle(v, beta, a, r)
+                        want = float((beta + 1) * y ** (beta + 2) * series)
+                    got = mu.disk_measure(a, r)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0), (r, k, theta)
+
+    @pytest.mark.parametrize("lattice", ((0.5, 0.02), (1.0, 0.01)))
+    def test_matches_the_rule_where_it_is_validated(self, lattice):
+        # Every lattice point has 1 - |a| >= 0.01 > 2^-12.
+        lat = build_lattice(*lattice)
+        u = Polynomial.from_coeffs(QUADRATIC)
+        for mu in (RadialDensity(-0.5, 2.0), WeightedArea(1.0), PolyWeighted(u, 2.0, 0.37),
+                   PolyWeighted(u, 4.0, -0.3),
+                   PolyWeighted(Polynomial.from_coeffs([2.0]), 3.0, 0.5)):
+            got = mu.disk_measure(lat.points, lat.r)
+            want = measures_module._density_disk_measure(mu.density, lat.points, lat.r,
+                                                         QuadConfig())
+            assert np.max(np.abs(got / want - 1)) < 1e-12, mu
+
+    @pytest.mark.parametrize("mu", (RadialDensity(0.3), PolyWeighted(
+        Polynomial.from_coeffs([1, -1]), 4.0, 0.37)), ids=("radial", "polyweighted"))
+    def test_a_centre_does_not_depend_on_its_batch(self, mu):
+        lat = build_lattice(0.5, 0.02)
+        deep = (1.0 - 2.0 ** -np.arange(1, 41)) * np.exp(0.3j)
+        centers = np.concatenate([lat.points, deep, [0.0]])
+        together = mu.disk_measure(centers, 0.5)
+        order = np.random.default_rng(5).permutation(centers.size)
+        assert np.array_equal(mu.disk_measure(centers[order], 0.5), together[order])
+        alone = np.array([mu.disk_measure(a, 0.5) for a in centers[::97]])
+        assert np.array_equal(alone, together[::97])
+
+    def test_term_count_follows_the_tail_bound(self):
+        # No fixed count: more terms where x s^2 nears 1 and where lam is large.
+        counts = measures_module._series_counts
+        s2 = np.tanh(np.array([0.1, 1.0])) ** 2
+        x = 1.0 - 2.0 ** -np.array([1.0, 40.0])
+        assert counts(2.0, 0.0, s2[0], x, 0)[1] < counts(2.0, 0.0, s2[1], x, 0)[1]
+        assert counts(2.0, 0.0, s2[1], x, 0)[0] < counts(2.0, 0.0, s2[1], x, 0)[1]
+        assert counts(2.0, 0.0, s2[1], x, 0)[1] < counts(42.0, 40.0, s2[1], x, 0)[1]
+        assert counts(2.0, 0.0, s2[1], np.zeros(1), 0)[0] == measures_module.DISK_SERIES_STEP
+
+    def test_radius_far_past_one_refused(self):
+        # tanh(20) rounds to 1, so at 1 - |a| = 2^-40 the terms fall like |a|^(2n).
+        with pytest.raises(EvaluationError, match="disk series needs more than"):
+            RadialDensity(0.0).disk_measure(1.0 - 2.0**-40, 20.0)
+        assert RadialDensity(0.0).disk_measure(1.0 - 2.0**-10, 5.0) > 0
+
+    def test_centre_outside_the_disk_refused(self):
+        with pytest.raises(ConfigurationError, match="open unit disk"):
+            RadialDensity(0.5).disk_measure(np.array([0.5, 1.0]), 1.0)
 
 
 class TestSubMeanValue:
