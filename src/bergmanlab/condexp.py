@@ -61,6 +61,14 @@ from .measures import Polynomial
 
 RESIDUAL_TOL = 1e-10
 CRITICAL_TOL = 1e-12
+# How near phi(z) may come to a critical value of a Blaschke product before
+# ``_level_sets`` refuses z: four units of 2^-52, about the rounding of phi(z),
+# a product of n factors each rounded by a few ulps. A level set through a
+# critical point of order k has a (k+1)-fold root there, which that rounding
+# splits by about (2^-52)^(1/(k+1)), so no root of the split cluster need be
+# critical. The level set through c + 1e-7, 7e-15 from phi(c) for the zeros
+# (0.5, -0.4, 0.3i), is kept.
+CRITICAL_VALUE_TOL = 4 * 2.0**-52
 # Level-set points per batch of ``cond_expect_values``: 1 MB of complex points.
 LEVEL_SET_BATCH = 2**16
 
@@ -190,6 +198,22 @@ class BlaschkeProduct(AnalyticSelfMap):
         bez.flags.writeable = False
         return bez
 
+    @cached_property
+    def critical_values(self):
+        """phi at its critical points in the disk, the roots there of num' den - num den'.
+
+        Coefficients below 2^-52 of the largest are trimmed first: a zero of
+        subnormal modulus leaves a subnormal leading coefficient, which would
+        overflow ``polyroots``. Read-only.
+        """
+        num, den = self.numerator_coeffs()
+        slope = npoly.polysub(npoly.polymul(npoly.polyder(num), den),
+                              npoly.polymul(num, npoly.polyder(den)))
+        points = npoly.polyroots(npoly.polytrim(slope, tol=2**-52 * np.abs(slope).max()))
+        values = self(points[np.abs(points) < 1.0])
+        values.flags.writeable = False
+        return values
+
     def spec(self):
         return {"type": "blaschke", "zeros": [[a.real, a.imag] for a in map(complex, self.zeros)]}
 
@@ -268,6 +292,9 @@ def _level_sets(phi: AnalyticSelfMap, zs):
     ``points`` is the base point, so that f is only ever evaluated on the
     level set. A level set with a critical point in the disk raises
     ``CriticalPointError``: E is undefined there, not the mean of the rest.
+    It is found by its value: phi(z) within CRITICAL_VALUE_TOL of one of
+    ``BlaschkeProduct.critical_values``, since the computed roots of a
+    multiple root are split and none of them need be critical.
     """
     zs = np.asarray(zs, dtype=complex)
     if isinstance(phi, Identity):
@@ -276,7 +303,8 @@ def _level_sets(phi: AnalyticSelfMap, zs):
         # |phi'| is constant on |zeta| = |z|, so the weights are exactly uniform.
         return zs[..., None] * rotation_orbit(phi), None
     roots = np.concatenate([zs[..., None], _deflated_roots(phi.bezoutian, zs)], axis=-1)
-    residual = np.abs(phi(roots) - phi(zs)[..., None])
+    values = phi(zs)[..., None]
+    residual = np.abs(phi(roots) - values)
     inside = np.abs(roots) < 1.0
     bad = inside & (residual > RESIDUAL_TOL)
     if np.any(bad):
@@ -285,11 +313,11 @@ def _level_sets(phi: AnalyticSelfMap, zs):
             f"preimage root failed verification with residual {worst:.3e} "
             f"(tolerance {RESIDUAL_TOL:g})"
         )
-    derivative = phi.derivative(roots)
-    critical = (inside & (np.abs(derivative) <= CRITICAL_TOL)).any(axis=-1)
+    critical = (np.abs(values - phi.critical_values) <= CRITICAL_VALUE_TOL).any(axis=-1)
     if np.any(critical):
         raise CriticalPointError(f"the level set through z = {zs[critical].flat[0]} holds "
                                  "a critical point of the self-map")
+    derivative = phi.derivative(roots)
     weights = np.divide(1.0, np.abs(derivative) ** 2, out=np.zeros(roots.shape), where=inside)
     empty = ~inside.any(axis=-1)
     if np.any(empty):

@@ -199,16 +199,9 @@ def bergman_disk(a, r):
     """
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    center, radius = disk_realization(complex(a), r)
-    return EuclideanDisk(center=center, radius=radius)
-
-
-def disk_realization(a, r):
-    """Center and radius of ``bergman_disk(a, r)``, elementwise on an array of centers."""
-    s = np.tanh(r)
-    abs_sq = modulus(a) ** 2
+    s, abs_sq = np.tanh(r), modulus(complex(a)) ** 2
     d = 1.0 - s**2 * abs_sq
-    return (1.0 - s**2) * a / d, (1.0 - abs_sq) * s / d
+    return EuclideanDisk(center=(1.0 - s**2) * complex(a) / d, radius=(1.0 - abs_sq) * s / d)
 
 
 def _warn_outside_validated_range(r, what):

@@ -75,6 +75,7 @@ class HyperbolicLattice:
     r: float
     epsilon: float
     points: np.ndarray          # complex, origin first, then rings outward
+    y: np.ndarray               # 1 - |a|^2 of each point, one value per ring
 
     @cached_property
     def N(self):
@@ -111,13 +112,18 @@ class HyperbolicLattice:
 
 
 def build_lattice(r, epsilon) -> HyperbolicLattice:
-    """Deterministic radius-r lattice truncated at 1 - |a| >= epsilon."""
+    """Deterministic radius-r lattice truncated at 1 - |a| >= epsilon.
+
+    The points of a ring of radius rho share one y = (1 - rho)(1 + rho), within
+    1.16 units of 2^-52 of each rounded point's own 1 - |a|^2 on lattices
+    (1, 0.01), (0.5, 0.02), (0.25, 0.05) and (1, 0.001).
+    """
     if not 0 < r <= 1:
         raise ConfigurationError(f"lattice radius must satisfy 0 < r <= 1, got {r}")
     if not 0 < epsilon < 1:
         raise ConfigurationError(f"epsilon must lie in (0, 1), got {epsilon}")
     sep_target = np.tanh(r / 2.0)
-    pts = [0.0 + 0.0j]
+    pts, ys = [0.0 + 0.0j], [1.0]
     m = 1
     while True:
         rho = np.tanh(m * r / 2.0)
@@ -127,10 +133,12 @@ def build_lattice(r, epsilon) -> HyperbolicLattice:
         offset = np.pi / n if m % 2 == 0 else 0.0
         angles = 2.0 * np.pi * np.arange(n) / n + offset
         pts.extend(rho * np.exp(1j * angles))
+        ys.extend([(1.0 - rho) * (1.0 + rho)] * n)
         m += 1
-    points = np.array(pts, dtype=complex)
+    points, y = np.array(pts, dtype=complex), np.array(ys)
     points.setflags(write=False)
-    return HyperbolicLattice(r=float(r), epsilon=float(epsilon), points=points)
+    y.setflags(write=False)
+    return HyperbolicLattice(r=float(r), epsilon=float(epsilon), points=points, y=y)
 
 
 @dataclass

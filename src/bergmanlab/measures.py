@@ -52,18 +52,23 @@ Every path reads 1 - |a|^2 as the y that ``Measure.psi`` hands it, which is
 ``one_minus_modulus_sq(a)`` unless the caller knows it better: ``psi_sup``
 and ``psi_heatmap`` pass one y per ring of their grids. ``Measure.psi``
 checks the centres and y, and refuses values that can only be a breakdown;
-``Measure.disk_measure`` checks the centres and forms y the same way.
+``Measure.disk_measure`` checks them in the same way (``_centers``), and
+``carleson.disk_constant`` passes the lattice's one y per ring.
 
 Each measure also gives the masses of the metric disks D(a, r)
-(``disk_measure``), by one of three paths, which read the y it forms:
+(``disk_measure``), by one of three paths, which read that y. No path reads
+a quadrature rule against dA_beta; both density paths pull each disk back
+onto D(0, tanh r):
 
 - disk series: every m |v|^2 (1-|z|^2)^w dA with polynomial v (radial
-  densities, and polynomial weights where ``_as_square`` holds) pulls each
-  disk back onto D(0, tanh r) and sums a positive Beta series
-  (``_disk_series``), to a term count set by its tail bound; within 1e-13
-  relative of 40-digit mpmath from 1 - |a| = 2^-1 to 2^-40;
-- Euclidean rule: the other polynomial weights integrate each disk on a
-  polar Gauss rule (``_density_disk_measure``), validated for 1 - |a| >= 2^-12;
+  densities, and polynomial weights where ``_as_square`` holds) sums a
+  positive Beta series (``_disk_series``), to a term count set by its tail
+  bound; within 1e-13 relative of 40-digit mpmath from 1 - |a| = 2^-1 to 2^-40;
+- shared rule: the other polynomial weights (odd or non-integer p) integrate
+  the pulled-back |u|^p on one polar Gauss rule that every centre shares
+  (``_disk_rule``); with no zero of u in the disk, within 1e-13 of the
+  exact series at even p and of a 4 times finer rule at p in {3, 1.5}, from
+  2^-1 to 2^-40; a zero of u in or near the disk costs digits;
 - atoms: the masses of the atoms inside each disk, exact.
 
 Each measure also states the exponent e for which sup_a psi(a, t) is finite
@@ -99,8 +104,8 @@ from scipy.special import beta as beta_function
 
 from .config import validate
 from .errors import ConfigurationError, EvaluationError
-from .geometry import SpaceParams, as_disk_point, disk_realization, kernel_power_modulus, \
-    modulus, one_minus_modulus_sq, pseudo_distance
+from .geometry import SpaceParams, as_disk_point, kernel_power_modulus, modulus, \
+    one_minus_modulus_sq, pseudo_distance
 
 DEFAULT_N_RADIAL = 256
 DEFAULT_N_ANGULAR = 512
@@ -378,28 +383,27 @@ class Measure:
         """
         raise NotImplementedError
 
-    def disk_measure(self, a, r, quad: QuadConfig = DEFAULT_QUAD):
+    def disk_measure(self, a, r, y=None):
         """Masses of the metric disks D(a, r), for a scalar or an array of centres.
 
         The masses come back in the shape of ``a``, and a scalar centre gives a
-        float; centres outside the open disk raise ConfigurationError. Every
-        ``_disk_masses`` reads 1 - |a|^2 as the y formed here once,
-        ``one_minus_modulus_sq(a)``. Densities m |v|^2 (1-|z|^2)^w dA, that is
-        radial densities and polynomial weights with |u|^p = m |v|^2
-        (``_as_square``), pull each disk back onto D(0, tanh r) and sum a
-        Beta series (``_disk_series``), exact from 1 - |a| = 2^-1 to 2^-40;
-        radial densities sum it once per distinct y. Other polynomial weights
-        integrate each disk with a Euclidean-disk rule (``_density_disk_measure``),
-        the only users of ``quad``. Atoms, grid densities included, sum the
-        masses inside each disk. Every path works in batches of at most
-        ``DISK_BATCH_NODES`` nodes, terms or centres x atoms.
+        float. ``y`` is 1 - |a|^2, checked as ``psi`` checks it and by default
+        ``one_minus_modulus_sq(a)``; every ``_disk_masses`` reads it. Every
+        density pulls each disk back onto D(0, tanh r): m |v|^2 (1-|z|^2)^w dA
+        (radial densities, and polynomial weights with |u|^p = m |v|^2,
+        ``_as_square``) sums a Beta series (``_disk_series``), radial densities
+        once per distinct y; other polynomial weights integrate on one shared
+        rule (``_disk_rule``). Both hold from 1 - |a| = 2^-1 to 2^-40. Atoms,
+        grid densities included, sum the masses inside each disk. Every path
+        works in batches of at most ``DISK_BATCH_NODES`` nodes, terms or
+        centres x atoms.
         """
-        a = _centers(a)
-        masses = self._disk_masses(a.ravel(), one_minus_modulus_sq(a).ravel(), r, quad)
+        a, y = _centers(a, y)
+        masses = self._disk_masses(a.ravel(), y.ravel(), r)
         masses = masses.reshape(a.shape)
         return float(masses) if masses.ndim == 0 else masses
 
-    def _disk_masses(self, centers, y, r, quad):
+    def _disk_masses(self, centers, y, r):
         """mu(D(a, r)) for each a of the 1-d array ``centers``, with y = 1 - |a|^2."""
         raise NotImplementedError
 
@@ -420,20 +424,7 @@ class Measure:
         ``boundary_exponent(t)`` >= 0 says Psi is bounded, is a numerical
         breakdown and raises EvaluationError.
         """
-        a = _centers(a)
-        exact = one_minus_modulus_sq(a)
-        if y is None:
-            y = exact
-        else:
-            y = np.asarray(y, dtype=float)
-            if y.shape != a.shape:
-                raise ConfigurationError(f"y must have the shape {a.shape} of a, got {y.shape}")
-            off = ~(np.abs(y - exact) <= PSI_Y_TOL)
-            if np.any(off):
-                k = int(np.argmax(off))
-                raise ConfigurationError(
-                    f"y must be finite and within {PSI_Y_TOL:.3g} of 1-|a|^2, got "
-                    f"{y.flat[k]!r} at a = {a.flat[k]}, where 1-|a|^2 = {exact.flat[k]!r}")
+        a, y = _centers(a, y)
         values = self._psi(a.ravel(), y.ravel(), t)
         broken = ~np.isfinite(values)
         if np.any(broken) and self.boundary_exponent(t) < 0:
@@ -475,14 +466,27 @@ class Measure:
         raise NotImplementedError
 
 
-def _centers(a):
-    """``a`` as a complex array, refused unless every centre lies in the open disk."""
+def _centers(a, y=None):
+    """``a`` as a complex array in the open disk, and y = 1 - |a|^2: by default
+    ``one_minus_modulus_sq(a)``, else the given one, checked as ``Measure.psi`` states."""
     a = np.asarray(a, dtype=complex)
     outside = ~(np.abs(a) < 1)
     if np.any(outside):
         raise ConfigurationError(
             f"a must lie in the open unit disk, got {complex(a[outside].flat[0])}")
-    return a
+    exact = one_minus_modulus_sq(a)
+    if y is None:
+        return a, exact
+    y = np.asarray(y, dtype=float)
+    if y.shape != a.shape:
+        raise ConfigurationError(f"y must have the shape {a.shape} of a, got {y.shape}")
+    off = ~(np.abs(y - exact) <= PSI_Y_TOL)
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise ConfigurationError(
+            f"y must be finite and within {PSI_Y_TOL:.3g} of 1-|a|^2, got "
+            f"{y.flat[k]!r} at a = {a.flat[k]}, where 1-|a|^2 = {exact.flat[k]!r}")
+    return a, y
 
 
 # How far a y handed to ``Measure.psi`` may lie from ``one_minus_modulus_sq(a)``,
@@ -496,29 +500,6 @@ PSI_Y_TOL = 4 * 2.0**-52
 # nodes are 1 MB. Whole disks (and whole atom sets) go
 # in a batch, so one larger than the budget goes alone.
 DISK_BATCH_NODES = 2**16
-
-
-def _density_disk_measure(density, centers, r, quad):
-    """Masses of D(a, r), a in the 1-d ``centers``, under a density, by the Euclidean-disk rule.
-
-    Only polynomial weights without a square (``PolyWeighted._as_square`` is
-    None: odd or non-integer p and non-constant u) come here. Validated for
-    1 - |a| >= 2^-12; deeper, the rule's nodes crowd the circle and it drifts:
-    for u = z, p = 2, beta = 0.37 at r = 1 off the axis it is off 40-digit
-    mpmath by 1.2e-10 at 2^-20 and 1.1e-4 at 2^-40, where the series is
-    within 1e-15.
-    """
-    disk_centers, disk_radii = disk_realization(centers, r)
-    base, weights = _euclid_disk_base(max(16, quad.n_radial // 4), max(32, quad.n_angular // 4))
-    step = max(1, DISK_BATCH_NODES // base.size)
-    masses = np.empty(len(centers))
-    for lo in range(0, len(centers), step):
-        radius = disk_radii[lo:lo + step, None, None]
-        nodes = disk_centers[lo:lo + step, None, None] + radius * base
-        vals = density(nodes)
-        _check_finite(vals, nodes)
-        masses[lo:lo + step] = np.sum(radius**2 * weights * vals, axis=(1, 2))
-    return masses
 
 
 def as_fraction(x):
@@ -796,6 +777,71 @@ def _disk_series(coeffs, weight, y, r):
             for j in range(1, d + 1):
                 g[:, j:] += coeffs[k, j:j + 1] * shifts[j - 1][:count - j] * terms[:, :-j]
             out[k] = np.sum(g.real**2 + g.imag**2, axis=1)
+    return out
+
+
+# The shared rule of ``_disk_rule``: DISK_RULE_RADIAL radii, and the first of
+# DISK_RULE_ANGLES that meets DISK_RULE_TOL per unit of the kernel exponent.
+DISK_RULE_RADIAL = 64
+DISK_RULE_ANGLES = (128, 256, 512, 1024, 2048, 4096)
+DISK_RULE_TOL = 2.0**-46
+
+
+@lru_cache(maxsize=8)
+def _kernel_rule(beta, r):
+    """Nodes w and weights (1-|w|^2)^beta dA(w) of the polar Gauss rule of ``_disk_rule``.
+
+    Its angle count is the first at which the rule integrates the kernel
+    factor where it peaks most (|a| -> 1), (1-|w|^2)^beta |1-w|^(-2 beta-4) on
+    |w| < tanh(r), within DISK_RULE_TOL (2 beta + 4) relative of its
+    ``_disk_series`` at y = 0; the rounding of |1 - w| is amplified by that
+    exponent. At r = 1: 128 angles to beta = 1, 256 to beta = 20, 512 at 50.
+    Past the last count, from about r = 2.5, it raises EvaluationError.
+    """
+    exponent = 2.0 * beta + 4.0
+    exact = _disk_series(np.ones((1, 1)), beta, np.zeros(1), r)[0]
+    for n_angular in DISK_RULE_ANGLES:
+        nodes, weights = euclid_disk_rule(0.0, np.tanh(r), DISK_RULE_RADIAL, n_angular)
+        nodes, weights = nodes.ravel(), weights.ravel() * (1.0 - np.abs(nodes.ravel()) ** 2) ** beta
+        if abs(weights @ np.abs(1.0 - nodes) ** -exponent / exact - 1.0) <= DISK_RULE_TOL * exponent:
+            return nodes, weights
+    raise EvaluationError(f"the disk rule needs more than {n_angular} angles at beta = {beta!r}, "
+                          f"r = {r!r}")
+
+
+def _disk_rule(coeffs, p, beta, centers, y, r):
+    """int |P_a(w)|^p (1-|w|^2)^beta |1 - |a| w|^(-(e p + 2 beta + 4)) dA(w) on
+    |w| < tanh(r), at each centre, for u of degree e with ascending ``coeffs``.
+
+    Pulled back by z = phi_a(w), |u|^p dA_beta on D(a, r) is (beta+1) y^(beta+2)
+    times this integrand, with P_a the row of ``_pulled_back``; the caller
+    forms that factor. As |1 - |a| w| >= 1 - tanh(r), the integrand is smooth
+    at every depth but at zeros of u, and all centres share one rule
+    (``_kernel_rule``), in batches of centres x nodes within DISK_BATCH_NODES.
+
+    With no zero of u in the disk (u in {1 + z/2, a quadratic}, beta = 0.37,
+    r in {0.5, 1}), within 1e-13 relative of ``_disk_series`` at p in {2, 4}
+    and of a 4 times finer rule at p in {3, 1.5}. Validated depth: 2^-1 to
+    2^-40, given y exact to an ulp. A zero of u in or near the disk puts a
+    kink of |u|^p on the rule: over 60 random placements, median 3e-9 and
+    worst 1.7e-5 relative at p = 1.5, median 3e-12 and worst 5.4e-7 at p = 3.
+    """
+    nodes, weights = _kernel_rule(float(beta), float(r))
+    rows = _pulled_back(coeffs, centers, y)
+    half = ((rows.shape[1] - 1) * p + 2.0 * beta + 4.0) / 2.0
+    rho = modulus(centers)[:, None]
+    step = max(1, DISK_BATCH_NODES // nodes.size)
+    out = np.empty(len(centers))
+    for lo in range(0, len(centers), step):
+        vals = np.repeat(rows[lo:lo + step, -1:], nodes.size, axis=1)
+        for j in range(rows.shape[1] - 2, -1, -1):
+            vals *= nodes
+            vals += rows[lo:lo + step, j:j + 1]
+        at = rho[lo:lo + step]
+        kernel = (1.0 - at * nodes.real) ** 2 + (at * nodes.imag) ** 2
+        vals = (vals.real**2 + vals.imag**2) ** (p / 2.0) * kernel**-half
+        _check_finite(vals, np.broadcast_to(nodes, vals.shape))
+        out[lo:lo + step] = vals @ weights
     return out
 
 
@@ -1414,7 +1460,7 @@ class RadialDensity(Measure):
     def density(self, z):
         return self.scale * (1.0 - np.abs(z) ** 2) ** self.gamma
 
-    def _disk_masses(self, centers, y, r, quad):
+    def _disk_masses(self, centers, y, r):
         """scale y^(gamma+2) ``_disk_series`` of v = 1, once per distinct exact y:
         the density is radial, so D(a, r) and D(|a|, r) carry one mass."""
         levels, where = np.unique(y, return_inverse=True)
@@ -1497,18 +1543,19 @@ class PolyWeighted(Measure):
     def density(self, z):
         return np.abs(self.u(z)) ** self.p * (self.beta + 1.0) * (1.0 - np.abs(z) ** 2) ** self.beta
 
-    def _disk_masses(self, centers, y, r, quad):
-        """m (beta+1) y^(beta+2) ``_disk_series`` where |u|^p = m |v|^2 (``_as_square``),
-        else ``_density_disk_measure``. At even p, u is pulled back before it is
-        raised to p/2, so a zero of u near a keeps its digits."""
+    def _disk_masses(self, centers, y, r):
+        """(beta+1) y^(beta+2) times m ``_disk_series`` where |u|^p = m |v|^2
+        (``_as_square``), else times ``_disk_rule``. At even p, u is pulled back
+        before it is raised to p/2, so a zero of u near a keeps its digits."""
         square = self._as_square()
         if square is None:
-            return _density_disk_measure(self.density, centers, r, quad)
-        v, mass = square
-        base, k = (self.u.coeffs, int(self.p) // 2) if self.p % 2 == 0 else (v, 1)
-        rows = poly_power(_pulled_back(base, centers, y), k)
-        series = _disk_series(rows, self.beta, y, r)
-        return mass * (self.beta + 1.0) * y ** (self.beta + 2.0) * series
+            pulled = _disk_rule(self.u.coeffs, self.p, self.beta, centers, y, r)
+        else:
+            v, mass = square
+            base, k = (self.u.coeffs, int(self.p) // 2) if self.p % 2 == 0 else (v, 1)
+            rows = poly_power(_pulled_back(base, centers, y), k)
+            pulled = mass * _disk_series(rows, self.beta, y, r)
+        return (self.beta + 1.0) * y ** (self.beta + 2.0) * pulled
 
     @property
     def moment_sums(self):
@@ -1594,7 +1641,7 @@ class Atomic(Measure):
     def integrate(self, g, quad=DEFAULT_QUAD):
         return _weighted_sum(self.masses, g(self.points) if callable(g) else g, self.points)
 
-    def _disk_masses(self, centers, y, r, quad):
+    def _disk_masses(self, centers, y, r):
         points, masses = self.points.ravel(), self.masses.ravel()
         s = np.tanh(r)
         step = max(1, DISK_BATCH_NODES // points.size)
@@ -1662,8 +1709,8 @@ class SumMeasure(Measure):
     def integrate(self, g, quad=DEFAULT_QUAD):
         return sum(part.integrate(g, quad) for part in self.parts)
 
-    def _disk_masses(self, centers, y, r, quad):
-        return sum(part._disk_masses(centers, y, r, quad) for part in self.parts)
+    def _disk_masses(self, centers, y, r):
+        return sum(part._disk_masses(centers, y, r) for part in self.parts)
 
     def _psi(self, centers, y, t):
         return sum(part._psi(centers, y, t) for part in self.parts)
@@ -1733,14 +1780,14 @@ def integrate(mu: Measure, g, quad: QuadConfig = DEFAULT_QUAD):
     return mu.integrate(g, quad)
 
 
-def measure_of_disk(mu: Measure, a, r, quad: QuadConfig = DEFAULT_QUAD):
+def measure_of_disk(mu: Measure, a, r, y=None):
     """mu(D(a, r)) for the metric disk; monotone in r.
 
     ``a`` is a centre or an array of centres; see ``Measure.disk_measure``.
     """
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    return mu.disk_measure(a, r, quad)
+    return mu.disk_measure(a, r, y)
 
 
 def bergman_norm(f, params: SpaceParams, quad: QuadConfig = DEFAULT_QUAD):

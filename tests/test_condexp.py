@@ -140,10 +140,37 @@ SUBNORMAL = BlaschkeProduct((1e-314, 0.0, 0.5))
 CRITICAL_ZEROS = (0.5, -0.4, 0.3j)
 
 
+# Level sets through a multiple zero, at z = 0: phi(0) = 0 is the critical value
+# phi(0.5) of a triple zero and phi(0.875) of a double one. Rounding splits the
+# multiple root into a cluster whose |phi'| (1.7e-10, 1.2e-6) no test on the
+# roots alone would call critical, and the mean over it is not E.
+MULTIPLE_ZEROS = (BlaschkeProduct((0.5, 0.0, 0.5, 0.5)), BlaschkeProduct((0.65625, 0.0, 0.875, 0.875)))
+
+
 class TestBlaschkeLevelSets:
+    @pytest.mark.parametrize("phi", MULTIPLE_ZEROS, ids=("triple", "double"))
+    def test_level_set_through_a_multiple_zero_is_refused(self, phi):
+        with pytest.raises(CriticalPointError):
+            level_set(phi, 0j)
+        with pytest.raises(CriticalPointError):
+            cond_expect_values(phi, lambda w: w, np.array([0.3, 0j]))
+        assert level_set(phi, 0.3).weights.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("zeros", (CRITICAL_ZEROS, (0.5, 0.0, 0.5, 0.5), (0.3 + 0.2j,)))
+    def test_critical_values_are_phi_at_the_critical_points(self, zeros):
+        phi = BlaschkeProduct(zeros)
+        want = [complex(phi(c)) for c in critical_points(phi)]
+        got = phi.critical_values
+        assert len(got) == len(want) == len(zeros) - 1
+        assert all(np.abs(got - w).min() <= 1e-15 for w in want)
+        assert not got.flags.writeable
+
+
     @settings(max_examples=60, deadline=None)
     @given(blaschke_and_base_point())
     @example((SUBNORMAL, complex(critical_points(SUBNORMAL)[0] + 1e-6)))
+    @example((MULTIPLE_ZEROS[0], 0j))
+    @example((MULTIPLE_ZEROS[1], 0j))
     def test_roots_match_mpmath(self, case):
         phi, z = case
         assume(abs(z) <= 0.95 and abs(complex(phi.derivative(z))) > 1e-9)
@@ -198,13 +225,17 @@ class TestBlaschkeLevelSets:
     @pytest.mark.parametrize("zeros", ((0.3 + 0.1j, -0.2), (0.1, 0.4j, -0.5 + 0.1j)),
                              ids=("2 zeros", "3 zeros"))
     def test_closed_form_below_four_zeros(self, zeros, monkeypatch):
+        # The critical values are solved once per map (``polyroots``, an
+        # eigen-solve), before the patch; the level sets of the nodes are not.
         nodes = build_quadrature(0.0, 16, 32).nodes
+        phi = BlaschkeProduct(zeros)
         want = cond_expect_values(BlaschkeProduct(zeros), np.exp, nodes)
+        assert len(phi.critical_values) == len(zeros) - 1
 
         def refuse(a):
             raise AssertionError("eigvals called")
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
-        assert np.array_equal(cond_expect_values(BlaschkeProduct(zeros), np.exp, nodes), want)
+        assert np.array_equal(cond_expect_values(phi, np.exp, nodes), want)
 
     def test_four_zeros_reach_eigvals(self, monkeypatch):
         calls = []
@@ -212,7 +243,8 @@ class TestBlaschkeLevelSets:
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or original(a))
         nodes = build_quadrature(0.0, 16, 32).nodes
         cond_expect_values(BlaschkeProduct((0.1, 0.4j, -0.5 + 0.1j, 0.2 - 0.3j)), np.exp, nodes)
-        assert calls == [(nodes.size, 3, 3)]
+        # One solve for the nodes, then one, once per map, for its 6 critical points.
+        assert calls == [(nodes.size, 3, 3), (6, 6)]
 
     def test_critical_level_set_refused(self):
         phi = BlaschkeProduct(CRITICAL_ZEROS)

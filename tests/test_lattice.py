@@ -5,7 +5,8 @@ import pytest
 
 from bergmanlab import lattice
 from bergmanlab.errors import ConfigurationError
-from bergmanlab.geometry import bergman_disk, bergman_distance
+from bergmanlab.geometry import bergman_disk, bergman_distance, one_minus_modulus_sq
+from bergmanlab.measures import PSI_Y_TOL
 from bergmanlab.lattice import (
     DEFAULT_OVERLAP_SAMPLES,
     HyperbolicLattice,
@@ -74,6 +75,18 @@ class TestConstruction:
     def test_separation(self, lat_mid):
         assert lat_mid.min_separation() >= lat_mid.r / 2.0 - 1e-12
 
+    @pytest.mark.parametrize("r, epsilon", ((1.0, 0.01), (0.5, 0.02), (0.25, 0.05), (1.0, 1e-3)))
+    def test_one_y_per_ring_within_the_gate(self, r, epsilon):
+        # Each ring's (1 - rho)(1 + rho) is within 1.16 units of 2^-52 of its
+        # rounded points' own 1 - |a|^2 on these lattices, inside the PSI_Y_TOL
+        # of 4 units that Psi and disk masses allow.
+        lat = build_lattice(r, epsilon)
+        rings = np.round(np.abs(lat.points), 12)
+        assert len(np.unique(lat.y)) == len(np.unique(rings))
+        assert np.max(np.abs(lat.y - one_minus_modulus_sq(lat.points))) <= 1.25 * 2.0**-52
+        assert 1.25 * 2.0**-52 < PSI_Y_TOL
+        assert not lat.y.flags.writeable
+
     def test_one_point_lattice_is_infinitely_separated(self):
         # Past 1 - tanh(1/2) = 0.538 the first ring is truncated away: only the origin.
         lat = build_lattice(1.0, 0.6)
@@ -129,7 +142,7 @@ class TestCover:
         keep = bergman_distance(target, lat_mid.points) >= lat_mid.r
         holed = HyperbolicLattice(
             r=lat_mid.r, epsilon=lat_mid.epsilon,
-            points=lat_mid.points[keep],
+            points=lat_mid.points[keep], y=lat_mid.y[keep],
         )
         report = verify_cover(holed, 20000)
         assert not report.covered
@@ -139,7 +152,7 @@ class TestCover:
         # worst covering distance cannot improve
         reduced = HyperbolicLattice(
             r=lat_mid.r, epsilon=lat_mid.epsilon,
-            points=lat_mid.points[1:],
+            points=lat_mid.points[1:], y=lat_mid.y[1:],
         )
         full = verify_cover(lat_mid, 10000)
         less = verify_cover(reduced, 10000)

@@ -566,11 +566,11 @@ class TestBergmanNorm:
 
 
 class TestMeasureOfDisk:
-    def test_area_measure_matches_closed_form(self, small_quad):
+    def test_area_measure_matches_closed_form(self):
         from bergmanlab.geometry import disk_area
 
         for a, r in [(0.0, 0.5), (0.5, 1.0), (0.3 - 0.4j, 0.8)]:
-            got = measure_of_disk(WeightedArea(0.0), a, r, small_quad)
+            got = measure_of_disk(WeightedArea(0.0), a, r)
             assert abs(got - disk_area(a, r)) < 1e-6
 
     def test_atom_at_center(self):
@@ -582,21 +582,21 @@ class TestMeasureOfDisk:
         mu = Atomic.from_atoms([(0.9, 1.0)])
         assert measure_of_disk(mu, 0.0, 0.5) == 0.0
 
-    def test_radial_closed_form(self, small_quad):
+    def test_radial_closed_form(self):
         # scale*(1-|z|^2)^1 dA over D(0, r): int_0^s 2 rho (1-rho^2) drho = s^2 - s^4/2
         for r in (0.4, 1.0):
             s = np.tanh(r)
-            got = measure_of_disk(RadialDensity(1.0), 0.0, r, small_quad)
+            got = measure_of_disk(RadialDensity(1.0), 0.0, r)
             assert abs(got - (s**2 - s**4 / 2.0)) < 1e-9
 
-    def test_monotone_in_radius(self, small_quad):
+    def test_monotone_in_radius(self):
         mu = RadialDensity(0.5)
-        vals = [measure_of_disk(mu, 0.4, r, small_quad) for r in (0.2, 0.5, 0.9, 1.0)]
+        vals = [measure_of_disk(mu, 0.4, r) for r in (0.2, 0.5, 0.9, 1.0)]
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
-    def test_sum(self, small_quad):
+    def test_sum(self):
         mu = SumMeasure((WeightedArea(0.0), Atomic.from_atoms([(0.0, 1.0)])))
-        got = measure_of_disk(mu, 0.0, 1.0, small_quad)
+        got = measure_of_disk(mu, 0.0, 1.0)
         from bergmanlab.geometry import disk_area
 
         assert abs(got - (disk_area(0.0, 1.0) + 1.0)) < 1e-6
@@ -627,8 +627,8 @@ class TestBatchedDiskMeasure:
                                   0.7 * np.exp(2j * np.pi * np.arange(12) / 12),
                                   sample_disk(rng, 300)])
         for r in (0.5, 1.0):
-            got = mu.disk_measure(centers, r, small_quad)
-            want = np.array([mu.disk_measure(a, r, small_quad) for a in centers])
+            got = mu.disk_measure(centers, r)
+            want = np.array([mu.disk_measure(a, r) for a in centers])
             assert got.shape == centers.shape
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), name
 
@@ -636,18 +636,30 @@ class TestBatchedDiskMeasure:
     def test_output_shape_follows_input(self, name, rng, small_quad):
         mu = disk_measures(small_quad)[name]
         centers = sample_disk(rng, 12).reshape(3, 4)
-        got = measure_of_disk(mu, centers, 1.0, small_quad)
+        got = measure_of_disk(mu, centers, 1.0)
         assert got.shape == (3, 4)
-        assert got[1, 2] == pytest.approx(measure_of_disk(mu, centers[1, 2], 1.0, small_quad),
-                                          rel=1e-13)
-        assert measure_of_disk(mu, np.empty(0, dtype=complex), 1.0, small_quad).shape == (0,)
+        assert got[1, 2] == pytest.approx(measure_of_disk(mu, centers[1, 2], 1.0), rel=1e-13)
+        assert measure_of_disk(mu, np.empty(0, dtype=complex), 1.0).shape == (0,)
 
     @pytest.mark.parametrize("name", DISK_MEASURES)
     def test_scalar_centre_gives_float(self, name, small_quad):
         mu = disk_measures(small_quad)[name]
         for a in (0.3 - 0.2j, 0.5, np.complex128(0.1j), np.array(0.2)):
-            assert type(measure_of_disk(mu, a, 1.0, small_quad)) is float
-            assert type(mu.disk_measure(a, 1.0, small_quad)) is float
+            assert type(measure_of_disk(mu, a, 1.0)) is float
+            assert type(mu.disk_measure(a, 1.0)) is float
+
+
+    def test_y_is_checked_as_psi_checks_it(self):
+        mu = RadialDensity(-0.5, 2.0)
+        a = np.array([0.3, 0.9j])
+        y = geometry.one_minus_modulus_sq(a)
+        assert np.array_equal(mu.disk_measure(a, 1.0, y), mu.disk_measure(a, 1.0))
+        for bad, match in ((y[:1], "shape"), (y + 1e-12, "within"), (np.array([np.nan, y[1]]),
+                                                                      "finite")):
+            with pytest.raises(ConfigurationError, match=match):
+                mu.disk_measure(a, 1.0, bad)
+            with pytest.raises(ConfigurationError, match=match):
+                mu.psi(a, 2.0, bad)
 
 
 def _pulled_back_oracle(v, a):
@@ -706,6 +718,80 @@ def disk_series_oracle(v, weight, a, r, nodes=24):
 QUADRATIC = [0.3 - 0.2j, -0.7 + 0.4j, 0.45 + 0.1j]
 
 
+# Polynomials whose zeros lie outside the closed disk (at -2, and near 5.40 and
+# 1.85), so that no disk holds a kink of |u|^p.
+ZEROS_OFF_THE_DISK = ([1, 0.5], [1.0, 0.3 - 0.2j, 0.1j])
+
+
+def refined_disk_oracle(u, p, beta, a, r, n_radial=256, n_angular=512):
+    """mu(D(a, r)) of |u|^p dA_beta, pulled back onto |w| < tanh(r), on a product
+    Gauss-Legendre x trapezoid rule with 4 times the nodes each way by default.
+
+    Independent of ``_disk_rule`` but for the change of variables: the
+    coefficients of u(phi_a(w)) (1 - conj(a) w)^e and y = 1 - |a|^2 come from
+    40-digit mpmath, the nodes from numpy, and the disk is not turned.
+    """
+    with mpmath.workdps(40):
+        ma = mpmath.mpc(a.real, a.imag)
+        rows = np.array([complex(c) for c in _pulled_back_oracle([mpmath.mpc(c) for c in u], ma)])
+        y = 1 - abs(ma) ** 2
+    x, w = np.polynomial.legendre.leggauss(n_radial)
+    s2 = np.tanh(r) ** 2
+    t = s2 * (x + 1) / 2
+    nodes = np.sqrt(t)[:, None] * np.exp(2j * np.pi * np.arange(n_angular) / n_angular)
+    weights = (s2 * w / 2 * (1 - t) ** beta)[:, None] / n_angular
+    vals = np.abs(np.polynomial.polynomial.polyval(nodes, rows)) ** p
+    vals *= np.abs(1 - np.conj(a) * nodes) ** -((len(u) - 1) * p + 2 * beta + 4)
+    return float((beta + 1) * y ** (beta + 2) * mpmath.mpf(np.sum(weights * vals)))
+
+
+class TestDiskRule:
+    """Disk masses of |u|^p dA_beta without a square, on the shared pulled-back rule."""
+
+    @pytest.mark.parametrize("p", (2.0, 4.0))
+    @pytest.mark.parametrize("u", ([1, 0.5], QUADRATIC), ids=("1+z/2", "quadratic"))
+    def test_matches_the_series_at_even_p(self, u, p):
+        beta = 0.37
+        mu = PolyWeighted(Polynomial.from_coeffs(u), p, beta)
+        for r in (0.5, 1.0):
+            for theta in (0.0, 0.3):
+                a = (1.0 - 2.0 ** -np.arange(1, 41)) * np.exp(1j * theta)
+                y = geometry.one_minus_modulus_sq(a)
+                rule = measures_module._disk_rule(np.array(u, dtype=complex), p, beta, a, y, r)
+                got = (beta + 1) * y ** (beta + 2) * rule
+                assert np.max(np.abs(got / mu.disk_measure(a, r) - 1)) < 1e-13, (r, theta)
+
+    @pytest.mark.parametrize("p", (3.0, 1.5))
+    @pytest.mark.parametrize("u", ZEROS_OFF_THE_DISK, ids=("1+z/2", "quadratic"))
+    def test_matches_a_finer_rule_to_the_validated_depth(self, u, p):
+        # The per-disk Euclidean rule this replaced was off by 1.1e-4 at 2^-40.
+        mu = PolyWeighted(Polynomial.from_coeffs(u), p, 0.37)
+        for r in (0.5, 1.0):
+            for k in (1, 2, 3, 5, 8, 12, 16, 20, 24, 28, 32, 36, 40):
+                a = (1.0 - 2.0**-k) * np.exp(0.3j)
+                want = refined_disk_oracle(u, p, 0.37, a, r)
+                assert mu.disk_measure(a, r) == pytest.approx(want, rel=1e-13, abs=0), (r, k)
+
+    @pytest.mark.parametrize("p, bound", ((3.0, 5.4e-7), (1.5, 1.7e-5)))
+    def test_a_zero_in_the_disk_costs_the_stated_digits(self, p, bound):
+        # The zero of QUADRATIC at 0.506+0.111i lies in D(a, 1) for k <= 3 and
+        # just outside it at k = 4, where |u|^p has a kink or branch point.
+        mu = PolyWeighted(Polynomial.from_coeffs(QUADRATIC), p, 0.37)
+        for k in range(1, 7):
+            a = (1.0 - 2.0**-k) * np.exp(0.3j)
+            want = refined_disk_oracle(QUADRATIC, p, 0.37, a, 1.0, 512, 1024)
+            assert mu.disk_measure(a, 1.0) == pytest.approx(want, rel=bound, abs=0), k
+
+    def test_angles_follow_the_kernel_exponent(self):
+        # The kernel factor |1 - |a| w|^(-2 beta - 4) peaks more with beta and r.
+        angles = {(beta, r): measures_module._kernel_rule(beta, r)[0].size // 64
+                  for beta, r in ((0.37, 0.5), (0.37, 1.0), (5.0, 1.0), (50.0, 1.0), (0.37, 1.5))}
+        assert angles == {(0.37, 0.5): 128, (0.37, 1.0): 128, (5.0, 1.0): 256,
+                          (50.0, 1.0): 512, (0.37, 1.5): 512}
+        with pytest.raises(EvaluationError, match="disk rule needs more than"):
+            measures_module._kernel_rule(0.37, 3.0)
+
+
 class TestDiskSeries:
     """Disk masses of m |v|^2 (1-|z|^2)^w dA by the pulled-back Beta series."""
 
@@ -748,15 +834,19 @@ class TestDiskSeries:
 
     @pytest.mark.parametrize("lattice", ((0.5, 0.02), (1.0, 0.01)))
     def test_matches_the_rule_where_it_is_validated(self, lattice):
-        # Every lattice point has 1 - |a| >= 0.01 > 2^-12.
+        # Every lattice point has 1 - |a| >= 0.01 > 2^-12, where a 64 x 128
+        # polar Gauss rule on each Euclidean disk D(a, r) holds. The weights
+        # without a square have no zero of u in the closed disk, so no kink.
         lat = build_lattice(*lattice)
-        u = Polynomial.from_coeffs(QUADRATIC)
+        u, off = Polynomial.from_coeffs(QUADRATIC), Polynomial.from_coeffs(ZEROS_OFF_THE_DISK[1])
         for mu in (RadialDensity(-0.5, 2.0), WeightedArea(1.0), PolyWeighted(u, 2.0, 0.37),
-                   PolyWeighted(u, 4.0, -0.3),
-                   PolyWeighted(Polynomial.from_coeffs([2.0]), 3.0, 0.5)):
+                   PolyWeighted(u, 4.0, -0.3), PolyWeighted(Polynomial.from_coeffs([2.0]), 3.0, 0.5),
+                   PolyWeighted(off, 3.0, 0.37), PolyWeighted(off, 1.5, -0.3)):
             got = mu.disk_measure(lat.points, lat.r)
-            want = measures_module._density_disk_measure(mu.density, lat.points, lat.r,
-                                                         QuadConfig())
+            want = np.empty(lat.size)
+            for i, disk in enumerate(map(geometry.bergman_disk, lat.points, [lat.r] * lat.size)):
+                nodes, weights = measures_module.euclid_disk_rule(disk.center, disk.radius)
+                want[i] = np.sum(weights * mu.density(nodes))
             assert np.max(np.abs(got / want - 1)) < 1e-12, mu
 
     @pytest.mark.parametrize("mu", (RadialDensity(0.3), PolyWeighted(
