@@ -42,9 +42,13 @@ depth 1 - |a| to which it is validated:
   constant u); exact to about 1e-13 from 1 - |a| = 2^-1 to 2^-40;
 - Fourier modes: the other polynomial weights, as a radial integral of the
   angular Fourier modes of |u|^p against those of the kernel power
-  (``_psi_fourier``); within 1e-12 of the finite sum at even p and 1e-10 of
-  its own refinement at other p, from 2^-1 to 2^-40, and refused with
-  EvaluationError where its angular error estimate does not converge;
+  (``_psi_fourier``), both in closed form from ``_kernel_modes``, which takes
+  any real t != 0: t for the kernel, -p/2 for each factor |z - z0|^p of |u|^p,
+  whose modes convolve to those of |u|^p; u is never evaluated. Within 1e-12
+  of the finite sum at even p and 1e-10 of its own refinement at other p,
+  from 2^-1 to 2^-40; refused with EvaluationError where a circle would need
+  more than PSI_MAX_MODES modes, near a zero of u within a few thousandths
+  of the unit circle;
 - atoms: a finite sum over the atoms, within 5e-16 relative of 40-digit
   mpmath for one atom, given 1 - |a|^2 exact: validated to 2^-40.
 
@@ -92,6 +96,7 @@ powers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -99,7 +104,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betainc, binom, gammaln, hyp2f1, poch, roots_jacobi, xlog1py, xlogy
 from scipy.special import gamma as gamma_function
-from scipy.special import zeta as zeta_function
 from scipy.special import beta as beta_function
 
 from .config import validate
@@ -897,27 +901,30 @@ def _mode_width(m_max):
     return 1 << max(0, int(m_max - 1).bit_length())
 
 
-def _kernel_modes(t, zeta, m_max):
-    """kappa_m zeta^(2t-1) for m = 0..m_max, one row per zeta = 1 - w^2 of the 1-d ``zeta``.
+def _kernel_modes(t, zeta, m_max, square=None):
+    """kappa_m zeta^(2t-1) for m = 0..m_max, one row per zeta = 1 - w^2 of the 1-d ``zeta``,
+    at any real t != 0; the series reads w^2 from ``square`` where given.
 
     kappa_m = w^m (t)_m/m! 2F1(t, t+m; m+1; w^2) is the m-th Fourier coefficient
-    of |1 - w e^(i phi)|^(-2t); it is positive, at most kappa_0, and depends on w
-    only through zeta, so w^m is (1 - zeta)^(m/2) and no 1 - w^2 is ever formed.
-    Three routines share the range of zeta:
+    of |1 - w e^(i phi)|^(-2t): the kernel power at t > 0, where it is positive
+    and at most kappa_0, and a factor of |u|^p at t = -p/2 (``_circle_modes``).
+    It depends on w only through zeta, so w^m is (1 - zeta)^(m/2) and no
+    1 - w^2 is ever formed. Three routines share the range of zeta:
 
-    - zeta >= 1/2: the series in x = 1 - zeta above, all of whose terms are
-      positive (``_series_modes``);
+    - zeta >= 1/2: the series in x = 1 - zeta above (``_series_modes``);
     - zeta < _CONNECTION_ZETA and m_max zeta <= _CONNECTION_REACH (four times
       that past 512 modes): the 1 - z connection (DLMF 15.8.4), both series
       in zeta (``_connection_modes``);
-    - otherwise: Chebyshev interpolation on the dyadic level of zeta, from
-      values an FFT of the kernel gives exactly up to its aliasing
-      (``_table_modes``).
+    - otherwise: an FFT of the kernel, exact up to its aliasing (``_fft_modes``),
+      row by row at t < 0 and at t > 0 through Chebyshev interpolation on the
+      dyadic level of zeta (``_table_modes``), which many rows share.
 
     Against 40-digit mpmath values at t in {0.3, 1, 1.77, 2, 2.5, 5/2 +- 5e-7,
     4.6, 5.12}, 1 - w from 2^-40 to 1/2 and m <= 256, every mode is within
-    1.6e-13 of kappa_0. A mode's error enters Psi multiplied by the mode of
-    |u|^p, which is at most its mean, so kappa_0 is the scale that matters.
+    1.6e-13 of kappa_0, and at t in {-0.01, -0.3, -0.5, -0.75, -0.99, -1.4995,
+    -3/2 +- 5e-7, -2.5 + 1e-9} and m <= 3000 within 4.4e-15 of it. A mode's
+    error enters Psi multiplied by a mode of the other kind, which is at most
+    its mean, so kappa_0 is the scale that matters.
     Past 512 modes the connection runs to m zeta = 8, where it is within
     6.1e-11 of kappa_0 at t in {1.77, 2, 2.3, 2.5, 2.5 + 2^-6, 3.2, 4.6, 5.12}
     and zeta in {2^-8, 2^-10}; those modes meet circle modes of |u|^p below
@@ -926,11 +933,14 @@ def _kernel_modes(t, zeta, m_max):
     zeta = np.asarray(zeta, dtype=float)
     out = np.empty((len(zeta), m_max + 1))
     series = zeta >= 0.5
+    if np.any(series):
+        out[series] = _series_modes(t, zeta[series], m_max,
+                                    1.0 - zeta[series] if square is None else square[series])
     reach = _CONNECTION_REACH * (1.0 if m_max <= 512 else 4.0)
     connection = ~series & (zeta < _CONNECTION_ZETA) & (zeta * m_max <= reach)
     table = ~series & ~connection
-    for where, routine in ((series, _series_modes), (connection, _connection_modes),
-                           (table, _table_modes)):
+    for where, routine in ((connection, _connection_modes),
+                           (table, _table_modes if t > 0 else _fft_modes)):
         if np.any(where):
             out[where] = routine(t, zeta[where], m_max)
     return out
@@ -938,13 +948,14 @@ def _kernel_modes(t, zeta, m_max):
 
 @lru_cache(maxsize=8)
 def _series_table(t):
-    """Coefficients c[m, k] with kappa_m = w^m sum_k c[m, k] x^k, x = w^2, for m <= 128 + 16 t.
+    """Coefficients c[m, k] with kappa_m = w^m sum_k c[m, k] x^k, x = w^2, for m <= 128 + 16 t+.
 
-    At x <= 1/2 the terms fall below 1e-18 of the first well before 64 + 12 t,
-    and the modes past 128 + 16 t are below 2^-(m/2) m^(t-1), under 1e-20 of kappa_0.
+    With t+ = max(t, 0), at x <= 1/2 the terms fall below 1e-18 of the first
+    well before 64 + 12 t+, and the modes past 128 + 16 t+ are below
+    2^-(m/2) m^(t-1), under 1e-20 of kappa_0.
     """
-    width = 128 + 16 * int(np.ceil(t))
-    terms = 64 + int(np.ceil(12.0 * t))
+    width = 128 + 16 * int(np.ceil(max(t, 0.0)))
+    terms = 64 + int(np.ceil(12.0 * max(t, 0.0)))
     m = np.arange(width + 1, dtype=float)
     k = np.arange(terms - 1, dtype=float)
     lead = np.cumprod(np.concatenate([[1.0], (t + m[:-1]) / m[1:]]))        # (t)_m / m!
@@ -955,11 +966,10 @@ def _series_table(t):
     return table
 
 
-def _series_modes(t, zeta, m_max):
-    """``_kernel_modes`` at zeta >= 1/2 from the power series in x = 1 - zeta, which is exact;
-    the modes past ``_series_table``'s width are 0."""
+def _series_modes(t, zeta, m_max, x):
+    """``_kernel_modes`` at zeta >= 1/2 from the power series in x = w^2 = 1 - zeta, which is
+    exact; the modes past ``_series_table``'s width are 0."""
     table = _series_table(t)[:m_max + 1]
-    x = 1.0 - zeta
     modes = np.zeros((len(zeta), m_max + 1))
     modes[:, :len(table)] = ((x[:, None] ** np.arange(table.shape[1])) @ table.T
                              * np.power(x[:, None], 0.5 * np.arange(len(table)))
@@ -978,15 +988,17 @@ def _connection_tables(t, width):
     A_m = Gamma(t)^2 tan(pi t)/(2 pi Gamma(2t)) prod_{j<=m} (j-1+t)/(j-t), the
     reflection form of Gamma(t+m)Gamma(-d)/(Gamma(t)Gamma(1-t)Gamma(m+1-t)),
     whose product keeps full accuracy where scipy's poch loses 5e-12 at
-    m = 4096. Returns
-    (first, second): ``first`` is the sum over the nodes t_j of L_j B a, with a
-    the first series' coefficients, and ``second`` lists (L_j A_m b, d_j), with b
-    the second's, where L_j are the Lagrange weights of t among the nodes (one
-    node, t itself, weighted 1, away from the integers). Every row depends on m
-    alone, so the tables of the last two t are kept at the widest width asked
-    for and grown by rebuilding, which leaves the rows already given unchanged.
-    A table set holds 2 (width + 1) _CONNECTION_TERMS doubles, 2.6 MB at
-    PSI_MAX_ANGLES/2 modes, and 13 times that where t is interpolated.
+    m = 4096. Interpolated in t is what stays O(1) as zeta -> 0, the scaled
+    modes at t > 0 and kappa_m itself at t < 0. Returns (smooth, powered):
+    ``smooth`` sums L_j B a over the nodes t_j at t > 0 (L_j A_m b at t < 0),
+    a and b the two series' coefficients, and ``powered`` lists each node's
+    other term with the power of zeta it takes, (L_j A_m b, d_j) at t > 0 and
+    (L_j B a, -d_j) at t < 0; L_j are the Lagrange weights of t among the
+    nodes (one node, t itself, weighted 1, away from the integers). Every row
+    depends on m alone, so the tables of the last two t are kept at the widest
+    width asked for and grown by rebuilding, which leaves the rows already
+    given unchanged. A table set holds 2 (width + 1) _CONNECTION_TERMS doubles,
+    5.2 MB at 8192 modes, and 13 times that where t is interpolated.
     """
     tables = _CONNECTION_TABLES.pop(t, None)
     if tables is None or len(tables[0]) <= width:
@@ -1001,38 +1013,54 @@ def _connection_tables(t, width):
 def _build_connection_tables(t, width):
     """``_connection_tables`` for m <= width, built afresh."""
     n = round(2.0 * t)
-    if abs(t - n / 2.0) >= _T_STEP:
+    # At t < 0 near 0 nothing cancels (B ~ -t/2 and A_m ~ prod_{j<=m} (j-1+t)/(j-t)).
+    if abs(t - n / 2.0) >= _T_STEP or (n == 0 and t < 0):
         nodes, weights = [t], [1.0]
     else:
         u = (t - n / 2.0) / _T_STEP
-        s = _T_NODES if n > 0 else np.arange(1.0, len(_T_NODES) + 1.0)
+        s = _T_NODES if n != 0 else np.arange(1.0, len(_T_NODES) + 1.0)
         nodes = [n / 2.0 + sj * _T_STEP for sj in s]
         weights = [np.prod([(u - sr) / (sj - sr) for sr in s if sr != sj]) for sj in s]
     m = np.arange(width + 1, dtype=float)[:, None]
     k = np.arange(_CONNECTION_TERMS - 1, dtype=float)
-    ones = np.ones((width + 1, 1))
-    first, second = 0.0, []
+    smooth, powered = None, []
     for tj, weight in zip(nodes, weights):
-        a = np.cumprod(np.concatenate(
-            [ones, ((m + 1.0 + k) - tj) * ((1.0 + k) - tj) / (((2.0 + k) - 2.0 * tj) * (k + 1.0))],
-            axis=1), axis=1)
-        b = np.cumprod(np.concatenate(
-            [ones, (tj + k) * ((tj + m) + k) / ((2.0 * tj + k) * (k + 1.0))], axis=1), axis=1)
+        # The series' coefficients, built in place: the tables are the largest
+        # arrays of a Psi evaluation.
+        first, second = np.ones((2, width + 1, _CONNECTION_TERMS))
+        np.add(m + 1.0, k, out=first[:, 1:])
+        first[:, 1:] -= tj
+        first[:, 1:] *= (1.0 + k) - tj
+        first[:, 1:] /= ((2.0 + k) - 2.0 * tj) * (k + 1.0)
+        np.add(tj + m, k, out=second[:, 1:])
+        second[:, 1:] *= tj + k
+        second[:, 1:] /= (2.0 * tj + k) * (k + 1.0)
+        np.cumprod(first, axis=1, out=first)
+        np.cumprod(second, axis=1, out=second)
         ratio = ((m[1:, 0] - 1.0) + tj) / (m[1:, 0] - tj)
         a_m = np.cumprod(np.concatenate([[1.0], ratio])) * (
             gamma_function(tj) ** 2 * np.tan(np.pi * tj) / (2.0 * np.pi * gamma_function(2.0 * tj)))
-        first = first + weight * gamma_function(2.0 * tj - 1.0) / gamma_function(tj) ** 2 * a
-        second.append((weight * a_m[:, None] * b, 2.0 * tj - 1.0))
-    return first, second
+        first *= weight * gamma_function(2.0 * tj - 1.0) / gamma_function(tj) ** 2
+        second *= (weight * a_m)[:, None]
+        kept, pair = ((first, (second, 2.0 * tj - 1.0)) if t > 0
+                      else (second, (first, 1.0 - 2.0 * tj)))
+        if smooth is None:
+            smooth = kept
+        else:
+            smooth += kept
+        powered.append(pair)
+    return smooth, powered
 
 
 def _connection_modes(t, zeta, m_max):
     """``_kernel_modes`` near the circle by the 1 - z connection (``_connection_tables``)."""
-    first, second = _connection_tables(t, _mode_width(m_max))
+    smooth, powered = _connection_tables(t, _mode_width(m_max))
     powers = zeta[:, None] ** np.arange(_CONNECTION_TERMS)
-    modes = powers @ first[:m_max + 1].T
-    for table, d in second:
+    modes = powers @ smooth[:m_max + 1].T
+    for table, d in powered:
         modes += zeta[:, None] ** d * (powers @ table[:m_max + 1].T)
+    if t < 0:
+        modes *= zeta[:, None] ** (2 * t - 1)
     return np.exp(0.5 * np.arange(m_max + 1) * np.log1p(-zeta)[:, None]) * modes
 
 
@@ -1040,13 +1068,14 @@ def _fft_modes(t, zeta, m_max):
     """``_kernel_modes`` by an FFT of the kernel on N points, exact up to its aliasing.
 
     The aliasing is sum_{k != 0} kappa_(m+kN), below 1e-18 of kappa_0 for
-    N >= 2 m_max + 2 + 48/(1 - w); 1 - w = zeta/(1 + w) and
+    N >= 2 m_max + 2 + 48/(1 - w), and at t < 0, where the modes also fall like
+    m^(t-1), within 4e-16 of it with 24/(1 - w). 1 - w = zeta/(1 + w) and
     |1 - w e^(i phi)|^2 = (1-w)^2 + 4 w sin^2(phi/2) are formed without
     cancellation. Batches hold at most DISK_BATCH_NODES points.
     """
     w = np.sqrt(1.0 - zeta)
     gap = zeta / (1.0 + w)
-    sizes = 1 << np.ceil(np.log2(2 * m_max + 2 + 48.0 / gap)).astype(int)
+    sizes = 1 << np.ceil(np.log2(2 * m_max + 2 + (48.0 if t > 0 else 24.0) / gap)).astype(int)
     out = np.empty((len(zeta), m_max + 1))
     for size in np.unique(sizes):
         rows = np.flatnonzero(sizes == size)
@@ -1095,11 +1124,11 @@ def _table_modes(t, zeta, m_max):
     The scaled modes are analytic in zeta off zeta <= 0 and zeta >= 1, which on
     a level [h, 2h] leaves a Bernstein ellipse of parameter 5.8: the 25-point
     interpolant is exact to below 1e-18 of the level's largest value. The
-    tables hold 512 modes, or PSI_MAX_ANGLES/2 for more, so a table's values do
-    not depend on the m_max that first asked for it.
+    tables hold 512 modes, or 4096, or the power of two at or above m_max for
+    more, so a table's values depend on m_max only through that width.
     """
     x, weights = _chebyshev_points(_MODE_TABLE_NODES)
-    width = 512 if m_max <= 512 else PSI_MAX_ANGLES // 2
+    width = 512 if m_max <= 512 else max(4096, _mode_width(m_max))
     level = -np.frexp(zeta)[1]            # zeta in [2^-(level+1), 2^-level)
     out = np.zeros((len(zeta), m_max + 1))
     for k in np.unique(level):
@@ -1115,43 +1144,53 @@ def _table_modes(t, zeta, m_max):
     return out
 
 
-def _kernel_mode_bound(t, zeta, m):
-    """An upper bound of kappa_m zeta^(2t-1) for m >= 1, one row per zeta, one column per m.
+def _kernel_mode_ratio(t, zeta):
+    """A bound of kappa_n/kappa_0, t > 0, falling with n, for all n past each count of
+    _MODE_GRID; one row per zeta.
 
-    kappa_m is the integral of (1 - w e^(i phi))^(-t) (1 - w e^(-i phi))^(-t)
-    e^(-i m phi)/(2 pi); moving phi to phi - i eta bounds it by e^(-m eta)
-    (1 - w e^eta)^(-t) (1 - w e^-eta)^(-t), and w e^eta = m/(m+t) nearly
-    minimises that. Where m/(m+t) <= w the bound is +inf.
+    At t <= 1, kappa_n = sum_k c_k c_(k+n), c_k = (t)_k w^k/k!, and c_(k+n) <= w^n c_k.
+    At t > 1, moving phi to phi - i eta in kappa_n, the mean of
+    |1 - w e^(i phi)|^(-2t) e^(-i n phi), bounds it by e^(-n eta) (1 - w^2/r)^(-t)
+    times the mean of |1 - r e^(i phi)|^(-t), r = w e^eta, at most
+    (1 - r^2)^(1-t) Gamma(t-1)/Gamma(t/2)^2; 1 - r^2 = min(zeta, 2(t-1)/n') nearly
+    minimises that at the next count n'. Below 1 it is 1.1 to 2.9 times the
+    ratio at the counts (t in {1.2, 2.14, 4.5}, zeta from 0.002 to 0.03).
     """
-    w = np.sqrt(1.0 - zeta)[:, None]
-    m = np.asarray(m, dtype=float)[None, :]
-    shift = w * (m + t) / m                      # e^-eta, below 1 where the bound is finite
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_bound = (m * np.log(shift) + t * np.log1p(m / t) - t * np.log1p(-w * shift)
-                     + (2 * t - 1) * np.log(zeta)[:, None])
-        return np.where(shift < 1.0, np.exp(log_bound), np.inf)
+    zeta = np.asarray(zeta, dtype=float)[:, None]
+    n = _MODE_GRID + 1.0
+    if t <= 1:
+        return np.exp(0.5 * n * np.log1p(-zeta))
+    shifted = np.minimum(zeta, 2.0 * (t - 1.0) / np.append(_MODE_GRID[1:], 2 * _MODE_GRID[-1]))
+    r = np.sqrt(1.0 - shifted)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(shifted < zeta, 0.5 * (np.log1p(-shifted) - np.log1p(-zeta)), 0.0)
+        gap = (2.0 * zeta - zeta**2 - shifted) / ((r + 1.0 - zeta) * r)      # 1 - w^2/r
+        log_ratio = (-n * eta - t * np.log(gap) + gammaln(t - 1.0) - 2.0 * gammaln(t / 2.0)
+                     + (1.0 - t) * np.log(shifted) + (2.0 * t - 1.0) * np.log(zeta)
+                     - np.log(_kernel_modes(t, zeta[:, 0], 0)))
+    return np.minimum(1.0, np.exp(log_ratio))
 
 
 # ---------------------------------------------------------------------------
 # Psi of a polynomial weight in angular Fourier modes
 
-# Gauss nodes per radial panel, the first angle count of each circle, and the
-# cap of its doubling.
+# Gauss nodes per radial panel, and the most angular modes of |u|^p a circle takes.
 PSI_PANEL_NODES = 16
-PSI_ANGLES = 512
-PSI_MAX_ANGLES = 8192
-# The estimated angular error each centre's Psi may keep, relative to the mean
-# of Psi over its circle |a| = const; and the sum of the trailing modes of a
-# panel that may be dropped, relative to the panel's mean term, well above the
-# round-off of an FFT of circle values, about 1e-17 a mode.
-PSI_TAIL_TOL = 1e-10
+PSI_MAX_MODES = 2**14
+# The sum of the trailing terms of a panel that may be dropped, relative to
+# the panel's mean term.
 PSI_MODE_CUT = 1e-12
 # A panel beside a zero of u is narrowed until Gauss's error on its
 # |z - z0|^p singularity, about (width/n^2)^(p+2), is below this.
 _KINK_TOL = 1e-14
-
-# 8 MB of circle modes hold most circles a Psi grid refines to thousands of angles.
-_CIRCLE_MODES = _BoundedCache(2**23)
+# A factor of |u|^p keeps its modes while their two-sided tail may exceed this
+# of its mean: over PSI_MAX_MODES terms that moves a panel by under 1e-13.
+_FACTOR_TAIL = 2.0**-62
+# The circle modes one evaluation keeps for its later rings; past this, it forms
+# them again, which costs less than the memory would.
+_KEPT_BYTES = 2**21
+# The mode counts a panel may take: each to 8, then eighth-octaves to 2^20.
+_MODE_GRID = np.unique(np.round(2.0 ** (np.arange(-8, 161) / 8.0))).astype(np.int64)
 
 
 @lru_cache(maxsize=64)
@@ -1161,18 +1200,21 @@ def _gauss_jacobi(n, exponent):
 
 
 def _weight_zeros(coeffs):
-    """(k, kinks): the order k of the zero of u at 0, and 1 - |z0|^2 for its other zeros inside.
+    """(k, kinks, roots, gaps): the order k of the zero of u at 0, 1 - |z0|^2 for its
+    other zeros inside, and every root of u / z^j, j the exact order, with its 1 - |z|^2.
 
-    A zero with |z0|^2 < 2^-52 counts as one at 0: |u|^p differs from its
-    value with the zero at 0 only on |z|^2 of the order of |z0|^2, whose share
-    of any panel is below rounding.
+    A zero with |z0|^2 < 2^-52 counts as one at 0 in k and the kinks, which only
+    grade the radial panels: |u|^p differs from its value with the zero at 0
+    only on |z|^2 of the order of |z0|^2, whose share of any panel is below
+    rounding. Its factor of |u|^p is still taken as it is.
     """
     order = next(i for i, c in enumerate(coeffs) if c != 0 or i == len(coeffs) - 1)
     rest = np.asarray(coeffs[order:], dtype=complex)
     roots = np.roots(rest[::-1]) if len(rest) > 1 else np.zeros(0, dtype=complex)
+    gaps = one_minus_modulus_sq(roots)
     tiny = modulus(roots) ** 2 < 2.0**-52
-    inside = roots[~tiny & (np.abs(roots) < 1.0)]
-    return order + int(np.sum(tiny)), tuple(sorted(set(one_minus_modulus_sq(inside).tolist())))
+    inside = ~tiny & (np.abs(roots) < 1.0)
+    return order + int(np.sum(tiny)), tuple(sorted(set(gaps[inside].tolist()))), roots, gaps
 
 
 def _radial_panels(y, kinks, p, beta, origin):
@@ -1187,8 +1229,8 @@ def _radial_panels(y, kinks, p, beta, origin):
     halved toward it until the panel next to it is narrow enough (_KINK_TOL). The
     first panel [0, sigma_1] takes Gauss-Jacobi for sigma^beta, and with
     origin > 0 the last, in s, takes Gauss-Jacobi for s^origin. Returns
-    (key, sigma, s, weights) per panel; ``key`` names the nodes for the cache
-    of circle modes.
+    (key, sigma, s, weights) per panel; ``key`` names the nodes, so that the
+    rings of one evaluation share the circle modes of the panels they share.
     """
     def levels(least):            # the k with 2^-k <= least < 2^(1-k), at least 1
         return max(1, 1 - int(np.frexp(least)[1]))
@@ -1210,7 +1252,11 @@ def _radial_panels(y, kinks, p, beta, origin):
             points.update(left + gap * 2.0 ** -halvings)
         if right in kinks:
             points.update(right - gap * 2.0 ** -halvings)
+    # Points within 2^-40 of each other, relative to their distance to the ends,
+    # such as a kink at 1/2 but for rounding, make one: the panel between them
+    # would put its circles on a zero.
     points = sorted(points)
+    points = [a for a, b in zip(points, points[1:] + [2.0]) if b - a > 2.0**-40 * min(b, 1.0 - a)]
     panels = []
     for i, (left, right) in enumerate(zip(points[:-1], points[1:])):
         if i == 0:
@@ -1236,48 +1282,100 @@ def _radial_panels(y, kinks, p, beta, origin):
     return panels
 
 
-def _circle_modes(coeffs, p, key, s, n_angles):
-    """[(modes, alias, decay)] of |u|^p on each circle |z|^2 = s_i, n_angles[i] points each.
+def _factor_sums(p, zeta, square, shift=0.0):
+    """Bounds of the sums of |a_(n - shift)| over each stretch of _MODE_GRID (a last axis),
+    a_n the modes of |1 - x e^(i phi)|^p, x^2 = ``square`` = 1 - zeta (any shape).
 
-    ``modes`` is the rfft over N = n_angles[i], so its m-th entry is
-    (1/2 pi) int |u|^p e^(-i m theta) dtheta for m <= N/2, up to aliasing;
-    ``alias`` and ``decay`` are its ``_alias_estimate``. Circles are kept in
-    _CIRCLE_MODES under ``key``, their index and N, and evaluated in batches
-    of at most DISK_BATCH_NODES points.
+    With t = -p/2, a_n = x^n (t)_n/n! 2F1(t, t+n; n+1; x^2), of one sign for n > p/2.
+    By Euler's integral that 2F1 is the mean of (zeta + x^2 V)^(p/2), V a Beta(1-t, n+t)
+    variable, so at most (zeta + max(E V, (E V^(p/2))^(2/p)))^(p/2) by Jensen's and
+    Minkowski's inequalities; no mode exceeds (1 + x)^p. The bound falls with n, so
+    a stretch takes its first mode's times its length, and the last, endless, x^n's sum.
     """
-    found = [_CIRCLE_MODES.get((coeffs, p, key, i, size))
-             for i, size in enumerate(n_angles)]
-    u = Polynomial(coeffs)
-    for size in np.unique(n_angles):
-        missing = [i for i in np.flatnonzero(n_angles == size) if found[i] is None]
-        turns = np.exp(2j * np.pi * np.arange(size) / size)
-        step = max(1, DISK_BATCH_NODES // size)
-        for lo in range(0, len(missing), step):
-            batch = missing[lo:lo + step]
-            modes = np.fft.rfft(np.abs(u(np.sqrt(s[batch])[:, None] * turns)) ** p, axis=1) / size
-            for i, row, alias, decay in zip(batch, modes, *_alias_estimate(np.abs(modes), p)):
-                row = row.copy()              # a view would keep the whole batch alive
-                row.setflags(write=False)
-                found[i] = _CIRCLE_MODES.put((coeffs, p, key, i, size), (row, alias, decay))
-    return found
+    t = -p / 2.0
+    x = np.sqrt(square)[..., None]
+    n = np.maximum(_MODE_GRID + 1.0 - np.asarray(shift)[..., None], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moment = np.exp((gammaln(1.0 - 2.0 * t) + gammaln(n + 1.0) - gammaln(1.0 - t)
+                         - gammaln(n + 1.0 - t)) / -t)
+        bound = np.exp(np.where(n > -t, n * np.log(x) + gammaln(n + t) - gammaln(t)
+                                - gammaln(n + 1.0) - t * np.log(zeta[..., None] + np.maximum(
+                                    (1.0 - t) / (n + 1.0), moment)), p * np.log1p(x)))
+    return np.concatenate([bound[..., :-1] * np.diff(_MODE_GRID),
+                           bound[..., -1:] * (1.0 + x) / zeta[..., None]], axis=-1)
 
 
-def _alias_estimate(size, p):
-    """The aliasing of each row of circle modes, extrapolated from the middle of its spectrum.
+def _circle_layout(roots, gaps, lead, order, p, sigma, s):
+    """How |u|^p factors on the circles |z|^2 = s = 1 - sigma of some panels, one tuple a panel.
 
-    The modes near N/2 fold onto their mirror images, and where a zero of u
-    lies at an angle near a multiple of 2 pi/N the two cancel, so they cannot
-    be trusted. With A_k the largest of the N/32 modes below N/k, the decay
-    per octave r = A_4/A_8 (at most 1) extrapolates the mode at N to A_4 r^2,
-    and a zero of u in the disk makes the modes fall like m^-(p+1), so the
-    aliases sum to at most 2 zeta(p+1) times that. Returns (alias, r) per row.
+    With u = lead z^order prod_j (z - z_j), on |z| = rho each |z - z_j| is
+    max(rho, |z_j|) |1 - x_j e^(+-i(theta - arg z_j))|, x_j = min(rho/|z_j|, |z_j|/rho),
+    so |u|^p is e^``log_scale`` times the product of the |1 - x_j e^(i phi)|^p,
+    and by Jensen's formula its mean g_0 is at least that constant.
+    zeta_j = 1 - x_j^2 is |s - |z_j|^2| / max(s, |z_j|^2), the difference taken
+    as sigma - (1 - |z_j|^2) where |z_j|^2 >= 1/2, and ``square`` = x_j^2 is
+    1 - zeta where zeta < 1/2 and the ratio otherwise, where 1 - zeta may round
+    it away. Past ``lengths`` a factor's tail is below _FACTOR_TAIL of its mean,
+    and ``spread`` is the most that the factors of a circle but its nearest (of
+    least zeta) reach. ``sums`` bounds the sums of |g_m|/g_0 over the stretches
+    of _MODE_GRID (``_factor_sums``): writing p = 2k + q, 0 <= q < 2, a factor's
+    modes sum to at most (1 + x)^(2k) (2 (1 + x^2)^(q/2) - (1 - x)^q), and the
+    others move the nearest one's at most ``spread``. Returns (zeta, square,
+    theta, lengths, log_scale, spread, sums) for each panel.
     """
-    half = size.shape[1] - 1
-    window = max(1, half // 16)
-    quarter = size[:, half // 2 - window:half // 2].max(axis=1)
-    eighth = size[:, half // 4 - window:half // 4].max(axis=1)
-    decay = np.minimum(1.0, np.divide(quarter, eighth, out=np.ones_like(quarter), where=eighth > 0))
-    return 2.0 * zeta_function(p + 1.0) * quarter * decay**2, decay
+    modsq = np.abs(roots) ** 2
+    diff = np.where(modsq < 0.5, modsq - s[:, None], sigma[:, None] - gaps)
+    zeta = np.abs(diff) / np.maximum(s[:, None], modsq)
+    square = np.where(zeta < 0.5, 1.0 - zeta, np.minimum(s[:, None], modsq) / np.maximum(
+        s[:, None], modsq))
+    log_scale = p * (np.log(abs(lead)) + 0.5 * order * np.log(s)
+                     + 0.5 * np.log(np.maximum(s[:, None], modsq)).sum(axis=1))
+    near = np.argmin(zeta, axis=1) if len(roots) else np.zeros(len(s), dtype=int)
+    far = np.arange(len(roots)) != near[:, None]
+    found = 2.0 * np.cumsum(_factor_sums(p, zeta, square)[..., ::-1], axis=-1)[..., ::-1] \
+        <= _FACTOR_TAIL
+    lengths = np.where(found.any(axis=-1), _MODE_GRID[np.argmax(found, axis=-1)], 2**50)
+    spread = np.sum(far * lengths, axis=1).reshape(-1, PSI_PANEL_NODES).max(axis=1)
+    x, q = np.sqrt(square), p % 2.0
+    far_sums = np.prod(np.where(far, (1.0 + x) ** (p - q) * (
+        2.0 * (2.0 - zeta) ** (q / 2.0) - (zeta / (1.0 + x)) ** q), 1.0), axis=1)
+    rows = np.arange(len(s))
+    nearest = (zeta[rows, near], square[rows, near]) if len(roots) else (1.0 + 0 * s, 0 * s)
+    sums = far_sums[:, None] * _factor_sums(p, *nearest, np.repeat(spread, PSI_PANEL_NODES))
+    panels = (slice(i, i + PSI_PANEL_NODES) for i in range(0, len(s), PSI_PANEL_NODES))
+    return [(zeta[r], square[r], np.angle(roots), lengths[r], log_scale[r], int(w),
+             sums[r].max(axis=0)) for r, w in zip(panels, spread)]
+
+
+def _circle_modes(p, layout, size, count):
+    """g_m, m <= count < size - spread, of |u|^p on each circle of a panel (``_circle_layout``).
+
+    The product of the factors' values at 2 size angles transforms back to the
+    circular convolution of their modes, exact below size - spread. A factor
+    whose modes past ``lengths`` < size fall below _FACTOR_TAIL takes its values
+    in closed form, which alias nothing above that; a circle's nearest factor
+    with more takes them from its modes to size - 1, the kernel power's at
+    t = -p/2 (``_kernel_modes`` times zeta^(1+p)). u is never evaluated. Circles
+    go a few at a time, at most DISK_BATCH_NODES values.
+    """
+    zeta, square, theta, lengths, log_scale, spread, _ = layout
+    out = np.empty((len(zeta), count + 1), dtype=complex)
+    angles = np.pi * np.arange(2 * size) / size
+    step = max(1, DISK_BATCH_NODES // (2 * size))
+    for rows in (slice(lo, lo + step) for lo in range(0, len(zeta), step)):
+        values = np.ones((len(zeta[rows]), 2 * size))
+        for j, turn in enumerate(theta):
+            z, w2, long = zeta[rows, j], square[rows, j], lengths[rows, j] >= size
+            x = np.sqrt(w2[~long])[:, None]        # |1 - x e^(i psi)|^2 = (1-x)^2 + 4x sin^2(psi/2)
+            values[~long] *= ((z[~long, None] / (1.0 + x)) ** 2
+                              + 4.0 * x * np.sin((angles - turn) / 2.0) ** 2) ** (p / 2.0)
+            if np.any(long):
+                modes = _kernel_modes(-p / 2.0, z[long], size - 1, w2[long]) * (
+                    z[long, None] ** (1.0 + p) * (2 * size) * np.exp(-1j * turn * np.arange(size)))
+                values[long] *= np.fft.irfft(modes, n=2 * size)
+        out[rows] = np.fft.rfft(values)[:, :count + 1]
+    out *= (np.exp(log_scale) / (2 * size))[:, None]
+    return out
 
 
 def _psi_fourier(coeffs, p, beta, centers, y, t):
@@ -1289,154 +1387,151 @@ def _psi_fourier(coeffs, p, beta, centers, y, t):
                  Re[conj(g_m(s)) e^(-i m arg a)] ds,   y = 1 - |a|^2,
 
     m >= 1 counted twice, where g_m(s) are the angular modes of |u|^p on the
-    circle |z|^2 = s (``_circle_modes``) and kappa_m those of the kernel power
-    at 1 - w^2 = sigma + s y (``_kernel_modes``). The radial integral runs on
+    circle |z|^2 = s and kappa_m those of the kernel power at 1 - w^2 =
+    sigma + s y (``_kernel_modes``). The radial integral runs on
     ``_radial_panels``. Everything depends on a only through y and arg a, so
     the centres handed one y share one evaluation of the mode sums D_m, and
-    each centre's value is one sum over m of D_m e^(i m arg a): a centre's
-    value does not depend on the others. ``psi_sup`` and ``psi_heatmap`` hand
-    every centre of a ring the same y, so each ring is one evaluation.
+    each centre's value is one sum over m of D_m e^(i m arg a). ``psi_sup``
+    and ``psi_heatmap`` hand every centre of a ring the same y, so each ring is
+    one evaluation.
 
-    Per y and per panel, the trailing modes are dropped while the sum of their
-    terms |kappa_m g_m|, bounded first by ``_kernel_mode_bound`` and then
-    computed, stays below PSI_MODE_CUT of the panel's mean term. Each circle
-    starts at PSI_ANGLES angles; while the estimated angular error of the sum
-    (each circle's aliasing, ``_alias_estimate``, times the sum of the kernel
-    modes it meets) exceeds PSI_TAIL_TOL of the mean of Psi over the circle
-    |a|^2 = 1 - y, the circles with the largest shares are refined, by as many
-    doublings as their spectra's decay says they need, up to PSI_MAX_ANGLES;
-    past that cap EvaluationError names the tail and the zero of u nearest
-    the circle.
+    The g_m are closed forms in the zeros of u (``_circle_modes``). Nothing is
+    aliased; what is dropped is the tail past each panel's mode count, set per y
+    from bounds of both kinds of modes (``_mode_counts``) and trimmed on the
+    computed terms (``_panel_sums``), below PSI_MODE_CUT of the panel's mean
+    term. A panel's circle modes are formed once for the rings whose counts
+    share a power of two, so a centre's value depends on its own y and
+    direction alone.
+
+    Refused: where a circle needs more than PSI_MAX_MODES modes, which takes a
+    zero of u within a few thousandths of the unit circle and a centre about as
+    deep; EvaluationError names the modes needed and the zero nearest the circle.
 
     Validated depth: 1 - |a| from 2^-1 to 2^-40, on and off the real axis. At
     p in {2, 4}, against ``_psi_squared``, within 1e-12 of the largest value
     on the circle, beta = -0.875 and u(0) = 0 included. At odd and non-integer
-    p, within 1e-10 of the same with twice the panel nodes and twice the first
-    angle count (within 3.1e-11 on the 20 multiplication criteria of the
-    cold-mix benchmark at seeds 1-10). Past 2^-40 it stays finite to the last
-    grid level, 1 - |a| = 2^-53.
+    p, within 1e-10 of the same with twice the panel nodes and a mode cut 100
+    times tighter. Past 2^-40 it stays finite to the last grid level,
+    1 - |a| = 2^-53.
     """
-    order, kinks = _weight_zeros(coeffs)
-    origin = order * p / 2.0
+    if not len(centers):
+        return np.empty(0)
+    order, kinks, roots, gaps = _weight_zeros(coeffs)
+    rings = {y_value: _radial_panels(y_value, kinks, p, beta, order * p / 2.0)
+             for y_value in np.unique(y)}
+    panels = {panel[0]: panel for plan in rings.values() for panel in plan}
+    layouts = dict(zip(panels, _circle_layout(
+        roots, gaps, next(c for c in coeffs[::-1] if c != 0),
+        next(i for i, c in enumerate(coeffs) if c != 0), p,
+        *(np.concatenate([panel[i] for panel in panels.values()]) for i in (1, 2)))))
+    counts = {y_value: _mode_counts(p, beta, t, y_value, plan, layouts, roots)
+              for y_value, plan in rings.items()}
+    uses, widest = Counter(), Counter()
+    for plan, sizes in zip(rings.values(), counts.values()):
+        for (key, *_), (count, size, _) in zip(plan, sizes):
+            uses[key, size] += 1
+            widest[key, size] = max(widest[key, size], count)
+    formed = {}
+
+    def circle(key, size):          # formed once, kept for its later rings while they fit
+        modes = formed.pop((key, size), None)
+        if modes is None:
+            modes = _circle_modes(p, layouts[key], size, widest[key, size])
+        uses[key, size] -= 1
+        if uses[key, size] and sum(m.nbytes for m in formed.values()) + modes.nbytes <= _KEPT_BYTES:
+            formed[key, size] = modes
+        return modes
+
     # numpy's vector loops round arctan2 and exp differently from its strided
     # ones; on contiguous input a value does not depend on its place.
     centers = np.ascontiguousarray(centers)
     directions = np.angle(centers)
     out = np.empty(len(centers))
-    for y_value in np.unique(y):
+    for y_value, plan in rings.items():
         at = np.flatnonzero(y == y_value)
-        modes = _mode_sums(coeffs, p, beta, t, y_value, kinks, origin)
+        modes = _mode_sums(t, beta, plan, counts[y_value], y_value, circle)
         m = np.arange(len(modes))
         weights = np.where(m == 0, 1.0, 2.0)
         out[at] = np.sum(weights * (modes * np.exp(1j * m * directions[at, None])).real, axis=1)
+    _CONNECTION_TABLES.pop(-p / 2.0, None)        # the factors' tables serve this weight alone
     return out
 
 
-def _mode_sums(coeffs, p, beta, t, y, kinks, origin):
-    """D_m = y^t (beta+1) int (1-s)^beta kappa_m g_m ds for one y, refined as
-    ``_psi_fourier`` says."""
+def _mode_counts(p, beta, t, y, panels, layouts, roots):
+    """(count, size, rest) per panel at one y: the modes of |u|^p it takes, the power of
+    two its circle modes are formed at, and the bound of what the rest would add.
+
+    ``count`` is the least of _MODE_GRID past which the terms |kappa_m g_m| of every
+    circle sum to at most PSI_MODE_CUT of its mean term: the layout bounds the sums
+    of |g_m|/g_0 over each stretch of the grid, and ``_kernel_mode_ratio`` then
+    kappa_m/kappa_0 at the panel's least zeta, where it is largest. Past
+    PSI_MAX_MODES, EvaluationError. ``rest`` is relative to the mean term.
+    """
+    nearest = np.array([np.min(sigma + s * y) for _, sigma, s, _ in panels])
+    terms = _kernel_mode_ratio(t, nearest) * np.array([layouts[key][-1] for key, *_ in panels])
+    tails = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+    found = tails <= PSI_MODE_CUT
+    first = np.argmax(found, axis=1)
+    need = np.where(found.any(axis=1), _MODE_GRID[first], np.inf) \
+        + [layouts[key][5] + 1 for key, *_ in panels]
+    if need.max() > PSI_MAX_MODES:
+        z0 = roots[np.argmin(np.abs(1.0 - np.abs(roots)))]
+        raise EvaluationError(
+            f"Psi of |u|^{p} dA_{beta} at 1-|a|^2 = {y:.6g} needs {need.max():.0f} angular "
+            f"modes of |u|^p on a circle, more than PSI_MAX_MODES = {PSI_MAX_MODES}; the zero "
+            f"of u nearest the circle is z0 = {z0:.6g}, with |z0| = {abs(z0):.6g} and "
+            f"1 - |z0| = {1.0 - abs(z0):.3g}")
+    return [(int(_MODE_GRID[i]), max(32, _mode_width(int(n))), tails[k, i])
+            for k, (i, n) in enumerate(zip(first, need))]
+
+
+def _mode_sums(t, beta, panels, counts, y, circle):
+    """D_m = y^t (beta+1) int (1-s)^beta kappa_m g_m ds for one y, each panel's circle
+    modes taken to its count, in batches of panels whose counts share a power of two."""
     n = PSI_PANEL_NODES
-    panels = _radial_panels(y, kinks, p, beta, origin)
-    sigma = np.concatenate([panel[1] for panel in panels])
-    s = np.concatenate([panel[2] for panel in panels])
-    zeta = sigma + s * y
-    factor = (beta + 1.0) * np.concatenate([panel[3] for panel in panels]) \
-        * np.exp(t * np.log(y) + (1.0 - 2.0 * t) * np.log(zeta))
-    mean_mode = _kernel_modes(t, zeta, 0)[:, 0]
-    nearest = zeta.reshape(-1, n).min(axis=1)       # the largest kappa_m of each panel
-    angles = np.full(len(zeta), PSI_ANGLES)
-    decay = np.ones(len(zeta))
-    done = {}
-    while True:
-        stale = [i for i in range(len(panels))
-                 if i not in done or done[i][0] != tuple(angles[i * n:(i + 1) * n])]
-        widest = {i: int(angles[i * n:(i + 1) * n].max()) for i in stale}
-        for size in sorted(set(widest.values())):
-            todo = [i for i in stale if widest[i] == size]
-            step = max(1, DISK_BATCH_NODES // (n * (size // 2 + 1)))
-            for lo in range(0, len(todo), step):
-                batch = np.array(todo[lo:lo + step])
-                rows = (batch[:, None] * n + np.arange(n)).ravel()
-                modes = np.zeros((len(rows), size // 2 + 1), dtype=complex)
-                alias = np.empty(len(rows))
-                for j, i in enumerate(batch):
-                    part = slice(i * n, (i + 1) * n)
-                    circles = _circle_modes(coeffs, p, panels[i][0], panels[i][2], angles[part])
-                    for count in np.unique(angles[part]):
-                        picked = np.flatnonzero(angles[part] == count)
-                        modes[j * n + picked, :count // 2 + 1] = [circles[k][0] for k in picked]
-                    alias[j * n:(j + 1) * n] = [circle[1] for circle in circles]
-                    decay[part] = [circle[2] for circle in circles]
-                results = _panel_sums(t, zeta[rows], factor[rows], mean_mode[rows], nearest[batch],
-                                      modes, alias)
-                for i, result in zip(batch, results):
-                    done[i] = (tuple(angles[i * n:(i + 1) * n]),) + result
-        mean = sum(done[i][2] for i in done)
-        tails = np.concatenate([done[i][3] for i in range(len(panels))])
-        if tails.sum() <= PSI_TAIL_TOL * mean:
-            break
-        share = PSI_TAIL_TOL * mean / len(tails)
-        refine = (tails >= min(share, tails.max())) & (angles < PSI_MAX_ANGLES)
-        if not np.any(refine):
-            roots = np.roots(np.asarray(coeffs, dtype=complex)[::-1])
-            z0 = roots[np.argmin(np.abs(1.0 - np.abs(roots)))]  # a constant u never aliases
-            raise EvaluationError(
-                f"Psi of |u|^{p} dA_{beta} at 1-|a|^2 = {y:.6g}: its angular tail is "
-                f"{tails.sum() / mean:.1e} of the circle mean at {PSI_MAX_ANGLES} angles, "
-                f"above {PSI_TAIL_TOL:g}; the zero of u nearest the circle is z0 = {z0:.6g}, "
-                f"with |z0| = {abs(z0):.6g} and 1 - |z0| = {1.0 - abs(z0):.3g}")
-        # Each doubling cuts a row's aliasing by about its decay per octave.
-        with np.errstate(divide="ignore"):
-            doublings = np.ceil(np.log(tails[refine] / share)
-                                / -np.log(np.minimum(decay[refine], 0.5)))
-        angles[refine] = np.minimum(angles[refine] << np.clip(doublings, 1, 4).astype(int),
-                                    PSI_MAX_ANGLES)
-    sums = np.zeros(max(len(done[i][1]) for i in done), dtype=complex)
-    for i in done:
-        sums[:len(done[i][1])] += done[i][1]
+    widths = [_mode_width(count + 1) for count, _, _ in counts]
+    sums = np.zeros(max(widths), dtype=complex)
+    for width in sorted(set(widths)):
+        todo = [i for i in range(len(panels)) if widths[i] == width]
+        step = max(1, DISK_BATCH_NODES // (n * width))
+        for lo in range(0, len(todo), step):
+            batch = todo[lo:lo + step]
+            sigma, s, weights = (np.concatenate([panels[i][part] for i in batch])
+                                 for part in (1, 2, 3))
+            zeta = sigma + s * y
+            factor = (beta + 1.0) * weights * np.exp(t * np.log(y) + (1.0 - 2.0 * t) * np.log(zeta))
+            parts = [circle(panels[i][0], counts[i][1])[:, :counts[i][0] + 1] for i in batch]
+            if len(parts) == 1:         # as wide as a batch: taken as it is
+                modes = parts[0]
+            else:
+                modes = np.zeros((len(zeta), max(part.shape[1] for part in parts)), dtype=complex)
+                for j, part in enumerate(parts):
+                    modes[j * n:(j + 1) * n, :part.shape[1]] = part
+            for row in _panel_sums(t, zeta, factor, modes, [counts[i][2] for i in batch]):
+                sums[:len(row)] += row
     return sums
 
 
-def _panel_sums(t, zeta, factor, mean_mode, nearest, modes, alias):
-    """[(D_m, mean term, tails)] of each panel in a batch of panels of PSI_PANEL_NODES rows.
+def _panel_sums(t, zeta, factor, modes, rest):
+    """D_m of each panel in a batch of panels of PSI_PANEL_NODES rows, up to its last mode kept.
 
     ``factor`` carries y^t (beta+1) zeta^(1-2t) times the radial weight, so
-    factor times a scaled kernel mode times a circle mode is a term of D_m. A
-    circle with fewer modes than ``modes`` holds is padded with zeros, which its
-    ``alias`` covers. ``tails`` has one entry per row: its aliasing times the
-    sum of the kernel modes it is taken against, m >= 1 counted twice, which
-    is the error where arg a points at the zero that causes the aliasing.
+    factor times a scaled kernel mode times a circle mode is a term of D_m. The
+    trailing modes are dropped while they and ``rest`` (the modes past the
+    count, ``_mode_counts``) stay below PSI_MODE_CUT of the panel's mean term.
     """
-    n = PSI_PANEL_NODES
-    starts = np.arange(0, len(zeta), n)
-    size = np.abs(modes)
-    mean = np.add.reduceat(factor * mean_mode * size[:, 0], starts)
-    m = np.arange(1, size.shape[1])
-    # kappa_m is largest at the least zeta of a panel; rescale that bound to each row.
-    scale = (zeta / np.repeat(nearest, n)) ** (2 * t - 1)
-    bound = np.repeat(_kernel_mode_bound(t, nearest, m), n, axis=0) * scale[:, None]
-    bound = np.minimum(mean_mode[:, None], bound)
-    bounded = np.add.reduceat(factor[:, None] * bound * size[:, 1:], starts, axis=0)
-    beyond = np.cumsum(bounded[:, ::-1], axis=1)[:, ::-1]    # beyond[:, j]: the terms past m = j
-    caps = [int(np.argmax(np.append(row, 0.0) <= PSI_MODE_CUT * base))
-            for row, base in zip(beyond, mean)]
-    # Each power-of-two class of caps takes the kernel modes up to its largest.
-    kernel = np.zeros((len(zeta), max(caps) + 1))
-    classes = np.repeat([_mode_width(cap) for cap in caps], n)
-    for width in np.unique(classes):
-        rows = np.flatnonzero(classes == width)
-        cap = max(c for c in caps if _mode_width(c) == width)
-        kernel[rows, :cap + 1] = _kernel_modes(t, zeta[rows], cap)
-    terms = np.add.reduceat(factor[:, None] * kernel * size[:, :kernel.shape[1]], starts, axis=0)
-    rest = np.append(beyond, np.zeros((len(mean), 1)), axis=1)[:, kernel.shape[1] - 1]
-    beyond = np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1] + rest[:, None]
-    cuts = [int(np.argmax(np.append(row, r) <= PSI_MODE_CUT * base))
-            for row, r, base in zip(beyond, rest, mean)]
-    kernel[np.arange(kernel.shape[1]) > np.repeat(cuts, n)[:, None]] = 0.0
-    sums = np.add.reduceat(factor[:, None] * kernel * modes[:, :kernel.shape[1]], starts, axis=0)
-    tails = factor * alias * (2.0 * kernel.sum(axis=1) - kernel[:, 0])
-    return [(row[:cut + 1], base, tails[k * n:(k + 1) * n])
-            for k, (row, cut, base) in enumerate(zip(sums, cuts, mean))]
+    shape = (-1, PSI_PANEL_NODES, modes.shape[1])
+    kernel = _kernel_modes(t, zeta, modes.shape[1] - 1)
+    kernel *= factor[:, None]
+    kernel, modes = kernel.reshape(shape), modes.reshape(shape)
+    terms = np.einsum("pnm,pnm->pm", kernel, np.abs(modes))
+    beyond = np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]    # beyond[:, j]: the terms past m = j
+    cuts = [int(np.argmax(np.append(row, 0.0) + r * base <= PSI_MODE_CUT * base))
+            for row, r, base in zip(beyond, rest, terms[:, 0])]
+    kernel *= np.arange(shape[2]) <= np.array(cuts)[:, None, None]
+    sums = (np.einsum("pnm,pnm->pm", kernel, modes.real)
+            + 1j * np.einsum("pnm,pnm->pm", kernel, modes.imag))
+    return [row[:cut + 1] for row, cut in zip(sums, cuts)]
 
 
 @dataclass(frozen=True)

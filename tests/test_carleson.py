@@ -529,11 +529,15 @@ class TestDiskRatioBelowPsi:
     @given(mu=disk_test_measures(), r=st.floats(0.05, 1.0, exclude_min=True),
            depth=st.floats(1.0, 20.0), theta=st.floats(0.0, 2 * np.pi),
            alpha=st.floats(-0.5, 1.0))
+    # Zeros of u at +-i, on the circles |z| = 1 that the deepest Psi panel rounds s to.
+    @example(mu=PolyWeighted(Polynomial.from_coeffs([1j, 0, 1j]), 3.0, 0.0), r=1.0, depth=1.0,
+             theta=0.0, alpha=0.0)
     def test_disk_ratio_at_most_psi(self, mu, r, depth, theta, alpha):
         a = (1.0 - 2.0**-depth) * np.exp(1j * theta)
         try:
             disk_ratio_over_psi(mu, a, r, alpha)
-        except EvaluationError:  # the Fourier path's refusal near a zero of u on the circle
+        except EvaluationError as err:  # the Fourier path's refusal near a zero of u
+            assert "angular modes" in str(err)
             assume(False)
 
     def test_inflated_disk_masses_are_caught(self):
@@ -1186,11 +1190,11 @@ sum_parts = st.one_of(
 
 
 def refused_near_the_circle(report):
-    """Whether ``report`` failed at C3 by the Fourier path's refusal, whose angular
-    tail does not converge where a zero of u lies on or near the circle."""
+    """Whether ``report`` failed at C3 by the Fourier path's refusal, which needs more
+    than PSI_MAX_MODES angular modes where a zero of u lies on or near the circle."""
     failure = report.failure or {}
     return (failure.get("stage") == "psi_sup" and failure.get("error") == "EvaluationError"
-            and "angular tail" in failure.get("message", ""))
+            and "angular modes" in failure.get("message", ""))
 
 
 class TestBoundaryExponentVerdict:
@@ -1239,6 +1243,23 @@ class TestBoundaryExponentVerdict:
             assert refined.verdict != "error", refined.failure
             if base.verdict == "not-carleson":
                 assert refined.verdict == "not-carleson"
+
+    def test_a_zero_on_the_circle_certifies_as_its_refinement_does(self):
+        # u = 0.1i (1 + z) vanishes at -1: the Fourier path takes the modes of
+        # |1 + z|^1.5 in closed form there, and C3 agrees with twice the panel
+        # nodes and a mode cut 3 times tighter. At 1-|a|^2 = 0.00195 the circles
+        # near -1 take about 15000 modes, so a cut 10 times tighter passes
+        # PSI_MAX_MODES and is refused.
+        mu = PolyWeighted(Polynomial.from_coeffs([0.1j, 0.1j]), 1.5, 0.0)
+        rep = certify(mu, SpaceParams(2.0, 0.0), 1.0)
+        assert rep.verdict == "carleson", rep.failure
+        nodes, cut = measures.PSI_PANEL_NODES, measures.PSI_MODE_CUT
+        measures.PSI_PANEL_NODES, measures.PSI_MODE_CUT = 2 * nodes, cut / 3.0
+        try:
+            refined = psi_sup(mu, 0.0, grid=CertifyConfig().psi_grid).sup
+        finally:
+            measures.PSI_PANEL_NODES, measures.PSI_MODE_CUT = nodes, cut
+        assert abs(rep.c3 - refined) <= 1e-10 * refined
 
     @settings(max_examples=25, deadline=None)
     @given(alpha=st.floats(-0.4, 1.0), exponent=st.floats(-0.5, 0.0))

@@ -31,6 +31,9 @@ not on centres) call ``one_minus_modulus_sq``.
 C2 builds no rule against dA_beta and realises no disk as a Euclidean one, for
 any measure: densities pull each disk back onto D(0, tanh r).
 
+No Psi path evaluates u on a circle: the Fourier path forms the modes of
+|u|^p from the zeros of u.
+
 Certification imports no sampler: ``scipy.stats`` is loaded only when a
 lattice's cover or overlap is sampled, never by ``import bergmanlab``.
 """
@@ -336,6 +339,24 @@ def test_disk_constant_builds_no_rule(monkeypatch):
     monkeypatch.setattr(geometry, "bergman_disk", refuse)
     for mu in measures_:
         assert disk_constant(mu, 0.0, 0.5, lat).c2 > 0
+
+
+def test_no_psi_path_samples_u_on_a_circle(monkeypatch):
+    # The Fourier path takes the modes of |u|^p from the zeros of u, so Psi
+    # never evaluates the polynomial, at any depth.
+    import numpy as np
+
+    from bergmanlab.measures import Polynomial, PolyWeighted
+
+    u = Polynomial.from_coeffs([0.3 - 0.2j, -0.7 + 0.4j, 0.45 + 0.1j])
+    mu = PolyWeighted(u, 1.5, 0.3)
+
+    def refuse(self, z):
+        raise AssertionError("Psi evaluated u")
+
+    monkeypatch.setattr(Polynomial, "__call__", refuse)
+    centers = np.array([0.0, 0.5j, -0.9, (1.0 - 2.0**-20) * np.exp(1j)])
+    assert np.all(np.isfinite(mu.psi(centers, 2.5)))
 
 
 def test_import_loads_no_sampler():

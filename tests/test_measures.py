@@ -386,8 +386,12 @@ def kernel_mode_oracle(t, zeta, m):
 
 
 class TestKernelModes:
-    # 2t = 4 and 5 exactly, and 5 +- 1e-6, go through the interpolation in t.
-    @pytest.mark.parametrize("t", (0.3, 1.0, 1.77, 2.0, 2.5, 2.5 - 5e-7, 2.5 + 5e-7, 4.6, 5.12))
+    # 2t = 4 and 5 exactly, and 5 +- 1e-6, go through the interpolation in t; so
+    # do -1.5 and -1.5 +- 5e-7 and -2.5 + 1e-9. At t < 0 these are the modes of
+    # |1 - w e^(i phi)|^(-2t), the factors of |u|^p on a circle.
+    @pytest.mark.parametrize("t", (0.3, 1.0, 1.77, 2.0, 2.5, 2.5 - 5e-7, 2.5 + 5e-7, 4.6, 5.12,
+                                   -0.01, -0.3, -0.5, -0.75, -1.5, -1.5 - 5e-7, -1.5 + 5e-7,
+                                   -2.5 + 1e-9))
     def test_match_mpmath_from_the_circle_to_half_way(self, t):
         # Each of the three routines (series, table, connection) takes some of these zeta.
         gaps = 2.0 ** -np.array([1, 3, 6, 9, 20, 40])
@@ -421,13 +425,13 @@ def fourier_psi(u, p, beta, centers, t):
 
 
 def refined(*args):
-    """``fourier_psi`` with twice the panel nodes and twice the first angle count."""
-    nodes, angles = measures_module.PSI_PANEL_NODES, measures_module.PSI_ANGLES
-    measures_module.PSI_PANEL_NODES, measures_module.PSI_ANGLES = 2 * nodes, 2 * angles
+    """``fourier_psi`` with twice the panel nodes and a mode cut 100 times tighter."""
+    nodes, cut = measures_module.PSI_PANEL_NODES, measures_module.PSI_MODE_CUT
+    measures_module.PSI_PANEL_NODES, measures_module.PSI_MODE_CUT = 2 * nodes, cut / 100.0
     try:
         return fourier_psi(*args)
     finally:
-        measures_module.PSI_PANEL_NODES, measures_module.PSI_ANGLES = nodes, angles
+        measures_module.PSI_PANEL_NODES, measures_module.PSI_MODE_CUT = nodes, cut
 
 
 DEPTHS = 2.0 ** -np.array([1, 4, 12, 20, 30, 40])
@@ -484,41 +488,71 @@ class TestFourierPsi:
         # u = 1 - z at p = 3: the kink of |u|^3 at z = 1 sits on the circle.
         centers = ((1.0 - DEPTHS[:3])[:, None] * DIRECTIONS).ravel()
         for center in np.split(centers, 3):
+            # The refinement's tighter cut may need more modes than the cap allows.
             try:
                 got = fourier_psi((1.0, -1.0), 3.0, 0.5, center, 2.5)
+                want = refined((1.0, -1.0), 3.0, 0.5, center, 2.5)
             except EvaluationError as err:
-                assert "angular tail" in str(err)
+                assert "angular modes" in str(err)
                 continue
-            want = refined((1.0, -1.0), 3.0, 0.5, center, 2.5)
             assert np.all(np.abs(got - want) <= 1e-9 * np.max(want))
 
     def test_a_zero_just_inside_the_circle_is_refused_near_it(self):
-        # |u| = |z - (1 - 1e-4)| at p = 1: its kink needs more than PSI_MAX_ANGLES angles.
-        with pytest.raises(EvaluationError, match="angular tail .* at 8192 angles"):
+        # |u| = |z - (1 - 1e-4)| at p = 1: near its kink, where the kernel power
+        # falls slowly too, a circle needs more than PSI_MAX_MODES modes.
+        with pytest.raises(EvaluationError,
+                           match=r"needs \d+ angular modes .* more than PSI_MAX_MODES = 16384"):
             fourier_psi((-(1.0 - 1e-4), 1.0), 1.0, 0.5, np.array([1.0 - 2.0**-18]), 2.5)
 
     def test_a_refusal_names_the_zero_nearest_the_circle(self, monkeypatch):
-        # No circle may refine, so the deep centre beside the zero is refused;
+        # With a cap of 64 modes the deep centre beside the zero is refused;
         # the zero at -2 is further from the circle.
-        monkeypatch.setattr(measures_module, "PSI_MAX_ANGLES", measures_module.PSI_ANGLES)
+        monkeypatch.setattr(measures_module, "PSI_MAX_MODES", 64)
         z0 = (1.0 - 2.0**-8) * np.exp(0.3j)
         u = np.convolve((-z0, 1.0), (2.0, 1.0))
         with pytest.raises(EvaluationError, match="nearest the circle is z0 = ") as refusal:
             fourier_psi(u, 1.0, 0.5, np.array([(1.0 - 2.0**-10) * np.exp(0.3j)]), 2.5)
         assert "with |z0| = 0.996094 and 1 - |z0| = 0.00391" in str(refusal.value)
 
-    @pytest.mark.xfail(strict=True, raises=EvaluationError,
-                       reason="the kink of a zero of u 0.00139 inside the circle needs more "
-                              "than PSI_MAX_ANGLES angles at 1-|a|^2 = 0.00195")
     def test_cold_mix_seed_12_multiplication_criterion(self):
-        # cold-mix seed 12, request 16-multiplication: u has a zero at |z0| = 0.99861.
+        # cold-mix seed 12, request 16-multiplication: u has a zero at |z0| = 0.99861,
+        # 0.00139 inside the circle. Oracle: the Fourier path this replaced, which
+        # sampled |u|^p on each circle and refused here past 8192 angles, gives
+        # 0.6410036333209141 with its angle cap raised to 32768.
         u = Polynomial.from_pairs([[1.3982823366445174, -1.1151864402924954],
                                    [-0.7248525994851387, -0.7888097502307713],
                                    [0.7288885549034524, -0.19481757200512054]])
         p, q, alpha, beta = 1.4451764282392636, 1.691862268538109, -0.17141844444360005, \
             0.47336289127778225
         t = float((2 + as_fraction(alpha)) * as_fraction(q) / as_fraction(p))
-        assert np.isfinite(PolyWeighted(u, q, beta).psi(1.0 - 2.0**-10, t))
+        got = PolyWeighted(u, q, beta).psi(1.0 - 2.0**-10, t)
+        assert abs(got - 0.6410036333209141) <= 1e-12 * 0.6410036333209141
+
+    @settings(max_examples=40, deadline=None)
+    @given(zeros=st.lists(st.builds(lambda r, a: r * np.exp(1j * a), st.floats(0.0, 2.0),
+                                    st.floats(-np.pi, np.pi)), min_size=1, max_size=3),
+           lead=st.builds(complex, st.floats(0.2, 2.0), st.floats(-2.0, 2.0)),
+           p=st.floats(0.1, 4.0), rho=st.floats(0.05, 0.99))
+    # A zero at 1e-10, or at -1e9, is a factor with x^2 below rounding of 1 - x^2.
+    @example(zeros=[1e-10], lead=1 + 0j, p=1.0, rho=0.5)
+    @example(zeros=[-1e9, 0.3j], lead=1e-9 + 0j, p=1.5, rho=0.9)
+    def test_circle_modes_match_an_fft_of_the_weight(self, zeros, lead, p, rho):
+        # The closed form takes no value of u. With every zero at least 0.05
+        # from the circle the modes of |u|^p fall geometrically, so 2^16 values
+        # of |u|^p on it alias nothing above rounding.
+        assume(all(abs(abs(z) - rho) >= 0.05 for z in zeros))
+        coeffs = tuple(complex(c) for c in lead * np.poly(zeros)[::-1])
+        _, _, roots, gaps = measures_module._weight_zeros(coeffs)
+        order = next(i for i, c in enumerate(coeffs) if c != 0)
+        circles = np.ones(measures_module.PSI_PANEL_NODES)      # one panel of that circle
+        layout, = measures_module._circle_layout(roots, gaps, coeffs[-1], order, p,
+                                                 (1.0 - rho) * (1.0 + rho) * circles,
+                                                 rho * rho * circles)
+        got = measures_module._circle_modes(p, layout, 8192, 4095)[0]
+        size = 2**16
+        ring = rho * np.exp(2j * np.pi * np.arange(size) / size)
+        want = np.fft.rfft(np.abs(Polynomial(coeffs)(ring)) ** p)[:4096] / size
+        assert np.max(np.abs(got - want)) <= 1e-13 * want[0].real
 
     def test_a_centre_takes_the_same_value_alone_and_in_any_batch(self):
         u, p, beta, t = (1.0, 0.5j, -0.3), 3.0, 0.25, 2.5
