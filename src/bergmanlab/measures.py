@@ -96,7 +96,6 @@ powers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -916,8 +915,12 @@ def _kernel_modes(t, zeta, m_max, square=None):
       that past 512 modes): the 1 - z connection (DLMF 15.8.4), both series
       in zeta (``_connection_modes``);
     - otherwise: an FFT of the kernel, exact up to its aliasing (``_fft_modes``),
-      row by row at t < 0 and at t > 0 through Chebyshev interpolation on the
-      dyadic level of zeta (``_table_modes``), which many rows share.
+      at t > 0 through Chebyshev interpolation on the dyadic level of zeta
+      (``_table_modes``), whose tables the rows of many rings share, and at
+      t < 0 row by row: the rows of a factor of |u|^p rarely share a level, so
+      tables (of kappa_m, as accurate) took 1.6 to 2.4 times as long beside a
+      zero of u 0.002 from the circle, building more, wider FFTs than the rows
+      need.
 
     Against 40-digit mpmath values at t in {0.3, 1, 1.77, 2, 2.5, 5/2 +- 5e-7,
     4.6, 5.12}, 1 - w from 2^-40 to 1/2 and m <= 256, every mode is within
@@ -998,7 +1001,8 @@ def _connection_tables(t, width):
     depends on m alone, so the tables of the last two t are kept at the widest
     width asked for and grown by rebuilding, which leaves the rows already
     given unchanged. A table set holds 2 (width + 1) _CONNECTION_TERMS doubles,
-    5.2 MB at 8192 modes, and 13 times that where t is interpolated.
+    10.5 MB at 16384 modes, and where t is interpolated 13 (width + 1)
+    _CONNECTION_TERMS, 68 MB.
     """
     tables = _CONNECTION_TABLES.pop(t, None)
     if tables is None or len(tables[0]) <= width:
@@ -1027,7 +1031,8 @@ def _build_connection_tables(t, width):
     for tj, weight in zip(nodes, weights):
         # The series' coefficients, built in place: the tables are the largest
         # arrays of a Psi evaluation.
-        first, second = np.ones((2, width + 1, _CONNECTION_TERMS))
+        first = np.ones((width + 1, _CONNECTION_TERMS))
+        second = np.ones_like(first)
         np.add(m + 1.0, k, out=first[:, 1:])
         first[:, 1:] -= tj
         first[:, 1:] *= (1.0 + k) - tj
@@ -1186,9 +1191,6 @@ _KINK_TOL = 1e-14
 # A factor of |u|^p keeps its modes while their two-sided tail may exceed this
 # of its mean: over PSI_MAX_MODES terms that moves a panel by under 1e-13.
 _FACTOR_TAIL = 2.0**-62
-# The circle modes one evaluation keeps for its later rings; past this, it forms
-# them again, which costs less than the memory would.
-_KEPT_BYTES = 2**21
 # The mode counts a panel may take: each to 8, then eighth-octaves to 2^20.
 _MODE_GRID = np.unique(np.round(2.0 ** (np.arange(-8, 161) / 8.0))).astype(np.int64)
 
@@ -1399,9 +1401,10 @@ def _psi_fourier(coeffs, p, beta, centers, y, t):
     aliased; what is dropped is the tail past each panel's mode count, set per y
     from bounds of both kinds of modes (``_mode_counts``) and trimmed on the
     computed terms (``_panel_sums``), below PSI_MODE_CUT of the panel's mean
-    term. A panel's circle modes are formed once for the rings whose counts
-    share a power of two, so a centre's value depends on its own y and
-    direction alone.
+    term. A panel's circle modes are formed once for all the rings whose counts
+    share a power of two, and handed to each ring's sum over that panel alone;
+    a ring adds its panels' sums in its own order (``_mode_sums``), so a
+    centre's value depends on its own y and direction alone.
 
     Refused: where a circle needs more than PSI_MAX_MODES modes, which takes a
     zero of u within a few thousandths of the unit circle and a centre about as
@@ -1426,22 +1429,18 @@ def _psi_fourier(coeffs, p, beta, centers, y, t):
         *(np.concatenate([panel[i] for panel in panels.values()]) for i in (1, 2)))))
     counts = {y_value: _mode_counts(p, beta, t, y_value, plan, layouts, roots)
               for y_value, plan in rings.items()}
-    uses, widest = Counter(), Counter()
-    for plan, sizes in zip(rings.values(), counts.values()):
-        for (key, *_), (count, size, _) in zip(plan, sizes):
-            uses[key, size] += 1
-            widest[key, size] = max(widest[key, size], count)
-    formed = {}
-
-    def circle(key, size):          # formed once, kept for its later rings while they fit
-        modes = formed.pop((key, size), None)
-        if modes is None:
-            modes = _circle_modes(p, layouts[key], size, widest[key, size])
-        uses[key, size] -= 1
-        if uses[key, size] and sum(m.nbytes for m in formed.values()) + modes.nbytes <= _KEPT_BYTES:
-            formed[key, size] = modes
-        return modes
-
+    uses = {}               # (panel, size): the (y, place in its ring) that take its circle modes
+    for y_value, plan in rings.items():
+        for i, (panel, (_, size, _)) in enumerate(zip(plan, counts[y_value])):
+            uses.setdefault((panel[0], size), []).append((y_value, i))
+    rows = {y_value: [None] * len(plan) for y_value, plan in rings.items()}
+    for (key, size), taken in uses.items():
+        widest = max(counts[y_value][i][0] for y_value, i in taken)
+        modes = _circle_modes(p, layouts[key], size, widest)
+        for y_value, i in taken:
+            count, _, rest = counts[y_value][i]
+            rows[y_value][i] = _panel_sums(t, beta, rings[y_value][i], y_value,
+                                           modes[:, :count + 1], rest)
     # numpy's vector loops round arctan2 and exp differently from its strided
     # ones; on contiguous input a value does not depend on its place.
     centers = np.ascontiguousarray(centers)
@@ -1449,7 +1448,7 @@ def _psi_fourier(coeffs, p, beta, centers, y, t):
     out = np.empty(len(centers))
     for y_value, plan in rings.items():
         at = np.flatnonzero(y == y_value)
-        modes = _mode_sums(t, beta, plan, counts[y_value], y_value, circle)
+        modes = _mode_sums(rows[y_value])
         m = np.arange(len(modes))
         weights = np.where(m == 0, 1.0, 2.0)
         out[at] = np.sum(weights * (modes * np.exp(1j * m * directions[at, None])).real, axis=1)
@@ -1485,53 +1484,32 @@ def _mode_counts(p, beta, t, y, panels, layouts, roots):
             for k, (i, n) in enumerate(zip(first, need))]
 
 
-def _mode_sums(t, beta, panels, counts, y, circle):
-    """D_m = y^t (beta+1) int (1-s)^beta kappa_m g_m ds for one y, each panel's circle
-    modes taken to its count, in batches of panels whose counts share a power of two."""
-    n = PSI_PANEL_NODES
-    widths = [_mode_width(count + 1) for count, _, _ in counts]
-    sums = np.zeros(max(widths), dtype=complex)
-    for width in sorted(set(widths)):
-        todo = [i for i in range(len(panels)) if widths[i] == width]
-        step = max(1, DISK_BATCH_NODES // (n * width))
-        for lo in range(0, len(todo), step):
-            batch = todo[lo:lo + step]
-            sigma, s, weights = (np.concatenate([panels[i][part] for i in batch])
-                                 for part in (1, 2, 3))
-            zeta = sigma + s * y
-            factor = (beta + 1.0) * weights * np.exp(t * np.log(y) + (1.0 - 2.0 * t) * np.log(zeta))
-            parts = [circle(panels[i][0], counts[i][1])[:, :counts[i][0] + 1] for i in batch]
-            if len(parts) == 1:         # as wide as a batch: taken as it is
-                modes = parts[0]
-            else:
-                modes = np.zeros((len(zeta), max(part.shape[1] for part in parts)), dtype=complex)
-                for j, part in enumerate(parts):
-                    modes[j * n:(j + 1) * n, :part.shape[1]] = part
-            for row in _panel_sums(t, zeta, factor, modes, [counts[i][2] for i in batch]):
-                sums[:len(row)] += row
+def _mode_sums(rows):
+    """D_m of one y: its panels' sums (``_panel_sums``) added in their order."""
+    sums = np.zeros(max(len(row) for row in rows), dtype=complex)
+    for row in rows:
+        sums[:len(row)] += row
     return sums
 
 
-def _panel_sums(t, zeta, factor, modes, rest):
-    """D_m of each panel in a batch of panels of PSI_PANEL_NODES rows, up to its last mode kept.
+def _panel_sums(t, beta, panel, y, modes, rest):
+    """D_m = y^t (beta+1) int (1-s)^beta kappa_m g_m ds over one panel at one y, from the
+    circle modes ``modes`` it takes, up to its last mode kept.
 
-    ``factor`` carries y^t (beta+1) zeta^(1-2t) times the radial weight, so
-    factor times a scaled kernel mode times a circle mode is a term of D_m. The
-    trailing modes are dropped while they and ``rest`` (the modes past the
+    The trailing modes are dropped while they and ``rest`` (the modes past the
     count, ``_mode_counts``) stay below PSI_MODE_CUT of the panel's mean term.
     """
-    shape = (-1, PSI_PANEL_NODES, modes.shape[1])
+    _, sigma, s, weights = panel
+    zeta = sigma + s * y
     kernel = _kernel_modes(t, zeta, modes.shape[1] - 1)
-    kernel *= factor[:, None]
-    kernel, modes = kernel.reshape(shape), modes.reshape(shape)
-    terms = np.einsum("pnm,pnm->pm", kernel, np.abs(modes))
-    beyond = np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]    # beyond[:, j]: the terms past m = j
-    cuts = [int(np.argmax(np.append(row, 0.0) + r * base <= PSI_MODE_CUT * base))
-            for row, r, base in zip(beyond, rest, terms[:, 0])]
-    kernel *= np.arange(shape[2]) <= np.array(cuts)[:, None, None]
-    sums = (np.einsum("pnm,pnm->pm", kernel, modes.real)
-            + 1j * np.einsum("pnm,pnm->pm", kernel, modes.imag))
-    return [row[:cut + 1] for row, cut in zip(sums, cuts)]
+    kernel *= ((beta + 1.0) * weights
+               * np.exp(t * np.log(y) + (1.0 - 2.0 * t) * np.log(zeta)))[:, None]
+    terms = np.einsum("nm,nm->m", kernel, np.abs(modes))
+    beyond = np.append(np.cumsum(terms[:0:-1])[::-1], 0.0)     # beyond[j]: the terms past m = j
+    kept = int(np.argmax(beyond + rest * terms[0] <= PSI_MODE_CUT * terms[0])) + 1
+    kernel, modes = kernel[:, :kept], modes[:, :kept]
+    return (np.einsum("nm,nm->m", kernel, modes.real)
+            + 1j * np.einsum("nm,nm->m", kernel, modes.imag))
 
 
 @dataclass(frozen=True)

@@ -317,9 +317,9 @@ class TestArrayPsi:
         calls = []
         original = measures._mode_sums
 
-        def counting(*args):
-            calls.append(args[4])
-            return original(*args)
+        def counting(rows):
+            calls.append(rows)
+            return original(rows)
         monkeypatch.setattr(measures, "_mode_sums", counting)
         grid = PsiGridSpec(n_dirs=16)
         psi_sup(mu, 0.0, grid=grid)

@@ -424,10 +424,10 @@ def fourier_psi(u, p, beta, centers, t):
                                         geometry.one_minus_modulus_sq(centers), t)
 
 
-def refined(*args):
-    """``fourier_psi`` with twice the panel nodes and a mode cut 100 times tighter."""
+def refined(*args, tighter=100.0):
+    """``fourier_psi`` with twice the panel nodes and a mode cut ``tighter`` times tighter."""
     nodes, cut = measures_module.PSI_PANEL_NODES, measures_module.PSI_MODE_CUT
-    measures_module.PSI_PANEL_NODES, measures_module.PSI_MODE_CUT = 2 * nodes, cut / 100.0
+    measures_module.PSI_PANEL_NODES, measures_module.PSI_MODE_CUT = 2 * nodes, cut / tighter
     try:
         return fourier_psi(*args)
     finally:
@@ -488,13 +488,14 @@ class TestFourierPsi:
         # u = 1 - z at p = 3: the kink of |u|^3 at z = 1 sits on the circle.
         centers = ((1.0 - DEPTHS[:3])[:, None] * DIRECTIONS).ravel()
         for center in np.split(centers, 3):
-            # The refinement's tighter cut may need more modes than the cap allows.
             try:
                 got = fourier_psi((1.0, -1.0), 3.0, 0.5, center, 2.5)
-                want = refined((1.0, -1.0), 3.0, 0.5, center, 2.5)
             except EvaluationError as err:
                 assert "angular modes" in str(err)
                 continue
+            # A cut 10 times tighter: at 1 - |a| = 2^-12 one 100 times tighter
+            # needs 17868 modes, more than PSI_MAX_MODES.
+            want = refined((1.0, -1.0), 3.0, 0.5, center, 2.5, tighter=10.0)
             assert np.all(np.abs(got - want) <= 1e-9 * np.max(want))
 
     def test_a_zero_just_inside_the_circle_is_refused_near_it(self):
