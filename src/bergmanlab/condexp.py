@@ -22,9 +22,10 @@ rotations leave z^n unchanged (it raises for every other map). Under a map of
 multiplicity 1 (the identity, z, a one-zero Blaschke product) every level set
 is one point, so E is the identity and the first three pass f through.
 Level sets and their weights are formed in one place, ``_level_sets``, over
-an array of points; ``level_set`` reads it at one point, and
-``cond_expect_values`` reads it wherever a map of multiplicity 1 does not
-pass f through. ``_level_average`` reduces f's values on a level set to E(f).
+an array of points, level-major: row j holds the j-th point of every level
+set. ``level_set`` reads it at one point, and ``cond_expect_values`` reads
+it wherever a map of multiplicity 1 does not pass f through, adding f's
+weighted rows in row order and dividing by the weight sum.
 E knows nothing of how a quadrature rule lays out its nodes: of ``measures``
 it reads only ``Polynomial``.
 
@@ -33,10 +34,11 @@ its polynomial members, and at even p under z^n of its kernel series, from
 ``expect_coefficients`` in one array call, and E of every other member
 from ``cond_expect_values``, one call per member. It passes one dict to all
 those calls, in which the Blaschke level sets of each node array are kept
-once solved, so members cost one evaluation of f each and no further
-root-finding. ``operators`` asks ``expect_polynomial`` whether E of
-the symbol has a closed form, the CLI evaluates E of a polynomial with it,
-and ``certify``'s symmetrized mode reads ``rotation_orbit``.
+once solved, with their weight sums, so members cost one evaluation of f
+each and no further root-finding. ``operators`` asks ``expect_polynomial``
+whether E of the symbol has a closed form, the CLI evaluates E of a
+polynomial with it, and ``certify``'s symmetrized mode reads
+``rotation_orbit``.
 
 The point z = 0 is a critical point of every monomial z^n with n >= 2; the
 expectation is defined off the critical set only, and callers evaluating on
@@ -146,22 +148,34 @@ class BlaschkeProduct(AnalyticSelfMap):
         return len(self.zeros)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.ones_like(z)
-        # Temporaries go on the left: numpy reuses a large right-hand one in place
-        # with the operands swapped, which can round complex products differently.
-        for a in self.zeros:
-            out = (a - z) * out / (1.0 - np.conj(a) * z)
-        return out
+        return self._value(*self._factors(z))
 
     def derivative(self, z):
+        return self._slope(*self._factors(z))
+
+    def _factors(self, z):
+        """The factors a_i - z and 1 - conj(a_i) z at z, one array per zero each."""
         z = np.asarray(z, dtype=complex)
-        total = np.zeros_like(z)
+        return [a - z for a in self.zeros], [1.0 - np.conj(a) * z for a in self.zeros]
+
+    @staticmethod
+    def _value(num, den):
+        """phi from its ``_factors``."""
+        out = np.ones_like(num[0])
+        # Temporaries go on the left: numpy reuses a large right-hand one in place
+        # with the operands swapped, which can round complex products differently.
+        for top, bottom in zip(num, den):
+            out = top * out / bottom
+        return out
+
+    def _slope(self, num, den):
+        """phi' from its ``_factors``."""
+        total = np.zeros_like(num[0])
         for i, ai in enumerate(self.zeros):
-            term = (abs(ai) ** 2 - 1.0) / (1.0 - np.conj(ai) * z) ** 2
-            for j, aj in enumerate(self.zeros):
+            term = (abs(ai) ** 2 - 1.0) / den[i] ** 2
+            for j in range(len(self.zeros)):
                 if j != i:
-                    term = (aj - z) * term / (1.0 - np.conj(aj) * z)
+                    term = num[j] * term / den[j]
             total = total + term
         return total
 
@@ -271,83 +285,91 @@ def is_critical(phi: AnalyticSelfMap, z):
 
 
 def _level_sets(phi: AnalyticSelfMap, zs):
-    """Level sets of phi through the points ``zs``: (points, weights), shape zs.shape + (m,).
+    """Level sets of phi through the 1-d array ``zs``: (points, weights), shape (m, len(zs)).
 
-    The weights are proportional to 1/|phi'|^2 on each level set and are not
+    Row j holds the j-th point of every level set, contiguous. The weights are proportional to 1/|phi'|^2 on each level set and are not
     normalised. They are None on the uniform orbits of the identity and z^n,
     whose average is a plain mean. By the change of variables w = phi(zeta),
     these weights make E the conditional expectation of unweighted area dA:
     the integral of E(f) conj(g o phi) dA equals that of f conj(g o phi) dA
     for every g. They are not the (1-|zeta|^2)^alpha/|phi'|^2 of dA_alpha.
 
-    A Blaschke level set through z is z itself, first, and the roots of the
+    A Blaschke level set through z is z itself, row 0, and the roots of the
     Bezoutian Q(zeta; z) = (num(zeta) den(z) - num(z) den(zeta)) / (zeta - z),
     of degree n - 1 in zeta. Its coefficients in zeta are polynomials in z
     with the fixed coefficients of ``BlaschkeProduct.bezoutian``, taken by
     Horner elementwise, so no rounded phi(z) enters them and no value depends
     on the size of ``zs``. Q is solved in closed form at 2 and 3 zeros (a
     linear root, and the cancellation-free quadratic) and by the eigenvalues
-    of its companion matrix from 4 zeros on. Every root is verified by its
-    residual. A root outside the disk has weight 0, and its entry in
+    of its companion matrix from 4 zeros on. Each row then takes phi and phi'
+    from one set of factors, so a temporary holds one value per point. Every
+    root is verified by its residual. A root outside the disk has weight 0, and its entry in
     ``points`` is the base point, so that f is only ever evaluated on the
     level set. A level set with a critical point in the disk raises
-    ``CriticalPointError``: E is undefined there, not the mean of the rest.
-    It is found by its value: phi(z) within CRITICAL_VALUE_TOL of one of
-    ``BlaschkeProduct.critical_values``, since the computed roots of a
-    multiple root are split and none of them need be critical.
+    ``CriticalPointError``, before any row: E is undefined there, not the
+    mean of the rest. It is found by its value: phi(z) within
+    CRITICAL_VALUE_TOL of one of ``BlaschkeProduct.critical_values``, since
+    the computed roots of a multiple root are split and none of them need be
+    critical; so no weight divides by |phi'|^2 = 0.
     """
     zs = np.asarray(zs, dtype=complex)
     if isinstance(phi, Identity):
-        return zs[..., None], None
+        return zs[None], None
     if isinstance(phi, Monomial):
         # |phi'| is constant on |zeta| = |z|, so the weights are exactly uniform.
-        return zs[..., None] * rotation_orbit(phi), None
-    roots = np.concatenate([zs[..., None], _deflated_roots(phi.bezoutian, zs)], axis=-1)
-    values = phi(zs)[..., None]
-    residual = np.abs(phi(roots) - values)
-    inside = np.abs(roots) < 1.0
-    bad = inside & (residual > RESIDUAL_TOL)
-    if np.any(bad):
-        worst = float(residual[bad].max())
-        raise RootFindingError(
-            f"preimage root failed verification with residual {worst:.3e} "
-            f"(tolerance {RESIDUAL_TOL:g})"
-        )
-    critical = (np.abs(values - phi.critical_values) <= CRITICAL_VALUE_TOL).any(axis=-1)
+        return zs * rotation_orbit(phi)[:, None], None
+    rows = _deflated_roots(phi.bezoutian, zs)
+    factors = phi._factors(zs)
+    values = phi._value(*factors)
+    critical = (np.abs(values[:, None] - phi.critical_values) <= CRITICAL_VALUE_TOL).any(axis=1)
     if np.any(critical):
-        raise CriticalPointError(f"the level set through z = {zs[critical].flat[0]} holds "
+        raise CriticalPointError(f"the level set through z = {zs[critical][0]} holds "
                                  "a critical point of the self-map")
-    derivative = phi.derivative(roots)
-    weights = np.divide(1.0, np.abs(derivative) ** 2, out=np.zeros(roots.shape), where=inside)
-    empty = ~inside.any(axis=-1)
-    if np.any(empty):
-        raise RootFindingError(f"no valid preimages found for z = {zs[empty].flat[0]}")
-    return np.where(inside, roots, zs[..., None]), weights
+    points = np.empty((phi.multiplicity, len(zs)), dtype=complex)
+    weights = np.zeros(points.shape)
+    reached = np.zeros(len(zs), dtype=bool)
+    for j, row in enumerate([zs, *rows]):
+        if j:
+            factors = phi._factors(row)
+        inside = np.abs(row) < 1.0
+        residual = np.abs(phi._value(*factors) - values)
+        bad = inside & (residual > RESIDUAL_TOL)
+        if np.any(bad):
+            raise RootFindingError(
+                f"preimage root failed verification with residual {residual[bad].max():.3e} "
+                f"(tolerance {RESIDUAL_TOL:g})"
+            )
+        np.divide(1.0, np.abs(phi._slope(*factors)) ** 2, out=weights[j], where=inside)
+        points[j] = np.where(inside, row, zs)
+        reached |= inside
+        del factors         # one row's factors at a time
+    if not np.all(reached):
+        raise RootFindingError(f"no valid preimages found for z = {zs[~reached][0]}")
+    return points, weights
 
 
 def _deflated_roots(bez, zs):
-    """The n - 1 roots in zeta of sum_ij bez[i, j] zeta^i z^j at each z, shape zs.shape + (n-1,)."""
+    """The n - 1 roots in zeta of sum_ij bez[i, j] zeta^i z^j at each z, shape (n-1, len(zs))."""
     n = bez.shape[0]
     if n == 1:
-        return np.empty(zs.shape + (0,), dtype=complex)
-    z = zs[..., None]
-    q = np.broadcast_to(bez[:, -1], zs.shape + (n,))
+        return np.empty((0, len(zs)), dtype=complex)
+    q = np.broadcast_to(bez[:, -1:], (n, len(zs)))
     for j in range(n - 2, -1, -1):
-        q = q * z + bez[:, j]
+        q = q * zs + bez[:, j:j + 1]
     if n == 2:
-        return (-q[..., :1]) / q[..., 1:]
+        return (-q[:1]) / q[1:]
     if n == 3:
-        a, b, c = q[..., 2], q[..., 1], q[..., 0]
+        a, b, c = q[2], q[1], q[0]
         d = np.sqrt(b * b - 4.0 * a * c)
         # The sign that adds b and d without cancellation; m = 0 only at a double root 0.
         m = np.where((np.conj(b) * d).real >= 0, b + d, b - d) / -2.0
         other = np.divide(c, m, out=np.zeros_like(m), where=m != 0)
-        return np.stack([m / a, other], axis=-1)
-    comp = np.zeros(zs.shape + (n - 1, n - 1), dtype=complex)
+        return np.stack([m / a, other])
+    comp = np.zeros((len(zs), n - 1, n - 1), dtype=complex)
     idx = np.arange(n - 2)
-    comp[..., idx + 1, idx] = 1.0
-    comp[..., :, -1] = -q[..., :-1] / q[..., -1:]
-    return np.linalg.eigvals(comp)
+    comp[:, idx + 1, idx] = 1.0
+    comp[:, :, -1] = (-q[:-1] / q[-1]).T
+    return np.linalg.eigvals(comp).T
 
 
 def rotation_orbit(phi: AnalyticSelfMap):
@@ -369,12 +391,12 @@ def level_set(phi: AnalyticSelfMap, z) -> LevelSet:
             f"z = {z} is a critical point of the self-map; the expectation "
             "is defined off the critical set only"
         )
-    points, weights = _level_sets(phi, z)
+    points, weights = _level_sets(phi, np.array([z]))
     if weights is None:
-        return LevelSet(base=z, points=points, weights=np.full(len(points), 1.0 / len(points)))
-    keep = weights > 0
-    kept = weights[keep]
-    return LevelSet(base=z, points=points[keep], weights=kept / kept.sum())
+        return LevelSet(base=z, points=points[:, 0], weights=np.full(len(points), 1.0 / len(points)))
+    keep = weights[:, 0] > 0
+    kept = weights[keep, 0]
+    return LevelSet(base=z, points=points[keep, 0], weights=kept / kept.sum())
 
 
 def cond_expect(phi: AnalyticSelfMap, f, z):
@@ -430,11 +452,14 @@ def cond_expect_values(phi: AnalyticSelfMap, f, zs, solved=None):
     over ``_level_sets``, taken in batches of at most LEVEL_SET_BATCH
     level-set points, so the temporaries of f stay small at any rule size;
     every value is computed pointwise, so it does not depend on the batch.
+    A uniform orbit takes the mean of f over the rows; weighted level sets
+    add w_0 f_0 + w_1 f_1 + ... row by row and divide by the weight sum.
 
     Calls that pass the same dict ``solved`` share level sets: those solved
     for an array are kept in it batch by batch under the array's id, with the
-    array, so the id stays its own, and are not solved again. Uniform orbits
-    need no solve and are not kept.
+    array, so the id stays its own, and are not solved again, each batch as
+    (points, weights, weight sum). Uniform orbits need no solve and are not
+    kept.
     """
     kept = solved.get(id(zs)) if solved is not None else None
     given, zs = zs, np.asarray(zs, dtype=complex)
@@ -444,15 +469,19 @@ def cond_expect_values(phi: AnalyticSelfMap, f, zs, solved=None):
     out = np.empty(flat.shape, dtype=complex)
     step = max(1, LEVEL_SET_BATCH // phi.multiplicity)
     for i, lo in enumerate(range(0, flat.size, step)):
-        points, weights = kept[1][i] if kept else _level_sets(phi, flat[lo:lo + step])
-        out[lo:lo + step] = _level_average(np.asarray(f(points), dtype=complex), weights)
-        if solved is not None and weights is not None and not kept:
-            solved.setdefault(id(given), (given, []))[1].append((points, weights))
+        if kept:
+            points, weights, total = kept[1][i]
+        else:
+            points, weights = _level_sets(phi, flat[lo:lo + step])
+            total = None if weights is None else weights.sum(axis=0)
+            if solved is not None and weights is not None:
+                solved.setdefault(id(given), (given, []))[1].append((points, weights, total))
+        fvals = np.asarray(f(points), dtype=complex)
+        if weights is None:
+            out[lo:lo + step] = np.mean(fvals, axis=0)
+            continue
+        acc = weights[0] * fvals[0]
+        for w, fv in zip(weights[1:], fvals[1:]):
+            acc += w * fv
+        out[lo:lo + step] = acc / total
     return out.reshape(zs.shape)
-
-
-def _level_average(fvals, weights):
-    """Average of f's values on the points of ``_level_sets`` with its weights, over the last axis."""
-    if weights is None:
-        return np.mean(fvals, axis=-1)
-    return np.sum(weights * fvals, axis=-1) / weights.sum(axis=-1)

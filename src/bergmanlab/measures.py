@@ -39,7 +39,9 @@ depth 1 - |a| to which it is validated:
 - finite sum: one finite sum of Gauss functions 2F1 for every m |v|^2 dA_beta
   with polynomial v (``_psi_squared``), which takes radial densities (v = 1)
   and polynomial weights wherever |u|^p = m |v|^2 (``_as_square``: even p, or
-  constant u); exact to about 1e-13 from 1 - |a| = 2^-1 to 2^-40;
+  constant u); its 2F1 terms are summed once per distinct (|a|^2, y), so
+  each ring of a grid is one evaluation, and only Re[v_j conj(v_k) a^d] is
+  formed per centre; exact to about 1e-13 from 1 - |a| = 2^-1 to 2^-40;
 - Fourier modes: the other polynomial weights, as a radial integral of the
   angular Fourier modes of |u|^p against those of the kernel power
   (``_psi_fourier``), both in closed form from ``_kernel_modes``, which takes
@@ -616,6 +618,15 @@ def _psi_squared(v, beta, centers, y, t):
     every depth, as ``Measure.psi`` checks it.
     """
     x = modulus(centers) ** 2
+    # The series depend on a only through (x, y): they are summed once per
+    # distinct pair, a ring of a grid, and read back at each centre. A dict
+    # groups them: np.unique's first call raised peak RSS by 0.4 MB. A lone
+    # centre skips the dict, which would add a twentieth to its call.
+    ring = slice(None)
+    if len(centers) > 1:
+        pairs = {}
+        ring = np.array([pairs.setdefault(key, len(pairs)) for key in zip(x.tolist(), y.tolist())])
+        x, y = np.array(list(pairs)).T.copy()
     total = np.zeros(len(centers))
     for j, vj in enumerate(v):
         c = j + beta + 2.0
@@ -625,7 +636,7 @@ def _psi_squared(v, beta, centers, y, t):
             if pair == 0:
                 continue
             d = j - k
-            series = np.zeros(len(centers))
+            series = np.zeros(len(x))
             for i in range(k + 1):
                 coef = binom(k, i) / poch(d + 1.0, i) * poch(t, i) * poch(t + d, i) / poch(c, i)
                 if c - 2.0 * t - d - i < 0:
@@ -635,7 +646,7 @@ def _psi_squared(v, beta, centers, y, t):
                     term = y**t * _hyp2f1_near_one(t + i, t + d + i, c + i, x, y)
                 series += coef * x**i * term
             weight = (1.0 if d == 0 else 2.0) * poch(t, d) / poch(1.0, d) * radial
-            total += weight * np.real(pair * centers**d) * series
+            total += weight * np.real(pair * centers**d) * series[ring]
     return total
 
 
@@ -1000,7 +1011,8 @@ def _connection_tables(t, width):
     nodes (one node, t itself, weighted 1, away from the integers). Every row
     depends on m alone, so the tables of the last two t are kept at the widest
     width asked for and grown by rebuilding, which leaves the rows already
-    given unchanged. A table set holds 2 (width + 1) _CONNECTION_TERMS doubles,
+    given unchanged; ``_psi_fourier`` frees both of its t's when it returns or
+    raises. A table set holds 2 (width + 1) _CONNECTION_TERMS doubles,
     10.5 MB at 16384 modes, and where t is interpolated 13 (width + 1)
     _CONNECTION_TERMS, 68 MB.
     """
@@ -1419,41 +1431,50 @@ def _psi_fourier(coeffs, p, beta, centers, y, t):
     """
     if not len(centers):
         return np.empty(0)
-    order, kinks, roots, gaps = _weight_zeros(coeffs)
-    rings = {y_value: _radial_panels(y_value, kinks, p, beta, order * p / 2.0)
-             for y_value in np.unique(y)}
-    panels = {panel[0]: panel for plan in rings.values() for panel in plan}
-    layouts = dict(zip(panels, _circle_layout(
-        roots, gaps, next(c for c in coeffs[::-1] if c != 0),
-        next(i for i, c in enumerate(coeffs) if c != 0), p,
-        *(np.concatenate([panel[i] for panel in panels.values()]) for i in (1, 2)))))
-    counts = {y_value: _mode_counts(p, beta, t, y_value, plan, layouts, roots)
-              for y_value, plan in rings.items()}
-    uses = {}               # (panel, size): the (y, place in its ring) that take its circle modes
-    for y_value, plan in rings.items():
-        for i, (panel, (_, size, _)) in enumerate(zip(plan, counts[y_value])):
-            uses.setdefault((panel[0], size), []).append((y_value, i))
-    rows = {y_value: [None] * len(plan) for y_value, plan in rings.items()}
-    for (key, size), taken in uses.items():
-        widest = max(counts[y_value][i][0] for y_value, i in taken)
-        modes = _circle_modes(p, layouts[key], size, widest)
-        for y_value, i in taken:
-            count, _, rest = counts[y_value][i]
-            rows[y_value][i] = _panel_sums(t, beta, rings[y_value][i], y_value,
-                                           modes[:, :count + 1], rest)
-    # numpy's vector loops round arctan2 and exp differently from its strided
-    # ones; on contiguous input a value does not depend on its place.
-    centers = np.ascontiguousarray(centers)
-    directions = np.angle(centers)
-    out = np.empty(len(centers))
-    for y_value, plan in rings.items():
-        at = np.flatnonzero(y == y_value)
-        modes = _mode_sums(rows[y_value])
-        m = np.arange(len(modes))
-        weights = np.where(m == 0, 1.0, 2.0)
-        out[at] = np.sum(weights * (modes * np.exp(1j * m * directions[at, None])).real, axis=1)
-    _CONNECTION_TABLES.pop(-p / 2.0, None)        # the factors' tables serve this weight alone
-    return out
+    # Leading coefficients below 2^-52 of the largest stand for zeros past 2^52,
+    # whose roots and squares overflow; dropping them moves u on the disk by
+    # less than 2^-52 of its largest coefficient.
+    big = max(map(abs, coeffs))
+    coeffs = coeffs[:max(i for i, c in enumerate(coeffs) if abs(c) >= 2.0**-52 * big) + 1]
+    try:
+        order, kinks, roots, gaps = _weight_zeros(coeffs)
+        rings = {y_value: _radial_panels(y_value, kinks, p, beta, order * p / 2.0)
+                 for y_value in np.unique(y)}
+        panels = {panel[0]: panel for plan in rings.values() for panel in plan}
+        layouts = dict(zip(panels, _circle_layout(
+            roots, gaps, next(c for c in coeffs[::-1] if c != 0),
+            next(i for i, c in enumerate(coeffs) if c != 0), p,
+            *(np.concatenate([panel[i] for panel in panels.values()]) for i in (1, 2)))))
+        counts = {y_value: _mode_counts(p, beta, t, y_value, plan, layouts, roots)
+                  for y_value, plan in rings.items()}
+        uses = {}               # (panel, size): the (y, place in its ring) that take its circle modes
+        for y_value, plan in rings.items():
+            for i, (panel, (_, size, _)) in enumerate(zip(plan, counts[y_value])):
+                uses.setdefault((panel[0], size), []).append((y_value, i))
+        rows = {y_value: [None] * len(plan) for y_value, plan in rings.items()}
+        for (key, size), taken in uses.items():
+            widest = max(counts[y_value][i][0] for y_value, i in taken)
+            modes = _circle_modes(p, layouts[key], size, widest)
+            for y_value, i in taken:
+                count, _, rest = counts[y_value][i]
+                rows[y_value][i] = _panel_sums(t, beta, rings[y_value][i], y_value,
+                                               modes[:, :count + 1], rest)
+        # numpy's vector loops round arctan2 and exp differently from its strided
+        # ones; on contiguous input a value does not depend on its place.
+        centers = np.ascontiguousarray(centers)
+        directions = np.angle(centers)
+        out = np.empty(len(centers))
+        for y_value, plan in rings.items():
+            at = np.flatnonzero(y == y_value)
+            modes = _mode_sums(rows[y_value])
+            m = np.arange(len(modes))
+            weights = np.where(m == 0, 1.0, 2.0)
+            out[at] = np.sum(weights * (modes * np.exp(1j * m * directions[at, None])).real, axis=1)
+        return out
+    finally:
+        # Both t's tables serve this call alone: 68 MB each where t is interpolated.
+        _CONNECTION_TABLES.pop(t, None)
+        _CONNECTION_TABLES.pop(-p / 2.0, None)
 
 
 def _mode_counts(p, beta, t, y, panels, layouts, roots):

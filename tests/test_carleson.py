@@ -328,6 +328,30 @@ class TestArrayPsi:
         psi_heatmap(mu, 0.0, n_radial=4, n_angular=16)
         assert len(calls) == 4
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), degree=st.integers(0, 3), p=st.sampled_from([2.0, 4.0]),
+           weight=st.floats(-0.9, 2.0), t=st.floats(0.5, 6.0), j_max=st.integers(1, 40),
+           n_dirs=st.integers(1, 16), radial=st.booleans())
+    def test_finite_sum_centre_alone_is_its_grid_value(self, data, degree, p, weight, t,
+                                                       j_max, n_dirs, radial):
+        # The finite sum takes its 2F1 terms once per distinct (|a|^2, y): a
+        # centre alone must give the same bits as inside a whole psi_sup grid,
+        # with its ring's y and with one_minus_modulus_sq's.
+        part = st.floats(-2.0, 2.0)
+        coeffs = [complex(data.draw(part), data.draw(part)) for _ in range(degree + 1)]
+        mu = (RadialDensity(weight, 1.0 + abs(coeffs[0])) if radial
+              else PolyWeighted(Polynomial.from_coeffs(coeffs), p, weight))
+        grid = PsiGridSpec(1, j_max, n_dirs)
+        circles = [grid.points_at_radius(rho) for rho in grid.radii()]
+        centers = np.concatenate(circles)
+        rings = np.repeat([(1.0 - rho) * (1.0 + rho) for rho in grid.radii()],
+                          [len(c) for c in circles])
+        k = data.draw(st.integers(0, len(centers) - 1))
+        for y in (rings, geometry.one_minus_modulus_sq(centers)):
+            whole = mu.psi(centers, t, y)
+            alone = mu.psi(centers[k:k + 1], t, y[k:k + 1])
+            assert alone.tobytes() == whole[k:k + 1].tobytes(), (k, centers[k])
+
     def test_sup_rejects_grid_on_the_circle(self):
         with pytest.raises(ConfigurationError, match="open unit disk"):
             psi_sup(WeightedArea(0.0), 0.0, grid=PsiGridSpec(4, 54, 4))
@@ -532,6 +556,11 @@ class TestDiskRatioBelowPsi:
     # Zeros of u at +-i, on the circles |z| = 1 that the deepest Psi panel rounds s to.
     @example(mu=PolyWeighted(Polynomial.from_coeffs([1j, 0, 1j]), 3.0, 0.0), r=1.0, depth=1.0,
              theta=0.0, alpha=0.0)
+    # Zeros of u near -1e208 and past the largest double, whose roots overflowed.
+    @example(mu=PolyWeighted(Polynomial.from_coeffs([1, 1.1527509139744446e-208]), 3.0, 0.0),
+             r=1.0, depth=1.0, theta=0.0, alpha=0.0)
+    @example(mu=PolyWeighted(Polynomial.from_coeffs([1, 2.225073858507e-311]), 3.0, 0.0),
+             r=1.0, depth=1.0, theta=0.0, alpha=0.0)
     def test_disk_ratio_at_most_psi(self, mu, r, depth, theta, alpha):
         a = (1.0 - 2.0**-depth) * np.exp(1j * theta)
         try:

@@ -2,6 +2,7 @@
 
 import cmath
 import re
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -140,6 +141,19 @@ SUBNORMAL = BlaschkeProduct((1e-314, 0.0, 0.5))
 CRITICAL_ZEROS = (0.5, -0.4, 0.3j)
 
 
+@st.composite
+def level_major_case(draw):
+    """2 or 3 zeros with |a| <= 0.7, and 1 to 40 points |z| <= 0.9 whose phi(z) lies
+    at least 1e-3 from every critical value."""
+    angle = st.floats(0.0, 2.0 * np.pi)
+    phi = BlaschkeProduct(tuple(cmath.rect(draw(st.floats(0.0, 0.7)), draw(angle))
+                                for _ in range(draw(st.integers(2, 3)))))
+    zs = np.array([cmath.rect(draw(st.floats(0.0, 0.9)), draw(angle))
+                   for _ in range(draw(st.integers(1, 40)))])
+    assume(np.all(np.abs(phi(zs)[:, None] - phi.critical_values) >= 1e-3))
+    return phi, zs
+
+
 # Level sets through a multiple zero, at z = 0: phi(0) = 0 is the critical value
 # phi(0.5) of a triple zero and phi(0.875) of a double one. Rounding splits the
 # multiple root into a cluster whose |phi'| (1.7e-10, 1.2e-6) no test on the
@@ -274,13 +288,19 @@ class TestBlaschkeLevelSets:
             assert rep.failure["error"] == "CriticalPointError"
 
     def test_derivative_taken_once_per_solve(self, monkeypatch):
+        # phi' is formed once per level-set point, one row of the level sets at
+        # a time, and a second member sharing the sweep's dict forms none.
         calls = []
-        original = BlaschkeProduct.derivative
-        monkeypatch.setattr(BlaschkeProduct, "derivative",
-                            lambda phi, z: calls.append(np.shape(z)) or original(phi, z))
+        original = BlaschkeProduct._slope
+        monkeypatch.setattr(BlaschkeProduct, "_slope",
+                            lambda phi, num, den: calls.append(np.shape(num[0]))
+                            or original(phi, num, den))
         nodes = build_quadrature(0.0, 16, 32).nodes
-        cond_expect_values(BlaschkeProduct((0.1, 0.4j, -0.5 + 0.1j)), np.exp, nodes)
-        assert calls == [(nodes.size, 3)]
+        phi = BlaschkeProduct((0.1, 0.4j, -0.5 + 0.1j))
+        solved = {}
+        for f in (np.exp, np.sin):
+            cond_expect_values(phi, f, nodes, solved)
+        assert calls == [(nodes.size,)] * phi.multiplicity
 
 
 class TestCondExpect:
@@ -462,6 +482,23 @@ class TestBatchEvaluation:
         for batch in (nodes.size * phi.multiplicity, 7 * phi.multiplicity):
             monkeypatch.setattr(condexp, "LEVEL_SET_BATCH", batch)
             assert np.array_equal(cond_expect_values(phi, f, nodes), default), batch
+
+    @settings(max_examples=50, deadline=None)
+    @given(level_major_case())
+    def test_level_major_average_matches_the_scalar_one(self, case):
+        # f = 4 + w e^w has |f| >= 4 - e on the disk, so E f is far from 0.
+        phi, zs = case
+        f = lambda w: 4.0 + w * np.exp(w)
+        got = cond_expect_values(phi, f, zs)
+        want = np.array([cond_expect(phi, f, z) for z in zs])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        with mock.patch.object(condexp, "LEVEL_SET_BATCH", 7):
+            assert np.array_equal(cond_expect_values(phi, f, zs), got)
+        for z in zs:
+            ls = level_set(phi, z)
+            assert ls.points.shape == ls.weights.shape and ls.points.ndim == 1
+            assert 1 <= len(ls.points) <= phi.multiplicity and ls.points[0] == z
+            assert abs(ls.weights.sum() - 1.0) <= 1e-14
 
     def test_weighted_kernel_does_not_depend_on_the_array_size(self):
         # The same 32768 nodes in one call and in 1000-point slices.

@@ -515,6 +515,28 @@ class TestFourierPsi:
             fourier_psi(u, 1.0, 0.5, np.array([(1.0 - 2.0**-10) * np.exp(0.3j)]), 2.5)
         assert "with |z0| = 0.996094 and 1 - |z0| = 0.00391" in str(refusal.value)
 
+    @pytest.mark.parametrize("u, p, depth, refused", (((0.5, 1.0), 3.0, 2.0**-20, False),
+                                                     ((-(1.0 - 1e-4), 1.0), 1.0, 2.0**-18, True)),
+                             ids=("returns", "refused"))
+    def test_connection_tables_are_freed_after_each_call(self, u, p, depth, refused,
+                                                         monkeypatch):
+        # The kernel's t and the factors' -p/2 build tables for one call alone;
+        # at an interpolated t such as 2.5 they hold 68 MB at 16384 modes.
+        built = []
+        original = measures_module._build_connection_tables
+        monkeypatch.setattr(measures_module, "_build_connection_tables",
+                            lambda t, width: built.append(t) or original(t, width))
+        monkeypatch.setattr(measures_module, "_CONNECTION_TABLES", {})
+        centers = np.array([1.0 - depth])
+        if refused:
+            with pytest.raises(EvaluationError, match="PSI_MAX_MODES"):
+                fourier_psi(u, p, 0.5, centers, 2.5)
+        else:
+            assert np.isfinite(fourier_psi(u, p, 0.5, centers, 2.5)).all()
+            assert -p / 2.0 in built
+        assert 2.5 in built
+        assert measures_module._CONNECTION_TABLES == {}
+
     def test_cold_mix_seed_12_multiplication_criterion(self):
         # cold-mix seed 12, request 16-multiplication: u has a zero at |z0| = 0.99861,
         # 0.00139 inside the circle. Oracle: the Fourier path this replaced, which
