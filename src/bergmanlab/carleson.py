@@ -48,29 +48,36 @@ C1's kernel members take one of three paths. Under a map of multiplicity 1
 int |f_a|^p dmu is Psi_a(mu) at t = 2 + alpha, so all of them are one
 ``mu.psi`` call. At even p under z^n, on a measure whose ``square_integrals``
 is a moment sum (``mu.moment_sums``: radial densities, polynomial weights
-with |u|^p = m |v|^2, and sums of those), each f_a is its Taylor series
-truncated at a degree D with an explicit tail bound
-(``geometry.kernel_series``), and its rows join the polynomial members below.
-Otherwise (atoms and grid densities, Blaschke products with two or more
-zeros, odd or non-integer p) each member's E f_a is one
-``condexp.cond_expect_values`` call on the measure's nodes, and |E f_a|^p
-is integrated there, one member at a time (``_power_integrals``).
+with |u|^p = m |v|^2, and sums of those), each E f_a is its Taylor series
+truncated at a degree D with an explicit tail bound, formed in compact form:
+E f_a = g(z^n), so ``geometry.kernel_series`` forms only the degrees that are
+multiples of n, each ring's moduli and each direction's phases once, and its
+rows join the polynomial members below. Otherwise (atoms and grid densities,
+Blaschke products with two or more zeros, odd or non-integer p) each
+member's E f_a is one ``condexp.cond_expect_values`` call on the measure's
+nodes, and |E f_a|^p is integrated there, one member at a time
+(``_power_integrals``).
 
 C1's polynomial members are exact at even p wherever
 ``condexp.expect_coefficients`` gives E f (every map but Blaschke products
-with two or more zeros): |E f|^p = |(E f)^(p/2)|^2 is the squared modulus of
-a polynomial, so all numerators, the kernel series included, are one
-``mu.square_integrals`` call on the rows of (E f)^(p/2), a finite sum of
-moments or of atoms for each measure type, and the norms are the same sums
-against dA_alpha. Quadrature on the rule remains only for Blaschke maps with
-two or more zeros, where every E is a ``condexp.cond_expect_values`` call
-with one dict per sweep, which keeps the level sets of each node array, so
-they are solved once per sweep; and for odd or non-integer p. Every member
-without an exact path, kernel or polynomial, goes through the one quadrature
-routine ``_power_integrals``. A norm ||f||^p is the numerator of f against
-dA_alpha under the identity, so numerators and norms take one routine
-(``_poly_integrals``), and norms are computed once per (family, p, alpha,
-rule).
+with two or more zeros). It gives E f compact, the rows of g with
+E f = g(z^n) and their stride n (1 under a map of multiplicity 1); nothing
+outside ``condexp`` reads n. |E f|^p = |g^(p/2)(z^n)|^2 is the squared
+modulus of a polynomial, so all numerators, the kernel series included, are
+one ``mu.square_integrals`` call on the compact rows of g^(p/2) at stride n
+(``poly_power`` raises them in w = z^n): a finite sum of moments at degrees
+nm, or of atoms at the points z^n, for each measure type, with no
+zero-filled row and no product row of the weight formed; and the norms are
+the same sums against dA_alpha. Quadrature on the rule remains only for
+Blaschke maps with two or more zeros, where every E is a
+``condexp.cond_expect_values`` call with one dict per sweep, which keeps the
+level sets of each node array, so they are solved once per sweep; and for
+odd or non-integer p. Every member without an exact path, kernel or
+polynomial, goes through the one quadrature routine ``_power_integrals``. A
+norm ||f||^p is the numerator of f against dA_alpha under the identity, so
+numerators and norms take one routine (``_poly_integrals``), and norms are
+computed once per (family, p, alpha, rule); the family's polynomials are
+drawn once per ``FamilySpec`` (``_family_polys``).
 
 Nothing below ``certify`` tells the self-maps apart. Its symmetrized mode
 (z^n only) is two plain inputs: C2 averages each disk over the rotation
@@ -346,8 +353,12 @@ def _kernel_centers(spec: FamilySpec):
     return [complex(a) for a in centers]
 
 
+# One entry is a few dozen short polynomials; the bound only caps what a
+# long-lived process can pin.
+@lru_cache(maxsize=32)
 def _family_polys(spec: FamilySpec):
-    """(label, polynomial) of the seeded random members, then of the monomials."""
+    """(label, polynomial) of the seeded random members, then of the monomials, as a
+    tuple drawn once per spec."""
     polys = []
     rng = np.random.default_rng(spec.seed)
     for i in range(spec.random_count):
@@ -356,7 +367,7 @@ def _family_polys(spec: FamilySpec):
         polys.append((f"poly:seed{spec.seed}#{i}", Polynomial.from_coeffs(coeffs)))
     for m in range(0, spec.monomial_degree + 1):
         polys.append((f"monomial:z^{m}", Polynomial.from_coeffs([0] * m + [1])))
-    return polys
+    return tuple(polys)
 
 
 def _stack_rows(rows):
@@ -397,21 +408,34 @@ def _expectation(phi: AnalyticSelfMap, f, solved):
     return lambda z: condexp.cond_expect_values(phi, f, z, solved)
 
 
-def _poly_integrals(mu: Measure, phi: AnalyticSelfMap, rows, p, quad: QuadConfig, solved):
+def _composed(g, stride):
+    """z -> g(z^stride)."""
+    return g if stride == 1 else (lambda z: g(z ** stride))
+
+
+def _poly_integrals(mu: Measure, phi: AnalyticSelfMap, rows, p, quad: QuadConfig, solved,
+                    kernels=None):
     """int |E f|^p dmu for each polynomial f, one row of ascending coefficients each.
 
-    Where ``condexp.expect_coefficients`` gives E of the rows and p is even,
-    |E f|^p = |(E f)^(p/2)|^2 and all integrals are one ``mu.square_integrals``
-    call on the rows of the powers. Otherwise they are ``_power_integrals`` of
-    the closed-form E f, or, where there is none, of ``_expectation``.
+    Where ``condexp.expect_coefficients`` gives E of the rows, it gives them
+    compact, E f = g(z^n), with their stride n. At even p,
+    |E f|^p = |g^(p/2)(z^n)|^2, and all integrals are one
+    ``mu.square_integrals`` call on the rows of g^(p/2) at stride n; given
+    ``kernels``, (centres, params), the truncated kernel series at those
+    centres (``geometry.kernel_series``), formed at the same stride, go first.
+    Otherwise they are ``_power_integrals`` of the closed-form E f, or, where
+    there is none, of ``_expectation``.
     """
-    erows = condexp.expect_coefficients(phi, rows)
-    if erows is None:
+    expected = condexp.expect_coefficients(phi, rows)
+    if expected is None:
         funcs = [_expectation(phi, Polynomial(tuple(row)), solved) for row in rows]
-    elif p % 2 == 0:
-        return list(mu.square_integrals(poly_power(erows, int(p) // 2), quad))
-    else:
-        funcs = [Polynomial(tuple(row)) for row in erows]
+        return _power_integrals(mu, funcs, p, quad)
+    erows, stride = expected
+    if p % 2 == 0:
+        if kernels is not None:
+            erows = _stack_rows([*geometry.kernel_series(*kernels, int(p) // 2, stride), *erows])
+        return list(mu.square_integrals(poly_power(erows, int(p) // 2), quad, stride))
+    funcs = [_composed(Polynomial(tuple(row)), stride) for row in erows]
     return _power_integrals(mu, funcs, p, quad)
 
 
@@ -438,7 +462,8 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
     Kernel members have norm 1. Under a map of multiplicity 1 they are one
     ``mu.psi`` call at t = 2 + alpha. At even p under z^n, on a measure with
     ``moment_sums``, their truncated series (``geometry.kernel_series``) join
-    the polynomial rows of ``_poly_integrals``. Otherwise each is
+    the polynomial rows of ``_poly_integrals``, compact at the stride that
+    ``condexp.expect_coefficients`` gives. Otherwise each is
     ``_power_integrals`` of its E f from ``cond_expect_values``. Polynomial
     members go through ``_poly_integrals``, and their norms through
     ``_poly_norms``. Every ``cond_expect_values`` call shares the sweep's dict
@@ -452,16 +477,16 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
     kernels = [member for member in members if member.kernel_center is not None]
     centers = np.array([member.kernel_center for member in kernels], dtype=complex)
     rows = _stack_rows([member.poly.coeffs for member in members[len(kernels):]])
-    nums = []
+    nums, series = [], None
     if phi.multiplicity == 1:
         nums = list(mu.psi(centers, 2.0 + params.alpha))
     elif p % 2 == 0 and mu.moment_sums and condexp.expect_coefficients(phi, rows) is not None:
-        rows = _stack_rows([*geometry.kernel_series(centers, params, int(p) // 2), *rows])
+        series = (centers, params)
     else:
         funcs = [_expectation(phi, member.func, solved) for member in kernels]
         nums = _power_integrals(mu, funcs, p, quad)
     norms = [1.0] * len(kernels) + list(_poly_norms(family, p, params.alpha, quad))
-    nums.extend(_poly_integrals(mu, phi, rows, p, quad, solved))
+    nums.extend(_poly_integrals(mu, phi, rows, p, quad, solved, series))
     best = -np.inf
     worst = members[0].label
     ratios = {}

@@ -14,7 +14,8 @@ Bezoutian that divides z out of num - phi(z) den exactly: one linear root
 at 2 zeros, a quadratic at 3, companion eigenvalues only from 4 zeros on;
 every root verified by its residual).
 Only this module tells the families apart: ``expect_coefficients`` gives E
-of a stack of polynomials in closed form, as rows of coefficients, and
+of a stack of polynomials in closed form, in compact rows g with E f =
+g(z^n) and their stride n (1 under a map of multiplicity 1), and
 ``expect_polynomial`` of one polynomial (both None under a Blaschke product
 with two or more zeros); ``cond_expect_values`` evaluates E on an array of
 points, and ``rotation_orbit`` gives the roots of unity of z^n, whose
@@ -30,8 +31,9 @@ E knows nothing of how a quadrature rule lays out its nodes: of ``measures``
 it reads only ``Polynomial``.
 
 Who reads E: the test-family sweep (``carleson.test_constant``) takes E of
-its polynomial members, and at even p under z^n of its kernel series, from
-``expect_coefficients`` in one array call, and E of every other member
+its polynomial members from ``expect_coefficients`` in one array call, with
+the stride at which it forms its kernel series at even p under z^n, and E of
+every other member
 from ``cond_expect_values``, one call per member. It passes one dict to all
 those calls, in which the Blaschke level sets of each node array are kept
 once solved, with their weight sums, so members cost one evaluation of f
@@ -421,18 +423,20 @@ def _keep_multiples(n, rows):
 
 
 def expect_coefficients(phi: AnalyticSelfMap, rows):
-    """E of a stack of polynomials, one row of ascending coefficients each, as rows.
+    """E of a stack of polynomials, one row of ascending coefficients each, in
+    compact form: (rows of g, stride n) with E f = g(z^n).
 
-    The rows pass through under a map of multiplicity 1, and keep the powers
-    that are multiples of n under z^n (``cond_expect_poly``), in one array
-    operation. None under a Blaschke product with two or more zeros, where E
-    of a polynomial has no closed form.
+    Under a map of multiplicity 1 the rows pass through with stride 1. Under
+    z^n, E keeps the powers that are multiples of n (``cond_expect_poly``), so
+    g takes every n-th coefficient, a view of the rows; no zero-filled row is
+    formed. None under a Blaschke product with two or more zeros, where E of
+    a polynomial has no closed form.
     """
     rows = np.asarray(rows, dtype=complex)
     if phi.multiplicity == 1:
-        return rows
+        return rows, 1
     if isinstance(phi, Monomial):
-        return _keep_multiples(phi.n, rows)
+        return rows[:, ::phi.n], phi.n
     return None
 
 
@@ -441,8 +445,9 @@ def expect_polynomial(phi: AnalyticSelfMap, f: Polynomial) -> Polynomial | None:
     under z^n, and None under a Blaschke product with two or more zeros."""
     if phi.multiplicity == 1:
         return f
-    rows = expect_coefficients(phi, [f.coeffs])
-    return None if rows is None else Polynomial.from_coeffs(rows[0])
+    if isinstance(phi, Monomial):
+        return cond_expect_poly(phi.n, f)
+    return None
 
 
 def cond_expect_values(phi: AnalyticSelfMap, f, zs, solved=None):

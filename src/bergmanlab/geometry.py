@@ -10,7 +10,8 @@ Implements the standard automorphism and kernel toolkit:
     f_a(z)     = k_a(z)^((2+alpha)/p)              unit-norm kernel power
 
 ``kernel_series`` gives the Taylor coefficients of f_a, truncated at a degree
-chosen from an explicit tail bound (``series_degree``).
+chosen from an explicit tail bound (``series_degree``), or only those at the
+degrees that are multiples of n, which E f_a keeps under z^n.
 
 The metric ball D(a, r) = {z : beta(a, z) < r} is a Euclidean disk whose
 center, radius, normalized area, and kernel extrema all have closed forms
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -272,6 +274,8 @@ def test_function(a, z, params: SpaceParams):
 SERIES_TAIL = 2.0**-60
 
 
+# One entry is an int per (radius, exponent); a family sweep asks for one or two.
+@lru_cache(maxsize=256)
 def series_degree(r, e):
     """The least D whose tail bound b_{D+1} / (1 - q) is at most SERIES_TAIL.
 
@@ -298,7 +302,7 @@ def series_degree(r, e):
         size *= 2
 
 
-def kernel_series(a, params: SpaceParams, power=1):
+def kernel_series(a, params: SpaceParams, power=1, stride=1):
     """Ascending coefficients of the series S_D of f_a, one row per centre of ``a``.
 
     With s = (2+alpha)/p,
@@ -314,18 +318,28 @@ def kernel_series(a, params: SpaceParams, power=1):
     which gives sup |(E f_a)^m - (E S_D)^m| <= 2 SERIES_TAIL (1 - |a|^2)^(s m).
     The coefficients are formed in logs (``gammaln``), so a large alpha does
     not overflow. No centres give a (0, 1) array.
+
+    A ``stride`` n keeps only the degrees 0, n, 2n, ... <= D, with the same D:
+    the coefficients of g where E S_D = g(z^n) under z^n, bitwise every n-th
+    column of the rows at stride 1. The moduli are formed once per distinct
+    (|a|, 1 - |a|^2) and the phases once per distinct direction, so a ring of
+    centres costs one row of each and one product per centre.
     """
     a = np.asarray(a, dtype=complex).ravel()
     if a.size == 0:
         return np.zeros((0, 1), dtype=complex)
     s = params.kernel_exponent
     radii = modulus(a)
-    k = np.arange(series_degree(float(radii.max()), 2.0 * s * power) + 1)
-    log_mod = s * np.log(one_minus_modulus_sq(a))[:, None] \
-        + (gammaln(2.0 * s + k) - gammaln(2.0 * s) - gammaln(k + 1.0))
+    k = np.arange(0, series_degree(float(radii.max()), 2.0 * s * power) + 1, stride)
+    rings = {}  # a dict, as in ``measures._psi_squared``: np.unique of pairs raises peak RSS
+    ring = [rings.setdefault(key, len(rings))
+            for key in zip(radii.tolist(), one_minus_modulus_sq(a).tolist())]
+    radii, y = np.array(list(rings)).T
+    log_mod = s * np.log(y)[:, None] + (gammaln(2.0 * s + k) - gammaln(2.0 * s) - gammaln(k + 1.0))
     with np.errstate(divide="ignore"):
         log_mod[:, 1:] += k[1:] * np.log(radii)[:, None]
-    return np.exp(log_mod) * np.exp(-1j * np.outer(np.angle(a), k))
+    angles, direction = np.unique(np.angle(a), return_inverse=True)
+    return np.exp(log_mod)[ring] * np.exp(-1j * np.outer(angles, k))[direction]
 
 
 def kernel_power_modulus(a, z, t, y):

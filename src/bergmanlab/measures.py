@@ -75,7 +75,8 @@ onto D(0, tanh r):
   (``_disk_rule``); with no zero of u in the disk, within 1e-13 of the
   exact series at even p and of a 4 times finer rule at p in {3, 1.5}, from
   2^-1 to 2^-40; a zero of u in or near the disk costs digits;
-- atoms: the masses of the atoms inside each disk, exact.
+- atoms: the masses of the atoms inside each disk, exact; each batch of
+  centres tests only the atoms of its band of |z| (``Atomic._disk_masses``).
 
 Each measure also states the exponent e for which sup_a psi(a, t) is finite
 exactly when e >= 0 (``boundary_exponent``): gamma + 2 - t for radial
@@ -84,23 +85,29 @@ zero measure, and the minimum over the parts for sums. It is formed in
 rational arithmetic from the decimals the floats print as (``as_fraction``)
 and rounded once, so its sign is exact: dA_alpha at t = 2 + alpha gives 0.
 
-Each measure also integrates |f|^2 for a stack of polynomials f, one row of
-ascending coefficients each (``square_integrals``): as sum_n |c_n|^2 times
-the moments scale * B(n+1, gamma+1) for radial densities, as m times those
-moments of v f for polynomial weights with |u|^p = m |v|^2 (on the rule
-otherwise), as a finite sum over the atoms for atoms, and as the sum over the
-parts for sums. Each measure says whether that is a sum of moments, whose cost
-does not grow with a node or atom count (``moment_sums``): radial densities,
-polynomial weights with |u|^p = m |v|^2, and sums of only those.
+Each measure also integrates |f|^2 for a stack of polynomials f = g(z^n),
+one row of ascending coefficients of g each, with the stride n as an
+argument (``square_integrals``; n = 1 for plain rows, and the compact form
+of E f under z^n otherwise), in one routine per measure type: as
+sum_m |g_m|^2 times the moments scale * B(nm+1, gamma+1) for radial
+densities; for polynomial weights with |u|^p = m |v|^2 as m times the moment
+sums of v(z) g(z^n), pairing only coefficients of v whose degrees agree
+mod n, without forming v f (``_moment_squares``; on the rule otherwise); by
+Horner's rule in w at the points z_i^n for atoms; and as the sum over the
+parts for sums. Each measure says whether that is a sum of moments, whose
+cost does not grow with a node or atom count (``moment_sums``): radial
+densities, polynomial weights with |u|^p = m |v|^2, and sums of only those.
 ``poly_multiply`` and ``poly_power`` give the coefficients of products and
 powers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 from scipy.special import betainc, binom, gammaln, hyp2f1, poch, roots_jacobi, xlog1py, xlogy
@@ -369,6 +376,35 @@ def _power_support(nonzero, k):
     return supports[which.ravel()].reshape(nonzero.shape[:-1] + (n,))
 
 
+def _moment_squares(coeffs, v, moments, stride):
+    """sum_d mu_d |c_d|^2 for each row g of ``coeffs``, where c = v(z) g(z^stride)
+    and mu_d = ``moments(d)`` on an integer array of degrees d, without forming c.
+
+    v_j g_(m') and v_l g_m meet at one degree only where j + n m' = l + n m,
+    n = stride, so only coefficients of v whose degrees agree mod n pair up:
+    with l = j + n t, the sum is
+
+        sum_j |v_j|^2 sum_m mu_(nm+j) |g_m|^2
+          + 2 Re sum_(t >= 1) sum_j v_j conj(v_l) sum_m mu_(n(m+t)+j) g_(m+t) conj(g_m).
+
+    Each shift t is one product row of g with itself and one product with a
+    weight row; t = 0 reads |g|^2, exactly as a radial density (v = 1) does.
+    """
+    width = coeffs.shape[1]
+    j = np.flatnonzero(v)           # the degrees of v's nonzero coefficients
+    v = v[j]
+    mu = moments(stride * np.arange(width)[:, None] + j)
+    out = np.abs(coeffs) ** 2 @ (mu @ np.abs(v) ** 2)
+    weights = {}                    # shift t -> sum over its pairs of v_j conj(v_l) mu_(n(m+t)+j)
+    for lower, upper in combinations(range(len(j)), 2):
+        t, rest = divmod(j[upper] - j[lower], stride)
+        if not rest and t < width:
+            weights[t] = weights.get(t, 0.0) + v[lower] * np.conj(v[upper]) * mu[t:, lower]
+    for t, row in weights.items():
+        out += 2.0 * ((coeffs[:, t:] * np.conj(coeffs[:, :width - t])) @ row).real
+    return out
+
+
 # ---------------------------------------------------------------------------
 # measures
 
@@ -449,17 +485,20 @@ class Measure:
         """The e, exact in sign, with sup_a psi(a, t) finite iff e >= 0; t may be a Fraction."""
         raise NotImplementedError
 
-    def square_integrals(self, coeffs, quad: QuadConfig = DEFAULT_QUAD):
-        """int |f_i|^2 dmu for each polynomial f_i, one per row of ascending ``coeffs``."""
+    def square_integrals(self, coeffs, quad: QuadConfig = DEFAULT_QUAD, stride=1):
+        """int |f_i|^2 dmu for each f_i = g_i(z^stride), one row of ascending
+        coefficients of g_i per row of ``coeffs``; the compact form of E f under z^n."""
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim != 2 or coeffs.shape[1] == 0:
             raise ConfigurationError(
                 f"need one row of coefficients per polynomial, got shape {coeffs.shape}")
+        if int(stride) != stride or stride < 1:
+            raise ConfigurationError(f"stride must be a positive integer, got {stride}")
         if len(coeffs) == 0:
             return np.zeros(0)
-        return self._square_integrals(coeffs, quad)
+        return self._square_integrals(coeffs, quad, int(stride))
 
-    def _square_integrals(self, coeffs, quad):
+    def _square_integrals(self, coeffs, quad, stride):
         """The integrals of ``square_integrals`` for a 2-d complex ``coeffs``."""
         raise NotImplementedError
 
@@ -499,6 +538,10 @@ def _centers(a, y=None):
 # them of its rounded points' own on ``psi_sup`` grids out to 1 - |a| = 2^-53
 # with 1 to 1000 directions, and within 1.29 on heatmaps up to 1024 x 2048.
 PSI_Y_TOL = 4 * 2.0**-52
+
+# The widening of ``Atomic._disk_masses``' bands, 256 units of 2^-52: 32 times
+# the rounding of pseudo_distance.
+ATOM_BAND_SLACK = 2.0**-44
 
 # Node budget of one batch of disk masses, or of centres x atoms in an atomic
 # transform, or of atoms x polynomials in ``square_integrals``: 2**16 complex
@@ -762,7 +805,9 @@ def _disk_series(coeffs, weight, y, r):
     terms for weight 0, 656 for weight 40, and 160 for |v|^2 of degree 2 at
     weight 0.37. Centres are
     grouped by count and batched centres x terms within DISK_BATCH_NODES;
-    each centre's count and arithmetic depend on its own row and y alone.
+    the terms, which depend on y alone, are formed once per distinct y of a
+    batch (lattice (0.5, 0.02) puts its 1394 centres on 10), and each
+    centre's count and arithmetic depend on its own row and y alone.
 
     Against 40-digit mpmath from 1 - |a| = 2^-1 to 2^-40, on and off the
     axis, at r in {0.1, 0.5, 1}: radial weights from -0.95 to 40 and
@@ -786,7 +831,9 @@ def _disk_series(coeffs, weight, y, r):
         step = max(1, DISK_BATCH_NODES // count)
         for lo in range(0, len(rows), step):
             k = rows[lo:lo + step]
-            terms = scaled[:count] * np.exp(0.5 * xlog1py(n[:count], -y[k, None]))
+            # the terms of each distinct y of the batch once, then one row per centre
+            levels, level = np.unique(y[k], return_inverse=True)
+            terms = (scaled[:count] * np.exp(0.5 * xlog1py(n[:count], -levels[:, None])))[level]
             g = coeffs[k, :1] * terms
             for j in range(1, d + 1):
                 g[:, j:] += coeffs[k, j:j + 1] * shifts[j - 1][:count - j] * terms[:, :-j]
@@ -1570,11 +1617,14 @@ class RadialDensity(Measure):
         """gamma + 2 - t, the power of 1 - |a|^2 in ``_psi`` where it is negative."""
         return _exponent(self.gamma, t) if self.scale > 0 else np.inf
 
-    def _square_integrals(self, coeffs, quad):
-        """sum_n |c_n|^2 scale B(n+1, gamma+1): the monomials are orthogonal and
-        int |z|^(2n) (1-|z|^2)^gamma dA = B(n+1, gamma+1)."""
-        n = np.arange(coeffs.shape[1])
-        return np.abs(coeffs) ** 2 @ (self.scale * beta_function(n + 1.0, self.gamma + 1.0))
+    def _moments(self, k):
+        """int |z|^(2k) dmu = scale B(k+1, gamma+1) at each integer degree k."""
+        return self.scale * beta_function(k + 1.0, self.gamma + 1.0)
+
+    def _square_integrals(self, coeffs, quad, stride):
+        """sum_m |g_m|^2 scale B(nm+1, gamma+1), n = stride: the monomials are
+        orthogonal (``_moment_squares`` with v = 1)."""
+        return _moment_squares(coeffs, np.ones(1), self._moments, stride)
 
     def scaled(self, c):
         return RadialDensity(self.gamma, c * self.scale)
@@ -1678,15 +1728,17 @@ class PolyWeighted(Measure):
         boundary point but the finitely many zeros of u it is bounded below."""
         return np.inf if self.u.is_zero else _exponent(self.beta, t)
 
-    def _square_integrals(self, coeffs, quad):
-        """Exact where |u|^p |f|^2 = m |v f|^2 (``_as_square``) and dA_beta has
-        the moments of ``RadialDensity``; otherwise each row on the rule."""
+    def _square_integrals(self, coeffs, quad, stride):
+        """Exact where |u|^p |f|^2 = m |v f|^2 (``_as_square``): m times the
+        moment sums of v(z) g(z^stride) against dA_beta (``_moment_squares``),
+        with no product row of v formed; otherwise each row on the rule."""
         square = self._as_square()
         if square is not None:
             v, mass = square
-            return mass * WeightedArea(self.beta)._square_integrals(poly_multiply(coeffs, v), quad)
+            return mass * _moment_squares(coeffs, v, WeightedArea(self.beta)._moments, stride)
         polys = [Polynomial(tuple(row)) for row in coeffs]
-        return np.array([self.integrate(lambda z, f=f: np.abs(f(z)) ** 2, quad) for f in polys])
+        return np.array([self.integrate(lambda z, g=g: np.abs(g(z ** stride)) ** 2, quad)
+                         for g in polys])
 
     def scaled(self, c):
         if c < 0:
@@ -1735,15 +1787,39 @@ class Atomic(Measure):
     def integrate(self, g, quad=DEFAULT_QUAD):
         return _weighted_sum(self.masses, g(self.points) if callable(g) else g, self.points)
 
+    @cached_property
+    def _by_modulus(self):
+        """(|z|, z, mass) of the atoms in ascending order of |z|."""
+        radii = modulus(self.points.ravel())
+        order = np.argsort(radii)
+        return radii[order], self.points.ravel()[order], self.masses.ravel()[order]
+
     def _disk_masses(self, centers, y, r):
-        points, masses = self.points.ravel(), self.masses.ravel()
+        """The masses of the atoms with pseudo_distance(a, z) < tanh(r), in batches of
+        centres in ascending |a|, each against only the atoms of its band.
+
+        D(a, r) lies in the annulus (|a| - s)/(1 - s|a|) <= |z| <= (|a| + s)/(1 + s|a|),
+        s = tanh(r). pseudo_distance rounds a - z and 1 - conj(a) z to a few units
+        of 2^-52 and divides by |1 - conj(a) z| > y / 2, so it is off by less than
+        8 2^-52 / y; the band is taken for s + ATOM_BAND_SLACK / y, and its edges
+        are moved out by ATOM_BAND_SLACK. The test itself is unchanged, so the
+        same atoms count.
+        """
+        radii, points, masses = self._by_modulus
         s = np.tanh(r)
+        order = np.argsort(modulus(centers))
+        rho = modulus(centers[order])
+        wide = np.minimum(s + ATOM_BAND_SLACK / y[order], 1.0)
+        inner = (rho - wide) / (1.0 - wide * rho) - ATOM_BAND_SLACK
+        outer = (rho + wide) / (1.0 + wide * rho) + ATOM_BAND_SLACK
         step = max(1, DISK_BATCH_NODES // points.size)
         out = np.empty(len(centers))
         for lo in range(0, len(centers), step):
-            inside = pseudo_distance(centers[lo:lo + step, None], points) < s
-            out[lo:lo + step] = np.sum(np.broadcast_to(masses, inside.shape), axis=1,
-                                       where=inside)
+            k = order[lo:lo + step]
+            band = slice(bisect_left(radii, inner[lo:lo + step].min()),
+                         bisect_right(radii, outer[lo:lo + step].max()))
+            inside = pseudo_distance(centers[k, None], points[band]) < s
+            out[k] = np.where(inside, masses[band], 0.0).sum(axis=1)
         return out
 
     def _psi(self, centers, y, t):
@@ -1763,13 +1839,14 @@ class Atomic(Measure):
         """+inf: the kernel power at an atom z is at most (1-|z|^2)^-t."""
         return np.inf
 
-    def _square_integrals(self, coeffs, quad):
-        """sum_i m_i |f(z_i)|^2, by Horner's rule on chunks of atoms x polynomials."""
+    def _square_integrals(self, coeffs, quad, stride):
+        """sum_i m_i |g(z_i^stride)|^2, by Horner's rule in w = z_i^stride on
+        chunks of atoms x polynomials."""
         points, masses = self.points.ravel(), self.masses.ravel()
         step = max(1, DISK_BATCH_NODES // len(coeffs))
         out = np.zeros(len(coeffs))
         for lo in range(0, points.size, step):
-            z = points[lo:lo + step]
+            z = points[lo:lo + step] ** stride
             vals = np.repeat(coeffs[:, -1:], z.size, axis=1)
             for c in coeffs[:, -2::-1].T:
                 vals *= z
@@ -1816,8 +1893,8 @@ class SumMeasure(Measure):
     def moment_sums(self):
         return all(part.moment_sums for part in self.parts)
 
-    def _square_integrals(self, coeffs, quad):
-        return sum(part._square_integrals(coeffs, quad) for part in self.parts)
+    def _square_integrals(self, coeffs, quad, stride):
+        return sum(part._square_integrals(coeffs, quad, stride) for part in self.parts)
 
     def scaled(self, c):
         return SumMeasure(tuple(part.scaled(c) for part in self.parts))

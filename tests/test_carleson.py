@@ -47,6 +47,7 @@ from bergmanlab.measures import (
     integrate,
     measure_of_disk,
 )
+from bergmanlab.operators import WeightedCondExpOperator, opnorm_estimate
 
 from conftest import BrokenPsi, sample_disk
 
@@ -889,8 +890,8 @@ class RingsOnly(Measure):
     def integrate(self, g, quad=measures.DEFAULT_QUAD):
         return self.mu.integrate(g, quad)
 
-    def _square_integrals(self, coeffs, quad):
-        return self.mu._square_integrals(coeffs, quad)
+    def _square_integrals(self, coeffs, quad, stride):
+        return self.mu._square_integrals(coeffs, quad, stride)
 
 
 def radial_orbit_ratio(gamma, alpha, n, a):
@@ -945,6 +946,27 @@ class TestKernelSeriesPath:
         assert list(got) == list(want)
         for label, value in want.items():
             assert abs(got[label] - value) <= 1e-10 * abs(value), label
+
+    def test_no_dense_rows_under_z3(self, monkeypatch):
+        # Kernel series and polynomial members stay compact, E f = g(z^3), from
+        # the series to the moment sums: no zero-filled E row and no product
+        # row of v. v = u has coefficients 3 apart, which pair up.
+        mu = PolyWeighted(Polynomial.from_coeffs([1, 0.5j, 0.25, -0.3]), 2.0, 0.5)
+        params = SpaceParams(2.0, 0.5)
+        want = family_constant(RingsOnly(mu), params, Monomial(3)).ratios
+
+        def refuse(*args):
+            raise AssertionError("C1 formed a dense row")
+        monkeypatch.setattr(measures, "poly_multiply", refuse)
+        monkeypatch.setattr(condexp, "_keep_multiples", refuse)
+        carleson._poly_norms.cache_clear()
+        got = family_constant(mu, params, Monomial(3)).ratios
+        assert list(got) == list(want)
+        for label, value in want.items():
+            assert abs(got[label] - value) <= 1e-10 * value, label
+        op = WeightedCondExpOperator(mu.u, Monomial(3), 2.0, 0.5, 0.5)
+        assert opnorm_estimate(op).lower_bound == pytest.approx(max(got.values()) ** 0.5,
+                                                                rel=1e-15)
 
     def test_no_kernel_radii(self, small_quad):
         family = FamilySpec(kernel_radii=(), random_count=3, monomial_degree=2)

@@ -358,6 +358,18 @@ class TestKernelSeries:
         assert kernel_series(0.9, params, 3).shape[1] == series_degree(0.9, 2.0) + 1
         assert kernel_series(0.9, params).shape[1] == series_degree(0.9, 2.0 / 3.0) + 1
 
+    @pytest.mark.parametrize("power", (1, 2))
+    @pytest.mark.parametrize("stride", (1, 2, 3, 4))
+    def test_a_stride_keeps_every_nth_column_bitwise(self, stride, power):
+        # The rings of the default family, a repeated centre and two off-grid
+        # ones: the compact rows of E S_D under z^n, with the same D.
+        rings = [rho * np.exp(2j * np.pi * np.arange(8) / 8) for rho in (0.5, 0.75, 0.9375)]
+        a = np.concatenate([[0.0], *rings, [0.3 - 0.2j, 0.3 - 0.2j, -0.61j]])
+        params = SpaceParams(2.0 * power, 0.5)
+        full = kernel_series(a, params, power)
+        got = kernel_series(a, params, power, stride)
+        assert got.tobytes() == np.ascontiguousarray(full[:, ::stride]).tobytes()
+
     @pytest.mark.parametrize("r", (1.0, -0.5, float("nan")))
     def test_degree_outside_the_disk_rejected(self, r):
         with pytest.raises(ValueError):

@@ -9,6 +9,9 @@ Likewise ``carleson`` and ``operators`` choose their numerical paths from
 each measure's own attributes (``moment_sums``, ``psi``, ...) and test no
 object against a measure class with ``isinstance``.
 
+Nor does any module but ``condexp`` read the exponent ``n`` of z^n: the
+sweep takes the stride of E f = g(z^n) from ``condexp.expect_coefficients``.
+
 Conditional expectation knows nothing of how a quadrature rule lays out its
 nodes: of ``measures``, ``condexp`` imports only ``Polynomial``.
 
@@ -112,6 +115,27 @@ def test_detector_sees_each_form():
         "    return isinstance(phi, int)\n"
     )
     assert [line for line, _ in map_class_uses(source)] == [1, 4, 6, 7]
+
+
+def exponent_reads(source):
+    """Lines of ``source`` that read an attribute ``n``, the exponent of z^n."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "n"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_but_condexp_reads_the_exponent_of_z_n(path):
+    # carleson takes the stride of E f = g(z^n) from condexp.expect_coefficients.
+    assert exponent_reads(path.read_text()) == []
+
+
+def test_exponent_detector_sees_each_form():
+    source = (
+        "def f(phi, spec):\n"
+        "    k = phi.n + spec.n_dirs\n"
+        "    return getattr(phi, 'm'), self.phi.n\n"
+    )
+    assert exponent_reads(source) == [2, 3]
 
 
 MEASURE_CLASSES = {"Measure", "RadialDensity", "WeightedArea", "PolyWeighted", "Atomic",

@@ -1,6 +1,7 @@
 """Quadrature rules, measure variants, norms, and the wire format."""
 
 import functools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -918,6 +919,19 @@ class TestDiskSeries:
         alone = np.array([mu.disk_measure(a, 0.5) for a in centers[::97]])
         assert np.array_equal(alone, together[::97])
 
+    def test_terms_per_distinct_y_are_the_per_centre_terms(self):
+        # The lattice's 1394 centres lie on 10 values of y, and the terms are
+        # formed once per y of a batch: every mass is bitwise the one its
+        # centre gets alone.
+        lat = build_lattice(0.5, 0.02)
+        assert (lat.size, np.unique(lat.y).size) == (1394, 10)
+        rows = poly_power(measures_module._pulled_back(np.array(QUADRATIC, dtype=complex),
+                                                       lat.points, lat.y), 2)
+        together = measures_module._disk_series(rows, 0.37, lat.y, 0.5)
+        alone = [measures_module._disk_series(rows[i:i + 1], 0.37, lat.y[i:i + 1], 0.5)[0]
+                 for i in range(lat.size)]
+        assert together.tobytes() == np.array(alone).tobytes()
+
     def test_term_count_follows_the_tail_bound(self):
         # No fixed count: more terms where x s^2 nears 1 and where lam is large.
         counts = measures_module._series_counts
@@ -937,6 +951,31 @@ class TestDiskSeries:
     def test_centre_outside_the_disk_refused(self):
         with pytest.raises(ConfigurationError, match="open unit disk"):
             RadialDensity(0.5).disk_measure(np.array([0.5, 1.0]), 1.0)
+
+
+class TestAtomBand:
+    """``Atomic._disk_masses`` hands each batch of centres only the atoms of its band."""
+
+    @pytest.mark.parametrize("batch", (1, measures_module.DISK_BATCH_NODES))
+    @pytest.mark.parametrize("r", (0.5, 1.0, 2.0))
+    def test_masses_are_the_sum_over_every_atom(self, r, batch, rng, monkeypatch):
+        # Grid nodes, and atoms placed on the disks' boundary circles, where the
+        # test rounds either way; the masses against the exact sum over all
+        # atoms that pass the same test, unpruned. A batch budget of 1 gives
+        # each centre its own band, as every centre has on a 256 x 512 grid.
+        monkeypatch.setattr(measures_module, "DISK_BATCH_NODES", batch)
+        s = np.tanh(r)
+        rule = build_quadrature(0.0, 32, 64)
+        centers = np.concatenate([build_lattice(0.5, 0.02).points[::37],
+                                  (1.0 - 2.0 ** -np.arange(1, 31, 3)) * np.exp(0.3j), [0.0]])
+        edge = geometry.mobius(centers[::3, None], s * np.exp(2j * np.pi * rng.random((1, 16))))
+        points = np.concatenate([rule.nodes.ravel(), edge.ravel()])
+        masses = np.concatenate([rule.weights.ravel(), rng.uniform(0.5, 1.0, edge.size) / 1e3])
+        mu = Atomic(points=points, masses=masses)
+        got = mu.disk_measure(centers, r)
+        for a, mass in zip(centers, got):
+            want = math.fsum(masses[geometry.pseudo_distance(a, points) < s])
+            assert abs(mass - want) <= 1e-15 * want, a
 
 
 class TestSubMeanValue:
@@ -1098,6 +1137,30 @@ class TestSquareIntegrals:
             want = quadrature_square_integrals(mu, coeffs, quad)
             assert got.shape == (len(coeffs),)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (name, got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=polynomial_stacks, gamma=exponents, beta=exponents,
+           u=st.lists(complex_tenths, min_size=1, max_size=4), p=st.sampled_from((2.0, 4.0)),
+           stride=st.sampled_from((1, 2, 3, 4)))
+    @example(coeffs=[[1, 0.5j, -0.3], [0.2, 0, 1.5]], gamma=0.0, beta=0.5,
+             u=[0, 1, 0.5j, -0.7], p=2.0, stride=3)
+    @example(coeffs=[[1, 0.5j, -0.3]], gamma=0.0, beta=0.5, u=[0, 0, 1.2], p=4.0, stride=2)
+    def test_a_stride_is_the_zero_filled_rows(self, coeffs, gamma, beta, u, p, stride):
+        # Rows g at stride n integrate g(z^n): the same as their zero-filled
+        # expansion at stride 1, on every measure type and on weights whose
+        # v pairs coefficients n apart (u of degree up to 3, u(0) = 0 included).
+        coeffs = np.array(coeffs, dtype=complex)
+        spread = np.zeros((len(coeffs), stride * (coeffs.shape[1] - 1) + 1), dtype=complex)
+        spread[:, ::stride] = coeffs
+        for name, mu in square_integral_measures(gamma, beta, u, p).items():
+            got = mu.square_integrals(coeffs, stride=stride)
+            want = mu.square_integrals(spread)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (name, got, want)
+
+    def test_stride_must_be_a_positive_integer(self):
+        for stride in (0, 1.5, -2):
+            with pytest.raises(ConfigurationError, match="stride"):
+                WeightedArea(0.0).square_integrals(np.eye(3), stride=stride)
 
     def test_default_grid_density_is_the_direct_sum(self, rng):
         rule = build_quadrature(0.0, 256, 512)
