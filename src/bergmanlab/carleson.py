@@ -4,85 +4,39 @@ The transform of a finite positive measure mu at a point a is
 
     Psi_a(mu) = int_D ((1 - |a|^2) / |1 - conj(a) z|^2)^t dmu(z),
 
-with t = 2 + alpha by default; for t = 2 + alpha the integrand is |f_a|^p for
-the unit kernel power f_a of any exponent p, so Psi_a(dA_alpha) = 1 for all a.
-
-Certification computes three constants whose simultaneous finiteness
-characterizes the conditional Carleson property:
+with t = 2 + alpha by default. Certification computes three constants whose
+simultaneous finiteness characterizes the conditional Carleson property:
 
     C1  sup over a test family of int |E(f)|^p dmu / ||f||^p
     C2  sup over lattice points of mu(D(a_k, r)) / ((1-|a_k|^2)/(1-tanh(r)|a_k|)^2)^(alpha+2)
     C3  sup over a boundary-refined grid of Psi_a(mu)
 
-Whether Psi stays bounded near the boundary is decided by one exact number,
-``Measure.boundary_exponent(t)``: sup_a Psi_a is finite exactly when it is
->= 0 (gamma + 2 - t for radial densities, beta + 2 - t for |u|^p dA_beta;
-Zhu, Operator Theory in Function Spaces, section 1.4). The C3 verdict, the
-operator criteria and the verdict of ``certify`` all come from it. The sup is
-taken on nested grids with max |a| = 1 - 2^(-j); the log-log slope of its
-level maxima against 1 - |a| is reported beside the verdict and decides
-nothing.
+What each stage promises its caller:
 
-Each measure type evaluates its own transform on an array of centres, and
-a type without one raises instead of falling back to quadrature of the
-peaked kernel; ``measures`` lists the paths. ``Measure.psi`` checks the
-centres and the values, and ``psi_sup`` and ``psi_heatmap`` evaluate their
-whole grid in one ``mu.psi`` call.
+- C3 (``psi_sup``, also ``psi_transform`` and ``psi_heatmap``): every value
+  comes from ``mu.psi``, a whole grid in one call with one exact 1 - |a|^2
+  per ring. Whether sup_a Psi_a is finite is decided by one exact number,
+  ``Measure.boundary_exponent(t)`` (Zhu, Operator Theory in Function Spaces,
+  section 1.4), which the C3 verdict, the operator criteria and ``certify``
+  read; the log-log slope of the level maxima is reported and decides nothing.
+- C2 (``disk_constant``): every lattice disk mass comes from one
+  ``measure_of_disk`` call with the lattice's one y per ring
+  (``HyperbolicLattice.y``), so equal rings tie exactly and a tie goes to the
+  lowest index; given an orbit of rotations, each mass is the mean over it.
+  No ``QuadConfig`` is read.
+- C1 (``test_constant``): one sweep over the family; every member with an
+  exact path takes it, and the rest share one quadrature routine on the
+  measure's nodes (``_power_integrals``). Only ``condexp`` tells the maps
+  apart or reads the stride n of E f = g(z^n).
+- ``certify`` runs the three stages and reports the stage that raised.
+  Nothing below it tells the self-maps apart: its symmetrized mode (z^n only)
+  reaches them as two plain inputs, the rotation orbit of
+  ``condexp.rotation_orbit`` for C2 and a family cut to the origin's kernel
+  ring for C1.
 
-C2 takes every lattice disk mass in one ``measure_of_disk`` call on the
-array of lattice points; given an orbit of rotations, it stacks the rotated
-copies of the lattice as a leading axis and averages over it, and the
-comparison bound is evaluated on the whole array. Masses and bound read the
-lattice's one 1 - |a|^2 per ring (``HyperbolicLattice.y``), so equal rings
-tie exactly and a tie goes to the lowest index. Each measure type takes its
-own disks (``Measure.disk_measure``), all within a fixed budget of nodes and
-with no ``QuadConfig``. Every density pulls each disk back onto
-D(0, tanh r), exact to 2^-40: radial densities and polynomial weights with
-|u|^p = m |v|^2 sum a Beta series, a radial density once per ring (6 for
-the 699-point lattice (1.0, 0.01)); other polynomial weights integrate on
-one rule that every centre shares. Atoms sum their masses in chunks of
-centres x atoms.
-
-C1's kernel members take one of three paths. Under a map of multiplicity 1
-(the identity, z, one-zero Blaschke products) E is the identity and
-int |f_a|^p dmu is Psi_a(mu) at t = 2 + alpha, so all of them are one
-``mu.psi`` call. At even p under z^n, on a measure whose ``square_integrals``
-is a moment sum (``mu.moment_sums``: radial densities, polynomial weights
-with |u|^p = m |v|^2, and sums of those), each E f_a is its Taylor series
-truncated at a degree D with an explicit tail bound, formed in compact form:
-E f_a = g(z^n), so ``geometry.kernel_series`` forms only the degrees that are
-multiples of n, each ring's moduli and each direction's phases once, and its
-rows join the polynomial members below. Otherwise (atoms and grid densities,
-Blaschke products with two or more zeros, odd or non-integer p) each
-member's E f_a is one ``condexp.cond_expect_values`` call on the measure's
-nodes, and |E f_a|^p is integrated there, one member at a time
-(``_power_integrals``).
-
-C1's polynomial members are exact at even p wherever
-``condexp.expect_coefficients`` gives E f (every map but Blaschke products
-with two or more zeros). It gives E f compact, the rows of g with
-E f = g(z^n) and their stride n (1 under a map of multiplicity 1); nothing
-outside ``condexp`` reads n. |E f|^p = |g^(p/2)(z^n)|^2 is the squared
-modulus of a polynomial, so all numerators, the kernel series included, are
-one ``mu.square_integrals`` call on the compact rows of g^(p/2) at stride n
-(``poly_power`` raises them in w = z^n): a finite sum of moments at degrees
-nm, or of atoms at the points z^n, for each measure type, with no
-zero-filled row and no product row of the weight formed; and the norms are
-the same sums against dA_alpha. Quadrature on the rule remains only for
-Blaschke maps with two or more zeros, where every E is a
-``condexp.cond_expect_values`` call with one dict per sweep, which keeps the
-level sets of each node array, so they are solved once per sweep; and for
-odd or non-integer p. Every member without an exact path, kernel or
-polynomial, goes through the one quadrature routine ``_power_integrals``. A
-norm ||f||^p is the numerator of f against dA_alpha under the identity, so
-numerators and norms take one routine (``_poly_integrals``), and norms are
-computed once per (family, p, alpha, rule); the family's polynomials are
-drawn once per ``FamilySpec`` (``_family_polys``).
-
-Nothing below ``certify`` tells the self-maps apart. Its symmetrized mode
-(z^n only) is two plain inputs: C2 averages each disk over the rotation
-orbit of ``condexp.rotation_orbit``, and C1 runs on the family with its
-kernel rings cut to the origin's.
+How each stage computes (C1's three kernel paths, its polynomial members and
+norms, and the disk masses of each measure type) is set out in README's
+"Numerical design notes"; ``measures`` lists the Psi and disk-mass paths.
 """
 
 from __future__ import annotations
@@ -468,8 +422,8 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
     members go through ``_poly_integrals``, and their norms through
     ``_poly_norms``. Every ``cond_expect_values`` call shares the sweep's dict
     ``solved``, so the level sets of each node array are solved once per
-    sweep. The module docstring describes each path. The sweep takes no
-    mode; ``certify`` passes the family to sweep.
+    sweep. README's "Numerical design notes" describe each path. The sweep
+    takes no mode; ``certify`` passes the family to sweep.
     """
     members = build_family(family, params)
     p = params.p

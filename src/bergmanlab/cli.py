@@ -160,9 +160,18 @@ def _sup_payload(result):
 # subcommands
 
 
+def _point_flag(flag, text):
+    """The disk point that the flag's 're,im' names."""
+    try:
+        x, y = map(float, text.split(","))
+    except ValueError:
+        raise ConfigurationError(f"{flag} {text!r}: expected a point as 're,im'") from None
+    return as_disk_point(complex(x, y))
+
+
 def _cmd_geom(args):
-    a = as_disk_point(complex(*map(float, args.a.split(","))))
-    z = as_disk_point(complex(*map(float, args.z.split(","))))
+    a = _point_flag("--a", args.a)
+    z = _point_flag("--z", args.z)
     r = float(args.r)
     alpha = float(args.alpha)
     p = float(args.p)

@@ -910,9 +910,11 @@ def _disk_rule(coeffs, p, beta, centers, y, r):
 # angular Fourier modes of the kernel power
 
 # The Fourier coefficients kappa_m of |1 - w e^(i phi)|^(-2t) are evaluated in
-# the scaled form kappa_m zeta^(2t-1), zeta = 1 - w^2, which stays O(1) at the circle.
-# Below _CONNECTION_ZETA, where m zeta <= _CONNECTION_REACH, they come from the
-# 1 - z connection with both series in zeta, summed to _CONNECTION_TERMS terms.
+# the scaled form kappa_m zeta^(2t-1), zeta = 1 - w^2, which stays O(1) at the
+# circle, by three routines: a power series in 1 - zeta at zeta >= 1/2; below
+# _CONNECTION_ZETA, where m zeta <= _CONNECTION_REACH, the 1 - z connection
+# with both series in zeta, summed to _CONNECTION_TERMS terms; and an FFT of
+# the kernel everywhere between.
 _CONNECTION_ZETA = 2.0**-4
 _CONNECTION_REACH = 2.0
 _CONNECTION_TERMS = 40
@@ -920,37 +922,6 @@ _CONNECTION_TERMS = 40
 # cancels; it is interpolated in t through _T_NODES multiples of _T_STEP off it.
 _T_STEP = 2.0**-6
 _T_NODES = np.array([-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6], dtype=float)
-# Between the connection and zeta = 1/2, on each dyadic level
-# [2^-(k+1), 2^-k) of zeta, they are interpolated from _MODE_TABLE_NODES + 1
-# Chebyshev points where an FFT of the kernel gives them.
-_MODE_TABLE_NODES = 24
-
-
-class _BoundedCache:
-    """A cache of arrays, or tuples of arrays, that evicts its least recently used
-    entries while it holds more than ``limit`` bytes."""
-
-    def __init__(self, limit):
-        self.limit, self.entries, self.bytes = limit, {}, 0
-
-    def get(self, key):
-        value = self.entries.pop(key, None)
-        if value is not None:
-            self.entries[key] = value
-        return value
-
-    def put(self, key, value):
-        if key in self.entries:
-            self.bytes -= self._size(self.entries.pop(key))
-        self.entries[key] = value
-        self.bytes += self._size(value)
-        while self.bytes > self.limit and len(self.entries) > 1:
-            self.bytes -= self._size(self.entries.pop(next(iter(self.entries))))
-        return value
-
-    @staticmethod
-    def _size(value):
-        return sum(np.asarray(a).nbytes for a in (value if isinstance(value, tuple) else (value,)))
 
 
 def _mode_width(m_max):
@@ -972,13 +943,8 @@ def _kernel_modes(t, zeta, m_max, square=None):
     - zeta < _CONNECTION_ZETA and m_max zeta <= _CONNECTION_REACH (four times
       that past 512 modes): the 1 - z connection (DLMF 15.8.4), both series
       in zeta (``_connection_modes``);
-    - otherwise: an FFT of the kernel, exact up to its aliasing (``_fft_modes``),
-      at t > 0 through Chebyshev interpolation on the dyadic level of zeta
-      (``_table_modes``), whose tables the rows of many rings share, and at
-      t < 0 row by row: the rows of a factor of |u|^p rarely share a level, so
-      tables (of kappa_m, as accurate) took 1.6 to 2.4 times as long beside a
-      zero of u 0.002 from the circle, building more, wider FFTs than the rows
-      need.
+    - otherwise: an FFT of the kernel, exact up to its aliasing, row by row
+      at either sign of t (``_fft_modes``).
 
     Against 40-digit mpmath values at t in {0.3, 1, 1.77, 2, 2.5, 5/2 +- 5e-7,
     4.6, 5.12}, 1 - w from 2^-40 to 1/2 and m <= 256, every mode is within
@@ -999,9 +965,8 @@ def _kernel_modes(t, zeta, m_max, square=None):
                                     1.0 - zeta[series] if square is None else square[series])
     reach = _CONNECTION_REACH * (1.0 if m_max <= 512 else 4.0)
     connection = ~series & (zeta < _CONNECTION_ZETA) & (zeta * m_max <= reach)
-    table = ~series & ~connection
     for where, routine in ((connection, _connection_modes),
-                           (table, _table_modes if t > 0 else _fft_modes)):
+                           (~series & ~connection, _fft_modes)):
         if np.any(where):
             out[where] = routine(t, zeta[where], m_max)
     return out
@@ -1151,60 +1116,6 @@ def _fft_modes(t, zeta, m_max):
             kernel *= zeta[r, None] ** (2 * t - 1)
             full = np.concatenate([kernel, kernel[:, -2:0:-1]], axis=1)
             out[r] = np.fft.rfft(full, axis=1)[:, :m_max + 1].real / size
-    return out
-
-
-def _chebyshev_points(n):
-    """Chebyshev points cos(j pi/n), j = 0..n, and their barycentric weights."""
-    j = np.arange(n + 1)
-    weights = (-1.0) ** j
-    weights[[0, -1]] *= 0.5
-    return np.cos(np.pi * j / n), weights
-
-
-# 8 MB of mode tables hold every level a Psi grid asks for.
-_MODE_TABLES = _BoundedCache(2**23)
-
-
-def _mode_table(t, level, width):
-    """``_fft_modes`` for m <= width at the Chebyshev points of [2^-(level+1), 2^-level],
-    up to the last mode above 1e-16 of the level's largest kappa_0: the FFT's
-    round-off is 1e-17 to 4e-17 of it, so past that the modes are noise, and
-    0 serves as well."""
-    key = (t, level, width)
-    table = _MODE_TABLES.get(key)
-    if table is None:
-        x, _ = _chebyshev_points(_MODE_TABLE_NODES)
-        lo, hi = 2.0 ** -(level + 1), 2.0 ** -level
-        table = _fft_modes(t, lo + (hi - lo) * (x + 1.0) / 2.0, width)
-        kept = np.flatnonzero(np.max(np.abs(table), axis=0) > 1e-16 * table[:, 0].max())[-1]
-        table = _MODE_TABLES.put(key, np.ascontiguousarray(table[:, :kept + 1]))
-    return table
-
-
-def _table_modes(t, zeta, m_max):
-    """``_kernel_modes`` by barycentric interpolation in zeta on its dyadic level.
-
-    The scaled modes are analytic in zeta off zeta <= 0 and zeta >= 1, which on
-    a level [h, 2h] leaves a Bernstein ellipse of parameter 5.8: the 25-point
-    interpolant is exact to below 1e-18 of the level's largest value. The
-    tables hold 512 modes, or 4096, or the power of two at or above m_max for
-    more, so a table's values depend on m_max only through that width.
-    """
-    x, weights = _chebyshev_points(_MODE_TABLE_NODES)
-    width = 512 if m_max <= 512 else max(4096, _mode_width(m_max))
-    level = -np.frexp(zeta)[1]            # zeta in [2^-(level+1), 2^-level)
-    out = np.zeros((len(zeta), m_max + 1))
-    for k in np.unique(level):
-        rows = np.flatnonzero(level == k)
-        lo, hi = 2.0 ** -(k + 1), 2.0 ** -k
-        gaps = ((2.0 * zeta[rows] - lo - hi) / (hi - lo))[:, None] - x
-        exact = gaps == 0.0
-        basis = weights / np.where(exact, 1.0, gaps)
-        basis = np.where(np.any(exact, axis=1)[:, None], exact, basis)
-        basis /= basis.sum(axis=1, keepdims=True)
-        table = _mode_table(t, int(k), width)[:, :m_max + 1]
-        out[rows, :table.shape[1]] = basis @ table
     return out
 
 

@@ -44,6 +44,14 @@ class TestGeom:
         captured = capsys.readouterr()
         assert "error" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("a, z, named", (("0.1,0.2,0.3", "0,0", "--a"),
+                                             ("0.1,0", "0", "--z"),
+                                             ("0.1,x", "0,0", "--a")))
+    def test_point_must_have_two_parts(self, a, z, named, capsys):
+        assert run_cli(["geom", "--a", a, "--z", z]) == 1
+        captured = capsys.readouterr()
+        assert "config error: " + named in captured.err and captured.out == ""
+
 
 class TestLattice:
     def test_report(self, tmp_path):

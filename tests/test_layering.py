@@ -39,6 +39,9 @@ No Psi path evaluates u on a circle: the Fourier path forms the modes of
 
 Certification imports no sampler: ``scipy.stats`` is loaded only when a
 lattice's cover or overlap is sampled, never by ``import bergmanlab``.
+
+Caches that outlive a call hold bounded memory: every ``lru_cache`` is given a
+literal finite ``maxsize``, and ``functools.cache`` is not used.
 """
 
 import ast
@@ -390,3 +393,51 @@ def test_import_loads_no_sampler():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == ["False"]
+
+
+def unbounded_caches(source):
+    """(line, description) of each ``lru_cache`` in ``source`` that is not given a
+    literal finite ``maxsize``, and of each use of ``functools.cache``."""
+    tree = ast.parse(source)
+    found, sized = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, "imports functools.cache") for alias in node.names
+                      if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" \
+                and _name(node.value) == "functools":
+            found.append((node.lineno, "reads functools.cache"))
+        elif isinstance(node, ast.Call) and _name(node.func) == "lru_cache":
+            sized.add(id(node.func))
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if not (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                    and type(sizes[0].value) is int and sizes[0].value >= 0):
+                found.append((node.lineno, "lru_cache without a literal finite maxsize"))
+    found += [(node.lineno, "lru_cache without a maxsize") for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) == "lru_cache"
+              and id(node) not in sized]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_cache_is_bounded(path):
+    assert unbounded_caches(path.read_text()) == []
+
+
+def test_cache_detector_sees_each_form():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=8)\n"
+        "def f(x): pass\n"
+        "@lru_cache\n"
+        "def g(x): pass\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def h(x): pass\n"
+        "@lru_cache(SIZE)\n"
+        "def k(x): pass\n"
+        "@functools.cache\n"
+        "def m(x): pass\n"
+        "n = lru_cache(maxsize=4)(len)\n"
+    )
+    assert [line for line, _ in unbounded_caches(source)] == [2, 5, 7, 9, 11]

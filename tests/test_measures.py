@@ -394,7 +394,7 @@ class TestKernelModes:
                                    -0.01, -0.3, -0.5, -0.75, -1.5, -1.5 - 5e-7, -1.5 + 5e-7,
                                    -2.5 + 1e-9))
     def test_match_mpmath_from_the_circle_to_half_way(self, t):
-        # Each of the three routines (series, table, connection) takes some of these zeta.
+        # Each of the three routines (series, FFT, connection) takes some of these zeta.
         gaps = 2.0 ** -np.array([1, 3, 6, 9, 20, 40])
         zeta = gaps * (2.0 - gaps)                  # 1 - w^2 for 1 - w = gap, exactly
         modes = (measures_module._kernel_modes(t, zeta, 256)
@@ -411,11 +411,14 @@ class TestKernelModes:
         assert np.all(modes >= -1e-15 * modes[:, :1])
 
     def test_table_values_do_not_depend_on_who_asked_first(self):
-        # The mode tables are cached; a value must not depend on their state.
-        zeta = np.array([0.1, 0.03, 0.3])
+        # The series and connection tables are cached; a value must not depend
+        # on their state. The connection takes 2^-12 at 40 and at 3000 modes,
+        # so its tables grow by rebuilding, which must leave the earlier rows as
+        # they were.
+        zeta = np.array([0.1, 0.03, 0.3, 2.0**-12])
+        measures_module._CONNECTION_TABLES.pop(2.7, None)
         first = measures_module._kernel_modes(2.7, zeta, 40)
         measures_module._kernel_modes(2.7, zeta, 3000)
-        measures_module._MODE_TABLES.__init__(measures_module._MODE_TABLES.limit)
         measures_module._kernel_modes(2.7, zeta, 300)
         assert np.array_equal(measures_module._kernel_modes(2.7, zeta, 40), first)
 
