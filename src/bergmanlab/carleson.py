@@ -324,6 +324,17 @@ def _family_polys(spec: FamilySpec):
     return tuple(polys)
 
 
+# One entry is a few dozen rows of a few dozen coefficients; the bound matches
+# ``_family_polys``.
+@lru_cache(maxsize=32)
+def _family_rows(spec: FamilySpec):
+    """The coefficients of ``_family_polys(spec)``, one row each, stacked once per spec
+    and read-only."""
+    rows = _stack_rows([poly.coeffs for _, poly in _family_polys(spec)])
+    rows.setflags(write=False)
+    return rows
+
+
 def _stack_rows(rows):
     """The coefficient sequences ``rows`` as one 2-d array, zero-padded to the widest."""
     out = np.zeros((len(rows), max((len(row) for row in rows), default=1)), dtype=complex)
@@ -403,8 +414,7 @@ def _poly_norms(family: FamilySpec, p, alpha, quad: QuadConfig):
     (``_poly_integrals``): exact moment sums at even p, a quadrature on the
     rule otherwise.
     """
-    rows = _stack_rows([poly.coeffs for _, poly in _family_polys(family)])
-    powers = _poly_integrals(WeightedArea(alpha), Identity(), rows, p, quad, None)
+    powers = _poly_integrals(WeightedArea(alpha), Identity(), _family_rows(family), p, quad, None)
     return tuple(float(x) ** (1.0 / p) for x in powers)
 
 
@@ -430,7 +440,7 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
     solved = {}
     kernels = [member for member in members if member.kernel_center is not None]
     centers = np.array([member.kernel_center for member in kernels], dtype=complex)
-    rows = _stack_rows([member.poly.coeffs for member in members[len(kernels):]])
+    rows = _family_rows(family)
     nums, series = [], None
     if phi.multiplicity == 1:
         nums = list(mu.psi(centers, 2.0 + params.alpha))

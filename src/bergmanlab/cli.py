@@ -169,12 +169,23 @@ def _point_flag(flag, text):
     return as_disk_point(complex(x, y))
 
 
+def _number_flag(flag, text):
+    """The finite number that the flag's text names."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ConfigurationError(f"{flag} {text!r}: expected a finite number")
+    return value
+
+
 def _cmd_geom(args):
     a = _point_flag("--a", args.a)
     z = _point_flag("--z", args.z)
-    r = float(args.r)
-    alpha = float(args.alpha)
-    p = float(args.p)
+    r = _number_flag("--r", args.r)
+    alpha = _number_flag("--alpha", args.alpha)
+    p = _number_flag("--p", args.p)
     disk = bergman_disk(a, r)
     inf_k, sup_k = kernel_extrema_on_disk(a, r)
     payload = {

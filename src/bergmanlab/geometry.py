@@ -199,8 +199,8 @@ def bergman_disk(a, r):
         center = (1 - s^2) a / (1 - s^2 |a|^2)
         radius = (1 - |a|^2) s / (1 - s^2 |a|^2)
     """
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    if not 0 < r < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
     s, abs_sq = np.tanh(r), modulus(complex(a)) ** 2
     d = 1.0 - s**2 * abs_sq
     return EuclideanDisk(center=(1.0 - s**2) * complex(a) / d, radius=(1.0 - abs_sq) * s / d)
@@ -217,8 +217,8 @@ def _warn_outside_validated_range(r, what):
 
 def disk_area(a, r):
     """Normalized area |D(a, r)| = (1 - |a|^2)^2 s^2 / (1 - |a|^2 s^2)^2, s = tanh(r)."""
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    if not 0 < r < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
     _warn_outside_validated_range(r, "disk_area")
     aa = abs(complex(a))
     s = np.tanh(r)
@@ -361,8 +361,8 @@ def kernel_extrema_on_disk(a, r):
 
     Returns (inf, sup).
     """
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    if not 0 < r < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
     _warn_outside_validated_range(r, "kernel_extrema_on_disk")
     aa = abs(complex(a))
     s = np.tanh(r)

@@ -12,10 +12,13 @@ angle. The radial substitution t = rho^2 gives
     int_D f dA_alpha = (alpha+1)/(2 pi) int_0^{2pi} int_0^1 f(sqrt(t) e^{i th}) (1-t)^alpha dt dth,
 
 so a Jacobi rule with weight (1-x)^alpha on [-1, 1] integrates the radial
-factor exactly for polynomial data, up to the rounding of scipy's nodes and
-weights, which grows as alpha nears -1 and with the node count: at
-alpha = -0.875 the moments of |z|^(2k), k <= 200, are off by up to 4.1e-10
-relative with 256 nodes and 2.9e-9 with 512, so doubling does not refine.
+factor exactly for polynomial data, up to rounding. Its nodes are the
+eigenvalues of the Jacobi matrix (numpy's eigvalsh), refined by one Newton
+step, and its weights the Christoffel numbers scaled to the exact mass
+(``_jacobi_rule``, Golub-Welsch): for alpha from -0.95 to 5 and k <= 200,
+the moments of |z|^(2k) are within 6.1e-13 relative with 256 nodes and
+1.0e-12 with 512. The rule stores its weights as one column per radius,
+broadcast across the angles.
 
 Measure variants:
 
@@ -110,7 +113,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import betainc, binom, gammaln, hyp2f1, poch, roots_jacobi, xlog1py, xlogy
+from scipy.special import betainc, binom, gammaln, hyp2f1, poch, xlog1py, xlogy
 from scipy.special import gamma as gamma_function
 from scipy.special import beta as beta_function
 
@@ -121,7 +124,7 @@ from .geometry import SpaceParams, as_disk_point, kernel_power_modulus, modulus,
 
 DEFAULT_N_RADIAL = 256
 DEFAULT_N_ANGULAR = 512
-# The config schema's maxima, four times the defaults: 48 MiB of nodes and weights.
+# The config schema's maxima, four times the defaults: 32 MiB of nodes.
 MAX_N_RADIAL = 1024
 MAX_N_ANGULAR = 2048
 
@@ -158,7 +161,7 @@ class QuadratureRule:
 
     alpha: float
     nodes: np.ndarray          # (n_radial, n_angular) complex
-    weights: np.ndarray        # (n_radial, n_angular) positive, sums to 1
+    weights: np.ndarray        # (n_radial, n_angular) positive, sums to 1; a broadcast column
     radial_sq: np.ndarray      # (n_radial,) nodes in t = rho^2
     radial_weights: np.ndarray  # (n_radial,) weights for (1-t)^alpha dt on [0, 1]
 
@@ -211,11 +214,12 @@ def _as_scalar(x):
     return x
 
 
-# A rule at the default 256 x 512 nodes holds about 3 MB and a doubled one about
-# 12 MB, so the cache pins at most 24 MB at default sizes and 96 MB at doubled
-# ones. Counted per pass of the benchmark workloads: the carleson and operator
-# suites build no rule; cold-mix at seed 7 builds two 128 x 256 rules, one per
-# Blaschke operator, and reads each ten times (one miss, nine hits).
+# A rule at the default 256 x 512 nodes holds 2 MiB of nodes and a doubled one
+# 8 MiB; its weights are one column, broadcast. So the cache pins at most 16 MiB
+# at default sizes and 64 MiB at doubled ones. Counted per pass of the benchmark
+# workloads: the carleson and operator suites build no rule; cold-mix at seed 7
+# builds two 128 x 256 rules, one per Blaschke operator, and reads each ten
+# times (one miss, nine hits).
 @lru_cache(maxsize=8)
 def build_quadrature(alpha, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGULAR):
     """Build (and cache) the tensor rule for dA_alpha."""
@@ -225,13 +229,13 @@ def build_quadrature(alpha, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGUL
         raise ConfigurationError(
             f"node counts must be at least 4, got ({n_radial}, {n_angular})"
         )
-    x, w = roots_jacobi(n_radial, alpha, 0.0)
+    x, w = _jacobi_rule(n_radial, alpha, 0.0)
     t = (x + 1.0) / 2.0
     v = w * 2.0 ** (-(1.0 + alpha))
     # Node [i, j] is rho_i exp(2 pi i j / n_angular), angles from 0.
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     nodes = np.outer(np.sqrt(t), np.exp(1j * theta))
-    weights = (alpha + 1.0) * np.outer(v, np.ones(n_angular)) / n_angular
+    weights = np.broadcast_to(((alpha + 1.0) * v / n_angular)[:, None], nodes.shape)
     rule = QuadratureRule(
         alpha=float(alpha),
         nodes=nodes,
@@ -244,6 +248,44 @@ def build_quadrature(alpha, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGUL
     return rule
 
 
+def _jacobi_rule(n, a, b):
+    """Nodes, ascending, and weights of the n-point Gauss rule for (1-x)^a (1+x)^b on [-1, 1].
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix, each refined by one Newton step on
+    p_n through the three-term recurrence of the orthonormal polynomials p_k;
+    the weights are the Christoffel numbers 1 / sum_{k<n} p_k(x)^2, scaled to
+    the exact mass 2^(a+b+1) B(a+1, b+1).
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + a + b
+    diag = np.concatenate(([(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))))
+    k = np.arange(2.0, n + 1.0)
+    s = 2.0 * k + a + b
+    # off[j] couples p_j and p_(j+1); its first entry is cancelled by hand, since
+    # the general form is 0/0 at a + b = -1, and off[n-1] closes the recurrence.
+    off = np.sqrt(np.concatenate((
+        [4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))],
+        4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))))
+    lower = np.concatenate(([0.0], off[:-1]))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], -1))
+
+    # p_n and p_n' by the recurrence, with p_0 = 1: every p_k is then off by the
+    # one factor sqrt(mass), which the Newton step ignores and the scaling removes.
+    prev, cur, dprev, dcur = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
+    for j in range(n):
+        shifted = x - diag[j]
+        prev, cur, dprev, dcur = (cur, (shifted * cur - lower[j] * prev) / off[j],
+                                  dcur, (shifted * dcur + cur - lower[j] * dprev) / off[j])
+    x = x - cur / dcur
+    prev, cur, total = np.zeros(n), np.ones(n), np.ones(n)
+    for j in range(n - 1):
+        prev, cur = cur, ((x - diag[j]) * cur - lower[j] * prev) / off[j]
+        total += cur * cur
+    w = 1.0 / total
+    return x, w * (2.0 ** (a + b + 1.0) * beta_function(a + 1.0, b + 1.0) / np.sum(w))
+
+
 def _rule(alpha, quad: QuadConfig):
     return build_quadrature(float(alpha), quad.n_radial, quad.n_angular)
 
@@ -251,11 +293,10 @@ def _rule(alpha, quad: QuadConfig):
 @lru_cache(maxsize=128)
 def _euclid_disk_base(n_radial, n_angular):
     """Gauss-Legendre polar rule on the unit disk against normalized area."""
-    x, w = roots_jacobi(n_radial, 0.0, 0.0)
+    x, w = _jacobi_rule(n_radial, 0.0, 0.0)
     t = (x + 1.0) / 2.0
     base = np.outer(np.sqrt(t), np.exp(2j * np.pi * np.arange(n_angular) / n_angular))
-    weights = np.outer(w / 2.0, np.ones(n_angular)) / n_angular
-    return base, weights
+    return base, np.broadcast_to((w / 2.0 / n_angular)[:, None], base.shape)
 
 
 def euclid_disk_rule(center, radius, n_radial=64, n_angular=128):
@@ -1168,7 +1209,7 @@ _MODE_GRID = np.unique(np.round(2.0 ** (np.arange(-8, 161) / 8.0))).astype(np.in
 @lru_cache(maxsize=64)
 def _gauss_jacobi(n, exponent):
     """Nodes and weights of the n-point Gauss rule for (1+x)^exponent on [-1, 1]."""
-    return roots_jacobi(n, 0.0, exponent)
+    return _jacobi_rule(n, 0.0, exponent)
 
 
 def _weight_zeros(coeffs):
@@ -1867,8 +1908,8 @@ def measure_of_disk(mu: Measure, a, r, y=None):
 
     ``a`` is a centre or an array of centres; see ``Measure.disk_measure``.
     """
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    if not 0 < r < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
     return mu.disk_measure(a, r, y)
 
 

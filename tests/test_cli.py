@@ -52,6 +52,13 @@ class TestGeom:
         captured = capsys.readouterr()
         assert "config error: " + named in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("flag, value", (("--r", "nan"), ("--r", "inf"),
+                                             ("--alpha", "inf"), ("--p", "inf")))
+    def test_numbers_must_be_finite(self, flag, value, capsys):
+        assert run_cli(["geom", "--a", "0.1,0.2", "--z", "0,0", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert "config error: " + flag in captured.err and captured.out == ""
+
 
 class TestLattice:
     def test_report(self, tmp_path):

@@ -22,7 +22,8 @@ from bergmanlab.geometry import (
     weighted_kernel,
 )
 from bergmanlab.geometry import test_function as kernel_power
-from bergmanlab.measures import bergman_norm, build_quadrature, Polynomial
+from bergmanlab.measures import Polynomial, WeightedArea, bergman_norm, build_quadrature, \
+    measure_of_disk
 
 from conftest import sample_disk
 
@@ -130,6 +131,13 @@ class TestBergmanDisk:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             bergman_disk(0.5, 0.0)
+
+    @pytest.mark.parametrize("r", (-1.0, float("nan"), float("inf")))
+    def test_radius_must_be_positive_and_finite(self, r):
+        for guarded in (bergman_disk, disk_area, kernel_extrema_on_disk,
+                        lambda a, r: measure_of_disk(WeightedArea(0.0), a, r)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                guarded(0.5, r)
 
     def test_metric_disk_type(self):
         from bergmanlab.geometry import BergmanDisk

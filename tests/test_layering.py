@@ -42,6 +42,10 @@ lattice's cover or overlap is sampled, never by ``import bergmanlab``.
 
 Caches that outlive a call hold bounded memory: every ``lru_cache`` is given a
 literal finite ``maxsize``, and ``functools.cache`` is not used.
+
+Quadrature rules take their Gauss-Jacobi nodes from numpy alone: no module
+imports scipy's ``roots_jacobi`` or ``scipy.linalg``, and building the rules
+loads neither ``scipy.linalg`` nor ``scipy.stats``.
 """
 
 import ast
@@ -441,3 +445,60 @@ def test_cache_detector_sees_each_form():
         "n = lru_cache(maxsize=4)(len)\n"
     )
     assert [line for line, _ in unbounded_caches(source)] == [2, 5, 7, 9, 11]
+
+
+def test_rules_load_no_linear_algebra_or_sampler():
+    # A fresh interpreter, as in test_import_loads_no_sampler.
+    code = ("import sys, bergmanlab\n"
+            "from bergmanlab.measures import _gauss_jacobi, build_quadrature, euclid_disk_rule\n"
+            "build_quadrature(0.3, 256, 512), _gauss_jacobi(16, 0.37), euclid_disk_rule(0.5, 0.1)\n"
+            "print([name for name in ('scipy.linalg', 'scipy.stats') if name in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["[]"]
+
+
+def _in_linalg(module):
+    return module == "scipy.linalg" or module.startswith("scipy.linalg.")
+
+
+def linear_algebra_imports(source):
+    """(line, description) of each import or read in ``source`` of ``scipy.linalg`` or of
+    scipy's ``roots_jacobi``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"imports {alias.name}") for alias in node.names
+                      if _in_linalg(alias.name)]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if _in_linalg(module):
+                found.append((node.lineno, f"imports from {module}"))
+            found += [(node.lineno, f"imports {alias.name}") for alias in node.names
+                      if alias.name == "roots_jacobi"
+                      or (module == "scipy" and alias.name == "linalg")]
+        elif isinstance(node, ast.Attribute) and (
+                node.attr == "roots_jacobi"
+                or (node.attr == "linalg" and _name(node.value) == "scipy")):
+            found.append((node.lineno, f"reads .{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_scipy_linear_algebra(path):
+    assert linear_algebra_imports(path.read_text()) == []
+
+
+def test_linear_algebra_detector_sees_each_form():
+    source = (
+        "import scipy.linalg\n"
+        "from scipy.linalg import eigh\n"
+        "from scipy import linalg, special\n"
+        "from scipy.special import gammaln, roots_jacobi\n"
+        "import numpy as np\n"
+        "x = np.linalg.eigvalsh(np.eye(2))\n"
+        "y = special.roots_jacobi(4, 0.0, 0.0)\n"
+        "z = scipy.linalg.eigh\n"
+    )
+    assert [line for line, _ in linear_algebra_imports(source)] == [1, 2, 3, 4, 7, 8]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import betaln, gammaln, roots_jacobi
 
 from bergmanlab import geometry
 from bergmanlab import measures as measures_module
@@ -84,6 +84,49 @@ class TestQuadratureRule:
             build_quadrature(0.0, 2, 128)
         with pytest.raises(ConfigurationError):
             QuadConfig(3, 128)
+
+
+BETA_EXPONENTS = (-0.95, -0.875, -0.5, 0.0, 1.0, 5.0)
+
+
+def beta_moment_error(alpha, n):
+    """Largest relative error of the radial rule's sums v_i t_i^k against B(k+1, alpha+1),
+    k <= min(200, 2n - 1)."""
+    rule = build_quadrature(alpha, n, 4)
+    k = np.arange(min(200, 2 * n - 1) + 1)
+    got = (rule.radial_sq[None, :] ** k[:, None]) @ rule.radial_weights
+    return np.max(np.abs(got / np.exp(betaln(k + 1.0, alpha + 1.0)) - 1.0))
+
+
+class TestJacobiRule:
+    """The Gauss-Jacobi nodes and weights behind every rule (``measures._jacobi_rule``)."""
+
+    @pytest.mark.parametrize("n", (16, 128, 256, 512))
+    @pytest.mark.parametrize("alpha", BETA_EXPONENTS)
+    def test_beta_moments(self, alpha, n):
+        assert beta_moment_error(alpha, n) <= 2e-12
+
+    def test_doubling_does_not_lose_digits(self):
+        # Worst over the exponents: 6.1e-13 at 256 nodes and 1.0e-12 at 512.
+        worst = {n: max(beta_moment_error(alpha, n) for alpha in BETA_EXPONENTS)
+                 for n in (256, 512)}
+        assert worst[512] <= 2.0 * worst[256]
+
+    @pytest.mark.parametrize("n", (4, 16, 128, 512))
+    @pytest.mark.parametrize("a, b", ((-0.875, 0.0), (0.0, 0.0), (5.0, 0.0), (0.0, 0.37),
+                                      (0.0, -0.95), (0.3, -0.9)))
+    def test_nodes_match_scipy(self, a, b, n):
+        x, _ = measures_module._jacobi_rule(n, a, b)
+        assert np.max(np.abs(x - roots_jacobi(n, a, b)[0])) <= 4e-15
+
+    @pytest.mark.parametrize("exponent", (-0.875, 0.37, 3.2))
+    def test_panel_rule_matches_mpmath(self, exponent):
+        x, w = measures_module._gauss_jacobi(16, exponent)
+        with mpmath.workdps(40):
+            nodes, weights = mpmath.gauss_quadrature(16, "jacobi", 0, exponent)
+            exact = sorted(zip(nodes, weights))
+        assert np.max(np.abs(x - [float(node) for node, _ in exact])) <= 1e-15
+        assert np.max(np.abs(w / [float(weight) for _, weight in exact] - 1.0)) <= 1e-14
 
 
 class TestIntegrate:
