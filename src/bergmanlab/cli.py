@@ -205,8 +205,14 @@ def _cmd_geom(args):
 
 
 def _cmd_lattice(args):
-    lat = build_lattice(float(args.r), float(args.epsilon))
-    cover = verify_cover(lat, int(args.samples))
+    r = _number_flag("--r", args.r)
+    epsilon = _number_flag("--epsilon", args.epsilon)
+    samples = _number_flag("--samples", args.samples)
+    if not (samples.is_integer() and samples >= 1):
+        raise ConfigurationError(f"--samples {args.samples!r}: expected an integer of at least 1")
+    samples = int(samples)
+    lat = build_lattice(r, epsilon)
+    cover = verify_cover(lat, samples)
     payload = {
         "count": lat.size,
         "min_separation": lat.min_separation(),
@@ -220,7 +226,7 @@ def _cmd_lattice(args):
         "kernel_sum": lat.kernel_sum(),
         "points": [{"re": p.real, "im": p.imag} for p in lat.points],
     }
-    echo = {"r": lat.r, "epsilon": lat.epsilon, "samples": int(args.samples)}
+    echo = {"r": lat.r, "epsilon": lat.epsilon, "samples": samples}
     _emit(_report_envelope("lattice", echo, payload), args.out, "lattice_report.json")
     return 0 if cover.covered else 2
 

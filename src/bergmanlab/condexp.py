@@ -53,6 +53,7 @@ point, and every evaluation a Blaschke level set holding a critical point
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,8 +116,8 @@ class Monomial(AnalyticSelfMap):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"monomial exponent must be >= 1, got {self.n}")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise ValueError(f"monomial exponent must be an integer >= 1, got {self.n!r}")
 
     @property
     def multiplicity(self):
@@ -142,7 +143,7 @@ class BlaschkeProduct(AnalyticSelfMap):
     def __post_init__(self):
         if not self.zeros:
             raise ValueError("Blaschke product needs at least one zero")
-        if any(abs(a) >= 1 for a in self.zeros):
+        if any(not abs(a) < 1 for a in self.zeros):
             raise ValueError("Blaschke zeros must lie in the open unit disk")
 
     @property

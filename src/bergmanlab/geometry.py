@@ -67,10 +67,10 @@ class SpaceParams:
     alpha: float
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError(f"p must be positive, got {self.p}")
-        if not self.alpha > -1:
-            raise ValueError(f"alpha must exceed -1, got {self.alpha}")
+        if not 0 < self.p < np.inf:
+            raise ValueError(f"p must be positive and finite, got {self.p}")
+        if not -1 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and exceed -1, got {self.alpha}")
 
     @property
     def kernel_exponent(self):
@@ -86,8 +86,8 @@ class EuclideanDisk:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if abs(self.center) + self.radius > 1.0 + 1e-12:
             raise ValueError(
                 f"disk |z - {self.center}| < {self.radius} is not contained "
@@ -106,8 +106,8 @@ class BergmanDisk:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     @property
     def s(self):

@@ -952,10 +952,9 @@ def _disk_rule(coeffs, p, beta, centers, y, r):
 
 # The Fourier coefficients kappa_m of |1 - w e^(i phi)|^(-2t) are evaluated in
 # the scaled form kappa_m zeta^(2t-1), zeta = 1 - w^2, which stays O(1) at the
-# circle, by three routines: a power series in 1 - zeta at zeta >= 1/2; below
-# _CONNECTION_ZETA, where m zeta <= _CONNECTION_REACH, the 1 - z connection
-# with both series in zeta, summed to _CONNECTION_TERMS terms; and an FFT of
-# the kernel everywhere between.
+# circle, by two routines: below _CONNECTION_ZETA, where m zeta <=
+# _CONNECTION_REACH, the 1 - z connection with both series in zeta, summed to
+# _CONNECTION_TERMS terms; and an FFT of the kernel everywhere else.
 _CONNECTION_ZETA = 2.0**-4
 _CONNECTION_REACH = 2.0
 _CONNECTION_TERMS = 40
@@ -972,15 +971,14 @@ def _mode_width(m_max):
 
 def _kernel_modes(t, zeta, m_max, square=None):
     """kappa_m zeta^(2t-1) for m = 0..m_max, one row per zeta = 1 - w^2 of the 1-d ``zeta``,
-    at any real t != 0; the series reads w^2 from ``square`` where given.
+    at any real t != 0; the FFT reads w^2 from ``square`` where given.
 
     kappa_m = w^m (t)_m/m! 2F1(t, t+m; m+1; w^2) is the m-th Fourier coefficient
     of |1 - w e^(i phi)|^(-2t): the kernel power at t > 0, where it is positive
     and at most kappa_0, and a factor of |u|^p at t = -p/2 (``_circle_modes``).
-    It depends on w only through zeta, so w^m is (1 - zeta)^(m/2) and no
-    1 - w^2 is ever formed. Three routines share the range of zeta:
+    It depends on w only through zeta, so no 1 - w^2 is ever formed. Two
+    routines share the range of zeta:
 
-    - zeta >= 1/2: the series in x = 1 - zeta above (``_series_modes``);
     - zeta < _CONNECTION_ZETA and m_max zeta <= _CONNECTION_REACH (four times
       that past 512 modes): the 1 - z connection (DLMF 15.8.4), both series
       in zeta (``_connection_modes``);
@@ -990,7 +988,8 @@ def _kernel_modes(t, zeta, m_max, square=None):
     Against 40-digit mpmath values at t in {0.3, 1, 1.77, 2, 2.5, 5/2 +- 5e-7,
     4.6, 5.12}, 1 - w from 2^-40 to 1/2 and m <= 256, every mode is within
     1.6e-13 of kappa_0, and at t in {-0.01, -0.3, -0.5, -0.75, -0.99, -1.4995,
-    -3/2 +- 5e-7, -2.5 + 1e-9} and m <= 3000 within 4.4e-15 of it. A mode's
+    -3/2 +- 5e-7, -2.5 + 1e-9} and m <= 3000 within 4.4e-15 of it; with
+    ``square`` at w from 0.6 down to 1e-12 and m <= 64, within 1.1e-15. A mode's
     error enters Psi multiplied by a mode of the other kind, which is at most
     its mean, so kappa_0 is the scale that matters.
     Past 512 modes the connection runs to m zeta = 8, where it is within
@@ -1000,48 +999,14 @@ def _kernel_modes(t, zeta, m_max, square=None):
     """
     zeta = np.asarray(zeta, dtype=float)
     out = np.empty((len(zeta), m_max + 1))
-    series = zeta >= 0.5
-    if np.any(series):
-        out[series] = _series_modes(t, zeta[series], m_max,
-                                    1.0 - zeta[series] if square is None else square[series])
     reach = _CONNECTION_REACH * (1.0 if m_max <= 512 else 4.0)
-    connection = ~series & (zeta < _CONNECTION_ZETA) & (zeta * m_max <= reach)
-    for where, routine in ((connection, _connection_modes),
-                           (~series & ~connection, _fft_modes)):
-        if np.any(where):
-            out[where] = routine(t, zeta[where], m_max)
+    connection = (zeta < _CONNECTION_ZETA) & (zeta * m_max <= reach)
+    if np.any(connection):
+        out[connection] = _connection_modes(t, zeta[connection], m_max)
+    fft = ~connection
+    if np.any(fft):
+        out[fft] = _fft_modes(t, zeta[fft], m_max, None if square is None else square[fft])
     return out
-
-
-@lru_cache(maxsize=8)
-def _series_table(t):
-    """Coefficients c[m, k] with kappa_m = w^m sum_k c[m, k] x^k, x = w^2, for m <= 128 + 16 t+.
-
-    With t+ = max(t, 0), at x <= 1/2 the terms fall below 1e-18 of the first
-    well before 64 + 12 t+, and the modes past 128 + 16 t+ are below
-    2^-(m/2) m^(t-1), under 1e-20 of kappa_0.
-    """
-    width = 128 + 16 * int(np.ceil(max(t, 0.0)))
-    terms = 64 + int(np.ceil(12.0 * max(t, 0.0)))
-    m = np.arange(width + 1, dtype=float)
-    k = np.arange(terms - 1, dtype=float)
-    lead = np.cumprod(np.concatenate([[1.0], (t + m[:-1]) / m[1:]]))        # (t)_m / m!
-    ratio = (t + k) * ((t + m[:, None]) + k) / (((m[:, None] + 1.0) + k) * (k + 1.0))
-    table = lead[:, None] * np.cumprod(
-        np.concatenate([np.ones((width + 1, 1)), ratio], axis=1), axis=1)
-    table.setflags(write=False)
-    return table
-
-
-def _series_modes(t, zeta, m_max, x):
-    """``_kernel_modes`` at zeta >= 1/2 from the power series in x = w^2 = 1 - zeta, which is
-    exact; the modes past ``_series_table``'s width are 0."""
-    table = _series_table(t)[:m_max + 1]
-    modes = np.zeros((len(zeta), m_max + 1))
-    modes[:, :len(table)] = ((x[:, None] ** np.arange(table.shape[1])) @ table.T
-                             * np.power(x[:, None], 0.5 * np.arange(len(table)))
-                             * zeta[:, None] ** (2 * t - 1))
-    return modes
 
 
 _CONNECTION_TABLES = {}
@@ -1134,8 +1099,9 @@ def _connection_modes(t, zeta, m_max):
     return np.exp(0.5 * np.arange(m_max + 1) * np.log1p(-zeta)[:, None]) * modes
 
 
-def _fft_modes(t, zeta, m_max):
-    """``_kernel_modes`` by an FFT of the kernel on N points, exact up to its aliasing.
+def _fft_modes(t, zeta, m_max, square=None):
+    """``_kernel_modes`` by an FFT of the kernel on N points, exact up to its aliasing,
+    with w = sqrt(``square``) where given and sqrt(1 - zeta) otherwise.
 
     The aliasing is sum_{k != 0} kappa_(m+kN), below 1e-18 of kappa_0 for
     N >= 2 m_max + 2 + 48/(1 - w), and at t < 0, where the modes also fall like
@@ -1143,7 +1109,7 @@ def _fft_modes(t, zeta, m_max):
     |1 - w e^(i phi)|^2 = (1-w)^2 + 4 w sin^2(phi/2) are formed without
     cancellation. Batches hold at most DISK_BATCH_NODES points.
     """
-    w = np.sqrt(1.0 - zeta)
+    w = np.sqrt(1.0 - zeta if square is None else square)
     gap = zeta / (1.0 + w)
     sizes = 1 << np.ceil(np.log2(2 * m_max + 2 + (48.0 if t > 0 else 24.0) / gap)).astype(int)
     out = np.empty((len(zeta), m_max + 1))
@@ -1193,8 +1159,7 @@ def _kernel_mode_ratio(t, zeta):
 # Gauss nodes per radial panel, and the most angular modes of |u|^p a circle takes.
 PSI_PANEL_NODES = 16
 PSI_MAX_MODES = 2**14
-# The sum of the trailing terms of a panel that may be dropped, relative to
-# the panel's mean term.
+# The bound of the terms past a panel's mode count, relative to its mean term.
 PSI_MODE_CUT = 1e-12
 # A panel beside a zero of u is narrowed until Gauss's error on its
 # |z - z0|^p singularity, about (width/n^2)^(p+2), is below this.
@@ -1410,12 +1375,13 @@ def _psi_fourier(coeffs, p, beta, centers, y, t):
 
     The g_m are closed forms in the zeros of u (``_circle_modes``). Nothing is
     aliased; what is dropped is the tail past each panel's mode count, set per y
-    from bounds of both kinds of modes (``_mode_counts``) and trimmed on the
-    computed terms (``_panel_sums``), below PSI_MODE_CUT of the panel's mean
-    term. A panel's circle modes are formed once for all the rings whose counts
-    share a power of two, and handed to each ring's sum over that panel alone;
-    a ring adds its panels' sums in its own order (``_mode_sums``), so a
-    centre's value depends on its own y and direction alone.
+    from bounds of both kinds of modes before any mode is formed
+    (``_mode_counts``), below PSI_MODE_CUT of the panel's mean term; every mode
+    up to the count is summed (``_panel_sums``). A panel's circle modes are
+    formed once for all the rings whose counts share a power of two, and
+    handed to each ring's sum over that panel alone; a ring adds its panels'
+    sums in its own order (``_mode_sums``), so a centre's value depends on its
+    own y and direction alone.
 
     Refused: where a circle needs more than PSI_MAX_MODES modes, which takes a
     zero of u within a few thousandths of the unit circle and a centre about as
@@ -1448,16 +1414,16 @@ def _psi_fourier(coeffs, p, beta, centers, y, t):
                   for y_value, plan in rings.items()}
         uses = {}               # (panel, size): the (y, place in its ring) that take its circle modes
         for y_value, plan in rings.items():
-            for i, (panel, (_, size, _)) in enumerate(zip(plan, counts[y_value])):
+            for i, (panel, (_, size)) in enumerate(zip(plan, counts[y_value])):
                 uses.setdefault((panel[0], size), []).append((y_value, i))
         rows = {y_value: [None] * len(plan) for y_value, plan in rings.items()}
         for (key, size), taken in uses.items():
             widest = max(counts[y_value][i][0] for y_value, i in taken)
             modes = _circle_modes(p, layouts[key], size, widest)
             for y_value, i in taken:
-                count, _, rest = counts[y_value][i]
+                count = counts[y_value][i][0]
                 rows[y_value][i] = _panel_sums(t, beta, rings[y_value][i], y_value,
-                                               modes[:, :count + 1], rest)
+                                               modes[:, :count + 1])
         # numpy's vector loops round arctan2 and exp differently from its strided
         # ones; on contiguous input a value does not depend on its place.
         centers = np.ascontiguousarray(centers)
@@ -1477,14 +1443,14 @@ def _psi_fourier(coeffs, p, beta, centers, y, t):
 
 
 def _mode_counts(p, beta, t, y, panels, layouts, roots):
-    """(count, size, rest) per panel at one y: the modes of |u|^p it takes, the power of
-    two its circle modes are formed at, and the bound of what the rest would add.
+    """(count, size) per panel at one y: the modes of |u|^p it takes, and the power of
+    two its circle modes are formed at.
 
     ``count`` is the least of _MODE_GRID past which the terms |kappa_m g_m| of every
     circle sum to at most PSI_MODE_CUT of its mean term: the layout bounds the sums
     of |g_m|/g_0 over each stretch of the grid, and ``_kernel_mode_ratio`` then
-    kappa_m/kappa_0 at the panel's least zeta, where it is largest. Past
-    PSI_MAX_MODES, EvaluationError. ``rest`` is relative to the mean term.
+    kappa_m/kappa_0 at the panel's least zeta, where it is largest. This is the
+    Fourier path's one truncation. Past PSI_MAX_MODES, EvaluationError.
     """
     nearest = np.array([np.min(sigma + s * y) for _, sigma, s, _ in panels])
     terms = _kernel_mode_ratio(t, nearest) * np.array([layouts[key][-1] for key, *_ in panels])
@@ -1500,8 +1466,7 @@ def _mode_counts(p, beta, t, y, panels, layouts, roots):
             f"modes of |u|^p on a circle, more than PSI_MAX_MODES = {PSI_MAX_MODES}; the zero "
             f"of u nearest the circle is z0 = {z0:.6g}, with |z0| = {abs(z0):.6g} and "
             f"1 - |z0| = {1.0 - abs(z0):.3g}")
-    return [(int(_MODE_GRID[i]), max(32, _mode_width(int(n))), tails[k, i])
-            for k, (i, n) in enumerate(zip(first, need))]
+    return [(int(_MODE_GRID[i]), max(32, _mode_width(int(n)))) for i, n in zip(first, need)]
 
 
 def _mode_sums(rows):
@@ -1512,22 +1477,14 @@ def _mode_sums(rows):
     return sums
 
 
-def _panel_sums(t, beta, panel, y, modes, rest):
-    """D_m = y^t (beta+1) int (1-s)^beta kappa_m g_m ds over one panel at one y, from the
-    circle modes ``modes`` it takes, up to its last mode kept.
-
-    The trailing modes are dropped while they and ``rest`` (the modes past the
-    count, ``_mode_counts``) stay below PSI_MODE_CUT of the panel's mean term.
-    """
+def _panel_sums(t, beta, panel, y, modes):
+    """D_m = y^t (beta+1) int (1-s)^beta kappa_m g_m ds over one panel at one y, for every
+    circle mode in ``modes``, which stop at the panel's count (``_mode_counts``)."""
     _, sigma, s, weights = panel
     zeta = sigma + s * y
     kernel = _kernel_modes(t, zeta, modes.shape[1] - 1)
     kernel *= ((beta + 1.0) * weights
                * np.exp(t * np.log(y) + (1.0 - 2.0 * t) * np.log(zeta)))[:, None]
-    terms = np.einsum("nm,nm->m", kernel, np.abs(modes))
-    beyond = np.append(np.cumsum(terms[:0:-1])[::-1], 0.0)     # beyond[j]: the terms past m = j
-    kept = int(np.argmax(beyond + rest * terms[0] <= PSI_MODE_CUT * terms[0])) + 1
-    kernel, modes = kernel[:, :kept], modes[:, :kept]
     return (np.einsum("nm,nm->m", kernel, modes.real)
             + 1j * np.einsum("nm,nm->m", kernel, modes.imag))
 

@@ -74,6 +74,13 @@ class TestLattice:
     def test_invalid_radius(self, capsys):
         assert run_cli(["lattice", "--r", "2.0", "--epsilon", "0.1"]) == 1
 
+    @pytest.mark.parametrize("flag, value", (("--r", "abc"), ("--samples", "abc"),
+                                             ("--samples", "2.5")))
+    def test_numbers_name_their_flag(self, flag, value, capsys):
+        assert run_cli(["lattice", "--epsilon", "0.2", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert f"config error: {flag} {value!r}" in captured.err and captured.out == ""
+
 
 class TestCondexp:
     def test_polynomial_output(self, tmp_path):

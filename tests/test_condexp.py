@@ -33,6 +33,14 @@ from bergmanlab.measures import Atomic, Polynomial, bergman_norm, build_quadratu
 from conftest import sample_disk
 
 
+@pytest.mark.parametrize("build", (lambda: Monomial(2.5), lambda: BlaschkeProduct((float("nan"),)),
+                                   lambda: BlaschkeProduct((0.3, complex(0.1, float("nan"))))),
+                         ids=("z^2.5", "nan zero", "half-nan zero"))
+def test_maps_refuse_non_integer_exponents_and_nan_zeros(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 class TestLevelSet:
     def test_identity(self):
         ls = level_set(Identity(), 0.3 + 0.1j)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bergmanlab.geometry import (
+    BergmanDisk,
     EuclideanDisk,
     SpaceParams,
     as_disk_point,
@@ -135,13 +136,12 @@ class TestBergmanDisk:
     @pytest.mark.parametrize("r", (-1.0, float("nan"), float("inf")))
     def test_radius_must_be_positive_and_finite(self, r):
         for guarded in (bergman_disk, disk_area, kernel_extrema_on_disk,
-                        lambda a, r: measure_of_disk(WeightedArea(0.0), a, r)):
+                        lambda a, r: measure_of_disk(WeightedArea(0.0), a, r),
+                        EuclideanDisk, BergmanDisk):
             with pytest.raises(ValueError, match="positive and finite"):
                 guarded(0.5, r)
 
     def test_metric_disk_type(self):
-        from bergmanlab.geometry import BergmanDisk
-
         d = BergmanDisk(center=0.5, radius=1.0)
         assert abs(d.s - np.tanh(1.0)) < 1e-15
         assert d.euclidean() == bergman_disk(0.5, 1.0)
@@ -300,6 +300,11 @@ class TestValidation:
             SpaceParams(p=0.0, alpha=0.0)
         with pytest.raises(ValueError):
             SpaceParams(p=2.0, alpha=-1.0)
+
+    @pytest.mark.parametrize("p, alpha", ((float("inf"), 0.0), (2.0, float("inf"))))
+    def test_space_params_must_be_finite(self, p, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            SpaceParams(p, alpha)
 
     def test_euclidean_disk_containment(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,9 @@ And one routine evaluates Psi exactly for weighted areas: only
 ``measures._hyp2f1_near_one`` (or a helper that only it reads) calls scipy's
 ``hyp2f1``, and only ``measures._psi_squared`` calls ``_hyp2f1_near_one``.
 
+The Fourier Psi path truncates once: only ``measures._mode_counts`` reads
+``PSI_MODE_CUT``.
+
 Psi reads no quadrature rule, so no function that computes it takes a
 ``quad``, ``operators.boundedness_criterion`` excepted.
 
@@ -258,6 +261,29 @@ def test_references_name_each_enclosing_function():
     uses = references(source)
     assert uses["hyp2f1"] == {"helper", "Radial._psi"}
     assert uses["helper"] == {"Radial._psi", "<module>"}
+
+
+# The Fourier path truncates once: each panel's mode count is set from bounds
+# before any mode is formed, and every mode up to it is summed.
+MODE_CUT = "PSI_MODE_CUT"
+MODE_COUNTS = "_mode_counts"
+
+
+def test_one_function_reads_the_fourier_mode_cut():
+    assert package_references().get(MODE_CUT) == {MODE_COUNTS}
+
+
+def test_mode_cut_detector_sees_each_read():
+    source = (
+        "PSI_MODE_CUT = 1e-12\n"
+        "def _mode_counts(tails):\n"
+        "    \"\"\"The count past which the tails are below PSI_MODE_CUT.\"\"\"\n"
+        "    return tails <= PSI_MODE_CUT\n"
+        "def _panel_sums(terms):\n"
+        "    measures.PSI_MODE_CUT = 0.0\n"
+        "    return terms[terms > measures.PSI_MODE_CUT * terms[0]]\n"
+    )
+    assert references(source)[MODE_CUT] == {"_mode_counts", "_panel_sums"}
 
 
 def parameters(source):

@@ -424,7 +424,13 @@ class TestHyp2f1NearOne:
 def kernel_mode_oracle(t, zeta, m):
     """kappa_m at 1 - w^2 = zeta: w^m (t)_m/m! 2F1(t, t+m; m+1; w^2), to 40 digits."""
     with mpmath.workdps(40):
-        x, t = 1 - mpmath.mpf(zeta), mpmath.mpf(t)
+        return kernel_mode_oracle_at(t, 1 - mpmath.mpf(zeta), m)
+
+
+def kernel_mode_oracle_at(t, x, m):
+    """kappa_m at w^2 = x, to 40 digits."""
+    with mpmath.workdps(40):
+        x, t = mpmath.mpf(x), mpmath.mpf(t)
         return float(mpmath.sqrt(x) ** m * mpmath.rf(t, m) / mpmath.factorial(m)
                      * mpmath.hyp2f1(t, t + m, m + 1, x))
 
@@ -433,11 +439,12 @@ class TestKernelModes:
     # 2t = 4 and 5 exactly, and 5 +- 1e-6, go through the interpolation in t; so
     # do -1.5 and -1.5 +- 5e-7 and -2.5 + 1e-9. At t < 0 these are the modes of
     # |1 - w e^(i phi)|^(-2t), the factors of |u|^p on a circle.
-    @pytest.mark.parametrize("t", (0.3, 1.0, 1.77, 2.0, 2.5, 2.5 - 5e-7, 2.5 + 5e-7, 4.6, 5.12,
-                                   -0.01, -0.3, -0.5, -0.75, -1.5, -1.5 - 5e-7, -1.5 + 5e-7,
-                                   -2.5 + 1e-9))
+    T = (0.3, 1.0, 1.77, 2.0, 2.5, 2.5 - 5e-7, 2.5 + 5e-7, 4.6, 5.12,
+         -0.01, -0.3, -0.5, -0.75, -1.5, -1.5 - 5e-7, -1.5 + 5e-7, -2.5 + 1e-9)
+
+    @pytest.mark.parametrize("t", T)
     def test_match_mpmath_from_the_circle_to_half_way(self, t):
-        # Each of the three routines (series, FFT, connection) takes some of these zeta.
+        # Each of the two routines (FFT, connection) takes some of these zeta.
         gaps = 2.0 ** -np.array([1, 3, 6, 9, 20, 40])
         zeta = gaps * (2.0 - gaps)                  # 1 - w^2 for 1 - w = gap, exactly
         modes = (measures_module._kernel_modes(t, zeta, 256)
@@ -447,6 +454,20 @@ class TestKernelModes:
             for m in (0, 1, 7, 64, 256):
                 assert abs(row[m] - kernel_mode_oracle(t, z, m)) <= 1e-12 * scale, (z, m)
 
+    @pytest.mark.parametrize("t", T)
+    def test_take_w_from_square_near_zeta_one(self, t):
+        # zeta = 1 - w^2 as rounded keeps few digits of w^2, and none at w = 1e-12,
+        # so the modes must come from w^2 = square, as ``_circle_modes`` hands it.
+        w = np.array([0.6, 0.3, 1e-2, 1e-5, 1e-8, 1e-12])
+        square = w**2
+        zeta = 1.0 - square
+        modes = (measures_module._kernel_modes(t, zeta, 64, square)
+                 * zeta[:, None] ** (1 - 2 * t))
+        for row, x in zip(modes, square):
+            scale = kernel_mode_oracle_at(t, x, 0)
+            for m in (0, 1, 2, 7, 64):
+                assert abs(row[m] - kernel_mode_oracle_at(t, x, m)) <= 1e-14 * scale, (x, m)
+
     def test_modes_are_positive_and_below_the_mean(self):
         zeta = 2.0 ** -np.arange(0.5, 45.0, 1.5)
         modes = measures_module._kernel_modes(3.3, zeta, 1024)
@@ -454,8 +475,8 @@ class TestKernelModes:
         assert np.all(modes >= -1e-15 * modes[:, :1])
 
     def test_table_values_do_not_depend_on_who_asked_first(self):
-        # The series and connection tables are cached; a value must not depend
-        # on their state. The connection takes 2^-12 at 40 and at 3000 modes,
+        # The connection tables are cached; a value must not depend on their
+        # state. The connection takes 2^-12 at 40 and at 3000 modes,
         # so its tables grow by rebuilding, which must leave the earlier rows as
         # they were.
         zeta = np.array([0.1, 0.03, 0.3, 2.0**-12])
