@@ -22,17 +22,16 @@ What each stage promises its caller:
 - C2 (``disk_constant``): every lattice disk mass comes from one
   ``measure_of_disk`` call with the lattice's one y per ring
   (``HyperbolicLattice.y``), so equal rings tie exactly and a tie goes to the
-  lowest index; given an orbit of rotations, each mass is the mean over it.
-  No ``QuadConfig`` is read.
+  lowest index; given an orbit of two or more rotations, each mass is the
+  mean over it. No ``QuadConfig`` is read.
 - C1 (``test_constant``): one sweep over the family; every member with an
   exact path takes it, and the rest share one quadrature routine on the
   measure's nodes (``_power_integrals``). Only ``condexp`` tells the maps
   apart or reads the stride n of E f = g(z^n).
-- ``certify`` runs the three stages and reports the stage that raised.
-  Nothing below it tells the self-maps apart: its symmetrized mode (z^n only)
-  reaches them as two plain inputs, the rotation orbit of
-  ``condexp.rotation_orbit`` for C2 and a family cut to the origin's kernel
-  ring for C1.
+- ``certify`` runs the three stages and reports the stage that raised. It
+  reads the map for C2 only through ``condexp.rotation_orbit``: under z^n,
+  E f is invariant under the n-th roots of unity, so C2 is that of mu averaged
+  over them, the only part of mu that E sees; elsewhere the orbit is 1 alone.
 
 How each stage computes (C1's three kernel paths, its polynomial members and
 norms, and the disk masses of each measure type) is set out in README's
@@ -219,21 +218,21 @@ def disk_bound(a, r, alpha, y=None):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def disk_constant(mu: Measure, alpha, r, lat: HyperbolicLattice, orbit=None) -> DiskConstantResult:
+def disk_constant(mu: Measure, alpha, r, lat: HyperbolicLattice, orbit=(1,)) -> DiskConstantResult:
     """C2: max over lattice points of mu(D(a_k, r)) over the comparison bound.
 
-    Given an ``orbit`` of rotations w, each disk's mass is the mean of the
-    masses of D(w a_k, r) over it, which keeps the scale of the unconditional
-    constant. All disk masses come from one ``measure_of_disk`` call on the
-    lattice, with the orbit as a leading axis; masses and bound read the
-    lattice's y, one per ring, which rotations keep.
+    Given an ``orbit`` of two or more rotations w, each disk's mass is the
+    mean of the masses of D(w a_k, r) over it, which keeps the scale of the
+    unconditional constant. All disk masses come from one ``measure_of_disk``
+    call on the lattice, with the orbit as a leading axis; masses and bound
+    read the lattice's y, one per ring, which rotations keep.
     """
     if abs(lat.r - r) > 1e-12:
         raise ConfigurationError(
             f"lattice was built for r = {lat.r}, disk constant requested at r = {r}"
         )
     centers = lat.points[None, :]
-    if orbit is not None:
+    if len(orbit) > 1:
         centers = np.asarray(orbit)[:, None] * centers
     masses = measure_of_disk(mu, centers, r, np.broadcast_to(lat.y, centers.shape)).mean(axis=0)
     ratios = masses / disk_bound(lat.points, r, alpha, lat.y)
@@ -255,8 +254,7 @@ class FamilySpec:
 
     Each nonzero kernel radius rho is a ring of n_dirs centres rho * w_k with
     w_k = exp(2 pi i k / n_dirs); radius 0 is one centre, taken once.
-    ``test_constant`` says how each member is integrated. ``certify``'s
-    symmetrized mode uses the family with ``kernel_radii=(0.0,)``.
+    ``test_constant`` says how each member is integrated.
 
     Fields are checked against the config schema's bounds: radii in
     [0, 0.97], n_dirs >= 1, random_count, random_degree and seed >= 0,
@@ -432,8 +430,7 @@ def test_constant(mu: Measure, params: SpaceParams, phi: AnalyticSelfMap = Ident
     members go through ``_poly_integrals``, and their norms through
     ``_poly_norms``. Every ``cond_expect_values`` call shares the sweep's dict
     ``solved``, so the level sets of each node array are solved once per
-    sweep. README's "Numerical design notes" describe each path. The sweep
-    takes no mode; ``certify`` passes the family to sweep.
+    sweep. README's "Numerical design notes" describe each path.
     """
     members = build_family(family, params)
     p = params.p
@@ -476,11 +473,6 @@ class CertifyConfig:
     psi_grid: PsiGridSpec = PsiGridSpec()
     family: FamilySpec = FamilySpec()
     lattice_epsilon: float = 0.01
-    mode: str = "unconditional"
-
-    def __post_init__(self):
-        if self.mode not in ("unconditional", "symmetrized"):
-            raise ConfigurationError(f"unknown mode '{self.mode}'")
 
     def doubled(self):
         return replace(self, quad=self.quad.doubled(), psi_grid=self.psi_grid.doubled(),
@@ -503,9 +495,7 @@ class CarlesonReport:
     boundary_exponent: float = np.nan
     ratios: dict = field(default_factory=dict)
     verdict: str = ""
-    mode: str = "unconditional"
     lattice_size: int = 0
-    lattice_kernel_sum: float = np.nan
     failure: dict | None = None
     config: dict = field(default_factory=dict)
 
@@ -528,11 +518,7 @@ class CarlesonReport:
                 "psi_verdict": self.psi_verdict,
                 "boundary_exponent": self.boundary_exponent,
             },
-            "lattice": {
-                "size": self.lattice_size,
-                "kernel_sum": self.lattice_kernel_sum,
-            },
-            "mode": self.mode,
+            "lattice": {"size": self.lattice_size},
             "verdict": self.verdict,
             "config": self.config,
         }
@@ -583,14 +569,13 @@ def certify(mu: Measure, params: SpaceParams, r, phi: AnalyticSelfMap = Identity
     measure's boundary exponent at t = 2 + alpha is >= 0 (``psi_sup``).
     Emits a partial report with a failure record if a stage raises.
     """
-    report = CarlesonReport(mode=config.mode)
+    report = CarlesonReport()
     report.config = {"p": params.p, "alpha": params.alpha, "r": r, "phi": phi.spec(),
                      "measure": mu.spec(), **asdict(config)}
     stage = "lattice"
     try:
         lat = cached_lattice(r, config.lattice_epsilon)
         report.lattice_size = lat.size
-        report.lattice_kernel_sum = lat.kernel_sum()
 
         stage = "psi_sup"
         sup = psi_sup(mu, params.alpha, None, config.psi_grid)
@@ -601,16 +586,14 @@ def certify(mu: Measure, params: SpaceParams, r, phi: AnalyticSelfMap = Identity
         report.boundary_exponent = sup.exponent
 
         stage = "disk_constant"
-        orbit = condexp.rotation_orbit(phi) if config.mode == "symmetrized" else None
-        disk = disk_constant(mu, params.alpha, r, lat, orbit)
+        disk = disk_constant(mu, params.alpha, r, lat, condexp.rotation_orbit(phi))
         report.c2 = disk.c2
         report.c2_argmax_index = disk.argmax_index
         ref = reference_disk_constant(params.alpha, r, lat)
         report.c2_normalized = disk.c2 / ref if ref > 0 else np.nan
 
         stage = "test_constant"
-        family = config.family if orbit is None else replace(config.family, kernel_radii=(0.0,))
-        tc = test_constant(mu, params, phi, family, config.quad)
+        tc = test_constant(mu, params, phi, config.family, config.quad)
         report.c1 = tc.c1
         report.c1_worst = tc.worst_label
 

@@ -7,9 +7,8 @@ and functions, whose defaults fill absent fields. Conditions across fields
 that the schema cannot state are checked as these are built, and their
 errors carry a pointer too (``/grid``, ``/measure/values``). The report echoes
 the document as read. ``--seed`` is registered on ``carleson check``,
-``opnorm`` and ``suite``, ``--mode`` on ``carleson check``, and
-``--grid-levels`` on every command with a boundary grid; each overrides the
-document's value.
+``opnorm`` and ``suite``, and ``--grid-levels`` on every command with a
+boundary grid; each overrides the document's value.
 
 Exit codes: 0 completed, 2 completed with a divergent or not-carleson
 verdict, 1 error (malformed config, numeric failure, regression mismatch).
@@ -97,7 +96,7 @@ def _read_config(args, command):
 
 
 def _certify_config(doc, grid="psi_grid"):
-    """The grids, family and mode of a validated document; absent fields keep the defaults.
+    """The grids, family and lattice of a validated document; absent fields keep the defaults.
 
     A top-level ``seed`` replaces the family's.
     """
@@ -107,7 +106,7 @@ def _certify_config(doc, grid="psi_grid"):
     return CertifyConfig(quad=_build(QuadConfig, doc.get("quad", {}), "/quad"),
                          psi_grid=_build(PsiGridSpec, doc.get(grid, {}), f"/{grid}"),
                          family=_build(FamilySpec, family, "/family"),
-                         **{k: doc[k] for k in ("lattice_epsilon", "mode") if k in doc})
+                         lattice_epsilon=doc.get("lattice_epsilon", CertifyConfig.lattice_epsilon))
 
 
 def _build(cls, fields, pointer):
@@ -120,7 +119,7 @@ def _build(cls, fields, pointer):
 
 
 def _with_flags(config, args, grid=None):
-    """``config`` with the --grid-levels, --seed and --mode flags the subcommand was given.
+    """``config`` with the --grid-levels and --seed flags the subcommand was given.
 
     A --grid-levels value that the document's grid rejects fails naming the
     flag, and the grid's field ``grid`` when the command reads a document; a
@@ -140,8 +139,6 @@ def _with_flags(config, args, grid=None):
             config = replace(config, family=replace(config.family, seed=seed))
         except ConfigurationError as exc:
             raise ConfigurationError(f"--seed {seed}: {exc}") from exc
-    if "mode" in flags:
-        config = replace(config, mode=flags["mode"])
     return config
 
 
@@ -350,7 +347,6 @@ def build_parser():
         "seed": {"type": int, "help": "override the family seed"},
         "grid-levels": {"type": int,
                         "help": "override the deepest boundary grid level J (at most 53)"},
-        "mode": {"choices": ["unconditional", "symmetrized"]},
     }
 
     def common(p, *names, config=True):
@@ -386,7 +382,7 @@ def build_parser():
 
     p_car = sub.add_parser("carleson", help="three-constant certification")
     p_car.add_argument("action", choices=["check"])
-    common(p_car, "seed", "grid-levels", "mode")
+    common(p_car, "seed", "grid-levels")
     p_car.set_defaults(func=_cmd_carleson)
 
     p_op = sub.add_parser("opnorm", help="operator norm lower bound and criterion")

@@ -18,10 +18,11 @@ of a stack of polynomials in closed form, in compact rows g with E f =
 g(z^n) and their stride n (1 under a map of multiplicity 1), and
 ``expect_polynomial`` of one polynomial (both None under a Blaschke product
 with two or more zeros); ``cond_expect_values`` evaluates E on an array of
-points, and ``rotation_orbit`` gives the roots of unity of z^n, whose
-rotations leave z^n unchanged (it raises for every other map). Under a map of
-multiplicity 1 (the identity, z, a one-zero Blaschke product) every level set
-is one point, so E is the identity and the first three pass f through.
+points, and ``rotation_orbit`` gives the rotations that leave the map
+unchanged and E a mean over them: the roots of unity of z^n, and 1 alone
+under every other map. Under a map of multiplicity 1 (the identity, z, a
+one-zero Blaschke product) every level set is one point, so E is the
+identity and the first three pass f through.
 Level sets and their weights are formed in one place, ``_level_sets``, over
 an array of points, level-major: row j holds the j-th point of every level
 set. ``level_set`` reads it at one point, and ``cond_expect_values`` reads
@@ -39,8 +40,7 @@ those calls, in which the Blaschke level sets of each node array are kept
 once solved, with their weight sums, so members cost one evaluation of f
 each and no further root-finding. ``operators`` asks ``expect_polynomial``
 whether E of the symbol has a closed form, the CLI evaluates E of a
-polynomial with it, and ``certify``'s symmetrized mode reads
-``rotation_orbit``.
+polynomial with it, and ``certify`` takes C2's orbit from ``rotation_orbit``.
 
 The point z = 0 is a critical point of every monomial z^n with n >= 2; the
 expectation is defined off the critical set only, and callers evaluating on
@@ -376,14 +376,14 @@ def _deflated_roots(bez, zs):
 
 
 def rotation_orbit(phi: AnalyticSelfMap):
-    """The rotations w with phi(w z) = phi(z) for every z: the n-th roots of unity of z^n.
+    """The rotations w over which E is a mean: the n-th roots of unity of z^n.
 
-    The level set of z^n through z is z times them. Other maps have no such
-    orbit, and asking for one raises ``ConfigurationError``.
+    The level set of z^n through z is z times them, so E f is invariant under
+    each. Under every other map E is no mean over rotations, and the orbit is
+    1 alone.
     """
-    if not isinstance(phi, Monomial):
-        raise ConfigurationError("symmetrized mode requires a monomial self-map")
-    return np.exp(2j * np.pi * np.arange(phi.n) / phi.n)
+    n = phi.n if isinstance(phi, Monomial) else 1
+    return np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def level_set(phi: AnalyticSelfMap, z) -> LevelSet:

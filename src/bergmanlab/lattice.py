@@ -16,7 +16,9 @@ Verification is sampled: cover and overlap statistics are measured on a
 deterministic low-discrepancy (Halton) stream of disk points, filtered to
 the requested truncation so that sample sets for coarser truncations are
 subsets of finer ones. The overlap bound N of a lattice is measured on first
-read, not at build: certification reads the points only.
+read, not at build: certification reads the points only. Samples are drawn
+in blocks and distance matrices formed in blocks of at most PAIR_BLOCK pairs,
+so a check's memory is bounded and its results are exact under blocking.
 """
 
 from __future__ import annotations
@@ -30,8 +32,11 @@ from .errors import ConfigurationError
 from .geometry import pseudo_distance
 
 DEFAULT_OVERLAP_SAMPLES = 20000
-# Samples per block of the sample-to-lattice distance matrix.
+# Halton points drawn per block of the sample stream.
 SAMPLE_CHUNK = 4096
+# Pairs per block of a distance matrix: 4 MB of complex pairs, a few times
+# that with the temporaries of ``pseudo_distance``.
+PAIR_BLOCK = 2**18
 
 
 def _ring_count(rho, target):
@@ -52,6 +57,11 @@ def halton_disk_samples(count, epsilon=0.0):
     filtered, so the sample set for a larger epsilon is a subset of the one
     for a smaller epsilon.
     """
+    return np.concatenate(list(_sample_blocks(count, epsilon)))
+
+
+def _sample_blocks(count, epsilon):
+    """``halton_disk_samples(count, epsilon)`` in nonempty blocks of SAMPLE_CHUNK draws."""
     if count < 1:
         raise ConfigurationError(f"need at least one sample, got {count}")
     # Imported here, not at load: scipy.stats is most of the package's import
@@ -59,15 +69,23 @@ def halton_disk_samples(count, epsilon=0.0):
     from scipy.stats import qmc
 
     sampler = qmc.Halton(d=2, scramble=False)
-    kept = []
-    total = 0
-    while total < count:
-        u = sampler.random(max(1024, count))
+    while count > 0:
+        u = sampler.random(SAMPLE_CHUNK)
         z = np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-        z = z[1.0 - np.abs(z) >= epsilon]
-        kept.append(z)
-        total += len(z)
-    return np.concatenate(kept)[:count]
+        z = z[1.0 - np.abs(z) >= epsilon][:count]
+        count -= len(z)
+        if len(z):
+            yield z
+
+
+def _pair_blocks(n_rows, n_cols):
+    """(rows, cols) slices that tile an n_rows x n_cols matrix in blocks of at most
+    PAIR_BLOCK pairs, row-major."""
+    width = min(n_cols, PAIR_BLOCK)
+    height = max(1, PAIR_BLOCK // width)
+    for lo in range(0, n_rows, height):
+        for left in range(0, n_cols, width):
+            yield slice(lo, lo + height), slice(left, left + width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,16 +104,17 @@ class HyperbolicLattice:
     def size(self):
         return len(self.points)
 
-    def pairwise_pseudo(self):
-        return pseudo_distance(self.points[:, None], self.points[None, :])
-
     def min_separation(self):
-        """Minimum pairwise hyperbolic distance."""
+        """Minimum pairwise hyperbolic distance, over blocks of pairs."""
         if self.size < 2:
             return float("inf")
-        p = self.pairwise_pseudo()
-        np.fill_diagonal(p, 1.0)
-        return float(np.arctanh(p.min()))
+        index = np.arange(self.size)
+        best = 1.0
+        for rows, cols in _pair_blocks(self.size, self.size):
+            p = pseudo_distance(self.points[rows, None], self.points[None, cols])
+            p[index[rows, None] == index[None, cols]] = 1.0
+            best = min(best, float(p.min()))
+        return float(np.arctanh(best))
 
     def kernel_sum(self):
         """Truncated sum_k 1/(1 - tanh(r) |a_k|)^2.
@@ -152,22 +171,19 @@ class CoverReport:
         return len(self.uncovered) == 0
 
 
-def _min_distances(points, zs):
-    """Min hyperbolic distance from each sample to the point set."""
-    out = np.empty(len(zs))
-    for lo in range(0, len(zs), SAMPLE_CHUNK):
-        p = pseudo_distance(points[None, :], zs[lo:lo + SAMPLE_CHUNK, None])
-        out[lo:lo + SAMPLE_CHUNK] = np.arctanh(np.minimum(p.min(axis=1), 1.0 - 1e-15))
-    return out
-
-
 def verify_cover(lat: HyperbolicLattice, samples) -> CoverReport:
     """Check that every sampled z with 1 - |z| >= epsilon lies in some D(a_k, r)."""
-    zs = halton_disk_samples(samples, lat.epsilon)
-    dmin = _min_distances(lat.points, zs)
-    uncovered = zs[dmin >= lat.r]
-    return CoverReport(samples=samples, uncovered=uncovered,
-                       max_min_distance=float(dmin.max()))
+    uncovered, farthest = [], 0.0
+    for zs in _sample_blocks(samples, lat.epsilon):
+        nearest = np.ones(len(zs))
+        for rows, cols in _pair_blocks(len(zs), lat.size):
+            p = pseudo_distance(lat.points[None, cols], zs[rows, None])
+            np.minimum(nearest[rows], p.min(axis=1), out=nearest[rows])
+        dmin = np.arctanh(np.minimum(nearest, 1.0 - 1e-15))
+        uncovered.append(zs[dmin >= lat.r])
+        farthest = max(farthest, float(dmin.max()))
+    return CoverReport(samples=samples, uncovered=np.concatenate(uncovered),
+                       max_min_distance=farthest)
 
 
 def overlap_count(lat: HyperbolicLattice, z, factor=2.0) -> int:
@@ -188,10 +204,12 @@ def overlap_bound(lat: HyperbolicLattice, samples=DEFAULT_OVERLAP_SAMPLES,
     sampled region once the maximizer is interior.
     """
     eps = lat.epsilon if sample_epsilon is None else sample_epsilon
-    zs = halton_disk_samples(samples, eps)
     thr = np.tanh(2.0 * lat.r)
     best = 0
-    for lo in range(0, len(zs), SAMPLE_CHUNK):
-        p = pseudo_distance(lat.points[None, :], zs[lo:lo + SAMPLE_CHUNK, None])
-        best = max(best, int((p < thr).sum(axis=1).max()))
+    for zs in _sample_blocks(samples, eps):
+        counts = np.zeros(len(zs), dtype=int)
+        for rows, cols in _pair_blocks(len(zs), lat.size):
+            p = pseudo_distance(lat.points[None, cols], zs[rows, None])
+            counts[rows] += (p < thr).sum(axis=1)
+        best = max(best, int(counts.max()))
     return best

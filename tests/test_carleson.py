@@ -977,17 +977,16 @@ class TestKernelSeriesPath:
 
     @pytest.mark.parametrize("phi", (Monomial(2), Monomial(3)), ids=("z^2", "z^3"))
     def test_origin_only_family(self, phi, small_quad):
-        # The family of the symmetrized mode: f_0 = 1, a series of degree 0,
-        # whose ratio is the total mass.
+        # The origin's kernel alone: f_0 = 1, a series of degree 0, whose ratio
+        # is the total mass. ``certify`` sweeps its configured family whole.
         family = FamilySpec(kernel_radii=(0.0,), random_count=2)
         mu = RadialDensity(0.5, 3.0)
         res = family_constant(mu, SpaceParams(2.0, 0.25), phi, family, small_quad)
         assert res.ratios["kernel:a=+0.000000+0.000000j"] == pytest.approx(2.0, rel=1e-15)
-        rep = certify(mu, SpaceParams(2.0, 0.25), 1.0, phi, replace(CHEAP, mode="symmetrized"))
+        rep = certify(mu, SpaceParams(2.0, 0.25), 1.0, phi, CHEAP)
         assert rep.verdict == "carleson"
-        assert rep.c1 == max(family_constant(mu, SpaceParams(2.0, 0.25), phi,
-                                             replace(CHEAP.family, kernel_radii=(0.0,)),
-                                             CHEAP.quad).ratios.values())
+        assert rep.c1 == family_constant(mu, SpaceParams(2.0, 0.25), phi, CHEAP.family,
+                                         CHEAP.quad).c1
 
     def test_moment_sums_by_measure_type(self, small_quad):
         rule = build_quadrature(0.0, small_quad.n_radial, small_quad.n_angular)
@@ -1033,32 +1032,39 @@ class TestBatchedDiskConstant:
         # so turning a radial density's disk onto the real axis moves no digit
         # that the tolerance sees (at 32 angles it moves the 12th).
         lat = cached_lattice(1.0, 0.03)
-        orbit = None if isinstance(phi, Identity) else condexp.rotation_orbit(phi)
+        orbit = condexp.rotation_orbit(phi)
         for name, mu in {"area": WeightedArea(0.5), **sweep_measures(small_quad)}.items():
             got = disk_constant(mu, 0.5, 1.0, lat, orbit)
             c2, argmax = per_point_disk_constant(mu, 0.5, 1.0, lat, phi)
             assert abs(got.c2 - c2) <= 1e-13 * c2, name
             assert got.argmax_index == argmax, name
 
-    def test_symmetrized_atoms_are_rotated_atoms_at_half_mass(self):
-        # The orbit mean of mu(D(w a, r)) over w = +-1 is the mass of D(a, r)
-        # under the atoms and their reflections through 0, each at half mass.
-        atoms = [(0.3 + 0.2j, 0.5), (-0.6j, 0.25), (0.8, 1.0), (-0.55 + 0.7j, 2.0)]
-        config = replace(CHEAP, mode="symmetrized")
-        rep = certify(Atomic.from_atoms(atoms), SpaceParams(2.0, 0.0), 1.0, Monomial(2), config)
-        rotated = Atomic.from_atoms([(w * z, m / 2) for z, m in atoms for w in (1, -1)])
-        lat = cached_lattice(1.0, config.lattice_epsilon)
-        want = disk_constant(rotated, 0.0, 1.0, lat)
+    @settings(max_examples=25, deadline=None)
+    @given(atoms=st.lists(st.tuples(
+        st.builds(lambda rho, theta: rho * np.exp(1j * theta), st.floats(0.0, 0.95),
+                  st.floats(0.0, 2 * np.pi)),
+        st.floats(0.1, 2.0)), min_size=1, max_size=8), n=st.sampled_from((2, 3, 4)))
+    @example(atoms=[(0.3 + 0.2j, 0.5), (-0.6j, 0.25), (0.8, 1.0), (-0.55 + 0.7j, 2.0)], n=2)
+    def test_c2_under_z_n_is_the_orbit_mean(self, atoms, n):
+        # Under z^n, C2 is that of mu averaged over the n-th roots of unity w:
+        # it does not see a rotation of the atoms by w, and it is the C2, with
+        # no orbit, of the n copies w z of each atom at mass m / n.
+        params, w = SpaceParams(2.0, 0.0), np.exp(2j * np.pi / n)
+        rep = certify(Atomic.from_atoms(atoms), params, 1.0, Monomial(n), CHEAP)
+        turned = certify(Atomic.from_atoms([(w * z, m) for z, m in atoms]), params, 1.0,
+                         Monomial(n), CHEAP)
+        copies = Atomic.from_atoms([(w**k * z, m / n) for z, m in atoms for k in range(n)])
+        want = disk_constant(copies, 0.0, 1.0, cached_lattice(1.0, CHEAP.lattice_epsilon))
         assert rep.c2 > 0
-        assert abs(rep.c2 - want.c2) <= 1e-15 * want.c2
-        assert rep.c2_argmax_index == want.argmax_index
+        assert abs(turned.c2 - rep.c2) <= 1e-13 * rep.c2
+        assert abs(rep.c2 - want.c2) <= 1e-13 * want.c2
 
     @pytest.mark.parametrize("phi", (Monomial(2), Monomial(3)), ids=("z^2", "z^3"))
     def test_symmetrized_radial_density_is_unconditional(self, phi):
-        # A radial density's disk masses depend on |a| alone, and rotations keep it.
-        config = replace(CHEAP, mode="symmetrized")
+        # A radial density's disk masses depend on |a| alone, and rotations keep
+        # it: the orbit mean of z^n is the identity's C2.
         mu = RadialDensity(0.5)
-        sym = certify(mu, SpaceParams(2.0, 0.0), 1.0, phi, config)
+        sym = certify(mu, SpaceParams(2.0, 0.0), 1.0, phi, CHEAP)
         plain = certify(mu, SpaceParams(2.0, 0.0), 1.0, Identity(), CHEAP)
         assert abs(sym.c2 - plain.c2) <= 1e-15 * plain.c2
 
@@ -1189,14 +1195,18 @@ class TestCertify:
         b = certify(WeightedArea(1.0), SpaceParams(2.0, 1.0), 1.0, Identity(), CHEAP)
         assert a.to_dict() == b.to_dict()
 
-    def test_symmetrized_mode(self):
-        from dataclasses import replace
-
-        config = replace(CHEAP, mode="symmetrized")
-        rep = certify(WeightedArea(0.0), SpaceParams(2.0, 0.0), 1.0, Monomial(2), config)
-        assert rep.mode == "symmetrized"
+    def test_monomial_takes_the_orbit_mean_and_the_whole_family(self):
+        # Under z^2, C2 is the mean over w = +-1 and C1 sweeps every member;
+        # no mode is configured or reported.
+        mu = Atomic.from_atoms([(0.3 + 0.2j, 0.5), (0.8, 1.0)])
+        params = SpaceParams(2.0, 0.0)
+        rep = certify(mu, params, 1.0, Monomial(2), CHEAP)
+        lat = cached_lattice(1.0, CHEAP.lattice_epsilon)
         assert rep.verdict == "carleson"
-        assert rep.config["mode"] == "symmetrized"
+        assert rep.c2 == disk_constant(mu, 0.0, 1.0, lat, condexp.rotation_orbit(Monomial(2))).c2
+        assert rep.c2 != disk_constant(mu, 0.0, 1.0, lat).c2
+        assert rep.c1 == family_constant(mu, params, Monomial(2), CHEAP.family, CHEAP.quad).c1
+        assert "mode" not in rep.to_dict() and "mode" not in rep.config
 
     def test_overlap_bound_not_sampled(self, monkeypatch):
         from dataclasses import replace
@@ -1209,19 +1219,24 @@ class TestCertify:
         assert rep.failure is None
         assert calls == []
 
-    def test_partial_report_on_failure(self):
-        from dataclasses import replace
-
-        # an impossible lattice radius surfaces as a failure record, not a crash
-        config = replace(CHEAP, mode="symmetrized")
-        rep = certify(WeightedArea(0.0), SpaceParams(2.0, 0.0), 1.0, Identity(), config)
+    def test_partial_report_on_failure(self, monkeypatch):
+        # A stage that raises surfaces as a failure record naming it, not a crash;
+        # the stages before it keep their constants.
+        def refuse(self, centers, y, r):
+            raise EvaluationError("no disk masses")
+        monkeypatch.setattr(RadialDensity, "_disk_masses", refuse)
+        rep = certify(RadialDensity(0.5), SpaceParams(2.0, 0.0), 1.0, Identity(), CHEAP)
         assert rep.verdict == "error"
-        assert rep.failure["stage"] == "disk_constant"
+        assert rep.failure == {"stage": "disk_constant", "error": "EvaluationError",
+                               "message": "no disk masses"}
+        assert np.isfinite(rep.c3) and np.isnan(rep.c2) and np.isnan(rep.c1)
 
     def test_report_dict_structure(self):
         rep = certify(WeightedArea(0.0), SpaceParams(2.0, 0.0), 1.0, Identity(), CHEAP)
         d = rep.to_dict()
-        assert set(d) >= {"constants", "ratios", "divergence", "verdict", "config", "mode"}
+        assert set(d) == {"constants", "argmax", "ratios", "divergence", "lattice", "verdict",
+                          "config"}
+        assert d["lattice"] == {"size": cached_lattice(1.0, CHEAP.lattice_epsilon).size}
         assert d["config"]["measure"] == {"type": "area", "alpha": 0.0}
 
 

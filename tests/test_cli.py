@@ -365,6 +365,8 @@ class TestConfigErrors:
         # Psi reads no quadrature rule, so these documents have no quad.
         ("psi", {**PSI, "quad": {"n_radial": 16, "n_angular": 32}}, "/quad"),
         ("mult-criterion", {**MULT, "quad": {"n_radial": 16, "n_angular": 32}}, "/quad"),
+        # C2 takes its rotation orbit from the map; no field chooses it.
+        ("carleson", {**CHECK, "mode": "symmetrized"}, "/mode"),
     ])
     def test_malformed_config_named_by_pointer(self, command, doc, pointer, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -470,6 +472,7 @@ class TestConfigErrors:
         ["psi", "--seed", "5"],
         ["mult-criterion", "--seed", "5"],
         ["suite", "--mode", "symmetrized"],
+        ["carleson", "check", "--mode", "symmetrized"],
     ])
     def test_flag_the_subcommand_ignores_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

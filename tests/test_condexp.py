@@ -25,7 +25,7 @@ from bergmanlab.condexp import (
     level_set,
     rotation_orbit,
 )
-from bergmanlab.errors import ConfigurationError, CriticalPointError
+from bergmanlab.errors import CriticalPointError
 from bergmanlab.geometry import SpaceParams, weighted_kernel
 from bergmanlab.geometry import test_function as kernel_power
 from bergmanlab.measures import Atomic, Polynomial, bergman_norm, build_quadrature
@@ -436,8 +436,9 @@ class TestRotationOrbit:
     @pytest.mark.parametrize("phi", (Identity(), BlaschkeProduct((0.3 + 0.1j, -0.2))),
                              ids=("identity", "blaschke"))
     def test_other_maps_have_none(self, phi):
-        with pytest.raises(ConfigurationError, match="monomial self-map"):
-            rotation_orbit(phi)
+        # No rotation but 1: under these maps E is no mean over rotations.
+        orbit = rotation_orbit(phi)
+        assert orbit.shape == (1,) and orbit[0] == 1.0
 
 
 class TestBatchEvaluation:

@@ -62,6 +62,14 @@ def test_schema_defaults_equal_the_code_defaults():
             assert json.loads(json.dumps(code)) == default, (owner, name)
 
 
+def test_carleson_check_fields_are_certify_config_fields():
+    # Every CertifyConfig field is a carleson_check field, and the others are
+    # the measure, the space, the radius, the map and the seed.
+    fields = {f.name for f in dataclasses.fields(CertifyConfig)}
+    properties = config.schema()["properties"]["carleson_check"]["properties"]
+    assert set(properties) == fields | {"measure", "p", "alpha", "r", "phi", "seed"}
+
+
 @pytest.mark.parametrize("given, normalised", [
     ({"n_radial": 8.0, "n_angular": np.int64(16)}, {"n_radial": 8, "n_angular": 16}),
     ({"n_radial": np.float64(32.0)}, {"n_radial": 32}),

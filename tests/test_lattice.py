@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from bergmanlab import lattice
 from bergmanlab.errors import ConfigurationError
-from bergmanlab.geometry import bergman_disk, bergman_distance, one_minus_modulus_sq
+from bergmanlab.geometry import bergman_disk, bergman_distance, one_minus_modulus_sq, \
+    pseudo_distance
 from bergmanlab.measures import PSI_Y_TOL
 from bergmanlab.lattice import (
     DEFAULT_OVERLAP_SAMPLES,
@@ -211,6 +213,44 @@ class TestOverlap:
         n_wide = overlap_bound(lat_mid, 20000, sample_epsilon=0.1)
         n_own = overlap_bound(lat_mid, 20000, sample_epsilon=lat_mid.epsilon)
         assert n_wide == n_own
+
+
+class TestBlocking:
+    """Samples are drawn in blocks and every distance matrix is formed in blocks of at
+    most PAIR_BLOCK pairs; each check gives the dense computation's result, bitwise."""
+
+    @pytest.fixture
+    def holed(self, lat_mid):
+        # A hole, so that the uncovered samples are compared too.
+        keep = bergman_distance(lat_mid.points[3], lat_mid.points) >= lat_mid.r
+        return HyperbolicLattice(r=lat_mid.r, epsilon=lat_mid.epsilon,
+                                 points=lat_mid.points[keep], y=lat_mid.y[keep])
+
+    def test_small_blocks_give_the_dense_results(self, holed, monkeypatch):
+        count, eps = 2000, holed.epsilon
+        u = qmc.Halton(d=2, scramble=False).random(2 * count)
+        zs = np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+        zs = zs[1.0 - np.abs(zs) >= eps][:count]
+        p = pseudo_distance(holed.points[None, :], zs[:, None])
+        dmin = np.arctanh(np.minimum(p.min(axis=1), 1.0 - 1e-15))
+        pairs = pseudo_distance(holed.points[:, None], holed.points[None, :])
+        np.fill_diagonal(pairs, 1.0)
+
+        sizes = []
+        monkeypatch.setattr(lattice, "pseudo_distance",
+                            lambda a, z: sizes.append(np.broadcast(a, z).size) or
+                            pseudo_distance(a, z))
+        monkeypatch.setattr(lattice, "PAIR_BLOCK", 37)
+        monkeypatch.setattr(lattice, "SAMPLE_CHUNK", 300)
+        assert 37 < holed.size
+        assert halton_disk_samples(count, eps).tobytes() == zs.tobytes()
+        cover = verify_cover(holed, count)
+        assert cover.uncovered.tobytes() == zs[dmin >= holed.r].tobytes()
+        assert len(cover.uncovered) > 0
+        assert cover.max_min_distance == dmin.max()
+        assert overlap_bound(holed, count) == (p < np.tanh(2.0 * holed.r)).sum(axis=1).max()
+        assert holed.min_separation() == np.arctanh(pairs.min())
+        assert max(sizes) <= 37
 
 
 class TestDiagnostics:
